@@ -400,6 +400,17 @@ def _failed_gates(report: dict) -> list[str]:
     return failed
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators refuse negative seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loctrace",
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sand = sub.add_parser("sandbox", help="run finite-group suites")
     p_sand.add_argument("--suite", action="append", default=None, help="suite name (repeatable)")
     p_sand.add_argument("--out", type=Path, default=Path("out"))
-    p_sand.add_argument("--seed", type=int, default=0)
+    p_sand.add_argument("--seed", type=_seed, default=0)
 
     p_verify = sub.add_parser("verify", help="run default sweeps and all suites")
     p_verify.add_argument("--out", type=Path, default=Path("out"))

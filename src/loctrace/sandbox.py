@@ -10,8 +10,8 @@ biregular (left and right translation) action, whose commutant is the abelian
 algebra of class-function convolutions.
 
 Everything here is exact dense linear algebra; commutants are nullspaces of
-stacked commutation systems over the reals (the complex system viewed as a
-doubled real one), with a 1e-10 singular-value cut deciding rank.
+stacked complex commutation systems, read off one thin complex SVD, with a
+singular-value cut at 1e-10 of the largest deciding rank.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 log = logging.getLogger("loctrace")
 
@@ -226,25 +226,41 @@ def _commutation_system(operators: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _complex_nullspace(system: np.ndarray, n: int) -> list[np.ndarray]:
-    """Nullspace of a complex homogeneous system, solved as a doubled real one."""
-    cr, ci = system.real, system.imag
-    real_sys = np.block([[cr, -ci], [ci, cr]])
-    ns = null_space(real_sys, rcond=RANK_TOL)
-    if ns.size == 0:
-        return []
-    mats = [col[: n * n].reshape(n, n) + 1j * col[n * n :].reshape(n, n) for col in ns.T]
-    # the real solution space is the complex one doubled; extract a complex basis
-    stacked = np.array([m.reshape(-1) for m in mats])
-    u, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return [vh[k].reshape(n, n) for k in range(rank)]
+    """Nullspace of a complex homogeneous system, as n x n matrices.
+
+    One thin SVD: the system has at least as many rows as columns (k n^2 x
+    n^2), so the thin Vh spans the whole column space, and the conjugates of
+    its rows with s <= RANK_TOL * s[0] are an orthonormal nullspace basis.
+    The cut acts on the singular values themselves; an eigendecomposition of
+    the Gram matrix would square them and move the cut to 1e-20.
+    """
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    scale = s[0] if s[0] > 0 else 1.0
+    rank = int(np.sum(s > RANK_TOL * scale))
+    if log.isEnabledFor(logging.DEBUG):
+        dropped = f"{s[rank] / scale:.3e}" if rank < s.size else "none"
+        kept = f"{s[rank - 1] / scale:.3e}" if rank > 0 else "none"
+        log.debug(
+            "commutant: system %dx%d, rank %d, largest dropped s/s0 %s, smallest kept s/s0 %s",
+            *system.shape, rank, dropped, kept,
+        )
+    return [row.conj().reshape(n, n) for row in vh[rank:]]
 
 
 def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
-    """Basis of all matrices commuting with every operator, plus abelianness."""
+    """Basis of all matrices commuting with every operator, plus abelianness.
+
+    The operators must be one or more square matrices of one common size.
+    """
     ops = [np.asarray(a, dtype=complex) for a in operators]
-    n = ops[0].shape[0]
-    basis = _complex_nullspace(_commutation_system(ops), n)
+    if not ops:
+        raise ValueError("commutant_of_set needs at least one operator")
+    for k, a in enumerate(ops):
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"operator #{k} has shape {a.shape}; need a non-empty square matrix")
+        if a.shape != ops[0].shape:
+            raise ValueError(f"operator #{k} has shape {a.shape}, operator #0 has {ops[0].shape}")
+    basis = _complex_nullspace(_commutation_system(ops), ops[0].shape[0])
     abelian = True
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -318,6 +334,20 @@ def resolvent_normality_check(
     report carries ||R R* - R* R||, and the smallest singular values of
     (M +- i), which must be bounded away from zero (full range).
     """
+    report = _resolvent_report(m, action, normality_tol)
+    _require_abelian_commutant(action)
+    return report
+
+
+def _require_abelian_commutant(action: Sequence[np.ndarray]) -> None:
+    if not commutant_of_set(action).is_abelian:
+        raise ValueError("the commutant of the action is not abelian")
+
+
+def _resolvent_report(
+    m: np.ndarray, action: Sequence[np.ndarray], normality_tol: float = 1e-8
+) -> ResolventReport:
+    """The per-M half of resolvent_normality_check: its preconditions and report."""
     m = np.asarray(m, dtype=complex)
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > 1e-10 * scale:
@@ -325,8 +355,6 @@ def resolvent_normality_check(
     for k, a in enumerate(action):
         if np.abs(m @ a - a @ m).max() > 1e-10 * scale:
             raise ValueError(f"M does not commute with action element #{k}")
-    if not commutant_of_set(action).is_abelian:
-        raise ValueError("the commutant of the action is not abelian")
     n = m.shape[0]
     eye = np.eye(n)
     r = np.linalg.inv(m + 1j * eye)
@@ -527,12 +555,13 @@ def _suite_biregular(seed: int) -> dict:
 def _suite_resolvent_z8(seed: int) -> dict:
     group = cyclic_group(8)
     action = [np.diag(c) for c in characters(group)]
+    _require_abelian_commutant(action)
     rng = np.random.default_rng(seed)
     worst = 0.0
     min_sv = np.inf
     for _ in range(50):
         m = np.diag(rng.standard_normal(8))
-        rep = resolvent_normality_check(m, action)
+        rep = _resolvent_report(m, action)
         worst = max(worst, rep.normality_defect)
         min_sv = min(min_sv, rep.sv_min_plus, rep.sv_min_minus)
     ok = worst < 1e-8 and min_sv > 1e-8
@@ -545,7 +574,45 @@ def _suite_resolvent_z8(seed: int) -> dict:
     }
 
 
+def _key_quantity(report: dict) -> str:
+    """The one-line gist of a suite report, for the log."""
+    name = report["suite"]
+    if name == "annex2-abelian-le-12":
+        return "commutant dims " + ",".join(str(c["commutant_dim"]) for c in report["detail"])
+    if name == "annex1-biregular":
+        return "commutant dims " + ", ".join(
+            f"{g}:{d['commutant_dim']}" for g, d in report["detail"].items()
+        )
+    if name == "annex1-resolvent-z8":
+        return (
+            f"worst defect {report['worst_normality_defect']:.2e}, "
+            f"min singular value {report['min_singular_value']:.3f}"
+        )
+    worst = max(v for v in report.values() if isinstance(v, float))
+    return f"worst defect {worst:.2e}"
+
+
 def run_sandbox(selection: Sequence[str], seed: int = 0) -> dict:
-    """Run the named suites; unknown names raise KeyError."""
-    reports = [run_suite(name, seed=seed) for name in selection]
+    """Run the named suites.
+
+    The request is checked before any suite runs: an unknown suite name
+    raises KeyError, a negative seed ValueError.
+    """
+    for name in selection:
+        if name not in SUITE_NAMES:
+            raise KeyError(f"unknown suite {name!r}; known suites: {', '.join(SUITE_NAMES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    reports = []
+    for name in selection:
+        start = time.perf_counter()
+        report = run_suite(name, seed=seed)
+        log.info(
+            "sandbox suite %s: %s in %.3f s, %s",
+            name,
+            "passed" if report["passed"] else "FAILED",
+            time.perf_counter() - start,
+            _key_quantity(report),
+        )
+        reports.append(report)
     return {"passed": all(r["passed"] for r in reports), "suites": reports}

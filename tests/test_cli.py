@@ -99,6 +99,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # unknown suite: usage error (2)
     rc = main(["sandbox", "--suite", "unknown", "--out", str(tmp_path)])
     assert rc == 2
+    # negative seed: argparse usage error (2), nothing written
+    with pytest.raises(SystemExit) as exc:
+        main(["sandbox", "--seed", "-1", "--out", str(tmp_path / "neg")])
+    assert exc.value.code == 2
+    assert "--seed: must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
     # bad config: 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(small_config(field="Q")))

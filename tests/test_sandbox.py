@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+import loctrace.sandbox as sandbox_mod
 from loctrace import (
     characters,
     commutant_of_characters,
@@ -108,6 +111,40 @@ def test_commutant_of_identity_is_everything():
     comm = commutant_of_set([np.eye(3)])
     assert comm.dimension == 9
     assert not comm.is_abelian
+
+
+def test_commutant_of_zero_is_everything(caplog):
+    # an all-zero system: its largest singular value is 0, so s is measured
+    # against 1 instead of s[0]
+    with caplog.at_level(logging.DEBUG, logger="loctrace"):
+        comm = commutant_of_set([np.zeros((3, 3))])
+    assert comm.dimension == 9
+    assert "rank 0, largest dropped s/s0 0.000e+00, smallest kept s/s0 none" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "ops,match",
+    [
+        ([], "at least one"),
+        ([np.ones((2, 3))], "square"),
+        ([np.ones(4)], "square"),
+        ([np.zeros((0, 0))], "square"),
+        ([np.eye(3), np.eye(4)], "operator #1"),
+    ],
+    ids=["empty", "non-square", "vector", "zero-size", "mismatched"],
+)
+def test_commutant_of_set_rejects_bad_operators(ops, match):
+    with pytest.raises(ValueError, match=match):
+        commutant_of_set(ops)
+
+
+def test_commutant_debug_log_shows_rank_cut(caplog):
+    with caplog.at_level(logging.DEBUG, logger="loctrace"):
+        commutant_of_characters(cyclic_group(4), char_subset=[0, 2])
+    (record,) = [r for r in caplog.records if r.message.startswith("commutant:")]
+    assert "system 32x16, rank 8" in record.message
+    assert "largest dropped s/s0" in record.message
+    assert "smallest kept s/s0" in record.message
 
 
 def test_biregular_commutant_dimensions():
@@ -248,6 +285,12 @@ def test_resolvent_rejects_noncommuting():
         resolvent_normality_check(m, action)
 
 
+def test_resolvent_rejects_nonabelian_commutant():
+    # everything commutes with the identity, and its commutant is all of M_3
+    with pytest.raises(ValueError, match="not abelian"):
+        resolvent_normality_check(np.diag([1.0, 2.0, 3.0]), [np.eye(3)])
+
+
 def test_resolvent_rejects_nonsymmetric():
     g = cyclic_group(4)
     action = [np.diag(c) for c in characters(g)]
@@ -292,3 +335,44 @@ def test_unknown_suite():
 def test_run_sandbox_all():
     report = run_sandbox(["annex2-multiplier", "annex2-polar", "annex1-resolvent-z8"])
     assert report["passed"]
+
+
+def test_suite_resolvent_z8_computes_action_commutant_once(monkeypatch):
+    calls = []
+    real = sandbox_mod.commutant_of_set
+
+    def counting(ops):
+        calls.append(len(ops))
+        return real(ops)
+
+    monkeypatch.setattr(sandbox_mod, "commutant_of_set", counting)
+    report = run_suite("annex1-resolvent-z8")
+    assert report["passed"] and report["cases"] == 50
+    assert calls == [8]
+
+
+@pytest.mark.parametrize(
+    "selection,seed,error",
+    [
+        (["annex1-biregular", "bogus"], 0, KeyError),
+        (["annex1-biregular"], -1, ValueError),
+    ],
+    ids=["unknown-suite", "negative-seed"],
+)
+def test_run_sandbox_refuses_before_any_suite(monkeypatch, selection, seed, error):
+    ran = []
+    monkeypatch.setattr(sandbox_mod, "run_suite", lambda name, seed=0: ran.append(name))
+    with pytest.raises(error):
+        run_sandbox(selection, seed=seed)
+    assert ran == []
+
+
+def test_run_sandbox_logs_one_line_per_suite(caplog):
+    with caplog.at_level(logging.INFO, logger="loctrace"):
+        run_sandbox(["annex2-polar", "annex1-biregular"])
+    lines = [r.message for r in caplog.records if r.levelno == logging.INFO]
+    assert len(lines) == 2
+    assert lines[0].startswith("sandbox suite annex2-polar: passed in ")
+    assert "worst defect" in lines[0]
+    assert lines[1].startswith("sandbox suite annex1-biregular: passed in ")
+    assert lines[1].endswith("commutant dims S3:3, Q8:5, D4:5")
