@@ -65,7 +65,6 @@ from .cutoff_trace import (
     inversion,
     trace_route_A,
     trace_route_B,
-    trace_route_C_full_line,
 )
 
 __version__ = "0.1.0"

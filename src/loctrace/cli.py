@@ -32,7 +32,13 @@ from .fields import make_backend, make_grid
 from .fourier import build_fourier
 from .operators import TestFunction
 from .sandbox import SUITE_NAMES, run_sandbox
-from .cutoff_trace import SignedTraceLab, TraceComputation, asymptotic_fit, gate_reports
+from .cutoff_trace import (
+    SignedTraceLab,
+    TraceComputation,
+    asymptotic_fit,
+    gate_reports,
+    route_c_bytes,
+)
 
 log = logging.getLogger("loctrace")
 
@@ -121,6 +127,9 @@ DEFAULT_CONFIGS = {
 
 ROUTE_AGREEMENT_TOL = {"R": 1e-3, "C": 5e-3, "H": 5e-3}
 
+# refuse route C configs whose signed-grid block would need more memory than this
+ROUTE_C_BYTES_BUDGET = 2 * 2**30
+
 
 class ConfigError(ValueError):
     pass
@@ -140,7 +149,30 @@ def validate_config(config: dict) -> dict:
     n = config["grid"]["n"]
     if n % 2 != 0:
         raise ConfigError("grid n must be even")
+    c_lams = _route_c_lambdas(config)
+    if c_lams is not None:
+        n_signed = config["route_c"].get("n_signed", 4096)
+        # lambda 0 (an empty block) still checks that n_signed is even
+        lam = max(c_lams, default=0.0)
+        try:
+            need = route_c_bytes(n_signed, lam)
+        except ValueError as exc:
+            raise ConfigError(f"route_c: {exc}") from exc
+        if need > ROUTE_C_BYTES_BUDGET:
+            raise ConfigError(
+                f"route_c: n_signed {n_signed} up to lambda {lam} needs about "
+                f"{need / 2**30:.1f} GiB, above the {ROUTE_C_BYTES_BUDGET / 2**30:.0f} GiB budget"
+            )
     return config
+
+
+def _route_c_lambdas(config: dict) -> list[float] | None:
+    """The lambdas route C traces (those up to route_c.max_lambda); None when it is off."""
+    rc = config.get("route_c", {})
+    if config["field"] != "R" or not rc.get("enabled", False):
+        return None
+    c_max = float(rc.get("max_lambda", 8.0))
+    return [float(lam) for lam in config["lambdas"] if lam <= c_max]
 
 
 def run_trace_sweep(config: dict, out_dir: Path, jobs: int = 1) -> dict:
@@ -162,15 +194,11 @@ def run_trace_sweep(config: dict, out_dir: Path, jobs: int = 1) -> dict:
 
     route_c_vals: dict[float, float] = {}
     cyclicity = None
-    rc = config.get("route_c", {})
-    if field == "R" and rc.get("enabled", False):
-        lab = SignedTraceLab(f, n=int(rc.get("n_signed", 4096)))
-        c_max = float(rc.get("max_lambda", 8.0))
-        for lam in lams:
-            if lam <= c_max:
-                route_c_vals[lam] = lab.trace_route_c(lam)
-        if route_c_vals:
-            cyclicity = lab.cyclicity_defect(min(route_c_vals))
+    c_lams = _route_c_lambdas(config)
+    if c_lams:
+        lab = SignedTraceLab(f, int(config["route_c"].get("n_signed", 4096)), max(c_lams))
+        route_c_vals = {lam: lab.trace_route_c(lam) for lam in c_lams}
+        cyclicity = lab.cyclicity_defect(min(c_lams))
 
     def one(lam: float):
         return comp.report(lam, route_c=route_c_vals.get(lam))

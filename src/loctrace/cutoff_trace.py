@@ -28,6 +28,7 @@ from .fourier import (
     FullLineFourier,
     SignedGrid,
     build_fourier,
+    cutoff_block,
     full_line_fourier,
     make_signed_grid,
 )
@@ -262,68 +263,120 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 # ---------------------------------------------------------------------------
 
 
-class SignedTraceLab:
-    """Full-line machinery (field R): dense cutoffs, transform and U_f.
+# float |B| x n arrays alive at once while SignedTraceLab evaluates U_f[B, :]
+ROUTE_C_TEMPORARIES = 8
 
-    The only route that literally traces an operator product over the whole
-    space.  Rows of U_f with |x| < 0.5 cannot resolve the multiplicative
-    kernel on a uniform grid; for those rows the product (U_f F) entries are
-    integrated directly by Gauss-Legendre quadrature of U_f's kernel times
-    the transform kernel.
+
+def route_c_bytes(n: int, max_lambda: float) -> int:
+    """Peak bytes of SignedTraceLab(f, n, max_lambda), from the geometry alone.
+
+    Counts F[:, B] (complex, n x |B|), U_f[B, :] (|B| x n), their product M
+    (complex, |B| x |B|) and ROUTE_C_TEMPORARIES float |B| x n arrays alive
+    while U_f's rows are evaluated.  Raises ValueError, before anything is
+    allocated, when the signed grid cannot hold the block: n odd or below 2,
+    or max_lambda at or beyond half the grid's extent.
+    """
+    if n < 2 or n % 2 != 0:
+        raise ValueError("signed grid needs an even n >= 2")
+    extent = (n - 1) / 2.0 * (1.0 / math.sqrt(n))  # SignedGrid.extent, bit for bit
+    if max_lambda >= extent / 2.0:
+        raise ValueError(
+            f"lam too close to the signed-grid extent (lam {max_lambda}, n {n}: "
+            f"needs lam < {extent / 2.0:.6g})"
+        )
+    # x_j = (j - (n-1)/2) / sqrt(n): |B| counts the half-integers k with |k| <= lam sqrt(n)
+    b = 2 * int(math.floor(max_lambda * math.sqrt(n) * (1.0 + 1e-12) + 0.5))
+    return (16 + 8 + 8 * ROUTE_C_TEMPORARIES) * n * b + 16 * b * b
+
+
+class SignedTraceLab:
+    """Route C on the signed real line (field R): dense cutoffs, transform and U_f.
+
+    The only route that literally traces an operator product.  Every trace
+    up to max_lambda reads only the rows and columns of the block
+    B = {|x| <= max_lambda}, so the lab holds F[:, B] (certified against the
+    FFT form of the full matrix), U_f[B, :] and, once, their product
+    M = U_f[B, :] F[:, B].  Entry (v, u) of M is the same sum whichever block
+    it is sliced from, so each trace slices M and F[:, B] to its own block.
+    Rows of U_f with |x| < 0.5 cannot resolve the multiplicative kernel on a
+    uniform grid; for those rows the entries of M are integrated directly by
+    Gauss-Legendre quadrature of U_f's kernel times the transform kernel.
     """
 
     BAD_ROW_EXTENT = 0.5
     GL_NODES = 192
 
-    def __init__(self, f: TestFunction, n: int = 4096):
+    def __init__(self, f: TestFunction, n: int, max_lambda: float):
+        route_c_bytes(n, max_lambda)  # geometry check before any allocation
         self.f = f
+        self.max_lambda = max_lambda
         self.sgrid: SignedGrid = make_signed_grid(n)
-        self.fourier: FullLineFourier = full_line_fourier(self.sgrid)
-        x = self.sgrid.x
-        ratio = np.abs(np.outer(x, 1.0 / x))
-        self.uf_matrix = f(ratio) / (2.0 * np.sqrt(np.abs(np.outer(x, x)))) * self.sgrid.step
+        self.fourier: FullLineFourier = full_line_fourier(self.sgrid, max_lambda)
+        x, step = self.sgrid.x, self.sgrid.step
+        self.block = self.fourier.block
+        xb = x[self.block]
+        ratio = np.abs(np.outer(xb, 1.0 / x))
+        self.uf_block = f(ratio) / (2.0 * np.sqrt(np.abs(np.outer(xb, x)))) * step
+        del ratio  # before the products: it would add |B| x n floats to the peak
+        fb = self.fourier.matrix
+        # two real products: numpy would otherwise upcast U_f[B, :] to complex
+        self.product = np.empty((len(xb), len(xb)), dtype=complex)
+        self.product.real = self.uf_block @ fb.real
+        self.product.imag = self.uf_block @ fb.imag
         self._gl = np.polynomial.legendre.leggauss(self.GL_NODES)
+        bad = np.abs(xb) < self.BAD_ROW_EXTENT
+        if bad.any():
+            self.product[bad, :] = self._uf_fourier_rows(xb[bad], xb)
+        log.info(
+            "route C set-up: n_signed=%d |B|=%d block_bytes=%d unitarity_defect=%.3e bad_rows=%d",
+            n,
+            len(xb),
+            fb.nbytes + self.uf_block.nbytes + self.product.nbytes,
+            self.fourier.unitarity_defect,
+            int(bad.sum()),
+        )
 
     @property
     def unitarity_defect(self) -> float:
         return self.fourier.unitarity_defect
 
     def _uf_fourier_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """(U_f F)(v, u) by direct quadrature: int f(v/y) (vy)^{-1/2} 2cos(2 pi y u) dy."""
+        """(U_f F)(v, u) by direct quadrature: int f(v/y) (vy)^{-1/2} 2cos(2 pi y u) dy.
+
+        The integral depends on |v| and |u| only; on the symmetric grid each
+        distinct pair is integrated once.
+        """
         rho = self.f.support_radius
         nodes, wts = self._gl
-        out = np.empty((len(vs), len(us)))
-        for i, v in enumerate(np.abs(vs)):
+        av, iv = np.unique(np.abs(vs), return_inverse=True)
+        au, iu = np.unique(np.abs(us), return_inverse=True)
+        out = np.empty((len(av), len(au)))
+        for i, v in enumerate(av):
             a, b = v * math.exp(-rho), v * math.exp(rho)
             y = 0.5 * (b - a) * nodes + 0.5 * (b + a)
             w = 0.5 * (b - a) * wts
             base = self.f(v / y) / np.sqrt(v * y) * w
-            out[i] = np.cos(2.0 * np.pi * np.outer(np.abs(us), y)) @ base
-        return out * self.sgrid.step
+            out[i] = np.cos(2.0 * np.pi * np.outer(au, y)) @ base
+        return out[np.ix_(iv, iu)] * self.sgrid.step
+
+    def _sub_block(self, lam: float) -> np.ndarray:
+        """Positions within B of the block {|x| <= lam}."""
+        if lam > self.max_lambda:
+            raise ValueError(f"lam {lam} exceeds this lab's max_lambda {self.max_lambda}")
+        return cutoff_block(self.sgrid.x[self.block], lam)
 
     def trace_route_c(self, lam: float) -> float:
-        x = self.sgrid.x
-        if lam >= self.sgrid.extent / 2.0:
-            raise ValueError("lam too close to the signed-grid extent")
-        bi = np.where(np.abs(x) <= lam * (1.0 + 1e-12))[0]
-        Fm = self.fourier.matrix
-        m1 = np.conj(Fm[np.ix_(bi, bi)])  # cutoff * inverse transform * cutoff
-        m2 = self.uf_matrix[bi, :] @ Fm[:, bi]
-        bad = np.abs(x[bi]) < self.BAD_ROW_EXTENT
-        if bad.any():
-            m2[bad, :] = self._uf_fourier_rows(x[bi][bad], x[bi])
+        sub = self._sub_block(lam)
+        m1 = np.conj(self.fourier.matrix[np.ix_(self.block[sub], sub)])  # cutoff * F^-1 * cutoff
+        m2 = self.product[np.ix_(sub, sub)]
+        log.info("route C trace: lam=%g block_rows=%d", lam, len(sub))
         return float(np.sum(m1 * m2.T).real)
 
     def cyclicity_defect(self, lam: float) -> float:
         """Relative gap between Tr((P F^-1 P U_f) F) and Tr(F (P F^-1 P U_f))."""
-        x = self.sgrid.x
-        bi = np.where(np.abs(x) <= lam * (1.0 + 1e-12))[0]
-        Fm = self.fourier.matrix
-        pu = np.conj(Fm[np.ix_(bi, bi)]) @ self.uf_matrix[bi, :]  # block rows of P F^-1 P U_f
-        t1 = np.trace(pu @ Fm[:, bi])
-        t2 = np.trace(Fm[:, bi] @ pu)
+        sub = self._sub_block(lam)
+        fb = self.fourier.matrix[:, sub]
+        pu = np.conj(self.fourier.matrix[np.ix_(self.block[sub], sub)]) @ self.uf_block[sub, :]
+        t1 = np.trace(pu @ fb)
+        t2 = np.einsum("kj,jk->", fb, pu)  # the trace of F[:, b] @ pu, without the n x n product
         return float(abs(t1 - t2) / max(abs(t1), 1e-300))
-
-
-def trace_route_C_full_line(f: TestFunction, lam: float, n: int = 4096) -> float:
-    return SignedTraceLab(f, n).trace_route_c(lam)

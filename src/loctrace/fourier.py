@@ -277,33 +277,81 @@ def make_signed_grid(n: int) -> SignedGrid:
     return SignedGrid(n=n, step=step, x=x)
 
 
+def cutoff_block(x: np.ndarray, lam: float) -> np.ndarray:
+    """Indices of the closed cutoff |x| <= lam (relative slack 1e-12 for boundary points)."""
+    return np.flatnonzero(np.abs(x) <= lam * (1.0 + 1e-12))
+
+
 class FullLineFourier:
-    """Dense e^{-2 pi i x y} transform on a SignedGrid (field R)."""
+    """Columns F[:, block] of the dense e^{-2 pi i x y} transform on a SignedGrid (field R).
 
-    def __init__(self, sgrid: SignedGrid):
+    ``block`` holds the indices with |x| <= max_lambda (every index when
+    max_lambda is None), so ``matrix`` is n x |block|.  The full matrix is a
+    DFT conjugated by diagonal phases: with c = (n-1)/2 and ph_j = e^{2 pi i c j/n},
+    F = step e^{-2 pi i c^2/n} diag(ph) DFT diag(ph), which ``apply`` evaluates
+    by one FFT.  ``certify`` checks that form for unitarity and the dense
+    columns against it.
+    """
+
+    def __init__(self, sgrid: SignedGrid, max_lambda: float | None = None):
         self.grid = sgrid
-        self.matrix = np.exp(-2j * np.pi * np.outer(sgrid.x, sgrid.x)) * sgrid.step
-        self.unitarity_defect = self._measure_defect()
+        x = sgrid.x
+        if max_lambda is None:
+            self.block = np.arange(sgrid.n)
+        else:
+            self.block = cutoff_block(x, max_lambda)
+        self.matrix = np.exp(-2j * np.pi * np.outer(x, x[self.block])) * sgrid.step
+        n = sgrid.n
+        # phases reduced exactly in integers: c j / n = (n-1) j / 2n, c^2 / n = (n-1)^2 / 4n
+        j = np.arange(n)
+        self._phase = np.exp(1j * np.pi * (((n - 1) * j) % (2 * n)) / n)
+        self._scale = sgrid.step * np.exp(-2j * np.pi * (((n - 1) ** 2) % (4 * n)) / (4 * n))
+        self.unitarity_defect = None
 
-    def _measure_defect(self) -> float:
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """F v for the full n x n matrix, in O(n log n)."""
+        return self._scale * self._phase * np.fft.fft(self._phase * v)
+
+    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """F^H v; F is symmetric, so F^H v = conj(F conj(v))."""
+        return np.conj(self.apply(np.conj(v)))
+
+    def measure_defect(self) -> float:
+        """Larger of the FFT form's unitarity defect and the dense columns' gap to it.
+
+        Unitarity: max |F F^H v - v| / max |v| on three seeded Gaussian
+        probes.  Columns: max |F[:, block] u - F v| on three seeded probes v
+        supported on the block with unimodular entries u, so a single dense
+        entry off by eps moves every probe by eps.
+        """
+        n = self.grid.n
         rng = np.random.default_rng(1234)
         defect = 0.0
         for _ in range(3):
-            v = rng.standard_normal(self.grid.n)
-            uv = self.matrix @ (np.conj(self.matrix.T) @ v)
+            v = rng.standard_normal(n)
+            uv = self.apply(self.apply_adjoint(v))
             defect = max(defect, float(np.abs(uv - v).max() / np.abs(v).max()))
+        for _ in range(3):
+            u = np.exp(2j * np.pi * rng.random(len(self.block)))
+            v = np.zeros(n, dtype=complex)
+            v[self.block] = u
+            defect = max(defect, float(np.abs(self.matrix @ u - self.apply(v)).max()))
         return defect
 
-    def inverse_matrix(self) -> np.ndarray:
-        return np.conj(self.matrix)
+    def certify(self, defect_threshold: float = 1e-10) -> "FullLineFourier":
+        """Record the defect; FourierBuildError when it exceeds the threshold."""
+        self.unitarity_defect = self.measure_defect()
+        if self.unitarity_defect > defect_threshold:
+            raise FourierBuildError(
+                f"signed-grid unitarity defect {self.unitarity_defect:.3e} exceeds "
+                f"{defect_threshold:.3e}",
+                self.unitarity_defect,
+            )
+        return self
 
 
-def full_line_fourier(sgrid: SignedGrid, defect_threshold: float = 1e-10) -> FullLineFourier:
-    op = FullLineFourier(sgrid)
-    if op.unitarity_defect > defect_threshold:
-        raise FourierBuildError(
-            f"signed-grid unitarity defect {op.unitarity_defect:.3e} exceeds "
-            f"{defect_threshold:.3e}",
-            op.unitarity_defect,
-        )
-    return op
+def full_line_fourier(
+    sgrid: SignedGrid, max_lambda: float | None = None, defect_threshold: float = 1e-10
+) -> FullLineFourier:
+    """Certified columns F[:, |x| <= max_lambda] of the signed-grid transform."""
+    return FullLineFourier(sgrid, max_lambda).certify(defect_threshold)

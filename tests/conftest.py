@@ -80,7 +80,7 @@ def comp_h(backend_h, grid_h1024, standard_bump, fourier_h1024):
 
 @pytest.fixture(scope="session")
 def signed_lab(standard_bump):
-    return SignedTraceLab(standard_bump, n=4096)
+    return SignedTraceLab(standard_bump, n=4096, max_lambda=8.0)
 
 
 @pytest.fixture(scope="session")

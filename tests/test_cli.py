@@ -115,6 +115,59 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("a refused config must not reach the computation")
+
+
+@pytest.mark.parametrize(
+    "n_signed, message",
+    [
+        (4095, "even n"),  # odd
+        (64, "too close to the signed-grid extent"),  # extent/2 = 1.97 < lambda 8
+        (2**20, "budget"),  # about 1.4 TiB of blocks
+    ],
+)
+def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, n_signed, message):
+    import loctrace.cli as cli_mod
+
+    # nothing is built: the refusal comes from the geometry alone
+    monkeypatch.setattr(cli_mod, "build_fourier", _refuse_work)
+    monkeypatch.setattr(cli_mod, "SignedTraceLab", _refuse_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(small_config(route_c={"enabled": True, "n_signed": n_signed, "max_lambda": 8.0}))
+    )
+    rc = main(["trace-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_route_c_lab_only_when_a_lambda_qualifies(tmp_path, monkeypatch):
+    import loctrace.cli as cli_mod
+
+    built = []
+    real_lab = cli_mod.SignedTraceLab
+
+    def spy(f, n, max_lambda):
+        built.append((n, max_lambda))
+        return real_lab(f, n, max_lambda)
+
+    monkeypatch.setattr(cli_mod, "SignedTraceLab", spy)
+    # no lambda up to max_lambda: no lab, no route C column or gates
+    cfg = small_config(route_c={"enabled": True, "n_signed": 1024, "max_lambda": 1.5})
+    summary = run_trace_sweep(cfg, tmp_path / "none")
+    assert built == []
+    assert all(r["t_route_C"] is None for r in summary["rows"])
+    assert "route_c_agreement" not in summary["gates"]
+    # sized to the largest qualifying lambda, not to max_lambda
+    cfg = small_config(route_c={"enabled": True, "n_signed": 1024, "max_lambda": 7.0})
+    summary = run_trace_sweep(cfg, tmp_path / "some")
+    assert built == [(1024, 4.0)]
+    assert [r["t_route_C"] is not None for r in summary["rows"]] == [True, True, False]
+    assert summary["gates"]["trace_cyclicity"]["value"] < 1e-8
+
+
 def test_cli_sandbox_runs(tmp_path):
     rc = main(["sandbox", "--suite", "annex2-multiplier", "--out", str(tmp_path)])
     assert rc == 0
