@@ -26,7 +26,7 @@ from .fourier import (
     full_line_fourier,
     make_signed_grid,
 )
-from .kernels import CharacterKernel, character_kernel, kernel_values, mellin_symbol
+from .kernels import kernel_values, mellin_symbol
 from .operators import (
     KernelOperator,
     TestFunction,
@@ -37,7 +37,6 @@ from .operators import (
     left_translation,
     singular_values,
     trace,
-    trace_norm,
     u_f,
     u_f_from_translations,
 )
@@ -54,17 +53,11 @@ from .sandbox import (
     run_sandbox,
 )
 from .cutoff_trace import (
-    ConductorValue,
     SignedTraceLab,
     TraceComputation,
     TraceReport,
     asymptotic_fit,
-    conductor_at_one,
-    error_bound,
-    i_f_additive_tilde,
     inversion,
-    trace_route_A,
-    trace_route_B,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ verify        run the default sweeps and all suites, gate the results
 emit-plots    turn a sweep CSV into gnuplot-ready two-column files
 
 Exit codes: 0 all gates pass, 1 a numerical gate failed (named in the JSON
-summary), 2 usage or configuration error.  Verbosity via the LOCTRACE_LOG
+summary) or the transform failed certification (one stderr line), 2 usage or
+configuration error.  Verbosity via the LOCTRACE_LOG
 environment variable (DEBUG/INFO/WARNING/ERROR).  Runs are deterministic:
 no RNG without an explicit seed, artifacts are byte-stable.
 """
@@ -22,14 +23,13 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
 from .fields import make_backend, make_grid
-from .fourier import build_fourier
+from .fourier import FourierBuildError, build_fourier
 from .operators import TestFunction
 from .sandbox import SUITE_NAMES, run_sandbox
 from .cutoff_trace import (
@@ -149,6 +149,11 @@ def validate_config(config: dict) -> dict:
     n = config["grid"]["n"]
     if n % 2 != 0:
         raise ConfigError("grid n must be even")
+    radius = config["test_function"]["support_radius"]
+    if radius >= L:
+        raise ConfigError(
+            f"test-function support radius {radius} reaches the grid half-range {L}"
+        )
     c_lams = _route_c_lambdas(config)
     if c_lams is not None:
         n_signed = config["route_c"].get("n_signed", 4096)
@@ -175,7 +180,7 @@ def _route_c_lambdas(config: dict) -> list[float] | None:
     return [float(lam) for lam in config["lambdas"] if lam <= c_max]
 
 
-def run_trace_sweep(config: dict, out_dir: Path, jobs: int = 1) -> dict:
+def run_trace_sweep(config: dict, out_dir: Path) -> dict:
     """Run one sweep; writes CSV (+ JSON summary) and returns the summary."""
     config = validate_config(config)
     field = config["field"]
@@ -200,15 +205,7 @@ def run_trace_sweep(config: dict, out_dir: Path, jobs: int = 1) -> dict:
         route_c_vals = {lam: lab.trace_route_c(lam) for lam in c_lams}
         cyclicity = lab.cyclicity_defect(min(c_lams))
 
-    def one(lam: float):
-        return comp.report(lam, route_c=route_c_vals.get(lam))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, lams))
-    else:
-        reports = [one(lam) for lam in lams]
-    reports.sort(key=lambda r: r.lam)
+    reports = [comp.report(lam, route_c=route_c_vals.get(lam)) for lam in lams]
 
     csv_name = config.get("outputs", {}).get("csv", f"sweep_{field}.csv")
     json_name = config.get("outputs", {}).get("json", f"summary_{field}.json")
@@ -386,7 +383,7 @@ def emit_plot_data(sweep_csv: Path, out_dir: Path) -> list[Path]:
     return out
 
 
-def run_verify(out_dir: Path, jobs: int = 1) -> dict:
+def run_verify(out_dir: Path) -> dict:
     """Default sweeps on all backends plus every sandbox suite, gated."""
     summaries = {}
     for key in ("R", "C", "H", "H-asymptotic"):
@@ -398,7 +395,7 @@ def run_verify(out_dir: Path, jobs: int = 1) -> dict:
             # certification grid: agreement + defect gates; the asymptotic fit
             # runs on the wide grid instead
             cfg["fit_gate_factor"] = 0.1
-        summary = run_trace_sweep(cfg, out_dir, jobs=jobs)
+        summary = run_trace_sweep(cfg, out_dir)
         if key == "H":
             # narrow-grid fit is legitimately out of regime; drop its fit gates
             summary["gates"].pop("fit_slope", None)
@@ -450,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", type=Path, help="JSON config path (default per --field)")
     p_sweep.add_argument("--field", choices=["R", "C", "H"], default="R")
     p_sweep.add_argument("--out", type=Path, default=Path("out"))
-    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_sand = sub.add_parser("sandbox", help="run finite-group suites")
     p_sand.add_argument("--suite", action="append", default=None, help="suite name (repeatable)")
@@ -459,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run default sweeps and all suites")
     p_verify.add_argument("--out", type=Path, default=Path("out"))
-    p_verify.add_argument("--jobs", type=int, default=1)
 
     p_plots = sub.add_parser("emit-plots", help="plot-ready columns from a sweep CSV")
     p_plots.add_argument("csv", type=Path)
@@ -477,7 +472,7 @@ def main(argv=None) -> int:
                 config = json.loads(args.config.read_text())
             else:
                 config = json.loads(json.dumps(DEFAULT_CONFIGS[args.field]))
-            summary = run_trace_sweep(config, args.out, jobs=args.jobs)
+            summary = run_trace_sweep(config, args.out)
             if not summary["passed"]:
                 failed = [k for k, g in summary["gates"].items() if not g["passed"]]
                 print(f"FAIL gates: {', '.join(failed)}", file=sys.stderr)
@@ -499,7 +494,7 @@ def main(argv=None) -> int:
             print(f"ok: {len(report['suites'])} suites passed")
             return 0
         if args.command == "verify":
-            report = run_verify(args.out, jobs=args.jobs)
+            report = run_verify(args.out)
             if not report["passed"]:
                 print(f"FAIL gates: {', '.join(_failed_gates(report))}", file=sys.stderr)
                 return 1
@@ -513,6 +508,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except FourierBuildError as exc:
+        print(f"FAIL certification: {exc}", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

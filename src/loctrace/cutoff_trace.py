@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldBackend, RadialFunction, RadialGrid, to_additive
+from .fields import FieldBackend, RadialFunction, RadialGrid
 from .fourier import (
     FourierOperator,
     FullLineFourier,
@@ -44,16 +44,6 @@ def inversion(f: RadialFunction) -> RadialFunction:
     if not np.allclose(g.log_t + g.log_t[::-1], 0.0, atol=1e-12):
         raise ValueError("inversion needs a grid symmetric about t = 1")
     return RadialFunction(g, f.samples[::-1].copy())
-
-
-def i_f_additive_tilde(
-    backend: FieldBackend, grid: RadialGrid, f: TestFunction, fourier: FourierOperator | None = None
-) -> RadialFunction:
-    """Transform of the additive representative of the inverted profile."""
-    op = fourier if fourier is not None else build_fourier(backend, grid)
-    fv = RadialFunction(grid, f(grid.t))
-    arep = to_additive(inversion(fv))
-    return op.apply_function(arep)
 
 
 class TraceComputation:
@@ -109,25 +99,17 @@ class TraceComputation:
         w = np.maximum(2.0 * ell - self.mu, 0.0)
         return self.lattice_moment(w, G)
 
-    def route_b_weighted_eval(self, lam: float) -> float:
-        """Same value assembled as the truncated-weight transform evaluated at 1.
-
-        Applies (2 log lam - log t)_+ to G in the transform domain and reads
-        off the inverse transform at t = 1; algebraically equal to route_b.
-        """
-        G = self.transform_of_inverted()
-        ell = math.log(lam)
-        wG = np.maximum(2.0 * ell - self.mu, 0.0) * G
-        # inverse transform at t = 1: omega * sum K(1 * u) (wG)(u) du
-        value_at_one = self.omega * np.sum(self.K_p * wG * self.t_p * self.h)
-        return float(self.sqrt_omega * value_at_one)
-
     def first_moment(self) -> float:
         """sqrt(omega) * (inverse transform of G at 1); recovers f(1)."""
         return self.lattice_moment(np.ones_like(self.mu))
 
     def conductor_value(self, invert: bool = True) -> float:
-        """log-weighted moment of G: the constant term of the asymptotics."""
+        """log-weighted moment of G: the constant term of the asymptotics.
+
+        invert=True evaluates H(f)(1) from I(f), invert=False from f itself;
+        the two agree because log(m(x)) + transform-conjugated log(m(x))
+        commutes with inversion, so their difference is a convention check.
+        """
         return self.lattice_moment(self.mu, self.transform_of_inverted(invert))
 
     def error_bound(self, lam: float) -> float:
@@ -199,37 +181,6 @@ class TraceReport:
     asymptote: float
     error_bound: float
     unitarity_defect: float
-
-
-@dataclass(frozen=True)
-class ConductorValue:
-    h_f_at_1: float
-    h_if_at_1: float
-
-
-def trace_route_A(backend, grid, f: TestFunction, lam: float, fourier=None) -> float:
-    return TraceComputation(backend, grid, f, fourier).route_a(lam)
-
-
-def trace_route_B(backend, grid, f: TestFunction, lam: float, fourier=None) -> float:
-    return TraceComputation(backend, grid, f, fourier).route_b(lam)
-
-
-def conductor_at_one(backend, grid, f: TestFunction, fourier=None) -> ConductorValue:
-    """B(I(f))(1) evaluated from f and, independently, from I(f).
-
-    The two agree because log(m(x)) + transform-conjugated log(m(x)) commutes
-    with inversion; their computed difference is a convention check.
-    """
-    comp = TraceComputation(backend, grid, f, fourier)
-    return ConductorValue(
-        h_f_at_1=comp.conductor_value(invert=True),
-        h_if_at_1=comp.conductor_value(invert=False),
-    )
-
-
-def error_bound(backend, grid, f: TestFunction, lam: float, fourier=None) -> float:
-    return TraceComputation(backend, grid, f, fourier).error_bound(lam)
 
 
 def asymptotic_fit(reports: Sequence[TraceReport]) -> tuple[float, float, float]:

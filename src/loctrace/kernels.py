@@ -13,7 +13,6 @@ field; this is what makes the radial transform unitary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j0, j1, loggamma
@@ -62,23 +61,6 @@ def mellin_symbol(field_id: str, nu) -> np.ndarray:
             - loggamma(2.0 - 2.0 * s)
         )
     raise ValueError(f"unknown field id {field_id!r}")
-
-
-@dataclass(frozen=True)
-class CharacterKernel:
-    """Radial reduction of the additive character for one backend."""
-
-    backend: FieldBackend
-
-    def __call__(self, u) -> np.ndarray:
-        return kernel_values(self.backend.field_id, u)
-
-    def symbol(self, nu) -> np.ndarray:
-        return mellin_symbol(self.backend.field_id, nu)
-
-
-def character_kernel(backend: FieldBackend) -> CharacterKernel:
-    return CharacterKernel(backend)
 
 
 def sphere_average_mc(backend: FieldBackend, u: float, n_samples: int, seed: int) -> float:

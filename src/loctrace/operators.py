@@ -94,10 +94,6 @@ def singular_values(a: KernelOperator) -> np.ndarray:
     return np.linalg.svd(sym, compute_uv=False)
 
 
-def trace_norm(a: KernelOperator) -> float:
-    return float(np.sum(singular_values(a)))
-
-
 def cutoff_projection(grid: RadialGrid, lam: float, picture: str = "additive") -> KernelOperator:
     """Diagonal 0/1 projection onto {t <= lam}; boundary points included."""
     if lam <= 0:

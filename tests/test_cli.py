@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loctrace.cli import (
     ConfigError,
@@ -68,14 +74,6 @@ def test_sweep_deterministic(tmp_path):
     assert (d1 / "summary_R.json").read_bytes() == (d2 / "summary_R.json").read_bytes()
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg = small_config()
-    d1, d2 = tmp_path / "serial", tmp_path / "par"
-    run_trace_sweep(json.loads(json.dumps(cfg)), d1, jobs=1)
-    run_trace_sweep(json.loads(json.dumps(cfg)), d2, jobs=3)
-    assert (d1 / "sweep_R.csv").read_bytes() == (d2 / "sweep_R.csv").read_bytes()
-
-
 def test_emit_plots(tmp_path):
     run_trace_sweep(small_config(), tmp_path)
     files = emit_plot_data(tmp_path / "sweep_R.csv", tmp_path / "plots")
@@ -113,6 +111,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     # missing config file: 2
     rc = main(["trace-sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
+    # grid too coarse to certify the transform: 1, one stderr line, no traceback
+    capsys.readouterr()
+    coarse = small_config()
+    coarse["grid"]["n"] = 64
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps(coarse))
+    rc = main(["trace-sweep", "--config", str(cfg), "--out", str(tmp_path / "coarse")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL certification: unitarity defect")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _refuse_work(*args, **kwargs):
@@ -141,6 +151,65 @@ def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, 
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_support_beyond_the_grid(tmp_path, capsys, monkeypatch):
+    import loctrace.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "build_fourier", _refuse_work)
+    monkeypatch.setattr(cli_mod, "TraceComputation", _refuse_work)
+    cfg = tmp_path / "cfg.json"
+    profile = {"kind": "log_gauss_bump", "center": 0.0, "width": 0.25, "support_radius": 10.0}
+    cfg.write_text(json.dumps(small_config(test_function=profile)))
+    rc = main(["trace-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "support radius 10.0 reaches the grid half-range" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def sweep_configs(draw):
+    L = draw(st.floats(1.0, 10.0))
+    # lambdas up to 10 and support radii up to 12 reach beyond some grids
+    lams = sorted(draw(st.sets(st.floats(0.5, 10.0), min_size=1, max_size=4)))
+    return {
+        "field": draw(st.sampled_from(["R", "C", "H"])),
+        "grid": {"log_t_half_range": L, "n": 2 * draw(st.integers(1, 256))},
+        "test_function": {
+            "kind": "log_gauss_bump",
+            "center": draw(st.floats(-1.0, 1.0)),
+            "width": draw(st.floats(0.1, 1.0)),
+            "support_radius": draw(st.floats(0.1, 12.0)),
+        },
+        "lambdas": lams,
+    }
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(config=sweep_configs())
+def test_trace_sweep_exits_0_1_or_2(config):
+    # computes and passes (0), fails a named gate with the summary written or
+    # fails certification on one stderr line (1), or is refused (2)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["trace-sweep", "--config", str(cfg), "--out", str(out)])
+        summary = out / f"summary_{config['field']}.json"
+        if rc == 0:
+            assert json.loads(summary.read_text())["passed"]
+        elif rc == 1:
+            if err.getvalue().startswith("FAIL certification: "):
+                assert not out.exists()
+            else:
+                assert not json.loads(summary.read_text())["passed"]
+        else:
+            assert rc == 2
+            assert err.getvalue().startswith("config error: ")
+            assert not out.exists()
 
 
 def test_route_c_lab_only_when_a_lambda_qualifies(tmp_path, monkeypatch):

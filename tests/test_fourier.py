@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.integrate as si
 
 from loctrace import (
     FourierBuildError,
+    FourierOperator,
     TestFunction,
     build_fourier,
     full_line_fourier,
@@ -13,23 +15,80 @@ from loctrace import (
     make_grid,
     make_signed_grid,
 )
+from loctrace.fourier import DEFECT_THRESHOLDS
 from loctrace.kernels import scaled_gaussian, scaled_gaussian_transform, selfdual_gaussian
 
 
+def dense_symmetrized(op):
+    """Dense oracle S[i, j] = hankel[(i + j) % n]: the measure-symmetrized transform."""
+    n = op.grid.n
+    return op.hankel[np.add.outer(np.arange(n), np.arange(n)) % n]
+
+
 def test_symmetrized_matrix_is_orthogonal_involution(fourier_r2048):
-    S = fourier_r2048.symmetrized_matrix()
+    S = dense_symmetrized(fourier_r2048)
     n = S.shape[0]
     assert np.abs(S - S.T).max() == 0.0
     assert np.abs(S @ S - np.eye(n)).max() < 1e-12
 
 
-def test_matvec_matches_matrix(backend_r):
-    g = make_grid(backend_r, 3.0, 128)
-    op = build_fourier(backend_r, g, defect_threshold=1e-3)  # narrow window
-    S = op.symmetrized_matrix()
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(128)
-    assert np.allclose(op.symmetrized_matvec(v), S @ v, atol=1e-12)
+# ----------------------------- certification --------------------------------
+
+# log_t_half_range of each field's default config
+CERT_GRIDS = {"R": math.log(1e4), "C": math.log(1e4), "H": math.log(3e4)}
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("field_id", ["R", "C", "H"])
+def test_spectral_defect_equals_dense_frobenius(field_id, n):
+    # S^2 is circulant with eigenvalues lam_k lam_{-k}: Parseval makes the
+    # spectral RMS the same statement as the dense Frobenius defect
+    b = make_backend(field_id)
+    op = FourierOperator(b, make_grid(b, CERT_GRIDS[field_id], n))
+    S = dense_symmetrized(op)
+    dense = np.linalg.norm(S @ S - np.eye(n)) / math.sqrt(n)
+    assert abs(op.spectral_defect() - dense) < 1e-14
+
+
+@pytest.mark.parametrize("index", [0, 517, 2047])
+def test_perturbed_generator_lifts_recorded_defect(backend_r, grid_r2048, index):
+    op = FourierOperator(backend_r, grid_r2048)
+    assert op.measure_defect() < 1e-9
+    op.hankel[index] += 1e-8
+    assert op.measure_defect() > 1e-9
+    assert op.defects["spectral"] > 1e-9
+
+
+def test_probe_vanishing_on_the_grid_is_an_infinite_defect(backend_r):
+    # n = 2 at half-range 3: both points lie outside the compact probe's support
+    g = make_grid(backend_r, 3.0, 2)
+    op = FourierOperator(backend_r, g)
+    assert op.measure_defect() == math.inf
+    assert op.defects["bump"] == math.inf
+    with pytest.raises(FourierBuildError, match="unitarity defect inf"):
+        build_fourier(backend_r, g)
+
+
+def test_every_grid_size_certified_by_the_same_statement():
+    # H-asymptotic (n = 4096) took the random-probe branch before; it now
+    # records the same parts as every other grid size
+    b = make_backend("H")
+    op = build_fourier(b, make_grid(b, math.log(1e7), 4096))
+    assert op.unitarity_defect == max(op.defects.values())
+    assert op.unitarity_defect < DEFECT_THRESHOLDS["H"]
+    assert op.defects["spectral"] < 1e-14
+    assert set(op.defects) == {"spectral", "selfdual", "gauss_1.5", "gauss_2.5", "bump"}
+
+
+def test_certification_logs_each_defect(backend_c, grid_c1024, caplog):
+    with caplog.at_level(logging.INFO, logger="loctrace"):
+        op = build_fourier(backend_c, grid_c1024)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("certification")]
+    assert "field=C n=1024" in line
+    for name, d in op.defects.items():
+        assert f"{name}={d:.3e}" in line
+    assert "threshold=1.0e-04" in line
+    assert "duration_s=" in line
 
 
 def test_weighted_unitarity(fourier_r2048, grid_r2048):
@@ -216,5 +275,5 @@ def test_even_sector_consistency(signed_fourier, backend_r):
 
 def test_unitary_singular_values(fourier_r2048):
     # all singular values of the transform sit at 1, within the defect
-    sv = np.linalg.svd(fourier_r2048.symmetrized_matrix(), compute_uv=False)
+    sv = np.linalg.svd(dense_symmetrized(fourier_r2048), compute_uv=False)
     assert np.abs(sv - 1.0).max() < max(1e-12, 2 * fourier_r2048.unitarity_defect)

@@ -8,9 +8,7 @@ from loctrace import (
     TestFunction,
     TraceComputation,
     asymptotic_fit,
-    conductor_at_one,
     inversion,
-    i_f_additive_tilde,
     make_backend,
     make_grid,
 )
@@ -44,27 +42,28 @@ def test_inversion_fixes_symmetric_samples(backend_r):
 # ----------------------------- transform of I(f) ----------------------------
 
 
-def test_tilde_tail_decay(backend_r, grid_r2048, fourier_r2048, standard_bump):
-    G = i_f_additive_tilde(backend_r, grid_r2048, standard_bump, fourier_r2048)
-    vals = np.real(G.samples)
-    tail = abs(vals[-1]) * grid_r2048.t_max**2
-    assert tail < 1e-6 * np.abs(vals).max()
+def test_tilde_tail_decay(comp_r, grid_r2048):
+    G = comp_r.transform_of_inverted()
+    # last product-lattice point inside the grid range
+    end = int(np.searchsorted(comp_r.mu, grid_r2048.log_t[-1])) - 1
+    tail = abs(G[end]) * grid_r2048.t_max**2
+    assert tail < 1e-6 * np.abs(G).max()
 
 
 def test_tilde_linear(backend_r, grid_r2048, fourier_r2048, standard_bump):
-    G1 = i_f_additive_tilde(backend_r, grid_r2048, standard_bump, fourier_r2048)
+    G1 = TraceComputation(backend_r, grid_r2048, standard_bump, fourier_r2048).transform_of_inverted()
     f2 = TestFunction(center=0.0, width=0.5, support_radius=1.5)
-    G2 = i_f_additive_tilde(backend_r, grid_r2048, f2, fourier_r2048)
+    G2 = TraceComputation(backend_r, grid_r2048, f2, fourier_r2048).transform_of_inverted()
     # linearity at the sample level: transform of the sum = sum of transforms
     fv = standard_bump(grid_r2048.t) + f2(grid_r2048.t)
     arep = fv[::-1] / np.sqrt(backend_r.omega * grid_r2048.t)
-    combined = fourier_r2048.apply(arep)
-    assert np.abs(combined - (G1.samples + G2.samples)).max() < 1e-12
+    combined = fourier_r2048.apply_product_lattice(arep)
+    assert np.abs(combined - (G1 + G2)).max() < 1e-12
 
 
 def test_tilde_real_for_real_profiles(backend_r, grid_r2048, fourier_r2048, asymmetric_bump):
-    G = i_f_additive_tilde(backend_r, grid_r2048, asymmetric_bump, fourier_r2048)
-    assert np.isrealobj(G.samples)
+    comp = TraceComputation(backend_r, grid_r2048, asymmetric_bump, fourier_r2048)
+    assert np.isrealobj(comp.transform_of_inverted())
 
 
 # ----------------------------- routes ---------------------------------------
@@ -100,14 +99,6 @@ def test_route_agreement_h(comp_h):
         assert abs(a - b) / abs(b) < 5e-3
 
 
-def test_route_b_two_assemblies(comp_r):
-    # truncated-weight evaluation at t = 1 is the same sum regrouped
-    for lam in (2.0, 8.0):
-        assert comp_r.route_b(lam) == pytest.approx(
-            comp_r.route_b_weighted_eval(lam), rel=1e-10
-        )
-
-
 def test_route_b_boundary_weight_vanishes(comp_r):
     # the annulus weight at |z| = lam^2 is 2 log lam - log lam^2 = 0
     lam = 4.0
@@ -126,8 +117,9 @@ def test_first_moment_recovers_f_at_1(comp_r, comp_h, standard_bump):
 
 
 def test_conductor_commutes_with_inversion(backend_r, grid_r2048, fourier_r2048, asymmetric_bump):
-    cv = conductor_at_one(backend_r, grid_r2048, asymmetric_bump, fourier_r2048)
-    assert abs(cv.h_f_at_1 - cv.h_if_at_1) < 1e-6 * max(1.0, abs(cv.h_f_at_1))
+    comp = TraceComputation(backend_r, grid_r2048, asymmetric_bump, fourier_r2048)
+    h_f, h_if = comp.conductor_value(invert=True), comp.conductor_value(invert=False)
+    assert abs(h_f - h_if) < 1e-6 * max(1.0, abs(h_f))
 
 
 def test_conductor_linearity(backend_r, grid_r2048, fourier_r2048, standard_bump):
@@ -140,8 +132,10 @@ def test_conductor_linearity(backend_r, grid_r2048, fourier_r2048, standard_bump
 
 def test_conductor_symmetric_profile_exact(backend_r, grid_r2048, fourier_r2048, standard_bump):
     # center 0: f is inversion-symmetric, both evaluations share the samples
-    cv = conductor_at_one(backend_r, grid_r2048, standard_bump, fourier_r2048)
-    assert cv.h_f_at_1 == pytest.approx(cv.h_if_at_1, abs=1e-12)
+    comp = TraceComputation(backend_r, grid_r2048, standard_bump, fourier_r2048)
+    assert comp.conductor_value(invert=True) == pytest.approx(
+        comp.conductor_value(invert=False), abs=1e-12
+    )
 
 
 # ----------------------------- error bound ----------------------------------
