@@ -25,8 +25,9 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .fields import make_backend, make_grid
 from .fourier import FourierBuildError, build_fourier
@@ -127,6 +128,9 @@ DEFAULT_CONFIGS = {
 
 ROUTE_AGREEMENT_TOL = {"R": 1e-3, "C": 5e-3, "H": 5e-3}
 
+# built once: jsonschema.validate would check CONFIG_SCHEMA against the metaschema on every call
+CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
 # refuse route C configs whose signed-grid block would need more memory than this
 ROUTE_C_BYTES_BUDGET = 2 * 2**30
 
@@ -136,10 +140,9 @@ class ConfigError(ValueError):
 
 
 def validate_config(config: dict) -> dict:
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = best_match(CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}") from error
     lams = config["lambdas"]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("lambdas must be strictly ascending")

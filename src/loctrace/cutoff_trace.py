@@ -6,7 +6,7 @@ evaluates it as a two-dimensional box pairing of the two kernels; route B as a
 one-dimensional integral of the transform G of the inverted profile's additive
 representative against the annulus weight (2 log lam - log t); route C (real
 line only) literally multiplies dense matrices on a signed grid and takes the
-matrix trace.  The asymptote 2 log(lam) f(1) - H(f)(1) and the computable tail
+matrix trace, in the even sector where the grid's transform is a real DCT-IV.  The asymptote 2 log(lam) f(1) - H(f)(1) and the computable tail
 bound complete the picture.
 
 Products of grid points live on the half-offset "product lattice"; all route
@@ -214,16 +214,17 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 # ---------------------------------------------------------------------------
 
 
-# float |B| x n arrays alive at once while SignedTraceLab evaluates U_f[B, :]
+# float |B|/2 x n/2 arrays alive at once, besides the kept ones, while SignedTraceLab is set up
 ROUTE_C_TEMPORARIES = 8
 
 
 def route_c_bytes(n: int, max_lambda: float) -> int:
     """Peak bytes of SignedTraceLab(f, n, max_lambda), from the geometry alone.
 
-    Counts F[:, B] (complex, n x |B|), U_f[B, :] (|B| x n), their product M
-    (complex, |B| x |B|) and ROUTE_C_TEMPORARIES float |B| x n arrays alive
-    while U_f's rows are evaluated.  Raises ValueError, before anything is
+    Counts the even-sector arrays on the positive half b of the block B:
+    C[:, b] ((n/2) x |b|), U_e[b, :] (|b| x (n/2)), M_e (|b| x |b|), all real,
+    and ROUTE_C_TEMPORARIES float (n/2) x |b| arrays alive while C's phases
+    and U_e's ratios are evaluated.  Raises ValueError, before anything is
     allocated, when the signed grid cannot hold the block: n odd or below 2,
     or max_lambda at or beyond half the grid's extent.
     """
@@ -235,23 +236,28 @@ def route_c_bytes(n: int, max_lambda: float) -> int:
             f"lam too close to the signed-grid extent (lam {max_lambda}, n {n}: "
             f"needs lam < {extent / 2.0:.6g})"
         )
-    # x_j = (j - (n-1)/2) / sqrt(n): |B| counts the half-integers k with |k| <= lam sqrt(n)
-    b = 2 * int(math.floor(max_lambda * math.sqrt(n) * (1.0 + 1e-12) + 0.5))
-    return (16 + 8 + 8 * ROUTE_C_TEMPORARIES) * n * b + 16 * b * b
+    # x_j = (j + 1/2) / sqrt(n) on the positive half: |b| counts the j with x_j <= lam
+    b = int(math.floor(max_lambda * math.sqrt(n) * (1.0 + 1e-12) + 0.5))
+    return 8 * (2 + ROUTE_C_TEMPORARIES) * (n // 2) * b + 8 * b * b
 
 
 class SignedTraceLab:
     """Route C on the signed real line (field R): dense cutoffs, transform and U_f.
 
-    The only route that literally traces an operator product.  Every trace
-    up to max_lambda reads only the rows and columns of the block
-    B = {|x| <= max_lambda}, so the lab holds F[:, B] (certified against the
-    FFT form of the full matrix), U_f[B, :] and, once, their product
-    M = U_f[B, :] F[:, B].  Entry (v, u) of M is the same sum whichever block
-    it is sliced from, so each trace slices M and F[:, B] to its own block.
-    Rows of U_f with |x| < 0.5 cannot resolve the multiplicative kernel on a
-    uniform grid; for those rows the entries of M are integrated directly by
-    Gauss-Legendre quadrature of U_f's kernel times the transform kernel.
+    The only route that literally traces an operator product,
+    Tr(P F^-1 P U_f F) with P the cutoff to B = {|x| <= lam}.  U_f averages
+    over both signs: its kernel f(|v/y|) / (2 sqrt|vy|) step is even in v and
+    in y, so it sends every odd vector to 0 and the trace lives in the even
+    sector.  There F and F^-1 both act as the DCT-IV
+    C[j, k] = 2 step cos(2 pi x_j x_k) on the positive half-grid, and U_f as
+    U_e[v, y] = f(v/y) / sqrt(vy) step = 2 U_f(|v|, |y|); folding the signs
+    gives Tr(P F^-1 P U_f F) = Tr(C[b, b] U_e[b, :] C[:, b]) with b the
+    positive half of B.  For the largest block the lab holds C[:, b]
+    (certified against the FFT form of the full matrix), U_e[b, :] and, once,
+    M_e = U_e[b, :] C[:, b]; each trace slices them to its own block.  Rows
+    with x < 0.5 cannot resolve the multiplicative kernel on a uniform grid;
+    for those rows the entries of M_e are integrated directly by
+    Gauss-Legendre quadrature of U_e's kernel times the cosine kernel.
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -263,71 +269,61 @@ class SignedTraceLab:
         self.max_lambda = max_lambda
         self.sgrid: SignedGrid = make_signed_grid(n)
         self.fourier: FullLineFourier = full_line_fourier(self.sgrid, max_lambda)
-        x, step = self.sgrid.x, self.sgrid.step
-        self.block = self.fourier.block
-        xb = x[self.block]
-        ratio = np.abs(np.outer(xb, 1.0 / x))
-        self.uf_block = f(ratio) / (2.0 * np.sqrt(np.abs(np.outer(xb, x)))) * step
-        del ratio  # before the products: it would add |B| x n floats to the peak
-        fb = self.fourier.matrix
-        # two real products: numpy would otherwise upcast U_f[B, :] to complex
-        self.product = np.empty((len(xb), len(xb)), dtype=complex)
-        self.product.real = self.uf_block @ fb.real
-        self.product.imag = self.uf_block @ fb.imag
+        step = self.sgrid.step
+        xp = self.sgrid.x[n // 2 :]
+        self._xb = xb = xp[self.fourier.block]  # a prefix of the positive half-grid
+        self.u_even = f(np.outer(xb, 1.0 / xp)) / np.sqrt(np.outer(xb, xp)) * step
+        self.m_even = self.u_even @ self.fourier.matrix
         self._gl = np.polynomial.legendre.leggauss(self.GL_NODES)
-        bad = np.abs(xb) < self.BAD_ROW_EXTENT
+        bad = xb < self.BAD_ROW_EXTENT
         if bad.any():
-            self.product[bad, :] = self._uf_fourier_rows(xb[bad], xb)
+            self.m_even[bad, :] = self._ue_cosine_rows(xb[bad], xb)
         log.info(
             "route C set-up: n_signed=%d |B|=%d block_bytes=%d unitarity_defect=%.3e bad_rows=%d",
             n,
-            len(xb),
-            fb.nbytes + self.uf_block.nbytes + self.product.nbytes,
+            2 * len(xb),
+            self.fourier.matrix.nbytes + self.u_even.nbytes + self.m_even.nbytes,
             self.fourier.unitarity_defect,
-            int(bad.sum()),
+            2 * int(bad.sum()),
         )
 
     @property
     def unitarity_defect(self) -> float:
         return self.fourier.unitarity_defect
 
-    def _uf_fourier_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """(U_f F)(v, u) by direct quadrature: int f(v/y) (vy)^{-1/2} 2cos(2 pi y u) dy.
+    def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """(U_e C)(v, u) by direct quadrature: 2 step int f(v/y) (vy)^{-1/2} cos(2 pi y u) dy.
 
-        The integral depends on |v| and |u| only; on the symmetric grid each
-        distinct pair is integrated once.
+        With y = v s the weight f(1/s) s^{-1/2} ds on [e^-rho, e^rho] does not
+        depend on v, so one set of nodes and weights serves every row.
         """
         rho = self.f.support_radius
         nodes, wts = self._gl
-        av, iv = np.unique(np.abs(vs), return_inverse=True)
-        au, iu = np.unique(np.abs(us), return_inverse=True)
-        out = np.empty((len(av), len(au)))
-        for i, v in enumerate(av):
-            a, b = v * math.exp(-rho), v * math.exp(rho)
-            y = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-            w = 0.5 * (b - a) * wts
-            base = self.f(v / y) / np.sqrt(v * y) * w
-            out[i] = np.cos(2.0 * np.pi * np.outer(au, y)) @ base
-        return out[np.ix_(iv, iu)] * self.sgrid.step
+        a, b = math.exp(-rho), math.exp(rho)
+        s = 0.5 * (b - a) * nodes + 0.5 * (b + a)
+        base = self.f(1.0 / s) / np.sqrt(s) * (0.5 * (b - a) * wts)
+        out = np.empty((len(vs), len(us)))
+        for i, v in enumerate(vs):
+            out[i] = np.cos(2.0 * np.pi * np.outer(us, v * s)) @ base
+        return out * (2.0 * self.sgrid.step)
 
-    def _sub_block(self, lam: float) -> np.ndarray:
-        """Positions within B of the block {|x| <= lam}."""
+    def _sub_block(self, lam: float) -> int:
+        """Size k of the positive half of the block {|x| <= lam}: its first k points."""
         if lam > self.max_lambda:
             raise ValueError(f"lam {lam} exceeds this lab's max_lambda {self.max_lambda}")
-        return cutoff_block(self.sgrid.x[self.block], lam)
+        return len(cutoff_block(self._xb, lam))
 
     def trace_route_c(self, lam: float) -> float:
-        sub = self._sub_block(lam)
-        m1 = np.conj(self.fourier.matrix[np.ix_(self.block[sub], sub)])  # cutoff * F^-1 * cutoff
-        m2 = self.product[np.ix_(sub, sub)]
-        log.info("route C trace: lam=%g block_rows=%d", lam, len(sub))
-        return float(np.sum(m1 * m2.T).real)
+        k = self._sub_block(lam)
+        c = self.fourier.matrix[:k, :k]  # cutoff * F^-1 * cutoff
+        log.info("route C trace: lam=%g block_rows=%d", lam, 2 * k)
+        return float(np.sum(c * self.m_even[:k, :k].T))
 
     def cyclicity_defect(self, lam: float) -> float:
-        """Relative gap between Tr((P F^-1 P U_f) F) and Tr(F (P F^-1 P U_f))."""
-        sub = self._sub_block(lam)
-        fb = self.fourier.matrix[:, sub]
-        pu = np.conj(self.fourier.matrix[np.ix_(self.block[sub], sub)]) @ self.uf_block[sub, :]
-        t1 = np.trace(pu @ fb)
-        t2 = np.einsum("kj,jk->", fb, pu)  # the trace of F[:, b] @ pu, without the n x n product
+        """Relative gap between Tr((P F^-1 P U_f) F) and Tr(F (P F^-1 P U_f)), in the even sector."""
+        k = self._sub_block(lam)
+        cb = self.fourier.matrix[:, :k]
+        pu = cb[:k] @ self.u_even[:k]
+        t1 = np.trace(pu @ cb)
+        t2 = np.einsum("kj,jk->", cb, pu)  # the trace of C[:, b] @ pu, without the n/2 x n/2 product
         return float(abs(t1 - t2) / max(abs(t1), 1e-300))

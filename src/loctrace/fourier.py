@@ -71,7 +71,6 @@ class FourierOperator:
         D = mellin_symbol(backend.field_id, -nu) * np.exp(2j * nu * L)
         # Nyquist mode snapped to +-1: keeps the matrix real, |D| = 1 and D*D_refl = 1
         D[n // 2] = 1.0 if D[n // 2].real >= 0 else -1.0
-        self._D = D
         c = np.fft.fft(D) / n
         # Hankel generator: entry (i, j) of the symmetrized matrix is hankel[(i + j) % n]
         self.hankel = np.real(c)
@@ -262,25 +261,32 @@ def cutoff_block(x: np.ndarray, lam: float) -> np.ndarray:
 
 
 class FullLineFourier:
-    """Columns F[:, block] of the dense e^{-2 pi i x y} transform on a SignedGrid (field R).
+    """The e^{-2 pi i x y} transform on a SignedGrid (field R) and its even-sector columns.
 
-    ``block`` holds the indices with |x| <= max_lambda (every index when
-    max_lambda is None), so ``matrix`` is n x |block|.  The full matrix is a
-    DFT conjugated by diagonal phases: with c = (n-1)/2 and ph_j = e^{2 pi i c j/n},
+    The full n x n matrix is a DFT conjugated by diagonal phases: with
+    c = (n-1)/2 and ph_j = e^{2 pi i c j/n},
     F = step e^{-2 pi i c^2/n} diag(ph) DFT diag(ph), which ``apply`` evaluates
-    by one FFT.  ``certify`` checks that form for unitarity and the dense
-    columns against it.
+    by one FFT.  On even vectors F acts through its cosine part: on the
+    positive half-grid x_j = (2j+1) / (2 sqrt(n)) it is the real matrix
+    C[j, k] = 2 step cos(2 pi x_j x_k), the orthonormal DCT-IV of size n/2 and
+    its own inverse.  ``block`` holds the positions j of the positive half-grid
+    with x_j <= max_lambda (all n/2 of them when max_lambda is None), and
+    ``matrix`` the columns C[:, block], (n/2) x |block|.  ``certify`` checks the
+    FFT form for unitarity and the cosine columns against it.
     """
 
     def __init__(self, sgrid: SignedGrid, max_lambda: float | None = None):
         self.grid = sgrid
-        x = sgrid.x
-        if max_lambda is None:
-            self.block = np.arange(sgrid.n)
-        else:
-            self.block = cutoff_block(x, max_lambda)
-        self.matrix = np.exp(-2j * np.pi * np.outer(x, x[self.block])) * sgrid.step
         n = sgrid.n
+        half = n // 2
+        if max_lambda is None:
+            self.block = np.arange(half)
+        else:
+            self.block = cutoff_block(sgrid.x[half:], max_lambda)
+        # x_j x_k = (2j+1)(2k+1) / 4n, reduced mod 1 exactly in integers
+        odd = 2 * np.arange(half) + 1
+        phase = np.outer(odd, odd[self.block]) % (4 * n)
+        self.matrix = 2.0 * sgrid.step * np.cos(phase * (2.0 * np.pi / (4 * n)))
         # phases reduced exactly in integers: c j / n = (n-1) j / 2n, c^2 / n = (n-1)^2 / 4n
         j = np.arange(n)
         self._phase = np.exp(1j * np.pi * (((n - 1) * j) % (2 * n)) / n)
@@ -296,14 +302,16 @@ class FullLineFourier:
         return np.conj(self.apply(np.conj(v)))
 
     def measure_defect(self) -> float:
-        """Larger of the FFT form's unitarity defect and the dense columns' gap to it.
+        """Larger of the FFT form's unitarity defect and the cosine columns' gap to it.
 
         Unitarity: max |F F^H v - v| / max |v| on three seeded Gaussian
-        probes.  Columns: max |F[:, block] u - F v| on three seeded probes v
-        supported on the block with unimodular entries u, so a single dense
-        entry off by eps moves every probe by eps.
+        probes.  Columns: max |C[:, block] u - (F v)[n/2:]| on three seeded
+        probes with unimodular entries u on the block, v holding u mirrored
+        onto both signs, so a single cosine entry off by eps moves every probe
+        by eps.
         """
         n = self.grid.n
+        half = n // 2
         rng = np.random.default_rng(1234)
         defect = 0.0
         for _ in range(3):
@@ -313,8 +321,9 @@ class FullLineFourier:
         for _ in range(3):
             u = np.exp(2j * np.pi * rng.random(len(self.block)))
             v = np.zeros(n, dtype=complex)
-            v[self.block] = u
-            defect = max(defect, float(np.abs(self.matrix @ u - self.apply(v)).max()))
+            v[half + self.block] = u
+            v[half - 1 - self.block] = u
+            defect = max(defect, float(np.abs(self.matrix @ u - self.apply(v)[half:]).max()))
         return defect
 
     def certify(self, defect_threshold: float = 1e-10) -> "FullLineFourier":
@@ -332,5 +341,5 @@ class FullLineFourier:
 def full_line_fourier(
     sgrid: SignedGrid, max_lambda: float | None = None, defect_threshold: float = 1e-10
 ) -> FullLineFourier:
-    """Certified columns F[:, |x| <= max_lambda] of the signed-grid transform."""
+    """Certified cosine columns C[:, 0 < x <= max_lambda] of the signed-grid transform."""
     return FullLineFourier(sgrid, max_lambda).certify(defect_threshold)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence

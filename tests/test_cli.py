@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jsonschema
+
 from loctrace.cli import (
+    CONFIG_SCHEMA,
+    CONFIG_VALIDATOR,
     ConfigError,
     DEFAULT_CONFIGS,
     emit_plot_data,
@@ -42,6 +46,30 @@ def test_validate_rejects_bad_schema():
     cfg["grid"]["n"] = 511
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_config_schema_passes_its_metaschema():
+    type(CONFIG_VALIDATOR).check_schema(CONFIG_SCHEMA)
+    assert type(CONFIG_VALIDATOR) is jsonschema.validators.validator_for(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"field": "Q"}, "'Q' is not one of ['R', 'C', 'H']"),
+        ({"lambdas": []}, "[] should be non-empty"),
+        ({"lambdas": [2.0, -1.0]}, "-1.0 is less than or equal to the minimum of 0"),
+        ({"route_c": {"n_signed": 1024, "size": 3}}, "Additional properties are not allowed ('size' was unexpected)"),
+    ],
+)
+def test_schema_violation_message_is_unchanged(overrides, message):
+    cfg = small_config(**overrides)
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)  # the per-call validator the prebuilt one replaces
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert str(exc.value) == f"config schema violation: {reference.value.message}"
+    assert str(exc.value) == f"config schema violation: {message}"
 
 
 def test_sweep_writes_csv_and_summary(tmp_path):

@@ -224,34 +224,44 @@ def test_signed_grid_shape():
     assert 0.0 not in sg.x
 
 
+def dense_signed_fourier(sgrid):
+    """Dense oracle F[j, k] = step e^{-2 pi i x_j x_k}: the full signed-grid transform."""
+    return np.exp(-2j * np.pi * np.outer(sgrid.x, sgrid.x)) * sgrid.step
+
+
 @pytest.fixture(scope="module")
 def signed_fourier():
     return full_line_fourier(make_signed_grid(1024))
 
 
-def test_full_line_unitarity(signed_fourier):
-    F = signed_fourier.matrix
+@pytest.fixture(scope="module")
+def signed_matrix(signed_fourier):
+    return dense_signed_fourier(signed_fourier.grid)
+
+
+def test_full_line_unitarity(signed_fourier, signed_matrix):
+    F = signed_matrix
     n = F.shape[0]
     assert np.abs(F @ np.conj(F.T) - np.eye(n)).max() < 1e-11
     assert signed_fourier.unitarity_defect < 1e-10
 
 
-def test_full_line_gaussian(signed_fourier):
+def test_full_line_gaussian(signed_fourier, signed_matrix):
     x = signed_fourier.grid.x
     g = np.exp(-np.pi * x**2)
-    assert np.abs(signed_fourier.matrix @ g - g).max() < 1e-12
+    assert np.abs(signed_matrix @ g - g).max() < 1e-12
 
 
-def test_full_line_hermite_eigenvector(signed_fourier):
+def test_full_line_hermite_eigenvector(signed_fourier, signed_matrix):
     # odd Gaussian-Hermite profile: eigenvalue -i
     x = signed_fourier.grid.x
     h = x * np.exp(-np.pi * x**2)
-    out = signed_fourier.matrix @ h
+    out = signed_matrix @ h
     assert np.abs(out - (-1j) * h).max() < 1e-5
 
 
-def test_full_line_fourth_power_identity(signed_fourier):
-    F = signed_fourier.matrix
+def test_full_line_fourth_power_identity(signed_matrix):
+    F = signed_matrix
     n = F.shape[0]
     F2 = F @ F
     # F^2 is exactly the reflection permutation, so F^4 = Id
@@ -261,16 +271,35 @@ def test_full_line_fourth_power_identity(signed_fourier):
     assert np.abs(F2 @ F2 - np.eye(n)).max() < 1e-11
 
 
-def test_even_sector_consistency(signed_fourier, backend_r):
+def test_even_sector_consistency(signed_fourier, signed_matrix, backend_r):
     # an even profile transforms on the signed grid exactly like its radial
     # profile under the radial transform; certify both against the analytic pair
     x = signed_fourier.grid.x
-    out_signed = signed_fourier.matrix @ scaled_gaussian("R", 2.0, np.abs(x))
+    out_signed = signed_matrix @ scaled_gaussian("R", 2.0, np.abs(x))
     assert np.abs(out_signed - scaled_gaussian_transform("R", 2.0, np.abs(x))).max() < 1e-10
+    # the cosine columns carry the same transform on the positive half-grid
+    half = len(x) // 2
+    out_cos = signed_fourier.matrix @ scaled_gaussian("R", 2.0, x[half:])
+    assert np.abs(out_cos - scaled_gaussian_transform("R", 2.0, x[half:])).max() < 1e-10
     g = make_grid(backend_r, 3.0, 512)
     op = build_fourier(backend_r, g, defect_threshold=1e-3)  # narrow window
     out_radial = op.apply(scaled_gaussian("R", 2.0, g.t))
     assert np.abs(out_radial - scaled_gaussian_transform("R", 2.0, g.t)).max() < 1e-4
+
+
+def test_cosine_columns_are_the_even_fold_and_a_dct_iv(signed_fourier, signed_matrix):
+    # C[j, k] = F[x_j, x_k] + F[x_j, -x_k] on the positive half-grid: the
+    # orthonormal DCT-IV of size n/2, symmetric and its own inverse
+    C = signed_fourier.matrix
+    half = C.shape[0]
+    assert C.shape == (half, half) and C.dtype == np.float64
+    fold = signed_matrix[half:, half:] + signed_matrix[half:, :half][:, ::-1]
+    assert np.abs(fold - C).max() < 1e-12
+    assert np.array_equal(C, C.T)
+    assert np.abs(C @ C - np.eye(half)).max() < 1e-12
+    k = np.arange(half) + 0.5
+    dct4 = math.sqrt(2.0 / half) * np.cos(np.pi / half * np.outer(k, k))
+    assert np.abs(C - dct4).max() < 1e-12
 
 
 def test_unitary_singular_values(fourier_r2048):

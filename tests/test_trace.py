@@ -116,12 +116,6 @@ def test_first_moment_recovers_f_at_1(comp_r, comp_h, standard_bump):
 # ----------------------------- conductor ------------------------------------
 
 
-def test_conductor_commutes_with_inversion(backend_r, grid_r2048, fourier_r2048, asymmetric_bump):
-    comp = TraceComputation(backend_r, grid_r2048, asymmetric_bump, fourier_r2048)
-    h_f, h_if = comp.conductor_value(invert=True), comp.conductor_value(invert=False)
-    assert abs(h_f - h_if) < 1e-6 * max(1.0, abs(h_f))
-
-
 def test_conductor_linearity(backend_r, grid_r2048, fourier_r2048, standard_bump):
     comp = TraceComputation(backend_r, grid_r2048, standard_bump, fourier_r2048)
     h1 = comp.conductor_value()
