@@ -170,11 +170,14 @@ class TestFunction:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         out = np.zeros_like(t)
-        pos = t > 0.0
-        x = np.log(t[pos])
+        # outside exp(-R) < t < exp(R) the mollifier is exactly 0; near either
+        # edge it underflows to 0 too, so the band need not match |log t| < R
+        # to the last ulp
+        band = (t > math.exp(-self.support_radius)) & (t < math.exp(self.support_radius))
+        x = np.log(t[band])
         vals = np.exp(-((x - self.center) ** 2) / (2.0 * self.width**2))
         vals *= _smoothstep(2.0 * (1.0 - np.abs(x) / self.support_radius))
-        out[pos] = vals
+        out[band] = vals
         return float(out[0]) if scalar else out
 
     @property

@@ -6,12 +6,21 @@ character multiplications is diagonal and is recovered by a multiplier; polar
 factors inherit commutation; and for a symmetric operator commuting with a
 group action whose commutant is abelian, the resolvent is normal and the
 shifted operators have full range.  Nonabelian groups enter through their
-biregular (left and right translation) action, whose commutant is the abelian
-algebra of class-function convolutions.
+biregular action, the image of G x G by all L_g R_h, whose commutant is the
+abelian algebra of class-function convolutions.
 
-Everything here is exact dense linear algebra; commutants are nullspaces of
-stacked complex commutation systems, read off one thin complex SVD, with a
-singular-value cut at 1e-10 of the largest deciding rank.
+Everything here is exact dense linear algebra.  A commutant is the range of
+the Reynolds operator K = (1/k) sum A (x) conj(A) of the k operators of a
+group image: an orthogonal projector of rank (1/k) sum |tr A|^2, the
+character count (Serre, Linear Representations of Finite Groups, 1977,
+sections 2.3 and 2.6).  One Hermitian eigh of K gives an orthonormal basis,
+its eigenvalue-1 eigenvectors.  Inputs that are not a group image are
+refused: an operator that is not unitary, a K that is not Hermitian (the set
+is not closed under inverses) or a K with an eigenvalue more than RANK_TOL
+from 0 and 1 (not closed under products).  The eigenvalue-1 count must equal
+the character count.  A DEBUG line per commutant gives the operator count,
+n, the dimension, the character count and the worst eigenvalue distance from
+{0, 1}.  The commutation-system SVD oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -204,6 +213,7 @@ def characters(group: FiniteGroup) -> np.ndarray:
 class CommutantBasis:
     basis: list[np.ndarray]
     is_abelian: bool
+    character_count: int
 
     @property
     def dimension(self) -> int:
@@ -217,39 +227,15 @@ class CommutantBasis:
         return worst
 
 
-def _commutation_system(operators: Sequence[np.ndarray]) -> np.ndarray:
-    n = operators[0].shape[0]
-    eye = np.eye(n)
-    blocks = [np.kron(a, eye) - np.kron(eye, a.T) for a in operators]
-    return np.vstack(blocks)
-
-
-def _complex_nullspace(system: np.ndarray, n: int) -> list[np.ndarray]:
-    """Nullspace of a complex homogeneous system, as n x n matrices.
-
-    One thin SVD: the system has at least as many rows as columns (k n^2 x
-    n^2), so the thin Vh spans the whole column space, and the conjugates of
-    its rows with s <= RANK_TOL * s[0] are an orthonormal nullspace basis.
-    The cut acts on the singular values themselves; an eigendecomposition of
-    the Gram matrix would square them and move the cut to 1e-20.
-    """
-    _, s, vh = np.linalg.svd(system, full_matrices=False)
-    scale = s[0] if s[0] > 0 else 1.0
-    rank = int(np.sum(s > RANK_TOL * scale))
-    if log.isEnabledFor(logging.DEBUG):
-        dropped = f"{s[rank] / scale:.3e}" if rank < s.size else "none"
-        kept = f"{s[rank - 1] / scale:.3e}" if rank > 0 else "none"
-        log.debug(
-            "commutant: system %dx%d, rank %d, largest dropped s/s0 %s, smallest kept s/s0 %s",
-            *system.shape, rank, dropped, kept,
-        )
-    return [row.conj().reshape(n, n) for row in vh[rank:]]
-
-
 def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
     """Basis of all matrices commuting with every operator, plus abelianness.
 
-    The operators must be one or more square matrices of one common size.
+    The operators must be one or more unitary square matrices of one common
+    size, closed under products and inverses (the image of a finite group).
+    The commutant is the eigenvalue-1 eigenspace of the Reynolds projector
+    K = (1/k) sum A (x) conj(A) on row-major vec(X); K is refused unless it
+    is Hermitian with every eigenvalue within RANK_TOL of 0 or 1, and its
+    rank must equal the character count (1/k) sum |tr A|^2.
     """
     ops = [np.asarray(a, dtype=complex) for a in operators]
     if not ops:
@@ -259,7 +245,40 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
             raise ValueError(f"operator #{k} has shape {a.shape}; need a non-empty square matrix")
         if a.shape != ops[0].shape:
             raise ValueError(f"operator #{k} has shape {a.shape}, operator #0 has {ops[0].shape}")
-    basis = _complex_nullspace(_commutation_system(ops), ops[0].shape[0])
+    n = ops[0].shape[0]
+    eye = np.eye(n)
+    for k, a in enumerate(ops):
+        defect = float(np.abs(a @ a.conj().T - eye).max())
+        if defect > RANK_TOL:
+            raise ValueError(f"operator #{k} is not unitary (|AA* - I| = {defect:.2e})")
+    reynolds = sum(np.kron(a, a.conj()) for a in ops) / len(ops)
+    asym = float(np.abs(reynolds - reynolds.conj().T).max())
+    if asym > RANK_TOL:
+        raise ValueError(
+            f"the averaged action K is not Hermitian (|K - K*| = {asym:.2e}); "
+            "the operators are not closed under inverses"
+        )
+    w, v = np.linalg.eigh(reynolds)
+    gap = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
+    if gap > RANK_TOL:
+        raise ValueError(
+            f"the averaged action K is not idempotent (an eigenvalue lies {gap:.2e} "
+            "from {0, 1}); the operators are not closed under products"
+        )
+    count = sum(abs(np.trace(a)) ** 2 for a in ops) / len(ops)
+    chars = int(round(count))
+    if abs(count - chars) > RANK_TOL:
+        raise ValueError(f"the character count {count!r} is not an integer")
+    fixed = w > 0.5
+    dim = int(fixed.sum())
+    if dim != chars:
+        raise ValueError(f"eigenvalue-1 count {dim} differs from the character count {chars}")
+    log.debug(
+        "commutant: %d operators, n %d, dimension %d, character count %d, "
+        "worst eigenvalue distance from {0, 1} %.3e",
+        len(ops), n, dim, chars, gap,
+    )
+    basis = [col.reshape(n, n) for col in v[:, fixed].T]
     abelian = True
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -269,7 +288,7 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
                 break
         if not abelian:
             break
-    return CommutantBasis(basis=basis, is_abelian=abelian)
+    return CommutantBasis(basis=basis, is_abelian=abelian, character_count=chars)
 
 
 def commutant_of_characters(group: FiniteGroup, char_subset=None) -> CommutantBasis:
@@ -392,11 +411,15 @@ def right_translation_operator(group: FiniteGroup, g: int) -> np.ndarray:
 
 
 def biregular_action(group: FiniteGroup) -> list[np.ndarray]:
-    ops = []
-    for g in range(group.order):
-        ops.append(left_translation_operator(group, g))
-        ops.append(right_translation_operator(group, g))
-    return ops
+    """The image of G x G: every L_g R_h, |G|^2 permutation matrices.
+
+    The whole image, not the 2|G| generators, because commutant_of_set
+    averages over its input: over the generators the average would be
+    (P_L + P_R)/2, which is not a projector.
+    """
+    lefts = [left_translation_operator(group, g) for g in range(group.order)]
+    rights = [right_translation_operator(group, h) for h in range(group.order)]
+    return [left @ right for left in lefts for right in rights]
 
 
 def class_function_convolution(group: FiniteGroup, seed: int = 0) -> np.ndarray:
@@ -455,13 +478,18 @@ def _suite_abelian_le_12() -> dict:
         group = cyclic_group(*factors)
         comm = commutant_of_characters(group)
         offdiag = comm.max_offdiagonal_mass()
-        good = comm.dimension == group.order and offdiag < 1e-10 and comm.is_abelian
+        good = (
+            comm.dimension == group.order == comm.character_count
+            and offdiag < 1e-10
+            and comm.is_abelian
+        )
         ok &= good
         cases.append(
             {
                 "factors": list(factors),
                 "order": group.order,
                 "commutant_dim": comm.dimension,
+                "character_count": comm.character_count,
                 "offdiagonal_mass": offdiag,
                 "ok": good,
             }
@@ -529,13 +557,12 @@ def _suite_biregular(seed: int) -> dict:
     detail = {}
     ok = True
     for group in (symmetric_s3(), quaternion_q8(), dihedral_d4()):
-        comm = commutant_of_set(biregular_action(group))
+        action = biregular_action(group)
+        comm = commutant_of_set(action)
         classes = group.conjugacy_class_count()
-        res = resolvent_normality_check(
-            class_function_convolution(group, seed), biregular_action(group)
-        )
+        res = _resolvent_report(class_function_convolution(group, seed), action)
         good = (
-            comm.dimension == expected[group.name]
+            comm.dimension == expected[group.name] == comm.character_count
             and classes == expected[group.name]
             and comm.is_abelian
             and res.passed
@@ -543,6 +570,7 @@ def _suite_biregular(seed: int) -> dict:
         ok &= good
         detail[group.name] = {
             "commutant_dim": comm.dimension,
+            "character_count": comm.character_count,
             "conjugacy_classes": classes,
             "abelian": comm.is_abelian,
             "resolvent_normality_defect": res.normality_defect,

@@ -1,27 +1,55 @@
-"""Dense oracle for the commutant nullspace.
+"""Dense oracles for the commutant.
 
-The reference route solves the complex commutation system as a doubled real
-one with scipy's full-SVD ``null_space`` and then extracts a complex basis by
-a second SVD.  The production route reads the nullspace off one thin complex
-SVD; both must give the same dimension and the same subspace.
+The production route reads the commutant off the Reynolds projector
+K = (1/k) sum A (x) conj(A).  Two independent oracles solve the commutation
+system A X - X A = 0 instead: one thin complex SVD of the stacked system,
+and scipy's full-SVD ``null_space`` of the doubled real system followed by a
+second SVD that extracts a complex basis.  On every group image all three
+must give the same dimension and the same subspace; on inputs the Reynolds
+route refuses (the zero operator, a non-unitary one) the two oracles still
+agree with each other.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import null_space
 
 from loctrace.sandbox import (
     RANK_TOL,
-    _commutation_system,
-    _complex_nullspace,
     abelian_presentations_up_to,
     biregular_action,
     characters,
+    commutant_of_set,
     cyclic_group,
     dihedral_d4,
+    left_translation_operator,
     quaternion_q8,
+    right_translation_operator,
     symmetric_s3,
 )
+
+
+def commutation_system(operators) -> np.ndarray:
+    """The k n^2 x n^2 system A X - X A = 0 on row-major vec(X)."""
+    n = operators[0].shape[0]
+    eye = np.eye(n)
+    blocks = [np.kron(a, eye) - np.kron(eye, a.T) for a in operators]
+    return np.vstack(blocks)
+
+
+def complex_nullspace(system: np.ndarray, n: int) -> list[np.ndarray]:
+    """Nullspace of a complex homogeneous system, as n x n matrices.
+
+    One thin SVD: the system has at least as many rows as columns (k n^2 x
+    n^2), so the thin Vh spans the whole column space, and the conjugates of
+    its rows with s <= RANK_TOL * s[0] (against 1 when s[0] == 0) are an
+    orthonormal nullspace basis.
+    """
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    scale = s[0] if s[0] > 0 else 1.0
+    rank = int(np.sum(s > RANK_TOL * scale))
+    return [row.conj().reshape(n, n) for row in vh[rank:]]
 
 
 def doubled_real_nullspace(system: np.ndarray, n: int) -> list[np.ndarray]:
@@ -58,26 +86,109 @@ def generic_complex_operator(n, seed):
     return s @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(s)
 
 
+def biregular_generators(group):
+    """The 2|G| left and right translations, which generate the image of G x G."""
+    return [left_translation_operator(group, g) for g in range(group.order)] + [
+        right_translation_operator(group, g) for g in range(group.order)
+    ]
+
+
+# (oracle operators, dimension, the group image that commutant_of_set gets or
+# None); a set and the group it generates have the same commutant, so the
+# oracles solve the biregular systems for the generators only
 CASES = [
-    pytest.param(character_action(f), int(np.prod(f)) if f else 1, id=f"Z{f}")
+    pytest.param(character_action(f), int(np.prod(f)) if f else 1, character_action(f), id=f"Z{f}")
     for f in abelian_presentations_up_to(12)
 ] + [
-    pytest.param(character_action((4,), [0, 2]), 8, id="Z4-reduced"),
-    pytest.param([np.eye(3)], 9, id="identity"),
-    pytest.param([np.zeros((3, 3))], 9, id="zero"),
+    pytest.param(
+        character_action((4,), [0, 2]), 8, character_action((4,), [0, 2]), id="Z4-reduced"
+    ),
+    pytest.param([np.eye(3)], 9, [np.eye(3)], id="identity"),
+    pytest.param([np.zeros((3, 3))], 9, None, id="zero"),
     # a generic complex operator: its commutant, the polynomials in it, is not real
-    pytest.param([generic_complex_operator(3, seed=5)], 3, id="generic-complex"),
-    pytest.param(biregular_action(symmetric_s3()), 3, id="S3-biregular"),
-    pytest.param(biregular_action(quaternion_q8()), 5, id="Q8-biregular"),
-    pytest.param(biregular_action(dihedral_d4()), 5, id="D4-biregular"),
+    pytest.param([generic_complex_operator(3, seed=5)], 3, None, id="generic-complex"),
+] + [
+    pytest.param(biregular_generators(g), dim, biregular_action(g), id=f"{g.name}-biregular")
+    for g, dim in ((symmetric_s3(), 3), (quaternion_q8(), 5), (dihedral_d4(), 5))
 ]
 
 
-@pytest.mark.parametrize("ops,dim", CASES)
-def test_thin_svd_matches_doubled_real_oracle(ops, dim):
+@pytest.mark.parametrize("ops,dim,image", CASES)
+def test_thin_svd_matches_doubled_real_oracle(ops, dim, image):
     n = ops[0].shape[0]
-    system = _commutation_system([np.asarray(a, dtype=complex) for a in ops])
-    fast = _complex_nullspace(system, n)
+    system = commutation_system([np.asarray(a, dtype=complex) for a in ops])
+    fast = complex_nullspace(system, n)
     oracle = doubled_real_nullspace(system, n)
     assert len(fast) == len(oracle) == dim
     assert np.abs(projector(fast, n) - projector(oracle, n)).max() < 1e-10
+    if image is not None:
+        comm = commutant_of_set(image)
+        assert comm.dimension == comm.character_count == dim
+        assert np.abs(projector(comm.basis, n) - projector(oracle, n)).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "ops,match",
+    [
+        ([np.zeros((3, 3))], "operator #0 is not unitary"),
+        ([np.eye(3), generic_complex_operator(3, seed=5)], "operator #1 is not unitary"),
+        # characters 0 and 1 of Z4 miss the inverse of character 1
+        (character_action((4,), [0, 1]), "not Hermitian"),
+        # the generators of S3 x S3: their average is (P_L + P_R)/2
+        (biregular_generators(symmetric_s3()), "not idempotent"),
+    ],
+    ids=["zero", "generic-complex", "Z4-not-a-subgroup", "S3-generators"],
+)
+def test_commutant_of_set_refuses_non_group_images(ops, match):
+    with pytest.raises(ValueError, match=match):
+        commutant_of_set(ops)
+
+
+def test_commutant_of_zero_is_everything():
+    # an all-zero system: its largest singular value is 0, so the oracle
+    # measures s against 1 instead of s[0] (the Reynolds route refuses the
+    # zero operator, which is not unitary)
+    basis = complex_nullspace(commutation_system([np.zeros((3, 3))]), 3)
+    assert len(basis) == 9
+    assert np.abs(projector(basis, 3) - np.eye(9)).max() < 1e-15
+
+
+def subgroup_of_dual(factors, generators) -> list[int]:
+    """Indices (rows of ``characters``) of the subgroup the generators span.
+
+    Character rows are indexed like the group elements, by their coordinates
+    in the cyclic factors, so the dual group's law is the cyclic table's.
+    """
+    table = cyclic_group(*factors).table
+    members = {0}
+    frontier = [0]
+    while frontier:
+        a = frontier.pop()
+        for g in generators:
+            b = int(table[a, g])
+            if b not in members:
+                members.add(b)
+                frontier.append(b)
+    return sorted(members)
+
+
+@st.composite
+def dual_subgroups(draw):
+    factors = draw(st.sampled_from(abelian_presentations_up_to(12)))
+    order = int(np.prod(factors)) if factors else 1
+    generators = draw(st.lists(st.integers(0, order - 1), max_size=3))
+    return factors, subgroup_of_dual(factors, generators)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=dual_subgroups())
+def test_reynolds_matches_character_count_and_thin_svd_on_dual_subgroups(case):
+    factors, subgroup = case
+    ops = character_action(factors, subgroup)
+    n = ops[0].shape[0]
+    comm = commutant_of_set(ops)
+    oracle = complex_nullspace(commutation_system(ops), n)
+    # X commutes with diag(chi) for chi in H iff X lives on the cosets of the
+    # annihilator of H, |G| / |H| of them of size |H|: dimension |G|^2 / |H|
+    assert comm.dimension == comm.character_count == len(oracle) == n * n // len(subgroup)
+    assert np.abs(projector(comm.basis, n) - projector(oracle, n)).max() < 1e-10

@@ -113,15 +113,6 @@ def test_commutant_of_identity_is_everything():
     assert not comm.is_abelian
 
 
-def test_commutant_of_zero_is_everything(caplog):
-    # an all-zero system: its largest singular value is 0, so s is measured
-    # against 1 instead of s[0]
-    with caplog.at_level(logging.DEBUG, logger="loctrace"):
-        comm = commutant_of_set([np.zeros((3, 3))])
-    assert comm.dimension == 9
-    assert "rank 0, largest dropped s/s0 0.000e+00, smallest kept s/s0 none" in caplog.text
-
-
 @pytest.mark.parametrize(
     "ops,match",
     [
@@ -138,20 +129,24 @@ def test_commutant_of_set_rejects_bad_operators(ops, match):
         commutant_of_set(ops)
 
 
-def test_commutant_debug_log_shows_rank_cut(caplog):
+def test_commutant_debug_log_shows_eigenvalue_gap(caplog):
     with caplog.at_level(logging.DEBUG, logger="loctrace"):
         commutant_of_characters(cyclic_group(4), char_subset=[0, 2])
     (record,) = [r for r in caplog.records if r.message.startswith("commutant:")]
-    assert "system 32x16, rank 8" in record.message
-    assert "largest dropped s/s0" in record.message
-    assert "smallest kept s/s0" in record.message
+    assert record.message.startswith(
+        "commutant: 2 operators, n 4, dimension 8, character count 8, "
+        "worst eigenvalue distance from {0, 1} "
+    )
+    assert float(record.message.rsplit(" ", 1)[1]) < 1e-15
 
 
 def test_biregular_commutant_dimensions():
     expected = {"S3": 3, "Q8": 5, "D4": 5}
     for group in (symmetric_s3(), quaternion_q8(), dihedral_d4()):
-        comm = commutant_of_set(biregular_action(group))
-        assert comm.dimension == expected[group.name]
+        action = biregular_action(group)
+        assert len(action) == group.order**2
+        comm = commutant_of_set(action)
+        assert comm.dimension == comm.character_count == expected[group.name]
         assert comm.is_abelian
 
 
@@ -317,14 +312,16 @@ def test_suite_abelian_le_12():
     report = run_suite("annex2-abelian-le-12")
     assert report["passed"]
     assert report["cases"] == 28
+    for case in report["detail"]:
+        assert case["commutant_dim"] == case["character_count"] == case["order"]
 
 
 def test_suite_biregular():
     report = run_suite("annex1-biregular")
     assert report["passed"]
-    assert report["detail"]["S3"]["commutant_dim"] == 3
-    assert report["detail"]["Q8"]["commutant_dim"] == 5
-    assert report["detail"]["D4"]["commutant_dim"] == 5
+    for name, dim in (("S3", 3), ("Q8", 5), ("D4", 5)):
+        assert report["detail"][name]["commutant_dim"] == dim
+        assert report["detail"][name]["character_count"] == dim
 
 
 def test_unknown_suite():
@@ -337,7 +334,9 @@ def test_run_sandbox_all():
     assert report["passed"]
 
 
-def test_suite_resolvent_z8_computes_action_commutant_once(monkeypatch):
+@pytest.fixture
+def commutant_calls(monkeypatch):
+    """The operator count of each commutant_of_set call the sandbox makes."""
     calls = []
     real = sandbox_mod.commutant_of_set
 
@@ -346,9 +345,18 @@ def test_suite_resolvent_z8_computes_action_commutant_once(monkeypatch):
         return real(ops)
 
     monkeypatch.setattr(sandbox_mod, "commutant_of_set", counting)
+    return calls
+
+
+def test_suite_resolvent_z8_computes_action_commutant_once(commutant_calls):
     report = run_suite("annex1-resolvent-z8")
     assert report["passed"] and report["cases"] == 50
-    assert calls == [8]
+    assert commutant_calls == [8]
+
+
+def test_suite_biregular_computes_each_action_commutant_once(commutant_calls):
+    assert run_suite("annex1-biregular")["passed"]
+    assert commutant_calls == [36, 64, 64]
 
 
 @pytest.mark.parametrize(
