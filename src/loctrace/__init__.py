@@ -4,19 +4,12 @@ Three independent evaluations of the trace of the cutoff-compressed
 multiplicative-convolution operator, its asymptote 2 log(lam) f(1) - H(f)(1)
 with the computable tail bound, and a brute-force finite-group sandbox for
 the commutant / multiplier / resolvent mechanisms behind it.
+
+The pipeline is one chain: make_grid(make_backend(field), ...) ->
+build_fourier(grid) -> TraceComputation(f, fourier) -> gates -> artifacts.
 """
 
-from .fields import (
-    FieldBackend,
-    RadialFunction,
-    RadialGrid,
-    annulus_measure,
-    make_backend,
-    make_grid,
-    module_of_matrix,
-    to_additive,
-    to_multiplicative,
-)
+from .fields import FieldBackend, RadialGrid, make_backend, make_grid
 from .fourier import (
     FourierBuildError,
     FourierOperator,
@@ -27,19 +20,7 @@ from .fourier import (
     make_signed_grid,
 )
 from .kernels import kernel_values, mellin_symbol
-from .operators import (
-    KernelOperator,
-    TestFunction,
-    adjoint,
-    compose,
-    cutoff_projection,
-    hs_inner,
-    left_translation,
-    singular_values,
-    trace,
-    u_f,
-    u_f_from_translations,
-)
+from .operators import TestFunction
 from .sandbox import (
     CommutantBasis,
     FiniteGroup,
@@ -52,12 +33,6 @@ from .sandbox import (
     resolvent_normality_check,
     run_sandbox,
 )
-from .cutoff_trace import (
-    SignedTraceLab,
-    TraceComputation,
-    TraceReport,
-    asymptotic_fit,
-    inversion,
-)
+from .cutoff_trace import SignedTraceLab, TraceComputation, TraceReport, asymptotic_fit
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -36,6 +37,7 @@ from .sandbox import SUITE_NAMES, run_sandbox
 from .cutoff_trace import (
     SignedTraceLab,
     TraceComputation,
+    TraceReport,
     asymptotic_fit,
     gate_reports,
     route_c_bytes,
@@ -92,7 +94,6 @@ CONFIG_SCHEMA = {
                 "json": {"type": "string"},
             },
         },
-        "seed": {"type": "integer"},
     },
 }
 
@@ -187,8 +188,7 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
     """Run one sweep; writes CSV (+ JSON summary) and returns the summary."""
     config = validate_config(config)
     field = config["field"]
-    backend = make_backend(field)
-    grid = make_grid(backend, config["grid"]["log_t_half_range"], config["grid"]["n"])
+    grid = make_grid(make_backend(field), config["grid"]["log_t_half_range"], config["grid"]["n"])
     tf_cfg = config["test_function"]
     f = TestFunction(
         center=tf_cfg["center"],
@@ -196,8 +196,8 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
         support_radius=tf_cfg["support_radius"],
         kind=tf_cfg["kind"],
     )
-    fourier = build_fourier(backend, grid)
-    comp = TraceComputation(backend, grid, f, fourier)
+    fourier = build_fourier(grid)
+    comp = TraceComputation(f, fourier)
     lams = [float(x) for x in config["lambdas"]]
 
     route_c_vals: dict[float, float] = {}
@@ -217,23 +217,18 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
     _write_sweep_csv(csv_path, reports)
 
     gates = {}
-    tol = ROUTE_AGREEMENT_TOL[field]
     agree = max(
         abs(r.t_route_a - r.t_route_b) / max(abs(r.t_route_b), 1e-300) for r in reports
     )
-    gates["route_ab_agreement"] = {"value": agree, "tolerance": tol, "passed": agree < tol}
+    gates["route_ab_agreement"] = _gate(agree, ROUTE_AGREEMENT_TOL[field])
     if route_c_vals:
         cb = max(
             abs(r.t_route_c - r.t_route_b) / max(abs(r.t_route_b), 1e-300)
             for r in reports
             if r.t_route_c is not None
         )
-        gates["route_c_agreement"] = {"value": cb, "tolerance": 1e-3, "passed": cb < 1e-3}
-        gates["trace_cyclicity"] = {
-            "value": cyclicity,
-            "tolerance": 1e-8,
-            "passed": cyclicity < 1e-8,
-        }
+        gates["route_c_agreement"] = _gate(cb, 1e-3)
+        gates["trace_cyclicity"] = _gate(cyclicity, 1e-8)
     l1 = f.l1_mult_norm(grid.step)
     slack = [r.error_bound + 10.0 * r.unitarity_defect * l1 for r in reports]
     sandwich = all(
@@ -253,18 +248,7 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
         "f_value_at_1": f.value_at_1,
         "conductor_at_one": comp.conductor_value(),
         "gates": gates,
-        "rows": [
-            {
-                "lambda": r.lam,
-                "two_log_lambda": r.two_log_lambda,
-                "t_route_A": r.t_route_a,
-                "t_route_B": r.t_route_b,
-                "t_route_C": r.t_route_c,
-                "asymptote": r.asymptote,
-                "error_bound": r.error_bound,
-            }
-            for r in reports
-        ],
+        "rows": [_row(r) for r in reports],
     }
 
     gate_factor = float(config.get("fit_gate_factor", 0.1))
@@ -285,16 +269,8 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
             "slope_rel_err": abs(slope - f.value_at_1) / abs(f.value_at_1),
             "intercept_rel_err": abs(intercept + cond) / abs(cond),
         }
-        gates["fit_slope"] = {
-            "value": fit["slope_rel_err"],
-            "tolerance": 0.01,
-            "passed": fit["slope_rel_err"] < 0.01,
-        }
-        gates["fit_intercept"] = {
-            "value": fit["intercept_rel_err"],
-            "tolerance": 0.01,
-            "passed": fit["intercept_rel_err"] < 0.01,
-        }
+        gates["fit_slope"] = _gate(fit["slope_rel_err"], 0.01)
+        gates["fit_intercept"] = _gate(fit["intercept_rel_err"], 0.01)
         summary["fit"] = fit
     except ValueError as exc:
         summary["fit"] = {"error": str(exc)}
@@ -306,40 +282,35 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
     return summary
 
 
+def _gate(value: float, tolerance: float) -> dict:
+    return {"value": value, "tolerance": tolerance, "passed": value < tolerance}
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
     return repr(float(x))
 
 
-def _write_sweep_csv(path: Path, reports) -> None:
+def _row(r: TraceReport) -> dict:
+    """One lambda's values under their JSON row keys, which are also CSV columns."""
+    return {
+        "lambda": r.lam,
+        "two_log_lambda": r.two_log_lambda,
+        "t_route_A": r.t_route_a,
+        "t_route_B": r.t_route_b,
+        "t_route_C": r.t_route_c,
+        "asymptote": r.asymptote,
+        "error_bound": r.error_bound,
+    }
+
+
+def _write_sweep_csv(path: Path, reports: list[TraceReport]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "lambda",
-                "two_log_lambda",
-                "t_route_A",
-                "t_route_B",
-                "t_route_C",
-                "asymptote",
-                "error_bound",
-                "defect",
-            ]
-        )
+        writer.writerow([*_row(reports[0]), "defect"])
         for r in reports:
-            writer.writerow(
-                [
-                    _fmt(r.lam),
-                    _fmt(r.two_log_lambda),
-                    _fmt(r.t_route_a),
-                    _fmt(r.t_route_b),
-                    _fmt(r.t_route_c),
-                    _fmt(r.asymptote),
-                    _fmt(r.error_bound),
-                    _fmt(r.unitarity_defect),
-                ]
-            )
+            writer.writerow([_fmt(x) for x in (*_row(r).values(), r.unitarity_defect)])
 
 
 def _jsonable(obj):
@@ -360,15 +331,60 @@ def _stable_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read is a ConfigError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _load_config(path: Path) -> dict:
+    """A sweep config read from a JSON file (validated by run_trace_sweep).
+
+    NaN and +-Infinity, which Python's json module accepts, are not JSON
+    numbers and are refused.
+    """
+
+    def refuse(name: str):
+        raise ConfigError(f"{path} is not valid JSON: {name} is not a number")
+
+    try:
+        return json.loads(_read_text(path), parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _is_finite_number(text) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except (TypeError, ValueError):
+        return False
+
+
 def emit_plot_data(sweep_csv: Path, out_dir: Path) -> list[Path]:
-    """Two-column plain-text curves from a sweep CSV (gnuplot-ready)."""
-    with sweep_csv.open() as fh:
-        rows = list(csv.DictReader(fh))
+    """Two-column plain-text curves from a sweep CSV (gnuplot-ready).
+
+    The whole CSV is read and checked before any file is written: each row
+    needs a finite number in every plotted column.
+    """
+    try:
+        rows = list(csv.DictReader(io.StringIO(_read_text(sweep_csv))))
+    except csv.Error as exc:
+        raise ConfigError(f"sweep CSV {sweep_csv}: {exc}") from exc
     if not rows:
         raise ConfigError(f"sweep CSV {sweep_csv} is empty")
     required = {"lambda", "two_log_lambda", "t_route_B", "asymptote", "error_bound"}
     if not required <= set(rows[0]):
         raise ConfigError(f"sweep CSV {sweep_csv} is missing columns {required - set(rows[0])}")
+    for i, r in enumerate(rows, start=1):
+        for key in sorted(required):
+            if not _is_finite_number(r[key]):
+                raise ConfigError(
+                    f"sweep CSV {sweep_csv} row {i}: {key} {r[key]!r} is not a finite number"
+                )
     out_dir.mkdir(parents=True, exist_ok=True)
     out = []
 
@@ -472,7 +488,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "trace-sweep":
             if args.config is not None:
-                config = json.loads(args.config.read_text())
+                config = _load_config(args.config)
             else:
                 config = json.loads(json.dumps(DEFAULT_CONFIGS[args.field]))
             summary = run_trace_sweep(config, args.out)
@@ -514,9 +530,6 @@ def main(argv=None) -> int:
     except FourierBuildError as exc:
         print(f"FAIL certification: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -6,9 +6,13 @@ evaluates it as a two-dimensional box pairing of the two kernels; route B as a
 one-dimensional integral of the transform G of the inverted profile's additive
 representative against the annulus weight (2 log lam - log t); route C (real
 line only) literally multiplies dense matrices on a signed grid and takes the
-matrix trace, in the even sector where the grid's transform is a real DCT-IV.  The asymptote 2 log(lam) f(1) - H(f)(1) and the computable tail
-bound complete the picture.
+matrix trace, in the even sector where the grid's transform is a real DCT-IV.
+The asymptote 2 log(lam) f(1) - H(f)(1) and the computable tail bound
+complete the picture.
 
+Routes A and B share one certified transform: a study is built as
+TraceComputation(f, build_fourier(grid)) and reads its grid and field from
+the transform.  Route C builds and certifies its own signed-grid transform.
 Products of grid points live on the half-offset "product lattice"; all route
 sums run there, t = 1 included exactly.
 """
@@ -22,12 +26,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldBackend, RadialFunction, RadialGrid
 from .fourier import (
     FourierOperator,
     FullLineFourier,
     SignedGrid,
-    build_fourier,
     cutoff_block,
     full_line_fourier,
     make_signed_grid,
@@ -38,41 +40,28 @@ from .operators import TestFunction
 log = logging.getLogger("loctrace")
 
 
-def inversion(f: RadialFunction) -> RadialFunction:
-    """Multiplicative inversion t -> 1/t: the exact index reversal."""
-    g = f.grid
-    if not np.allclose(g.log_t + g.log_t[::-1], 0.0, atol=1e-12):
-        raise ValueError("inversion needs a grid symmetric about t = 1")
-    return RadialFunction(g, f.samples[::-1].copy())
-
-
 class TraceComputation:
-    """Shared state for one (backend, grid, profile) trace study.
+    """Shared state for one trace study: a profile and a certified transform.
 
-    Caches the product-lattice transform G and the kernel values so a lambda
-    sweep costs one FFT pipeline total.
+    The grid and its field are the transform's.  Caches the product-lattice
+    transform G and the kernel values so a lambda sweep costs one FFT
+    pipeline total.
     """
 
-    def __init__(
-        self,
-        backend: FieldBackend,
-        grid: RadialGrid,
-        f: TestFunction,
-        fourier: FourierOperator | None = None,
-    ):
+    def __init__(self, f: TestFunction, fourier: FourierOperator):
+        grid = fourier.grid
         f.check_support(grid)
-        self.backend = backend
         self.grid = grid
         self.f = f
-        self.fourier = fourier if fourier is not None else build_fourier(backend, grid)
+        self.fourier = fourier
         self._G: dict[bool, np.ndarray] = {}
-        pl = self.fourier.product_lattice
+        pl = fourier.product_lattice
         self.mu = pl.log_t
         self.t_p = pl.t
         self.h = grid.step
-        self.K_p = kernel_values(backend.field_id, self.t_p)
-        self.sqrt_omega = math.sqrt(backend.omega)
-        self.omega = backend.omega
+        self.K_p = kernel_values(grid.backend.field_id, self.t_p)
+        self.omega = grid.backend.omega
+        self.sqrt_omega = math.sqrt(self.omega)
 
     def transform_of_inverted(self, invert: bool = True) -> np.ndarray:
         """G on the product lattice, from I(f) (default) or from f itself."""
@@ -94,10 +83,10 @@ class TraceComputation:
             * np.sum(weight * self.K_p * G * self.t_p * self.h)
         )
 
-    def route_b(self, lam: float, G: np.ndarray | None = None) -> float:
+    def route_b(self, lam: float) -> float:
         ell = math.log(lam)
         w = np.maximum(2.0 * ell - self.mu, 0.0)
-        return self.lattice_moment(w, G)
+        return self.lattice_moment(w)
 
     def first_moment(self) -> float:
         """sqrt(omega) * (inverse transform of G at 1); recovers f(1)."""
@@ -286,10 +275,6 @@ class SignedTraceLab:
             self.fourier.unitarity_defect,
             2 * int(bad.sum()),
         )
-
-    @property
-    def unitarity_defect(self) -> float:
-        return self.fourier.unitarity_defect
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
         """(U_e C)(v, u) by direct quadrature: 2 step int f(v/y) (vy)^{-1/2} cos(2 pi y u) dy.

@@ -47,53 +47,6 @@ def make_backend(field_id: str) -> FieldBackend:
     )
 
 
-def left_multiplication_matrix(field_id: str, g) -> np.ndarray:
-    """Matrix of x -> g*x on the euclidean coordinates of the field."""
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if field_id == "R":
-        if g.shape != (1,):
-            raise ValueError("R element must be a single coordinate")
-        return g.reshape(1, 1)
-    if field_id == "C":
-        if g.shape != (2,):
-            raise ValueError("C element must have 2 coordinates")
-        a, b = g
-        return np.array([[a, -b], [b, a]])
-    if field_id == "H":
-        if g.shape != (4,):
-            raise ValueError("H element must have 4 coordinates")
-        a, b, c, d = g
-        return np.array(
-            [
-                [a, -b, -c, -d],
-                [b, a, -d, c],
-                [c, d, a, -b],
-                [d, -c, b, a],
-            ]
-        )
-    raise ValueError(f"unknown field id {field_id!r}")
-
-
-def module_of_matrix(field_id: str, g) -> float:
-    """Module m(g) = |det L_g|, the additive-Haar scaling factor of x -> g*x.
-
-    Multiplicative: m(gh) = m(g) m(h).  Raises for g = 0.
-    """
-    mat = left_multiplication_matrix(field_id, g)
-    if not np.any(mat):
-        raise ValueError("module of 0 is undefined")
-    return float(abs(np.linalg.det(mat)))
-
-
-def annulus_measure(t1: float, t2: float) -> float:
-    """Multiplicative measure of {t1 <= m(y) <= t2}: log(t2/t1)."""
-    if t1 <= 0:
-        raise ValueError("annulus requires t1 > 0")
-    if t2 < t1:
-        raise ValueError("annulus requires t2 >= t1")
-    return math.log(t2 / t1)
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform grid in log-module, symmetric about t = 1.
@@ -123,16 +76,6 @@ class RadialGrid:
     def reversal(self) -> np.ndarray:
         return np.arange(self.n)[::-1]
 
-    def index_of_log(self, x: float) -> int:
-        """Nearest grid index of a log-module value; must land on the lattice."""
-        k = (x + self.log_t_half_range) / self.step
-        ki = int(round(k))
-        if abs(k - ki) > 1e-8:
-            raise ValueError(f"log-module {x} is not on the grid lattice")
-        if not (0 <= ki < self.n):
-            raise ValueError(f"log-module {x} is outside the grid")
-        return ki
-
 
 def make_grid(backend: FieldBackend, log_t_half_range: float, n: int) -> RadialGrid:
     if log_t_half_range <= 0:
@@ -157,36 +100,3 @@ def make_grid(backend: FieldBackend, log_t_half_range: float, n: int) -> RadialG
         w_mult=w_mult,
         w_add=w_add,
     )
-
-
-@dataclass
-class RadialFunction:
-    """Samples of a radial profile on a RadialGrid (value at module t[i])."""
-
-    grid: RadialGrid
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples)
-        if self.samples.shape != (self.grid.n,):
-            raise ValueError("sample count must match the grid")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
-
-    def norm_mult(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.w_mult * np.abs(self.samples) ** 2)))
-
-    def norm_add(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.w_add * np.abs(self.samples) ** 2)))
-
-
-def to_additive(h: RadialFunction) -> RadialFunction:
-    """Multiplicative-picture profile -> additive representative h/sqrt(omega*t)."""
-    g = h.grid
-    return RadialFunction(g, h.samples / np.sqrt(g.backend.omega * g.t))
-
-
-def to_multiplicative(h_a: RadialFunction) -> RadialFunction:
-    """Inverse of to_additive; the round trip is the identity to one ulp."""
-    g = h_a.grid
-    return RadialFunction(g, h_a.samples * np.sqrt(g.backend.omega * g.t))

@@ -1,11 +1,13 @@
-"""The radial Fourier transform as a dense operator on a log-module grid.
+"""The radial Fourier transform on a log-module grid, for the grid's field.
 
-The n x n matrix is the exact multiplicative-spectrum realization of the
-two-point kernel K(m(x) m(y)) against the additive measure: a Hankel matrix
-(constant along antidiagonals) diagonalized by the discrete log-Fourier basis
-with the unimodular critical-line symbol of the kernel.  It is symmetric,
-exactly involutive and exactly unitary in the weighted inner product, so the
-inverse transform coincides with the weighted conjugate transpose.
+The transform is an n x n matrix, the exact multiplicative-spectrum
+realization of the two-point kernel K(m(x) m(y)) against the additive
+measure: a Hankel matrix (constant along antidiagonals) diagonalized by the
+discrete log-Fourier basis with the unimodular critical-line symbol of the
+kernel.  It is symmetric, exactly involutive and exactly unitary in the
+weighted inner product, so the inverse transform coincides with the weighted
+conjugate transpose.  FourierOperator keeps only its generator and applies it
+by FFT; the dense matrix is formed by the test oracles alone.
 Certification reads the involution defect off the generator's spectrum:
 S[i, j] = hankel[(i + j) mod n] is a circulant times the index reversal, so
 S^2 is circulant with eigenvalues lam_k lam_{-k}, lam = fft(hankel).
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldBackend, RadialGrid
+from .fields import RadialGrid
 from .kernels import mellin_symbol, scaled_gaussian, selfdual_gaussian
 
 log = logging.getLogger("loctrace")
@@ -34,6 +36,8 @@ log = logging.getLogger("loctrace")
 _KAPPA = {"R": 2.0, "C": 1.0, "H": 0.5}
 
 DEFECT_THRESHOLDS = {"R": 1e-6, "C": 1e-4, "H": 1e-3}
+# the signed-grid transform is a phased DFT: its defect is rounding only
+SIGNED_DEFECT_THRESHOLD = 1e-10
 
 
 class FourierBuildError(RuntimeError):
@@ -52,23 +56,15 @@ class ProductLattice:
     t: np.ndarray
     step: float
 
-    def index_of_log(self, x: float) -> int:
-        k = (x - self.log_t[0]) / self.step
-        ki = int(round(k))
-        if abs(k - ki) > 1e-8 or not (0 <= ki < len(self.log_t)):
-            raise ValueError(f"log value {x} not on the product lattice")
-        return ki
-
 
 class FourierOperator:
-    """Radial Fourier transform bound to one grid."""
+    """Radial Fourier transform bound to one grid, for the grid's field."""
 
-    def __init__(self, backend: FieldBackend, grid: RadialGrid):
-        self.backend = backend
+    def __init__(self, grid: RadialGrid):
         self.grid = grid
         n, h, L = grid.n, grid.step, grid.log_t_half_range
         nu = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        D = mellin_symbol(backend.field_id, -nu) * np.exp(2j * nu * L)
+        D = mellin_symbol(grid.backend.field_id, -nu) * np.exp(2j * nu * L)
         # Nyquist mode snapped to +-1: keeps the matrix real, |D| = 1 and D*D_refl = 1
         D[n // 2] = 1.0 if D[n // 2].real >= 0 else -1.0
         c = np.fft.fft(D) / n
@@ -79,7 +75,7 @@ class FourierOperator:
         self._Np = 4 * n
         self._Xi0 = -L - self._Bl * h
         nup = 2.0 * np.pi * np.fft.fftfreq(self._Np, d=h)
-        khp = mellin_symbol(backend.field_id, -nup)
+        khp = mellin_symbol(grid.backend.field_id, -nup)
         khp[self._Np // 2] = 0.0
         self._nup = nup
         self._khp = khp
@@ -87,32 +83,15 @@ class FourierOperator:
         self.product_lattice = ProductLattice(
             log_t=-2.0 * L + h * p, t=np.exp(-2.0 * L + h * p), step=h
         )
-        self._matrix = None
         self.unitarity_defect = None
         self.defects: dict[str, float] = {}
-
-    # -- the dense operator ------------------------------------------------
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Additive-picture action matrix: (F phi)_i = sum_j matrix[i,j] phi_j.
-
-        matrix[i][j] / w_add[j] depends on t_i * t_j only (exact Hankel
-        product-dependence away from the half-weighted endpoints).
-        """
-        if self._matrix is None:
-            n = self.grid.n
-            idx = (np.add.outer(np.arange(n), np.arange(n))) % n
-            sym = self.hankel[idx]
-            r = np.sqrt(self.grid.backend.omega * self.grid.t)
-            self._matrix = sym * (r[None, :] / r[:, None])
-        return self._matrix
 
     # -- applying the transform to sampled profiles -------------------------
 
     def _padded_spectrum(self, phi: np.ndarray) -> np.ndarray:
         g = self.grid
-        kap = _KAPPA[self.backend.field_id]
+        omega = g.backend.omega
+        kap = _KAPPA[g.backend.field_id]
         t0, t1 = g.t[0], g.t[1]
         ph0, ph1 = float(phi[0]), float(phi[1])
         if ph0 == 0.0 and ph1 == 0.0:
@@ -123,8 +102,8 @@ class FourierOperator:
         up = np.zeros(self._Np)
         xl = self._Xi0 + g.step * np.arange(self._Bl)
         tl = np.exp(xl)
-        up[: self._Bl] = np.sqrt(self.backend.omega * tl) * (alpha + beta * tl**kap)
-        up[self._Bl : self._Bl + g.n] = np.sqrt(self.backend.omega * g.t) * phi
+        up[: self._Bl] = np.sqrt(omega * tl) * (alpha + beta * tl**kap)
+        up[self._Bl : self._Bl + g.n] = np.sqrt(omega * g.t) * phi
         return np.fft.fft(up)
 
     def _evaluate(self, spectrum: np.ndarray, xi_start: float, count: int) -> np.ndarray:
@@ -137,7 +116,7 @@ class FourierOperator:
         phi = np.asarray(phi, dtype=float)
         spec = self._padded_spectrum(phi)
         v = self._evaluate(spec, float(self.grid.log_t[0]), self.grid.n)
-        return v / np.sqrt(self.backend.omega * self.grid.t)
+        return v / np.sqrt(self.grid.backend.omega * self.grid.t)
 
     def apply_product_lattice(self, phi) -> np.ndarray:
         """Transform evaluated on the product lattice (2n-1 points)."""
@@ -145,13 +124,13 @@ class FourierOperator:
         spec = self._padded_spectrum(phi)
         pl = self.product_lattice
         v = self._evaluate(spec, float(pl.log_t[0]), len(pl.log_t))
-        return v / np.sqrt(self.backend.omega * pl.t)
+        return v / np.sqrt(self.grid.backend.omega * pl.t)
 
     # -- certification -------------------------------------------------------
 
     def _probe_profiles(self) -> dict[str, np.ndarray]:
         t = self.grid.t
-        fid = self.backend.field_id
+        fid = self.grid.backend.field_id
         probes = {
             "selfdual": selfdual_gaussian(fid, t),
             "gauss_1.5": scaled_gaussian(fid, 1.5, t),
@@ -193,24 +172,17 @@ class FourierOperator:
         return max(self.defects.values())
 
 
-def build_fourier(
-    backend: FieldBackend, grid: RadialGrid, defect_threshold: float | None = None
-) -> FourierOperator:
-    """Construct and certify the radial transform for (backend, grid)."""
-    if grid.backend.field_id != backend.field_id:
-        raise ValueError("grid was built for a different backend")
-    op = FourierOperator(backend, grid)
-    threshold = (
-        defect_threshold
-        if defect_threshold is not None
-        else DEFECT_THRESHOLDS[backend.field_id]
-    )
+def build_fourier(grid: RadialGrid) -> FourierOperator:
+    """Construct the radial transform on ``grid`` and certify it to its field's threshold."""
+    field_id = grid.backend.field_id
+    op = FourierOperator(grid)
+    threshold = DEFECT_THRESHOLDS[field_id]
     start = time.perf_counter()
     defect = op.measure_defect()
     op.unitarity_defect = defect
     log.info(
         "certification: field=%s n=%d %s threshold=%.1e duration_s=%.4f",
-        backend.field_id,
+        field_id,
         grid.n,
         " ".join(f"{name}={d:.3e}" for name, d in op.defects.items()),
         threshold,
@@ -219,7 +191,7 @@ def build_fourier(
     if defect > threshold:
         raise FourierBuildError(
             f"unitarity defect {defect:.3e} exceeds threshold {threshold:.3e} "
-            f"(grid too coarse or too narrow for field {backend.field_id})",
+            f"(grid too coarse or too narrow for field {field_id})",
             defect,
         )
     return op
@@ -326,20 +298,18 @@ class FullLineFourier:
             defect = max(defect, float(np.abs(self.matrix @ u - self.apply(v)[half:]).max()))
         return defect
 
-    def certify(self, defect_threshold: float = 1e-10) -> "FullLineFourier":
-        """Record the defect; FourierBuildError when it exceeds the threshold."""
+    def certify(self) -> "FullLineFourier":
+        """Record the defect; FourierBuildError when it exceeds SIGNED_DEFECT_THRESHOLD."""
         self.unitarity_defect = self.measure_defect()
-        if self.unitarity_defect > defect_threshold:
+        if self.unitarity_defect > SIGNED_DEFECT_THRESHOLD:
             raise FourierBuildError(
                 f"signed-grid unitarity defect {self.unitarity_defect:.3e} exceeds "
-                f"{defect_threshold:.3e}",
+                f"{SIGNED_DEFECT_THRESHOLD:.3e}",
                 self.unitarity_defect,
             )
         return self
 
 
-def full_line_fourier(
-    sgrid: SignedGrid, max_lambda: float | None = None, defect_threshold: float = 1e-10
-) -> FullLineFourier:
+def full_line_fourier(sgrid: SignedGrid, max_lambda: float | None = None) -> FullLineFourier:
     """Certified cosine columns C[:, 0 < x <= max_lambda] of the signed-grid transform."""
-    return FullLineFourier(sgrid, max_lambda).certify(defect_threshold)
+    return FullLineFourier(sgrid, max_lambda).certify()

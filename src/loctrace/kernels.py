@@ -17,8 +17,6 @@ import math
 import numpy as np
 from scipy.special import j0, j1, loggamma
 
-from .fields import FieldBackend
-
 
 def kernel_values(field_id: str, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
@@ -63,36 +61,6 @@ def mellin_symbol(field_id: str, nu) -> np.ndarray:
     raise ValueError(f"unknown field id {field_id!r}")
 
 
-def sphere_average_mc(backend: FieldBackend, u: float, n_samples: int, seed: int) -> float:
-    """Monte-Carlo sphere average of the character at module u (test oracle).
-
-    Samples points uniformly on the unit euclidean sphere and averages
-    cos(2 pi * character_scale * reduced_trace(radius * sigma)).
-    """
-    rng = np.random.default_rng(seed)
-    d = backend.euclidean_dim
-    radius = u ** (1.0 / d)
-    pts = rng.standard_normal((n_samples, d))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    if d == 1:
-        tr = pts[:, 0] * radius
-    else:
-        tr = 2.0 * pts[:, 0] * radius  # reduced trace = twice the real part
-    return float(np.mean(np.cos(2.0 * np.pi * backend.character_scale * tr)))
-
-
-def selfdual_gaussian(field_id: str, t) -> np.ndarray:
-    """The transform-fixed radial profile, as a function of the module."""
-    t = np.asarray(t, dtype=float)
-    if field_id == "R":
-        return np.exp(-np.pi * t**2)
-    if field_id == "C":
-        return np.exp(-2.0 * np.pi * t)
-    if field_id == "H":
-        return np.exp(-2.0 * np.pi * np.sqrt(t))
-    raise ValueError(f"unknown field id {field_id!r}")
-
-
 def scaled_gaussian(field_id: str, a: float, t) -> np.ndarray:
     """Width-a member of the self-dual family: exp(-a * quadratic form)."""
     t = np.asarray(t, dtype=float)
@@ -105,13 +73,6 @@ def scaled_gaussian(field_id: str, a: float, t) -> np.ndarray:
     raise ValueError(f"unknown field id {field_id!r}")
 
 
-def scaled_gaussian_transform(field_id: str, a: float, t) -> np.ndarray:
-    """Closed-form radial Fourier transform of scaled_gaussian."""
-    t = np.asarray(t, dtype=float)
-    if field_id == "R":
-        return a**-0.5 * np.exp(-np.pi * t**2 / a)
-    if field_id == "C":
-        return (1.0 / a) * np.exp(-2.0 * np.pi * t / a)
-    if field_id == "H":
-        return a**-2.0 * np.exp(-2.0 * np.pi * np.sqrt(t) / a)
-    raise ValueError(f"unknown field id {field_id!r}")
+def selfdual_gaussian(field_id: str, t) -> np.ndarray:
+    """The transform-fixed radial profile, as a function of the module."""
+    return scaled_gaussian(field_id, 1.0, t)

@@ -80,16 +80,17 @@ class FiniteGroup:
                 return e
         raise ValueError("no identity element")
 
+    def conjugacy_class(self, g: int) -> set[int]:
+        """The conjugation orbit {h g h^-1 : h in G}."""
+        return {int(self.table[self.table[h, g], self.inverse(h)]) for h in range(self.order)}
+
     def conjugacy_class_count(self) -> int:
         seen = set()
         count = 0
         for g in range(self.order):
-            if g in seen:
-                continue
-            count += 1
-            for h in range(self.order):
-                hinv = self.inverse(h)
-                seen.add(int(self.table[self.table[h, g], hinv]))
+            if g not in seen:
+                count += 1
+                seen |= self.conjugacy_class(g)
         return count
 
 
@@ -279,15 +280,9 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
         len(ops), n, dim, chars, gap,
     )
     basis = [col.reshape(n, n) for col in v[:, fixed].T]
-    abelian = True
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            if np.abs(comm).max() > 1e-10:
-                abelian = False
-                break
-        if not abelian:
-            break
+    abelian = all(
+        np.abs(a @ b - b @ a).max() <= 1e-10 for a, b in itertools.combinations(basis, 2)
+    )
     return CommutantBasis(basis=basis, is_abelian=abelian, character_count=chars)
 
 
@@ -430,13 +425,9 @@ def class_function_convolution(group: FiniteGroup, seed: int = 0) -> np.ndarray:
     # symmetrize over conjugacy and inversion so the operator is symmetric
     c = np.zeros(n)
     for g in range(n):
-        orbit = set()
-        for h in range(n):
-            hinv = group.inverse(h)
-            orbit.add(int(group.table[group.table[h, g], hinv]))
+        orbit = group.conjugacy_class(g)
         orbit |= {group.inverse(x) for x in orbit}
-        val = float(np.mean([coeff[x] for x in sorted(orbit)]))
-        c[g] = val
+        c[g] = float(np.mean([coeff[x] for x in sorted(orbit)]))
     mat = np.zeros((n, n))
     for g in range(n):
         mat += c[g] * left_translation_operator(group, g)

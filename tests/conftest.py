@@ -34,8 +34,8 @@ def grid_r2048(backend_r):
 
 
 @pytest.fixture(scope="session")
-def fourier_r2048(backend_r, grid_r2048):
-    return build_fourier(backend_r, grid_r2048)
+def fourier_r2048(grid_r2048):
+    return build_fourier(grid_r2048)
 
 
 @pytest.fixture(scope="session")
@@ -44,8 +44,8 @@ def grid_h1024(backend_h):
 
 
 @pytest.fixture(scope="session")
-def fourier_h1024(backend_h, grid_h1024):
-    return build_fourier(backend_h, grid_h1024)
+def fourier_h1024(grid_h1024):
+    return build_fourier(grid_h1024)
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +54,8 @@ def grid_c1024(backend_c):
 
 
 @pytest.fixture(scope="session")
-def fourier_c1024(backend_c, grid_c1024):
-    return build_fourier(backend_c, grid_c1024)
+def fourier_c1024(grid_c1024):
+    return build_fourier(grid_c1024)
 
 
 @pytest.fixture(scope="session")
@@ -69,13 +69,13 @@ def asymmetric_bump():
 
 
 @pytest.fixture(scope="session")
-def comp_r(backend_r, grid_r2048, standard_bump, fourier_r2048):
-    return TraceComputation(backend_r, grid_r2048, standard_bump, fourier_r2048)
+def comp_r(standard_bump, fourier_r2048):
+    return TraceComputation(standard_bump, fourier_r2048)
 
 
 @pytest.fixture(scope="session")
-def comp_h(backend_h, grid_h1024, standard_bump, fourier_h1024):
-    return TraceComputation(backend_h, grid_h1024, standard_bump, fourier_h1024)
+def comp_h(standard_bump, fourier_h1024):
+    return TraceComputation(standard_bump, fourier_h1024)
 
 
 @pytest.fixture(scope="session")

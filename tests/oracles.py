@@ -1,0 +1,327 @@
+"""Dense oracles and helpers that only the test suite reads.
+
+The production pipeline (grid -> certified transform -> TraceComputation)
+never forms these objects; the tests use them to check the pipeline against
+independent dense constructions:
+
+- field arithmetic: left multiplication matrices, the module, annulus
+  measures, sampled radial profiles and their additive/multiplicative
+  pictures, multiplicative inversion;
+- the sphere-average Monte-Carlo kernel and the closed-form transforms of
+  the scaled Gaussians;
+- dense integral operators on a radial grid (``KernelOperator``, its
+  algebra, cutoffs, translations and two assemblies of U_f);
+- the dense n x n matrix of a radial transform.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from loctrace.fields import FieldBackend, RadialGrid
+from loctrace.fourier import FourierOperator
+from loctrace.operators import TestFunction
+
+log = logging.getLogger("loctrace")
+
+
+# ---------------------------------------------------------------------------
+# fields
+# ---------------------------------------------------------------------------
+
+
+def left_multiplication_matrix(field_id: str, g) -> np.ndarray:
+    """Matrix of x -> g*x on the euclidean coordinates of the field."""
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if field_id == "R":
+        if g.shape != (1,):
+            raise ValueError("R element must be a single coordinate")
+        return g.reshape(1, 1)
+    if field_id == "C":
+        if g.shape != (2,):
+            raise ValueError("C element must have 2 coordinates")
+        a, b = g
+        return np.array([[a, -b], [b, a]])
+    if field_id == "H":
+        if g.shape != (4,):
+            raise ValueError("H element must have 4 coordinates")
+        a, b, c, d = g
+        return np.array(
+            [
+                [a, -b, -c, -d],
+                [b, a, -d, c],
+                [c, d, a, -b],
+                [d, -c, b, a],
+            ]
+        )
+    raise ValueError(f"unknown field id {field_id!r}")
+
+
+def module_of_matrix(field_id: str, g) -> float:
+    """Module m(g) = |det L_g|, the additive-Haar scaling factor of x -> g*x.
+
+    Multiplicative: m(gh) = m(g) m(h).  Raises for g = 0.
+    """
+    mat = left_multiplication_matrix(field_id, g)
+    if not np.any(mat):
+        raise ValueError("module of 0 is undefined")
+    return float(abs(np.linalg.det(mat)))
+
+
+def annulus_measure(t1: float, t2: float) -> float:
+    """Multiplicative measure of {t1 <= m(y) <= t2}: log(t2/t1)."""
+    if t1 <= 0:
+        raise ValueError("annulus requires t1 > 0")
+    if t2 < t1:
+        raise ValueError("annulus requires t2 >= t1")
+    return math.log(t2 / t1)
+
+
+@dataclass
+class RadialFunction:
+    """Samples of a radial profile on a RadialGrid (value at module t[i])."""
+
+    grid: RadialGrid
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.samples = np.asarray(self.samples)
+        if self.samples.shape != (self.grid.n,):
+            raise ValueError("sample count must match the grid")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("samples must be finite")
+
+    def norm_mult(self) -> float:
+        return float(np.sqrt(np.sum(self.grid.w_mult * np.abs(self.samples) ** 2)))
+
+    def norm_add(self) -> float:
+        return float(np.sqrt(np.sum(self.grid.w_add * np.abs(self.samples) ** 2)))
+
+
+def to_additive(h: RadialFunction) -> RadialFunction:
+    """Multiplicative-picture profile -> additive representative h/sqrt(omega*t)."""
+    g = h.grid
+    return RadialFunction(g, h.samples / np.sqrt(g.backend.omega * g.t))
+
+
+def to_multiplicative(h_a: RadialFunction) -> RadialFunction:
+    """Inverse of to_additive; the round trip is the identity to one ulp."""
+    g = h_a.grid
+    return RadialFunction(g, h_a.samples * np.sqrt(g.backend.omega * g.t))
+
+
+def inversion(f: RadialFunction) -> RadialFunction:
+    """Multiplicative inversion t -> 1/t: the exact index reversal."""
+    g = f.grid
+    if not np.allclose(g.log_t + g.log_t[::-1], 0.0, atol=1e-12):
+        raise ValueError("inversion needs a grid symmetric about t = 1")
+    return RadialFunction(g, f.samples[::-1].copy())
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+
+def sphere_average_mc(backend: FieldBackend, u: float, n_samples: int, seed: int) -> float:
+    """Monte-Carlo sphere average of the character at module u (test oracle).
+
+    Samples points uniformly on the unit euclidean sphere and averages
+    cos(2 pi * character_scale * reduced_trace(radius * sigma)).
+    """
+    rng = np.random.default_rng(seed)
+    d = backend.euclidean_dim
+    radius = u ** (1.0 / d)
+    pts = rng.standard_normal((n_samples, d))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    if d == 1:
+        tr = pts[:, 0] * radius
+    else:
+        tr = 2.0 * pts[:, 0] * radius  # reduced trace = twice the real part
+    return float(np.mean(np.cos(2.0 * np.pi * backend.character_scale * tr)))
+
+
+def scaled_gaussian_transform(field_id: str, a: float, t) -> np.ndarray:
+    """Closed-form radial Fourier transform of scaled_gaussian."""
+    t = np.asarray(t, dtype=float)
+    if field_id == "R":
+        return a**-0.5 * np.exp(-np.pi * t**2 / a)
+    if field_id == "C":
+        return (1.0 / a) * np.exp(-2.0 * np.pi * t / a)
+    if field_id == "H":
+        return a**-2.0 * np.exp(-2.0 * np.pi * np.sqrt(t) / a)
+    raise ValueError(f"unknown field id {field_id!r}")
+
+
+# ---------------------------------------------------------------------------
+# dense operator algebra over radial grids
+#
+# Matrices store kernel-times-column-weight, so composition is the plain
+# matrix product, the trace is the plain matrix trace, and the weighted
+# Hilbert-Schmidt pairing divides the weights back out.  Shifts are exact
+# index translations; the multiplicative convolution operator samples its
+# profile on the integer step lattice so that no interpolation ever happens.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class KernelOperator:
+    """Dense operator on a grid; matrix[i, j] = kernel(t_i, t_j) * w[j]."""
+
+    grid: RadialGrid
+    matrix: np.ndarray
+    picture: str = "additive"  # which measure weights the action
+    boundary_clipped: bool = False
+
+    def __post_init__(self) -> None:
+        if self.picture not in ("additive", "multiplicative"):
+            raise ValueError("picture must be 'additive' or 'multiplicative'")
+        if self.matrix.shape != (self.grid.n, self.grid.n):
+            raise ValueError("matrix shape must match the grid")
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("matrix entries must be finite")
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.grid.w_add if self.picture == "additive" else self.grid.w_mult
+
+    def kernel_values(self) -> np.ndarray:
+        """Matrix with the column quadrature weight divided back out."""
+        return self.matrix / self.weights[None, :]
+
+
+def _check_compatible(a: KernelOperator, b: KernelOperator) -> None:
+    if a.grid is not b.grid and not np.array_equal(a.grid.log_t, b.grid.log_t):
+        raise ValueError("operators live on different grids")
+    if a.picture != b.picture:
+        raise ValueError("operators live in different pictures")
+
+
+def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:
+    """Operator product a∘b; quadrature weights sit inside the stored matrices."""
+    _check_compatible(a, b)
+    return KernelOperator(a.grid, a.matrix @ b.matrix, a.picture)
+
+
+def adjoint(a: KernelOperator) -> KernelOperator:
+    """Adjoint in the weighted inner product <phi, psi> = sum w phi* psi."""
+    w = a.weights
+    mat = (np.conj(a.matrix).T * w[None, :]) / w[:, None]
+    return KernelOperator(a.grid, mat, a.picture)
+
+
+def trace(a: KernelOperator) -> complex:
+    """Sum of diagonal kernel values times weights = plain matrix trace.
+
+    Only operators with smooth kernels have measure-stable traces; the
+    discrete identity matrix traces to n, not to a continuum quantity.
+    """
+    return complex(np.trace(a.matrix))
+
+
+def hs_inner(a: KernelOperator, b: KernelOperator) -> complex:
+    """Hilbert-Schmidt pairing of the kernels: sum conj(k_a) k_b w_i w_j.
+
+    Equals trace(compose(adjoint(a), b)) identically.
+    """
+    _check_compatible(a, b)
+    w = a.weights
+    ratio = w[:, None] / w[None, :]
+    return complex(np.sum(np.conj(a.matrix) * b.matrix * ratio))
+
+
+def singular_values(a: KernelOperator) -> np.ndarray:
+    """Grid-intrinsic singular values via the sqrt-weight symmetrization."""
+    w = a.weights
+    r = np.sqrt(w)
+    sym = (a.matrix * (r[:, None] / r[None, :])).astype(complex)
+    return np.linalg.svd(sym, compute_uv=False)
+
+
+def cutoff_projection(grid: RadialGrid, lam: float, picture: str = "additive") -> KernelOperator:
+    """Diagonal 0/1 projection onto {t <= lam}; boundary points included."""
+    if lam <= 0:
+        raise ValueError("cutoff requires lam > 0")
+    mask = grid.t <= lam * (1.0 + 1e-12)
+    clipped = bool(mask.all() or not mask.any())
+    if clipped:
+        log.warning("cutoff %g lies outside the grid range [%g, %g]", lam, grid.t_min, grid.t_max)
+    diag = np.where(mask, 1.0, 0.0)
+    return KernelOperator(grid, np.diag(diag), picture, boundary_clipped=clipped)
+
+
+def left_translation(grid: RadialGrid, s: float) -> KernelOperator:
+    """Unitary scaled translation (L_s phi)(t) = e^{-s/2} phi(e^{-s} t).
+
+    s must be an integer multiple of the grid step; values shifted off-grid
+    are dropped (exact for interior-supported profiles).
+    """
+    h = grid.step
+    m = s / h
+    mi = int(round(m))
+    if abs(m - mi) > 1e-9:
+        raise ValueError(f"shift {s} is not a multiple of the grid step {h}")
+    n = grid.n
+    mat = np.zeros((n, n))
+    scale = math.exp(-s / 2.0)
+    # (L_s phi)(t_i) = e^{-s/2} phi(t_{i-m})
+    i = np.arange(n)
+    valid = (i - mi >= 0) & (i - mi < n)
+    mat[i[valid], i[valid] - mi] = scale
+    return KernelOperator(grid, mat, "additive")
+
+
+def u_f(grid: RadialGrid, f: TestFunction) -> KernelOperator:
+    """Multiplicative convolution against f: the average of scaled translations.
+
+    (U_f phi)(t_i) = sum_m f(e^{m h}) e^{-m h / 2} phi(t_{i-m}) h, a Toeplitz
+    band; equals sum_m f(e^{mh}) h * left_translation(m h) entrywise.
+    """
+    f.check_support(grid)
+    h = grid.step
+    n = grid.n
+    mmax = int(math.floor(f.support_radius / h)) + 1
+    mat = np.zeros((n, n))
+    for m in range(-mmax, mmax + 1):
+        w = f(math.exp(m * h)) * math.exp(-m * h / 2.0) * h
+        if w == 0.0:
+            continue
+        idx = np.arange(max(0, m), min(n, n + m))
+        mat[idx, idx - m] += w
+    return KernelOperator(grid, mat, "additive")
+
+
+def u_f_from_translations(grid: RadialGrid, f: TestFunction) -> KernelOperator:
+    """Independent assembly of u_f as an explicit sum of translation matrices."""
+    f.check_support(grid)
+    h = grid.step
+    mmax = int(math.floor(f.support_radius / h)) + 1
+    total = np.zeros((grid.n, grid.n))
+    for m in range(-mmax, mmax + 1):
+        w = f(math.exp(m * h)) * h
+        if w == 0.0:
+            continue
+        total += w * left_translation(grid, m * h).matrix
+    return KernelOperator(grid, total, "additive")
+
+
+# ---------------------------------------------------------------------------
+# the dense radial transform
+# ---------------------------------------------------------------------------
+
+
+def fourier_matrix(op: FourierOperator) -> np.ndarray:
+    """Additive-picture action matrix: (F phi)_i = sum_j matrix[i,j] phi_j.
+
+    matrix[i][j] / w_add[j] depends on t_i * t_j only (exact Hankel
+    product-dependence away from the half-weighted endpoints).
+    """
+    n = op.grid.n
+    idx = (np.add.outer(np.arange(n), np.arange(n))) % n
+    sym = op.hankel[idx]
+    r = np.sqrt(op.grid.backend.omega * op.grid.t)
+    return sym * (r[None, :] / r[:, None])

@@ -139,6 +139,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     # missing config file: 2
     rc = main(["trace-sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
+    # unreadable or malformed inputs: 2, one stderr line, no traceback, no file written
+    (tmp_path / "truncated.json").write_text('{"field": ')
+    (tmp_path / "directory.json").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"field": "R\xe9"}')
+    (tmp_path / "nan.json").write_text(json.dumps(small_config(lambdas=[2.0, math.nan])))
+    (tmp_path / "seed.json").write_text(json.dumps(small_config(seed=3)))
+    run_trace_sweep(small_config(), tmp_path / "sweep")
+    with (tmp_path / "sweep" / "sweep_R.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    for column, name in (("t_route_B", "bad_b.csv"), ("two_log_lambda", "bad_log.csv")):
+        bad_rows = [dict(r) for r in rows]
+        bad_rows[1][column] = "n/a"
+        with (tmp_path / name).open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(bad_rows)
+    commands = [
+        ["trace-sweep", "--config", str(tmp_path / name)]
+        for name in ("truncated.json", "directory.json", "latin1.json", "nan.json", "seed.json")
+    ] + [["emit-plots", str(tmp_path / name)] for name in ("bad_b.csv", "bad_log.csv", "directory.json")]
+    for i, command in enumerate(commands):
+        capsys.readouterr()
+        out = tmp_path / f"refused{i}"
+        rc = main(command + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not out.exists(), command
     # grid too coarse to certify the transform: 1, one stderr line, no traceback
     capsys.readouterr()
     coarse = small_config()

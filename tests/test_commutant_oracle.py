@@ -80,6 +80,17 @@ def character_action(factors, subset=None):
     return [np.diag(c) for c in chars]
 
 
+def generating_character_action(factors):
+    """One character per cyclic factor, the trivial one for the trivial group.
+
+    Character rows are indexed by coordinates in the cyclic factors, row-major,
+    so the unit character of factor i sits at row prod(factors[i+1:]).  These
+    characters generate the dual group, so their commutant is that of all |G|.
+    """
+    rows = [int(np.prod(factors[i + 1 :])) for i in range(len(factors))] or [0]
+    return character_action(factors, rows)
+
+
 def generic_complex_operator(n, seed):
     rng = np.random.default_rng(seed)
     s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -95,9 +106,14 @@ def biregular_generators(group):
 
 # (oracle operators, dimension, the group image that commutant_of_set gets or
 # None); a set and the group it generates have the same commutant, so the
-# oracles solve the biregular systems for the generators only
+# oracles solve the abelian and biregular systems for generators only
 CASES = [
-    pytest.param(character_action(f), int(np.prod(f)) if f else 1, character_action(f), id=f"Z{f}")
+    pytest.param(
+        generating_character_action(f),
+        int(np.prod(f)) if f else 1,
+        character_action(f),
+        id=f"Z{f}",
+    )
     for f in abelian_presentations_up_to(12)
 ] + [
     pytest.param(

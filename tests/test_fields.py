@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from loctrace import (
+from loctrace import make_backend, make_grid
+from oracles import (
     RadialFunction,
     annulus_measure,
-    make_backend,
-    make_grid,
+    left_multiplication_matrix,
     module_of_matrix,
     to_additive,
     to_multiplicative,
 )
-from loctrace.fields import left_multiplication_matrix
 
 
 def quad_annulus(backend, t1, t2, n=200_000):

@@ -16,7 +16,8 @@ from loctrace import (
     make_signed_grid,
 )
 from loctrace.fourier import DEFECT_THRESHOLDS
-from loctrace.kernels import scaled_gaussian, scaled_gaussian_transform, selfdual_gaussian
+from loctrace.kernels import scaled_gaussian, selfdual_gaussian
+from oracles import fourier_matrix, scaled_gaussian_transform
 
 
 def dense_symmetrized(op):
@@ -44,15 +45,15 @@ def test_spectral_defect_equals_dense_frobenius(field_id, n):
     # S^2 is circulant with eigenvalues lam_k lam_{-k}: Parseval makes the
     # spectral RMS the same statement as the dense Frobenius defect
     b = make_backend(field_id)
-    op = FourierOperator(b, make_grid(b, CERT_GRIDS[field_id], n))
+    op = FourierOperator(make_grid(b, CERT_GRIDS[field_id], n))
     S = dense_symmetrized(op)
     dense = np.linalg.norm(S @ S - np.eye(n)) / math.sqrt(n)
     assert abs(op.spectral_defect() - dense) < 1e-14
 
 
 @pytest.mark.parametrize("index", [0, 517, 2047])
-def test_perturbed_generator_lifts_recorded_defect(backend_r, grid_r2048, index):
-    op = FourierOperator(backend_r, grid_r2048)
+def test_perturbed_generator_lifts_recorded_defect(grid_r2048, index):
+    op = FourierOperator(grid_r2048)
     assert op.measure_defect() < 1e-9
     op.hankel[index] += 1e-8
     assert op.measure_defect() > 1e-9
@@ -62,27 +63,27 @@ def test_perturbed_generator_lifts_recorded_defect(backend_r, grid_r2048, index)
 def test_probe_vanishing_on_the_grid_is_an_infinite_defect(backend_r):
     # n = 2 at half-range 3: both points lie outside the compact probe's support
     g = make_grid(backend_r, 3.0, 2)
-    op = FourierOperator(backend_r, g)
+    op = FourierOperator(g)
     assert op.measure_defect() == math.inf
     assert op.defects["bump"] == math.inf
     with pytest.raises(FourierBuildError, match="unitarity defect inf"):
-        build_fourier(backend_r, g)
+        build_fourier(g)
 
 
 def test_every_grid_size_certified_by_the_same_statement():
     # H-asymptotic (n = 4096) took the random-probe branch before; it now
     # records the same parts as every other grid size
     b = make_backend("H")
-    op = build_fourier(b, make_grid(b, math.log(1e7), 4096))
+    op = build_fourier(make_grid(b, math.log(1e7), 4096))
     assert op.unitarity_defect == max(op.defects.values())
     assert op.unitarity_defect < DEFECT_THRESHOLDS["H"]
     assert op.defects["spectral"] < 1e-14
     assert set(op.defects) == {"spectral", "selfdual", "gauss_1.5", "gauss_2.5", "bump"}
 
 
-def test_certification_logs_each_defect(backend_c, grid_c1024, caplog):
+def test_certification_logs_each_defect(grid_c1024, caplog):
     with caplog.at_level(logging.INFO, logger="loctrace"):
-        op = build_fourier(backend_c, grid_c1024)
+        op = build_fourier(grid_c1024)
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("certification")]
     assert "field=C n=1024" in line
     for name, d in op.defects.items():
@@ -95,7 +96,7 @@ def test_weighted_unitarity(fourier_r2048, grid_r2048):
     # ||F* W F - W|| / ||W||: exact in the uniform log-cell weighting
     # (trapezoid endpoint halving is an integration convention, not part of
     # the operator's inner product)
-    F = fourier_r2048.matrix
+    F = fourier_matrix(fourier_r2048)
     g = grid_r2048
     w = g.backend.omega * g.t * g.step
     lhs = F.T * w[None, :]  # F^T W
@@ -105,7 +106,7 @@ def test_weighted_unitarity(fourier_r2048, grid_r2048):
 
 def test_kernel_product_dependence(fourier_r2048, grid_r2048):
     # matrix[i][j] / w_add[j] depends only on t_i * t_j (interior indices)
-    F = fourier_r2048.matrix
+    F = fourier_matrix(fourier_r2048)
     w = grid_r2048.w_add
     rng = np.random.default_rng(4)
     n = grid_r2048.n
@@ -204,7 +205,7 @@ def test_build_rejects_too_coarse_grid(backend_h):
     # h ~ 0.33: the compact probe's log-frequency content is unresolved
     g = make_grid(backend_h, math.log(3e4), 64)
     with pytest.raises(FourierBuildError) as err:
-        build_fourier(backend_h, g)
+        build_fourier(g)
     assert err.value.defect > 1e-3
 
 
@@ -282,7 +283,8 @@ def test_even_sector_consistency(signed_fourier, signed_matrix, backend_r):
     out_cos = signed_fourier.matrix @ scaled_gaussian("R", 2.0, x[half:])
     assert np.abs(out_cos - scaled_gaussian_transform("R", 2.0, x[half:])).max() < 1e-10
     g = make_grid(backend_r, 3.0, 512)
-    op = build_fourier(backend_r, g, defect_threshold=1e-3)  # narrow window
+    op = FourierOperator(g)
+    assert op.measure_defect() < 1e-3  # narrow window
     out_radial = op.apply(scaled_gaussian("R", 2.0, g.t))
     assert np.abs(out_radial - scaled_gaussian_transform("R", 2.0, g.t)).max() < 1e-4
 

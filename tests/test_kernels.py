@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loctrace import kernel_values, make_backend, mellin_symbol
-from loctrace.kernels import sphere_average_mc
+from oracles import sphere_average_mc
 
 
 def test_kernel_at_zero_is_one():

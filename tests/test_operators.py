@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from loctrace import (
+from loctrace import TestFunction
+from oracles import (
     KernelOperator,
-    TestFunction,
     adjoint,
     compose,
     cutoff_projection,

@@ -50,6 +50,19 @@ def test_nonabelian_tables():
         assert group.conjugacy_class_count() == classes
 
 
+@pytest.mark.parametrize(
+    "group, sizes",
+    [(symmetric_s3(), [1, 2, 3]), (quaternion_q8(), [1, 1, 2, 2, 2]), (dihedral_d4(), [1, 1, 2, 2, 2])],
+    ids=["S3", "Q8", "D4"],
+)
+def test_conjugacy_classes_partition_the_group(group, sizes):
+    classes = {frozenset(group.conjugacy_class(g)) for g in range(group.order)}
+    assert sorted(len(c) for c in classes) == sizes
+    assert set().union(*classes) == set(range(group.order))
+    assert all(g in group.conjugacy_class(g) for g in range(group.order))
+    assert group.conjugacy_class(group.identity) == {group.identity}
+
+
 def test_presentation_enumeration_counts():
     pres = abelian_presentations_up_to(12)
     assert len(pres) == 28
