@@ -24,6 +24,7 @@ import logging
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +141,27 @@ class ConfigError(ValueError):
     pass
 
 
+def _non_finite_path(obj, path: str = "config") -> str | None:
+    """Where the first NaN or infinity sits in a config (dotted keys, list indices), or None."""
+    if isinstance(obj, dict):
+        children = [(f"{path}.{k}", v) for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        return path
+    else:
+        return None
+    for child_path, value in children:
+        found = _non_finite_path(value, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(config: dict) -> dict:
+    bad = _non_finite_path(config)
+    if bad is not None:
+        raise ConfigError(f"{bad} is not a finite number")
     error = best_match(CONFIG_VALIDATOR.iter_errors(config))
     if error is not None:
         raise ConfigError(f"config schema violation: {error.message}") from error
@@ -186,6 +207,7 @@ def _route_c_lambdas(config: dict) -> list[float] | None:
 
 def run_trace_sweep(config: dict, out_dir: Path) -> dict:
     """Run one sweep; writes CSV (+ JSON summary) and returns the summary."""
+    start = time.perf_counter()
     config = validate_config(config)
     field = config["field"]
     grid = make_grid(make_backend(field), config["grid"]["log_t_half_range"], config["grid"]["n"])
@@ -279,6 +301,9 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
 
     summary["passed"] = all(g["passed"] for g in gates.values())
     (out_dir / json_name).write_text(_stable_json(summary))
+    log.info(
+        "sweep: field=%s lambdas=%d duration_s=%.4f", field, len(lams), time.perf_counter() - start
+    )
     return summary
 
 
@@ -329,6 +354,15 @@ def _jsonable(obj):
 
 def _stable_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _check_out_dir(out: Path) -> None:
+    """Refuse an --out that, or whose nearest existing ancestor, is not a directory."""
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"--out {out}: {p} exists and is not a directory")
+            return
 
 
 def _read_text(path: Path) -> str:
@@ -486,6 +520,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(args.out)
         if args.command == "trace-sweep":
             if args.config is not None:
                 config = _load_config(args.config)

@@ -21,18 +21,21 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fourier import (
+    CHUNK_ENTRIES,
     FourierOperator,
     FullLineFourier,
     SignedGrid,
     cutoff_block,
     full_line_fourier,
     make_signed_grid,
+    row_chunks,
 )
 from .kernels import kernel_values
 from .operators import TestFunction
@@ -203,17 +206,24 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 # ---------------------------------------------------------------------------
 
 
-# float |B|/2 x n/2 arrays alive at once, besides the kept ones, while SignedTraceLab is set up
-ROUTE_C_TEMPORARIES = 8
+# chunk-sized float arrays alive at once while one row chunk of U_e[b, :] is
+# evaluated (the ratios, the profile's band, log, exp and smoothstep arrays, the
+# quotient); tracemalloc measures 8.9 at n_signed=4096, max_lambda=8
+ROUTE_C_TEMPORARIES = 10
 
 
 def route_c_bytes(n: int, max_lambda: float) -> int:
     """Peak bytes of SignedTraceLab(f, n, max_lambda), from the geometry alone.
 
-    Counts the even-sector arrays on the positive half b of the block B:
-    C[:, b] ((n/2) x |b|), U_e[b, :] (|b| x (n/2)), M_e (|b| x |b|), all real,
-    and ROUTE_C_TEMPORARIES float (n/2) x |b| arrays alive while C's phases
-    and U_e's ratios are evaluated.  Raises ValueError, before anything is
+    Counts the kept even-sector arrays on the positive half b of the block B,
+    all real: C[:, b] ((n/2) x |b|), U_e[b, :] (|b| x (n/2)) and
+    M_e (|b| x |b|).  On top of them it bounds every temporary of the set-up:
+    ROUTE_C_TEMPORARIES arrays of one row chunk (at most
+    max(CHUNK_ENTRIES, n/2) entries, see ``row_chunks``), the transform's
+    n-length arrays (grid, phases, certification probes, the 4n-entry cosine
+    table), the quadrature of the bad rows (two |b| x GL_NODES arrays and a
+    result of at most |b| x |b|) and the packing buffers of the BLAS product
+    M_e (counted as one more |b| x |b|).  Raises ValueError, before anything is
     allocated, when the signed grid cannot hold the block: n odd or below 2,
     or max_lambda at or beyond half the grid's extent.
     """
@@ -227,7 +237,15 @@ def route_c_bytes(n: int, max_lambda: float) -> int:
         )
     # x_j = (j + 1/2) / sqrt(n) on the positive half: |b| counts the j with x_j <= lam
     b = int(math.floor(max_lambda * math.sqrt(n) * (1.0 + 1e-12) + 0.5))
-    return 8 * (2 + ROUTE_C_TEMPORARIES) * (n // 2) * b + 8 * b * b
+    half = n // 2
+    kept = 2 * half * b + b * b
+    chunk = min(half * b, max(CHUNK_ENTRIES, half))
+    # the grid, the FFT form's phases and complex probes (14 n measured), the
+    # cosine table and one array of its size while it is built (8 n)
+    vectors = 24 * n
+    quadrature = 2 * SignedTraceLab.GL_NODES * b + b * b
+    packing = b * b  # the BLAS buffers of the product M_e (2.2 MB measured for 2.1 MB of M_e)
+    return 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature + packing)
 
 
 class SignedTraceLab:
@@ -243,7 +261,10 @@ class SignedTraceLab:
     gives Tr(P F^-1 P U_f F) = Tr(C[b, b] U_e[b, :] C[:, b]) with b the
     positive half of B.  For the largest block the lab holds C[:, b]
     (certified against the FFT form of the full matrix), U_e[b, :] and, once,
-    M_e = U_e[b, :] C[:, b]; each trace slices them to its own block.  Rows
+    M_e = U_e[b, :] C[:, b]; each trace slices them to its own block.  C[:, b]
+    and U_e[b, :] are filled one row chunk at a time (``row_chunks``), so the
+    set-up's peak stays within ``route_c_bytes``: the kept arrays plus the
+    temporaries of one chunk, not of the whole block.  Rows
     with x < 0.5 cannot resolve the multiplicative kernel on a uniform grid;
     for those rows the entries of M_e are integrated directly by
     Gauss-Legendre quadrature of U_e's kernel times the cosine kernel.
@@ -253,7 +274,8 @@ class SignedTraceLab:
     GL_NODES = 192
 
     def __init__(self, f: TestFunction, n: int, max_lambda: float):
-        route_c_bytes(n, max_lambda)  # geometry check before any allocation
+        start = time.perf_counter()
+        peak_bytes = route_c_bytes(n, max_lambda)  # geometry check before any allocation
         self.f = f
         self.max_lambda = max_lambda
         self.sgrid: SignedGrid = make_signed_grid(n)
@@ -261,19 +283,26 @@ class SignedTraceLab:
         step = self.sgrid.step
         xp = self.sgrid.x[n // 2 :]
         self._xb = xb = xp[self.fourier.block]  # a prefix of the positive half-grid
-        self.u_even = f(np.outer(xb, 1.0 / xp)) / np.sqrt(np.outer(xb, xp)) * step
+        inv_xp = 1.0 / xp
+        self.u_even = np.empty((len(xb), len(xp)))
+        for rows in row_chunks(len(xb), len(xp)):
+            xr = xb[rows]
+            self.u_even[rows] = f(np.outer(xr, inv_xp)) / np.sqrt(np.outer(xr, xp)) * step
         self.m_even = self.u_even @ self.fourier.matrix
         self._gl = np.polynomial.legendre.leggauss(self.GL_NODES)
         bad = xb < self.BAD_ROW_EXTENT
         if bad.any():
             self.m_even[bad, :] = self._ue_cosine_rows(xb[bad], xb)
         log.info(
-            "route C set-up: n_signed=%d |B|=%d block_bytes=%d unitarity_defect=%.3e bad_rows=%d",
+            "route C set-up: n_signed=%d |B|=%d block_bytes=%d peak_bytes_estimate=%d "
+            "unitarity_defect=%.3e bad_rows=%d duration_s=%.4f",
             n,
             2 * len(xb),
             self.fourier.matrix.nbytes + self.u_even.nbytes + self.m_even.nbytes,
+            peak_bytes,
             self.fourier.unitarity_defect,
             2 * int(bad.sum()),
+            time.perf_counter() - start,
         )
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:

@@ -227,6 +227,19 @@ def make_signed_grid(n: int) -> SignedGrid:
     return SignedGrid(n=n, step=step, x=x)
 
 
+# entries per row chunk while the dense signed-grid arrays are filled: every
+# temporary of that fill holds at most this many entries, or one row if longer.
+# At 2**16 the C allocator handed each chunk's temporaries back to the system
+# and faulted them in afresh (3x the page faults, set-up slower than one shot)
+CHUNK_ENTRIES = 2**14
+
+
+def row_chunks(rows: int, cols: int) -> list[slice]:
+    """Row slices covering a rows x cols array, CHUNK_ENTRIES entries (at least one row) each."""
+    step = max(1, CHUNK_ENTRIES // max(cols, 1))
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 def cutoff_block(x: np.ndarray, lam: float) -> np.ndarray:
     """Indices of the closed cutoff |x| <= lam (relative slack 1e-12 for boundary points)."""
     return np.flatnonzero(np.abs(x) <= lam * (1.0 + 1e-12))
@@ -243,8 +256,12 @@ class FullLineFourier:
     C[j, k] = 2 step cos(2 pi x_j x_k), the orthonormal DCT-IV of size n/2 and
     its own inverse.  ``block`` holds the positions j of the positive half-grid
     with x_j <= max_lambda (all n/2 of them when max_lambda is None), and
-    ``matrix`` the columns C[:, block], (n/2) x |block|.  ``certify`` checks the
-    FFT form for unitarity and the cosine columns against it.
+    ``matrix`` the columns C[:, block], (n/2) x |block|.  Since
+    2 pi x_j x_k = 2 pi (2j+1)(2k+1) / 4n, every entry is one of the 4n values
+    of a cosine table indexed by (2j+1)(2k+1) mod 4n; ``matrix`` is filled
+    from it in row chunks (``row_chunks``), so no temporary outgrows a chunk.
+    ``certify`` checks the FFT form for unitarity and the cosine columns
+    against it.
     """
 
     def __init__(self, sgrid: SignedGrid, max_lambda: float | None = None):
@@ -255,10 +272,14 @@ class FullLineFourier:
             self.block = np.arange(half)
         else:
             self.block = cutoff_block(sgrid.x[half:], max_lambda)
-        # x_j x_k = (2j+1)(2k+1) / 4n, reduced mod 1 exactly in integers
+        # x_j x_k = (2j+1)(2k+1) / 4n, reduced mod 1 exactly in integers: the
+        # columns take only the 4n values of one cosine table
+        table = 2.0 * sgrid.step * np.cos(np.arange(4 * n) * (2.0 * np.pi / (4 * n)))
         odd = 2 * np.arange(half) + 1
-        phase = np.outer(odd, odd[self.block]) % (4 * n)
-        self.matrix = 2.0 * sgrid.step * np.cos(phase * (2.0 * np.pi / (4 * n)))
+        odd_block = odd[self.block]
+        self.matrix = np.empty((half, len(self.block)))
+        for rows in row_chunks(half, len(self.block)):
+            self.matrix[rows] = table[np.outer(odd[rows], odd_block) % (4 * n)]
         # phases reduced exactly in integers: c j / n = (n-1) j / 2n, c^2 / n = (n-1)^2 / 4n
         j = np.arange(n)
         self._phase = np.exp(1j * np.pi * (((n - 1) * j) % (2 * n)) / n)
@@ -295,7 +316,9 @@ class FullLineFourier:
             v = np.zeros(n, dtype=complex)
             v[half + self.block] = u
             v[half - 1 - self.block] = u
-            defect = max(defect, float(np.abs(self.matrix @ u - self.apply(v)[half:]).max()))
+            # two real products: ``matrix @ u`` would copy the matrix to complex
+            cu = self.matrix @ u.real + 1j * (self.matrix @ u.imag)
+            defect = max(defect, float(np.abs(cu - self.apply(v)[half:]).max()))
         return defect
 
     def certify(self) -> "FullLineFourier":

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -168,6 +169,24 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert not out.exists(), command
+    # an --out that is an existing file (or lies under one): 2 before any work,
+    # one stderr line, no traceback, the file untouched
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    for command in (
+        ["trace-sweep", "--field", "C"],
+        ["sandbox"],
+        ["verify"],
+        ["emit-plots", str(tmp_path / "sweep" / "sweep_R.csv")],
+    ):
+        for out in (afile, afile / "sub"):
+            capsys.readouterr()
+            rc = main(command + ["--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 2, command
+            assert err == f"config error: --out {out}: {afile} exists and is not a directory\n"
+            assert "Traceback" not in err
+            assert afile.read_text() == "keep\n"
     # grid too coarse to certify the transform: 1, one stderr line, no traceback
     capsys.readouterr()
     coarse = small_config()
@@ -182,6 +201,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"test_function": {"kind": "log_gauss_bump", "center": 0.0, "width": math.nan, "support_radius": 1.5}},
+         "config.test_function.width"),
+        ({"lambdas": [2.0, math.inf]}, "config.lambdas[1]"),
+    ],
+)
+def test_validate_refuses_non_finite_numbers(tmp_path, overrides, where):
+    # a config dict bypasses the JSON reader's NaN refusal; nothing may be written
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ConfigError, match=re.escape(f"{where} is not a finite number")):
+        run_trace_sweep(small_config(**overrides), out)
+    assert list(out.iterdir()) == []
+
+
 def _refuse_work(*args, **kwargs):
     raise AssertionError("a refused config must not reach the computation")
 
@@ -191,7 +227,7 @@ def _refuse_work(*args, **kwargs):
     [
         (4095, "even n"),  # odd
         (64, "too close to the signed-grid extent"),  # extent/2 = 1.97 < lambda 8
-        (2**20, "budget"),  # about 1.4 TiB of blocks
+        (2**20, "budget"),  # about 65 GiB
     ],
 )
 def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, n_signed, message):

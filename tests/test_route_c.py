@@ -10,13 +10,24 @@ block.
 
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loctrace.fourier as fourier_mod
+from loctrace.cli import run_trace_sweep
 from loctrace.cutoff_trace import ROUTE_C_TEMPORARIES, SignedTraceLab, route_c_bytes
-from loctrace.fourier import FourierBuildError, FullLineFourier, full_line_fourier, make_signed_grid
+from loctrace.fourier import (
+    CHUNK_ENTRIES,
+    FourierBuildError,
+    FullLineFourier,
+    full_line_fourier,
+    make_signed_grid,
+)
 from loctrace.operators import TestFunction
 
 
@@ -118,12 +129,75 @@ def test_route_c_bytes_refuses_odd_grids(n):
 def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     # the geometric block size behind the estimate is the lab's block
     fl = FullLineFourier(make_signed_grid(n), lam)
-    b = len(fl.block)
-    assert route_c_bytes(n, lam) == 8 * (2 + ROUTE_C_TEMPORARIES) * (n // 2) * b + 8 * b * b
+    b, half = len(fl.block), n // 2
+    kept = 2 * half * b + b * b
+    chunk = min(half * b, max(CHUNK_ENTRIES, half))
+    quadrature = 2 * SignedTraceLab.GL_NODES * b + b * b
+    packing = b * b
+    assert route_c_bytes(n, lam) == 8 * (
+        kept + ROUTE_C_TEMPORARIES * chunk + 24 * n + quadrature + packing
+    )
     if b:
         lab = SignedTraceLab(standard_bump, n, lam)
         held = lab.fourier.matrix.nbytes + lab.u_even.nbytes + lab.m_even.nbytes
         assert held < route_c_bytes(n, lam)
+
+
+_RISE_SCRIPT = """
+import resource, sys
+from loctrace.cutoff_trace import SignedTraceLab
+from loctrace.operators import TestFunction
+f = TestFunction()
+SignedTraceLab(f, 64, 0.5)  # imports, quadrature nodes and BLAS buffers first
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+lab = SignedTraceLab(f, int(sys.argv[1]), float(sys.argv[2]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.parametrize("n, lam", [(4096, 8.0), (1024, 6.0)])
+def test_route_c_bytes_bounds_the_setup_peak(n, lam):
+    # ru_maxrss is the process's peak, so a fresh interpreter measures the
+    # set-up alone; it counts KiB on Linux and bytes on macOS
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _RISE_SCRIPT, str(n), str(lam)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    rise = int(out.stdout) * (1 if sys.platform == "darwin" else 1024)
+    assert 0 <= rise <= route_c_bytes(n, lam), (rise, route_c_bytes(n, lam))
+
+
+@pytest.mark.parametrize(
+    "n, lam, chunk_entries",
+    [
+        # with CHUNK_ENTRIES = 2**14 at n = 4096: U_e in 8-row chunks, C in 2**14 // |b| rows
+        (4096, 0.1, None),  # |b| = 6, below one U_e chunk; C[:, b] in one chunk
+        (4096, 7.3, None),  # |b| = 467, not a multiple of 8; n/2 = 2048 not a multiple of 35
+        (4096, 8.0, None),  # the default block
+        (512, 3.0, 1),  # one row per chunk
+        (1000, 5.0, 1500),  # |b| = 158: U_e in 3-row chunks, n/2 = 500 in C's 9-row chunks
+        (2000, 7.3, 5000),  # |b| = 326: U_e in 5-row chunks, n/2 = 1000 in C's 15-row chunks
+    ],
+)
+def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_entries):
+    if chunk_entries is None:
+        assert CHUNK_ENTRIES == 2**14  # the geometries above are chosen for it
+    else:
+        monkeypatch.setattr(fourier_mod, "CHUNK_ENTRIES", chunk_entries)
+    f = TestFunction(center=0.3, width=0.25, support_radius=1.5)
+    lab = SignedTraceLab(f, n, lam)
+    step, half, block = lab.sgrid.step, n // 2, lab.fourier.block
+    odd = 2 * np.arange(half) + 1
+    phase = np.outer(odd, odd[block]) % (4 * n)
+    matrix = 2.0 * step * np.cos(phase * (2.0 * np.pi / (4 * n)))
+    xp = lab.sgrid.x[half:]
+    xb = xp[block]
+    u_even = f(np.outer(xb, 1.0 / xp)) / np.sqrt(np.outer(xb, xp)) * step
+    assert np.array_equal(lab.fourier.matrix, matrix)
+    assert np.array_equal(lab.u_even, u_even)
+    good = xb >= lab.BAD_ROW_EXTENT  # the other rows come from quadrature
+    assert np.array_equal(lab.m_even[good], (u_even @ matrix)[good])
 
 
 def test_block_certification_passes_and_reports_its_defect():
@@ -204,7 +278,7 @@ def test_even_sector_lab_matches_dense_oracle_property(half, frac, center):
     assert lab.cyclicity_defect(max_lambda) < 1e-8
 
 
-def test_route_c_logs_setup_and_traces(standard_bump, caplog):
+def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     with caplog.at_level(logging.INFO, logger="loctrace"):
         lab = SignedTraceLab(standard_bump, 1024, 2.0)
         lab.trace_route_c(1.0)
@@ -212,7 +286,32 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog):
     lines = [r.getMessage() for r in caplog.records]
     setup = [m for m in lines if m.startswith("route C set-up")]
     assert len(setup) == 1
-    for key in ("n_signed=1024", "|B|=128", "block_bytes=", "unitarity_defect=", "bad_rows=32"):
+    for key in (
+        "n_signed=1024",
+        "|B|=128",
+        "block_bytes=",
+        f"peak_bytes_estimate={route_c_bytes(1024, 2.0)} ",
+        "unitarity_defect=",
+        "bad_rows=32",
+        "duration_s=",
+    ):
         assert key in setup[0]
+    assert float(setup[0].split("duration_s=")[1]) >= 0.0
     traces = [m for m in lines if m.startswith("route C trace")]
     assert traces == ["route C trace: lam=1 block_rows=64", "route C trace: lam=2 block_rows=128"]
+    # a sweep closes with one line: its field, lambda count and total duration
+    config = {
+        "field": "R",
+        "grid": {"log_t_half_range": math.log(1e3), "n": 512},
+        "test_function": {"kind": "log_gauss_bump", "center": 0.0, "width": 0.25, "support_radius": 1.5},
+        "lambdas": [2.0, 4.0, 8.0],
+        "route_c": {"enabled": True, "n_signed": 1024, "max_lambda": 2.0},
+    }
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="loctrace"):
+        run_trace_sweep(config, tmp_path)
+    lines = [r.getMessage() for r in caplog.records]
+    assert sum(m.startswith("route C set-up") for m in lines) == 1
+    assert lines[-1].startswith("sweep: field=R lambdas=3 duration_s=")
+    assert sum(m.startswith("sweep:") for m in lines) == 1
+    assert float(lines[-1].split("duration_s=")[1]) > 0.0
