@@ -9,7 +9,11 @@ emit-plots    turn a sweep CSV into gnuplot-ready two-column files
 
 Exit codes: 0 all gates pass, 1 a numerical gate failed (named in the JSON
 summary) or the transform failed certification (one stderr line), 2 usage or
-configuration error.  Verbosity via the LOCTRACE_LOG
+configuration error, refused before any work.  A sweep config is checked
+against the key table CONFIG_KEYS in one walk, and a refusal names the path
+and what was expected (``config.lambdas[1] is not a finite number above 0
+(got -1.0)``); then across keys, and against BYTES_BUDGET for the grid
+transform and the route C block.  Verbosity via the LOCTRACE_LOG
 environment variable (DEBUG/INFO/WARNING/ERROR).  Runs are deterministic:
 no RNG without an explicit seed, artifacts are byte-stable.
 """
@@ -28,11 +32,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .fields import make_backend, make_grid
-from .fourier import FourierBuildError, build_fourier
+from .fourier import FourierBuildError, build_fourier, fourier_bytes
 from .operators import TestFunction
 from .sandbox import SUITE_NAMES, run_sandbox
 from .cutoff_trace import (
@@ -45,58 +47,6 @@ from .cutoff_trace import (
 )
 
 log = logging.getLogger("loctrace")
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["field", "grid", "test_function", "lambdas"],
-    "additionalProperties": False,
-    "properties": {
-        "field": {"enum": ["R", "C", "H"]},
-        "grid": {
-            "type": "object",
-            "required": ["log_t_half_range", "n"],
-            "additionalProperties": False,
-            "properties": {
-                "log_t_half_range": {"type": "number", "exclusiveMinimum": 0},
-                "n": {"type": "integer", "minimum": 2},
-            },
-        },
-        "test_function": {
-            "type": "object",
-            "required": ["kind", "center", "width", "support_radius"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["log_gauss_bump"]},
-                "center": {"type": "number"},
-                "width": {"type": "number", "exclusiveMinimum": 0},
-                "support_radius": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "lambdas": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-            "minItems": 1,
-        },
-        "route_c": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "n_signed": {"type": "integer", "minimum": 2},
-                "max_lambda": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "fit_gate_factor": {"type": "number", "exclusiveMinimum": 0},
-        "outputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "csv": {"type": "string"},
-                "json": {"type": "string"},
-            },
-        },
-    },
-}
 
 DEFAULT_CONFIGS = {
     "R": {
@@ -130,41 +80,92 @@ DEFAULT_CONFIGS = {
 
 ROUTE_AGREEMENT_TOL = {"R": 1e-3, "C": 5e-3, "H": 5e-3}
 
-# built once: jsonschema.validate would check CONFIG_SCHEMA against the metaschema on every call
-CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+# refuse configs whose grid transform or route C block would need more memory than this
+BYTES_BUDGET = 2 * 2**30
 
-# refuse route C configs whose signed-grid block would need more memory than this
-ROUTE_C_BYTES_BUDGET = 2 * 2**30
+N_SIGNED_DEFAULT = 4096
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _non_finite_path(obj, path: str = "config") -> str | None:
-    """Where the first NaN or infinity sits in a config (dotted keys, list indices), or None."""
-    if isinstance(obj, dict):
-        children = [(f"{path}.{k}", v) for k, v in obj.items()]
-    elif isinstance(obj, (list, tuple)):
-        children = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        return path
-    else:
-        return None
-    for child_path, value in children:
-        found = _non_finite_path(value, child_path)
-        if found is not None:
-            return found
-    return None
+def _finite(v) -> bool:
+    """An int or float other than a bool, finite as a float."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _one_of(*values: str) -> tuple:
+    return "one of " + ", ".join(map(repr, values)), lambda v: isinstance(v, str) and v in values
+
+
+# leaves: (what the value must be, its test)
+_NUMBER = ("a finite number", _finite)
+_POSITIVE = ("a finite number above 0", lambda v: _finite(v) and v > 0)
+_COUNT = ("an integer >= 2", lambda v: _finite(v) and isinstance(v, int) and v >= 2)
+_BOOL = ("a boolean", lambda v: isinstance(v, bool))
+# written inside --out: no directory part, no NUL (which open() refuses)
+_FILE_NAME = (
+    "a plain file name",
+    lambda v: isinstance(v, str) and v not in ("", ".", "..") and not set(v) & set("/\\\0"),
+)
+
+# each key of a sweep config and what its value must be: a dict is an object
+# (keys ending in "?" are optional, others required, no other key allowed), a
+# one-item list a non-empty list of that item, a tuple a leaf
+CONFIG_KEYS = {
+    "field": _one_of("R", "C", "H"),
+    "grid": {"log_t_half_range": _POSITIVE, "n": _COUNT},
+    "test_function": {
+        "kind": _one_of("log_gauss_bump"),
+        "center": _NUMBER,
+        "width": _POSITIVE,
+        "support_radius": _POSITIVE,
+    },
+    "lambdas": [_POSITIVE],
+    "route_c?": {"enabled?": _BOOL, "n_signed?": _COUNT, "max_lambda?": _POSITIVE},
+    "fit_gate_factor?": _POSITIVE,
+    "outputs?": {"csv?": _FILE_NAME, "json?": _FILE_NAME},
+}
+
+
+def _check_keys(value, kind, path: str) -> None:
+    """ConfigError naming the first place where ``value`` does not match ``kind``."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} is not an object (got {value!r:.60})")
+        keys = {k.rstrip("?"): k for k in kind}
+        for key in value:
+            if key not in keys:
+                raise ConfigError(f"{path} has an unknown key {key!r} (allowed: {', '.join(keys)})")
+        for name, key in keys.items():
+            if name in value:
+                _check_keys(value[name], kind[key], f"{path}.{name}")
+            elif not key.endswith("?"):
+                raise ConfigError(f"{path}.{name} is missing")
+    elif isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} is not a non-empty list (got {value!r:.60})")
+        for i, item in enumerate(value):
+            _check_keys(item, kind[0], f"{path}[{i}]")
+    elif not kind[1](value):
+        raise ConfigError(f"{path} is not {kind[0]} (got {value!r:.60})")
+
+
+def _output_names(config: dict) -> tuple[str, str]:
+    """The file names of the sweep CSV and the JSON summary, defaults filled in."""
+    outputs, field = config.get("outputs", {}), config["field"]
+    return outputs.get("csv", f"sweep_{field}.csv"), outputs.get("json", f"summary_{field}.json")
 
 
 def validate_config(config: dict) -> dict:
-    bad = _non_finite_path(config)
-    if bad is not None:
-        raise ConfigError(f"{bad} is not a finite number")
-    error = best_match(CONFIG_VALIDATOR.iter_errors(config))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}") from error
+    _check_keys(config, CONFIG_KEYS, "config")
+    csv_name, json_name = _output_names(config)
+    if csv_name == json_name:
+        raise ConfigError(f"config.outputs: csv and json name the same file {csv_name!r}")
     lams = config["lambdas"]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("lambdas must be strictly ascending")
@@ -174,26 +175,29 @@ def validate_config(config: dict) -> dict:
     n = config["grid"]["n"]
     if n % 2 != 0:
         raise ConfigError("grid n must be even")
+    _check_budget(fourier_bytes(n), f"config.grid.n {n}")
     radius = config["test_function"]["support_radius"]
     if radius >= L:
-        raise ConfigError(
-            f"test-function support radius {radius} reaches the grid half-range {L}"
-        )
+        raise ConfigError(f"test-function support radius {radius} reaches the grid half-range {L}")
     c_lams = _route_c_lambdas(config)
     if c_lams is not None:
-        n_signed = config["route_c"].get("n_signed", 4096)
+        n_signed = config["route_c"].get("n_signed", N_SIGNED_DEFAULT)
         # lambda 0 (an empty block) still checks that n_signed is even
         lam = max(c_lams, default=0.0)
         try:
             need = route_c_bytes(n_signed, lam)
         except ValueError as exc:
             raise ConfigError(f"route_c: {exc}") from exc
-        if need > ROUTE_C_BYTES_BUDGET:
-            raise ConfigError(
-                f"route_c: n_signed {n_signed} up to lambda {lam} needs about "
-                f"{need / 2**30:.1f} GiB, above the {ROUTE_C_BYTES_BUDGET / 2**30:.0f} GiB budget"
-            )
+        _check_budget(need, f"route_c: n_signed {n_signed} up to lambda {lam}")
     return config
+
+
+def _check_budget(need: int, what: str) -> None:
+    if need > BYTES_BUDGET:
+        # integer GiB: the need of a 300-digit n_signed is beyond the float range
+        raise ConfigError(
+            f"{what} needs at least {need // 2**30} GiB, above the {BYTES_BUDGET // 2**30} GiB budget"
+        )
 
 
 def _route_c_lambdas(config: dict) -> list[float] | None:
@@ -226,14 +230,13 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
     cyclicity = None
     c_lams = _route_c_lambdas(config)
     if c_lams:
-        lab = SignedTraceLab(f, int(config["route_c"].get("n_signed", 4096)), max(c_lams))
+        lab = SignedTraceLab(f, config["route_c"].get("n_signed", N_SIGNED_DEFAULT), max(c_lams))
         route_c_vals = {lam: lab.trace_route_c(lam) for lam in c_lams}
         cyclicity = lab.cyclicity_defect(min(c_lams))
 
     reports = [comp.report(lam, route_c=route_c_vals.get(lam)) for lam in lams]
 
-    csv_name = config.get("outputs", {}).get("csv", f"sweep_{field}.csv")
-    json_name = config.get("outputs", {}).get("json", f"summary_{field}.json")
+    csv_name, json_name = _output_names(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / csv_name
     _write_sweep_csv(csv_path, reports)
@@ -378,16 +381,13 @@ def _read_text(path: Path) -> str:
 def _load_config(path: Path) -> dict:
     """A sweep config read from a JSON file (validated by run_trace_sweep).
 
-    NaN and +-Infinity, which Python's json module accepts, are not JSON
-    numbers and are refused.
+    NaN and +-Infinity, which Python's json module reads as floats, are
+    refused by the key check like any other non-finite number.
     """
-
-    def refuse(name: str):
-        raise ConfigError(f"{path} is not valid JSON: {name} is not a number")
-
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path), parse_constant=refuse)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over int()'s digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -441,9 +441,7 @@ def run_verify(out_dir: Path) -> dict:
     summaries = {}
     for key in ("R", "C", "H", "H-asymptotic"):
         cfg = json.loads(json.dumps(DEFAULT_CONFIGS[key]))
-        cfg.setdefault("outputs", {})
-        cfg["outputs"]["csv"] = f"sweep_{key}.csv"
-        cfg["outputs"]["json"] = f"summary_{key}.json"
+        cfg["outputs"] = {"csv": f"sweep_{key}.csv", "json": f"summary_{key}.json"}
         if key == "H":
             # certification grid: agreement + defect gates; the asymptotic fit
             # runs on the wide grid instead

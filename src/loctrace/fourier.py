@@ -197,6 +197,18 @@ def build_fourier(grid: RadialGrid) -> FourierOperator:
     return op
 
 
+# bytes per grid point at the peak of build_fourier and a TraceComputation on
+# its transform: every array there has n to 4n entries.  The ru_maxrss rise on
+# field R (C and H are lower) was 762 n at n = 2**16 and 760 n at n = 2**18,
+# a slope of 759 bytes per point and an offset of 0.2 MB
+FOURIER_BYTES_PER_POINT = 800
+
+
+def fourier_bytes(n: int) -> int:
+    """Peak bytes of build_fourier on an n-point grid plus a TraceComputation on it."""
+    return FOURIER_BYTES_PER_POINT * n
+
+
 # ---------------------------------------------------------------------------
 # full-line transform on a signed grid (R backend only)
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ import numpy as np
 log = logging.getLogger("loctrace")
 
 RANK_TOL = 1e-10
+# largest ||R R* - R* R|| of a resolvent the sandbox accepts as normal
+NORMALITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +96,18 @@ class FiniteGroup:
         return count
 
 
+def _cayley_table(elements: Sequence, multiply) -> np.ndarray:
+    """table[i, j] is the index in ``elements`` of multiply(elements[i], elements[j])."""
+    index = {x: i for i, x in enumerate(elements)}
+    return np.array([[index[multiply(a, b)] for b in elements] for a in elements], dtype=int)
+
+
 def _cyclic_table(factors: Sequence[int]) -> np.ndarray:
     factors = tuple(int(n) for n in factors)
     if any(n < 1 for n in factors):
         raise ValueError("cyclic factors must be positive")
-    order = int(np.prod(factors)) if factors else 1
-    coords = list(itertools.product(*[range(n) for n in factors])) or [()]
-    index = {c: i for i, c in enumerate(coords)}
-    table = np.zeros((order, order), dtype=int)
-    for i, a in enumerate(coords):
-        for j, b in enumerate(coords):
-            c = tuple((x + y) % n for x, y, n in zip(a, b, factors))
-            table[i, j] = index[c]
-    return table
+    coords = list(itertools.product(*[range(n) for n in factors]))
+    return _cayley_table(coords, lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, factors)))
 
 
 def _check_group_axioms(table: np.ndarray) -> None:
@@ -136,25 +137,19 @@ def cyclic_group(*factors: int, name: str = "") -> FiniteGroup:
 
 def symmetric_s3() -> FiniteGroup:
     elems = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(elems)}
-    table = np.zeros((6, 6), dtype=int)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            comp = tuple(p[q[k]] for k in range(3))
-            table[i, j] = index[comp]
+    table = _cayley_table(elems, lambda p, q: tuple(p[q[k]] for k in range(3)))
     return FiniteGroup(order=6, table=table, name="S3")
 
 
 def dihedral_d4() -> FiniteGroup:
     # elements (k, e): rotation^k * flip^e, flip conjugation inverts rotations
     elems = [(k, e) for e in (0, 1) for k in range(4)]
-    index = {x: i for i, x in enumerate(elems)}
-    table = np.zeros((8, 8), dtype=int)
-    for i, (k, e) in enumerate(elems):
-        for j, (kp, ep) in enumerate(elems):
-            kk = (k + (kp if e == 0 else -kp)) % 4
-            table[i, j] = index[(kk, (e + ep) % 2)]
-    return FiniteGroup(order=8, table=table, name="D4")
+
+    def multiply(a, b):
+        (k, e), (kp, ep) = a, b
+        return (k + (kp if e == 0 else -kp)) % 4, (e + ep) % 2
+
+    return FiniteGroup(order=8, table=_cayley_table(elems, multiply), name="D4")
 
 
 def quaternion_q8() -> FiniteGroup:
@@ -166,13 +161,13 @@ def quaternion_q8() -> FiniteGroup:
         ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
     }
     elems = [(s, l) for s in (1, -1) for l in letters]
-    index = {x: i for i, x in enumerate(elems)}
-    table = np.zeros((8, 8), dtype=int)
-    for i, (s, l) in enumerate(elems):
-        for j, (sp, lp) in enumerate(elems):
-            sq, lq = prod[(l, lp)]
-            table[i, j] = index[(s * sp * sq, lq)]
-    return FiniteGroup(order=8, table=table, name="Q8")
+
+    def multiply(a, b):
+        (s, l), (sp, lp) = a, b
+        sq, lq = prod[(l, lp)]
+        return s * sp * sq, lq
+
+    return FiniteGroup(order=8, table=_cayley_table(elems, multiply), name="Q8")
 
 
 def abelian_presentations_up_to(max_order: int) -> list[tuple[int, ...]]:
@@ -337,9 +332,7 @@ class ResolventReport:
     passed: bool
 
 
-def resolvent_normality_check(
-    m: np.ndarray, action: Sequence[np.ndarray], normality_tol: float = 1e-8
-) -> ResolventReport:
+def resolvent_normality_check(m: np.ndarray, action: Sequence[np.ndarray]) -> ResolventReport:
     """Forms R = (M + i)^(-1) and verifies the self-adjointness mechanism.
 
     Preconditions (violations raised individually): M symmetric, M commutes
@@ -347,7 +340,7 @@ def resolvent_normality_check(
     report carries ||R R* - R* R||, and the smallest singular values of
     (M +- i), which must be bounded away from zero (full range).
     """
-    report = _resolvent_report(m, action, normality_tol)
+    report = _resolvent_report(m, action)
     _require_abelian_commutant(action)
     return report
 
@@ -357,9 +350,7 @@ def _require_abelian_commutant(action: Sequence[np.ndarray]) -> None:
         raise ValueError("the commutant of the action is not abelian")
 
 
-def _resolvent_report(
-    m: np.ndarray, action: Sequence[np.ndarray], normality_tol: float = 1e-8
-) -> ResolventReport:
+def _resolvent_report(m: np.ndarray, action: Sequence[np.ndarray]) -> ResolventReport:
     """The per-M half of resolvent_normality_check: its preconditions and report."""
     m = np.asarray(m, dtype=complex)
     scale = max(1.0, float(np.abs(m).max()))
@@ -378,7 +369,7 @@ def _resolvent_report(
         normality_defect=defect,
         sv_min_plus=svp,
         sv_min_minus=svm,
-        passed=defect < normality_tol and svp > 1e-8 and svm > 1e-8,
+        passed=defect < NORMALITY_TOL and svp > 1e-8 and svm > 1e-8,
     )
 
 

@@ -11,13 +11,18 @@ independent dense constructions:
   the scaled Gaussians;
 - dense integral operators on a radial grid (``KernelOperator``, its
   algebra, cutoffs, translations and two assemblies of U_f);
-- the dense n x n matrix of a radial transform.
+- the dense n x n matrix of a radial transform;
+- the JSON Schema of a sweep config (``CONFIG_SCHEMA``);
+- the peak resident-set rise of a step run in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,3 +330,90 @@ def fourier_matrix(op: FourierOperator) -> np.ndarray:
     sym = op.hankel[idx]
     r = np.sqrt(op.grid.backend.omega * op.grid.t)
     return sym * (r[None, :] / r[:, None])
+
+
+# ---------------------------------------------------------------------------
+# peak memory
+# ---------------------------------------------------------------------------
+
+
+# peak() is the process's peak resident set in bytes, read from Linux's VmHWM:
+# that starts afresh at exec, while ru_maxrss keeps the peak of the process
+# that forked the interpreter, so a large test process hides any rise
+_PEAK_SOURCE = """
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+"""
+
+
+def peak_rise(script: str, *argv) -> int:
+    """What ``script``, run in a fresh interpreter with ``argv``, prints: the
+    rise of ``peak()`` over the step it measures."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_SOURCE + script, *map(str, argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return int(out.stdout)
+
+
+# ---------------------------------------------------------------------------
+# the sweep config
+# ---------------------------------------------------------------------------
+
+
+# the JSON Schema the CLI validated sweep configs with before its key table;
+# the key check must refuse what this refuses (and, beyond it, non-finite
+# numbers, non-int grid sizes and file names that are not plain)
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["field", "grid", "test_function", "lambdas"],
+    "additionalProperties": False,
+    "properties": {
+        "field": {"enum": ["R", "C", "H"]},
+        "grid": {
+            "type": "object",
+            "required": ["log_t_half_range", "n"],
+            "additionalProperties": False,
+            "properties": {
+                "log_t_half_range": {"type": "number", "exclusiveMinimum": 0},
+                "n": {"type": "integer", "minimum": 2},
+            },
+        },
+        "test_function": {
+            "type": "object",
+            "required": ["kind", "center", "width", "support_radius"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": ["log_gauss_bump"]},
+                "center": {"type": "number"},
+                "width": {"type": "number", "exclusiveMinimum": 0},
+                "support_radius": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "lambdas": {
+            "type": "array",
+            "items": {"type": "number", "exclusiveMinimum": 0},
+            "minItems": 1,
+        },
+        "route_c": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "enabled": {"type": "boolean"},
+                "n_signed": {"type": "integer", "minimum": 2},
+                "max_lambda": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "fit_gate_factor": {"type": "number", "exclusiveMinimum": 0},
+        "outputs": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "csv": {"type": "string"},
+                "json": {"type": "string"},
+            },
+        },
+    },
+}

@@ -1,9 +1,15 @@
 import contextlib
+import copy
 import csv
+import functools
 import io
 import json
 import math
+import operator
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,15 +20,16 @@ from hypothesis import strategies as st
 import jsonschema
 
 from loctrace.cli import (
-    CONFIG_SCHEMA,
-    CONFIG_VALIDATOR,
+    CONFIG_KEYS,
     ConfigError,
     DEFAULT_CONFIGS,
+    _check_keys,
     emit_plot_data,
     main,
     run_trace_sweep,
     validate_config,
 )
+from oracles import CONFIG_SCHEMA
 
 
 def small_config(**overrides):
@@ -49,28 +56,152 @@ def test_validate_rejects_bad_schema():
         validate_config(cfg)
 
 
-def test_config_schema_passes_its_metaschema():
-    type(CONFIG_VALIDATOR).check_schema(CONFIG_SCHEMA)
-    assert type(CONFIG_VALIDATOR) is jsonschema.validators.validator_for(CONFIG_SCHEMA)
+def _at(config, place):
+    return functools.reduce(operator.getitem, place, config)
+
+
+def _places(value, place=()):
+    """The path (keys and list indices) of every key and list item under ``value``."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield place + (key,)
+        yield from _places(child, place + (key,))
+
+
+_VALID = (
+    small_config(),
+    small_config(
+        route_c={"enabled": True, "n_signed": 1024, "max_lambda": 4.0},
+        fit_gate_factor=0.1,
+        outputs={"csv": "a.csv", "json": "a.json"},
+    ),
+)
+
+# values at the edges of every leaf kind: bool against int, integral floats,
+# an int beyond the float range, non-finite floats, names with a directory part
+_EDGE_VALUES = [
+    None, True, False, 0, 1, 2, 1024, -1, 2**53 + 1, 10**400,
+    0.0, -1.0, 0.5, 2.0, 1024.0, math.nan, math.inf, -math.inf,
+    "R", "H", "log_gauss_bump", "x.csv", "", ".", "..", "a/b", "a\\b", "a\0b",
+    [], [2.0], [2.0, -1.0], {}, {"n": 2},
+]
+
+_JSON_VALUES = st.sampled_from(_EDGE_VALUES) | st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5000) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "csv", "size", "enabled"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def one_edit(draw):
+    """A valid config with one key or leaf added, dropped or retyped."""
+    config = copy.deepcopy(draw(st.sampled_from(_VALID)))
+    edit = draw(st.sampled_from(["add", "drop", "retype"]))
+    if edit == "add":
+        objects = [()] + [p for p in _places(config) if isinstance(_at(config, p), dict)]
+        key = draw(st.sampled_from(["size", "seed", "n", "route_c", "outputs", "csv", "enabled"]))
+        _at(config, draw(st.sampled_from(objects)))[key] = draw(_JSON_VALUES)
+    else:
+        place = draw(st.sampled_from(list(_places(config))))
+        if edit == "drop":
+            del _at(config, place[:-1])[place[-1]]
+        else:
+            _at(config, place[:-1])[place[-1]] = draw(_JSON_VALUES)
+    return config
+
+
+def _non_finite(value) -> bool:
+    """Whether a NaN, an infinity or an int beyond the float range sits anywhere in ``value``."""
+    if isinstance(value, dict):
+        return any(_non_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_non_finite(v) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) >= 2**1024 or math.isnan(value)
+
+
+# the validator class jsonschema.validate picks for the schema, built once
+_SCHEMA_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+def _refused_by_reference(config) -> bool:
+    """The schema's verdict, widened by what it lets through: non-finite
+    numbers, a grid size that is not an int, an output name that is not a
+    plain file name."""
+    if not _SCHEMA_VALIDATOR.is_valid(config):
+        return True
+    counts = [config["grid"]["n"]] + [v for k, v in config.get("route_c", {}).items() if k == "n_signed"]
+    names = config.get("outputs", {}).values()
+    return (
+        _non_finite(config)
+        or any(type(x) is not int for x in counts)
+        or any(x in ("", ".", "..") or set(x) & set("/\\\0") for x in names)
+    )
+
+
+def _assert_key_check_agrees(config) -> None:
+    try:
+        _check_keys(config, CONFIG_KEYS, "config")
+        message = None
+    except ConfigError as exc:
+        message = str(exc)
+    assert (message is not None) == _refused_by_reference(config), (config, message)
+    if message is not None:
+        assert message.startswith("config") and "\n" not in message
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(config=one_edit())
+def test_key_check_refuses_what_the_schema_refuses(config):
+    _assert_key_check_agrees(config)
+
+
+def test_key_check_agrees_on_every_drop_and_edge_value():
+    for valid in _VALID:
+        for place in _places(valid):
+            config = copy.deepcopy(valid)
+            del _at(config, place[:-1])[place[-1]]
+            _assert_key_check_agrees(config)
+            for value in _EDGE_VALUES:
+                config = copy.deepcopy(valid)
+                _at(config, place[:-1])[place[-1]] = value
+                _assert_key_check_agrees(config)
 
 
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"field": "Q"}, "'Q' is not one of ['R', 'C', 'H']"),
-        ({"lambdas": []}, "[] should be non-empty"),
-        ({"lambdas": [2.0, -1.0]}, "-1.0 is less than or equal to the minimum of 0"),
-        ({"route_c": {"n_signed": 1024, "size": 3}}, "Additional properties are not allowed ('size' was unexpected)"),
+        ({"field": "Q"}, "config.field is not one of 'R', 'C', 'H' (got 'Q')"),
+        ({"lambdas": []}, "config.lambdas is not a non-empty list (got [])"),
+        ({"lambdas": [2.0, -1.0]}, "config.lambdas[1] is not a finite number above 0 (got -1.0)"),
+        (
+            {"route_c": {"n_signed": 1024, "size": 3}},
+            "config.route_c has an unknown key 'size' (allowed: enabled, n_signed, max_lambda)",
+        ),
     ],
+    ids=["enum", "empty-list", "leaf", "unknown-key"],
 )
-def test_schema_violation_message_is_unchanged(overrides, message):
-    cfg = small_config(**overrides)
-    with pytest.raises(jsonschema.ValidationError) as reference:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)  # the per-call validator the prebuilt one replaces
+def test_config_error_names_the_path(overrides, message):
     with pytest.raises(ConfigError) as exc:
-        validate_config(cfg)
-    assert str(exc.value) == f"config schema violation: {reference.value.message}"
-    assert str(exc.value) == f"config schema violation: {message}"
+        validate_config(small_config(**overrides))
+    assert str(exc.value) == message
+
+
+def test_cli_import_leaves_jsonschema_out():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, loctrace.cli; print('jsonschema' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_sweep_writes_csv_and_summary(tmp_path):
@@ -144,8 +275,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     (tmp_path / "truncated.json").write_text('{"field": ')
     (tmp_path / "directory.json").mkdir()
     (tmp_path / "latin1.json").write_bytes(b'{"field": "R\xe9"}')
-    (tmp_path / "nan.json").write_text(json.dumps(small_config(lambdas=[2.0, math.nan])))
-    (tmp_path / "seed.json").write_text(json.dumps(small_config(seed=3)))
+    (tmp_path / "long_int.json").write_text('{"field": ' + "1" * 5000 + "}")
+    # refused by the config checks, which name the key
+    grid = {"log_t_half_range": math.log(1e3)}
+    keyed = {
+        "nan.json": small_config(lambdas=[2.0, math.nan]),
+        "seed.json": small_config(seed=3),
+        "csv_in_subdir.json": small_config(outputs={"csv": "sub/x.csv"}),
+        "csv_empty.json": small_config(outputs={"csv": ""}),
+        "csv_dotdot.json": small_config(outputs={"csv": ".."}),
+        "same_names.json": small_config(outputs={"csv": "x", "json": "x"}),
+        "json_is_default_csv.json": small_config(outputs={"json": "sweep_R.csv"}),
+        "float_n.json": small_config(grid={**grid, "n": 1024.0}),
+        "float_n_signed.json": small_config(route_c={"enabled": True, "n_signed": 4096.0}),
+        "huge_n.json": small_config(grid={**grid, "n": 2**40}),
+        "n_beyond_float.json": small_config(grid={**grid, "n": 10**400}),
+    }
+    for name, config in keyed.items():
+        (tmp_path / name).write_text(json.dumps(config))
+    # a need beyond the float range, refused by the route C budget
+    huge = small_config(route_c={"enabled": True, "n_signed": 2**1000})
+    (tmp_path / "n_signed_huge.json").write_text(json.dumps(huge))
     run_trace_sweep(small_config(), tmp_path / "sweep")
     with (tmp_path / "sweep" / "sweep_R.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -158,7 +308,9 @@ def test_cli_exit_codes(tmp_path, capsys):
             writer.writerows(bad_rows)
     commands = [
         ["trace-sweep", "--config", str(tmp_path / name)]
-        for name in ("truncated.json", "directory.json", "latin1.json", "nan.json", "seed.json")
+        for name in (
+            "truncated.json", "directory.json", "latin1.json", "long_int.json", "n_signed_huge.json", *keyed
+        )
     ] + [["emit-plots", str(tmp_path / name)] for name in ("bad_b.csv", "bad_log.csv", "directory.json")]
     for i, command in enumerate(commands):
         capsys.readouterr()
@@ -167,8 +319,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, command
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+        if command[0] == "trace-sweep" and Path(command[-1]).name in keyed:
+            assert err.startswith(("config error: config.", "config error: config has")), err
         assert "Traceback" not in err
         assert not out.exists(), command
+    # a file that cannot be read is reported as such, not as invalid JSON
+    for name in ("latin1.json", "directory.json"):
+        capsys.readouterr()
+        main(["trace-sweep", "--config", str(tmp_path / name), "--out", str(tmp_path / "unread")])
+        assert "not valid JSON" not in capsys.readouterr().err
     # an --out that is an existing file (or lies under one): 2 before any work,
     # one stderr line, no traceback, the file untouched
     afile = tmp_path / "afile"

@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from loctrace import (
     make_grid,
     make_signed_grid,
 )
-from loctrace.fourier import DEFECT_THRESHOLDS
+from loctrace.fourier import DEFECT_THRESHOLDS, fourier_bytes
 from loctrace.kernels import scaled_gaussian, selfdual_gaussian
-from oracles import fourier_matrix, scaled_gaussian_transform
+from oracles import fourier_matrix, peak_rise, scaled_gaussian_transform
 
 
 def dense_symmetrized(op):
@@ -207,6 +208,25 @@ def test_build_rejects_too_coarse_grid(backend_h):
     with pytest.raises(FourierBuildError) as err:
         build_fourier(g)
     assert err.value.defect > 1e-3
+
+
+_RISE_SCRIPT = """
+import math, sys
+from loctrace import TestFunction, TraceComputation, build_fourier, make_backend, make_grid
+f, backend = TestFunction(), make_backend(sys.argv[1])
+TraceComputation(f, build_fourier(make_grid(backend, math.log(1e4), 1024)))  # imports and FFT plans first
+before = peak()
+comp = TraceComputation(f, build_fourier(make_grid(backend, math.log(1e4), int(sys.argv[2]))))
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's VmHWM")
+def test_fourier_bytes_bounds_the_build_peak():
+    # field R has the largest rise per grid point
+    n = 2**17
+    rise = peak_rise(_RISE_SCRIPT, "R", n)
+    assert 0 < rise <= fourier_bytes(n), (rise, fourier_bytes(n))
 
 
 def test_defect_recorded(fourier_r2048, fourier_h1024):

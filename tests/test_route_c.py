@@ -10,8 +10,6 @@ block.
 
 import logging
 import math
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -29,6 +27,7 @@ from loctrace.fourier import (
     make_signed_grid,
 )
 from loctrace.operators import TestFunction
+from oracles import peak_rise
 
 
 class DenseSignedTraceLab:
@@ -144,28 +143,22 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
 
 
 _RISE_SCRIPT = """
-import resource, sys
+import sys
 from loctrace.cutoff_trace import SignedTraceLab
 from loctrace.operators import TestFunction
 f = TestFunction()
 SignedTraceLab(f, 64, 0.5)  # imports, quadrature nodes and BLAS buffers first
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 lab = SignedTraceLab(f, int(sys.argv[1]), float(sys.argv[2]))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak() - before)
 """
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's VmHWM")
 @pytest.mark.parametrize("n, lam", [(4096, 8.0), (1024, 6.0)])
 def test_route_c_bytes_bounds_the_setup_peak(n, lam):
-    # ru_maxrss is the process's peak, so a fresh interpreter measures the
-    # set-up alone; it counts KiB on Linux and bytes on macOS
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run(
-        [sys.executable, "-c", _RISE_SCRIPT, str(n), str(lam)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    rise = int(out.stdout) * (1 if sys.platform == "darwin" else 1024)
-    assert 0 <= rise <= route_c_bytes(n, lam), (rise, route_c_bytes(n, lam))
+    rise = peak_rise(_RISE_SCRIPT, n, lam)
+    assert 0 < rise <= route_c_bytes(n, lam), (rise, route_c_bytes(n, lam))
 
 
 @pytest.mark.parametrize(
