@@ -107,11 +107,22 @@ _NUMBER = ("a finite number", _finite)
 _POSITIVE = ("a finite number above 0", lambda v: _finite(v) and v > 0)
 _COUNT = ("an integer >= 2", lambda v: _finite(v) and isinstance(v, int) and v >= 2)
 _BOOL = ("a boolean", lambda v: isinstance(v, bool))
-# written inside --out: no directory part, no NUL (which open() refuses)
-_FILE_NAME = (
-    "a plain file name",
-    lambda v: isinstance(v, str) and v not in ("", ".", "..") and not set(v) & set("/\\\0"),
-)
+# the longest file name, in bytes, that common file systems (Linux, macOS) accept
+NAME_MAX = 255
+
+
+def _plain_file_name(v) -> bool:
+    """A name written inside --out: no directory part, no NUL (which open() refuses),
+    encodable by the file system and at most NAME_MAX bytes long."""
+    if not isinstance(v, str) or v in ("", ".", "..") or set(v) & set("/\\\0"):
+        return False
+    try:
+        return len(os.fsencode(v)) <= NAME_MAX
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+
+
+_FILE_NAME = (f"a plain file name of at most {NAME_MAX} bytes", _plain_file_name)
 
 # each key of a sweep config and what its value must be: a dict is an object
 # (keys ending in "?" are optional, others required, no other key allowed), a
@@ -213,6 +224,10 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
     """Run one sweep; writes CSV (+ JSON summary) and returns the summary."""
     start = time.perf_counter()
     config = validate_config(config)
+    for name in _output_names(config):
+        path = out_dir / name
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"config.outputs: {path} exists and is not a regular file")
     field = config["field"]
     grid = make_grid(make_backend(field), config["grid"]["log_t_half_range"], config["grid"]["n"])
     tf_cfg = config["test_function"]

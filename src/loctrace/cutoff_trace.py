@@ -221,8 +221,9 @@ def route_c_bytes(n: int, max_lambda: float) -> int:
     ROUTE_C_TEMPORARIES arrays of one row chunk (at most
     max(CHUNK_ENTRIES, n/2) entries, see ``row_chunks``), the transform's
     n-length arrays (grid, phases, certification probes, the 4n-entry cosine
-    table), the quadrature of the bad rows (two |b| x GL_NODES arrays and a
-    result of at most |b| x |b|) and the packing buffers of the BLAS product
+    table), the quadrature of the bad rows (its result, one product of the
+    same size and ROUTE_C_TEMPORARIES arrays of one row chunk of its lattice,
+    so nothing that grows with the lattice) and the packing buffers of the BLAS product
     M_e (counted as one more |b| x |b|).  Raises ValueError, before anything is
     allocated, when the signed grid cannot hold the block: n odd or below 2,
     or max_lambda at or beyond half the grid's extent.
@@ -237,13 +238,17 @@ def route_c_bytes(n: int, max_lambda: float) -> int:
         )
     # x_j = (j + 1/2) / sqrt(n) on the positive half: |b| counts the j with x_j <= lam
     b = int(math.floor(max_lambda * math.sqrt(n) * (1.0 + 1e-12) + 0.5))
+    # the bad rows, x_j < BAD_ROW_EXTENT, are at most the x_j <= BAD_ROW_EXTENT
+    bad = min(b, int(math.floor(SignedTraceLab.BAD_ROW_EXTENT * math.sqrt(n) * (1.0 + 1e-12) + 0.5)))
     half = n // 2
     kept = 2 * half * b + b * b
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
     # the grid, the FFT form's phases and complex probes (14 n measured), the
     # cosine table and one array of its size while it is built (8 n)
     vectors = 24 * n
-    quadrature = 2 * SignedTraceLab.GL_NODES * b + b * b
+    # the bad rows' result and the product of one lattice chunk (bad x |b| each),
+    # and the arrays of one lattice chunk against the block, whatever the lattice's length
+    quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     packing = b * b  # the BLAS buffers of the product M_e (2.2 MB measured for 2.1 MB of M_e)
     return 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature + packing)
 
@@ -266,12 +271,20 @@ class SignedTraceLab:
     set-up's peak stays within ``route_c_bytes``: the kept arrays plus the
     temporaries of one chunk, not of the whole block.  Rows
     with x < 0.5 cannot resolve the multiplicative kernel on a uniform grid;
-    for those rows the entries of M_e are integrated directly by
-    Gauss-Legendre quadrature of U_e's kernel times the cosine kernel.
+    for those rows the entries of M_e are integrated directly, U_e's kernel
+    times the cosine kernel, by the trapezoid rule on one uniform lattice in
+    log y shared by all of them (``_ue_cosine_rows``): one cosine table
+    against the block and one product per lattice chunk.
     """
 
     BAD_ROW_EXTENT = 0.5
-    GL_NODES = 192
+    # lattice nodes per unit of log y beyond the cosine's, per 1/support_radius
+    # and per 1/width: within 3e-13 of converged Gauss-Legendre (relative to
+    # the largest entry) for centres within the support, widths 0.01-2 and
+    # support radii 0.5-3; without the width term a centre at the support's
+    # edge with width 0.05 loses 3e-12
+    LATTICE_EDGE = 128.0
+    LATTICE_WIDTH = 4.0
 
     def __init__(self, f: TestFunction, n: int, max_lambda: float):
         start = time.perf_counter()
@@ -289,37 +302,59 @@ class SignedTraceLab:
             xr = xb[rows]
             self.u_even[rows] = f(np.outer(xr, inv_xp)) / np.sqrt(np.outer(xr, xp)) * step
         self.m_even = self.u_even @ self.fourier.matrix
-        self._gl = np.polynomial.legendre.leggauss(self.GL_NODES)
+        self.quadrature_nodes = 0  # set by _ue_cosine_rows: the size of its log lattice
         bad = xb < self.BAD_ROW_EXTENT
         if bad.any():
             self.m_even[bad, :] = self._ue_cosine_rows(xb[bad], xb)
         log.info(
             "route C set-up: n_signed=%d |B|=%d block_bytes=%d peak_bytes_estimate=%d "
-            "unitarity_defect=%.3e bad_rows=%d duration_s=%.4f",
+            "unitarity_defect=%.3e bad_rows=%d quadrature_nodes=%d duration_s=%.4f",
             n,
             2 * len(xb),
             self.fourier.matrix.nbytes + self.u_even.nbytes + self.m_even.nbytes,
             peak_bytes,
             self.fourier.unitarity_defect,
             2 * int(bad.sum()),
+            self.quadrature_nodes,
             time.perf_counter() - start,
         )
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
         """(U_e C)(v, u) by direct quadrature: 2 step int f(v/y) (vy)^{-1/2} cos(2 pi y u) dy.
 
-        With y = v s the weight f(1/s) s^{-1/2} ds on [e^-rho, e^rho] does not
-        depend on v, so one set of nodes and weights serves every row.
+        In tau = log y row v integrates f(v e^-tau) (e^tau / v)^{1/2} cos(2 pi u e^tau),
+        which is C^inf and supported in |tau - log v| < rho, so the trapezoid
+        rule on a uniform tau lattice converges faster than any power of its
+        node count (Trefethen & Weideman, SIAM Review 56, 2014).  One lattice
+        over [log min(v) - rho, log max(v) + rho] serves every row: the
+        cosine table cos(2 pi y_k u) is shared and each row weighs it by
+        f(v/y_k) (y_k/v)^{1/2} dtau.  Per unit of tau it takes
+        ``LATTICE_EDGE / rho + LATTICE_WIDTH / width`` nodes (the mollifier
+        edge and the Gaussian) on top of the cosine's top log-frequency
+        max(v) e^rho max(u).  The table is filled one row chunk of the
+        lattice at a time (``row_chunks``) and each chunk is added to the
+        result by one product, so no temporary outgrows a chunk.  Sets
+        ``quadrature_nodes`` to the lattice size.
         """
-        rho = self.f.support_radius
-        nodes, wts = self._gl
-        a, b = math.exp(-rho), math.exp(rho)
-        s = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-        base = self.f(1.0 / s) / np.sqrt(s) * (0.5 * (b - a) * wts)
-        out = np.empty((len(vs), len(us)))
-        for i, v in enumerate(vs):
-            out[i] = np.cos(2.0 * np.pi * np.outer(us, v * s)) @ base
-        return out * (2.0 * self.sgrid.step)
+        f = self.f
+        rho = f.support_radius
+        lo, hi = math.log(vs.min()) - rho, math.log(vs.max()) + rho
+        per_unit = (
+            vs.max() * math.exp(rho) * us.max()
+            + self.LATTICE_EDGE / rho
+            + self.LATTICE_WIDTH / f.width
+        )
+        self.quadrature_nodes = math.ceil(per_unit * (hi - lo)) + 1
+        tau, dtau = np.linspace(lo, hi, self.quadrature_nodes, retstep=True)
+        out = np.zeros((len(vs), len(us)))
+        for rows in row_chunks(len(tau), len(us)):
+            y = np.exp(tau[rows])
+            ratio = np.outer(vs, 1.0 / y)
+            weights = f(ratio) / np.sqrt(ratio)  # zero on the ends, so trapezoid = plain sum
+            table = np.outer(y, 2.0 * np.pi * us)
+            out += weights @ np.cos(table, out=table)
+        out *= 2.0 * self.sgrid.step * dtau
+        return out
 
     def _sub_block(self, lam: float) -> int:
         """Size k of the positive half of the block {|x| <= lam}: its first k points."""

@@ -143,8 +143,16 @@ def _refused_by_reference(config) -> bool:
     return (
         _non_finite(config)
         or any(type(x) is not int for x in counts)
-        or any(x in ("", ".", "..") or set(x) & set("/\\\0") for x in names)
+        or any(x in ("", ".", "..") or set(x) & set("/\\\0") or _unwritable(x) for x in names)
     )
+
+
+def _unwritable(name: str) -> bool:
+    """A name the file system refuses: a lone surrogate, or more than 255 bytes."""
+    try:
+        return len(name.encode(sys.getfilesystemencoding(), sys.getfilesystemencodeerrors())) > 255
+    except UnicodeEncodeError:
+        return True
 
 
 def _assert_key_check_agrees(config) -> None:
@@ -225,6 +233,27 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     assert summary["gates"]["route_ab_agreement"]["passed"]
 
 
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        ({"csv": "plots"}, "plots exists and is not a regular file"),
+        ({"json": "plots"}, "plots exists and is not a regular file"),
+        ({"csv": "x" * 300}, "config.outputs.csv is not a plain file name of at most 255 bytes"),
+    ],
+    ids=["csv-is-a-directory", "json-is-a-directory", "csv-too-long"],
+)
+def test_unwritable_output_name_is_refused_before_any_work(tmp_path, monkeypatch, outputs, message):
+    (tmp_path / "plots").mkdir()
+
+    def no_work(grid):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("loctrace.cli.build_fourier", no_work)
+    with pytest.raises(ConfigError, match=message):
+        run_trace_sweep(small_config(outputs=outputs), tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["plots"]
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = small_config()
     d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -286,6 +315,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "csv_dotdot.json": small_config(outputs={"csv": ".."}),
         "same_names.json": small_config(outputs={"csv": "x", "json": "x"}),
         "json_is_default_csv.json": small_config(outputs={"json": "sweep_R.csv"}),
+        "csv_too_long.json": small_config(outputs={"csv": "x" * 300}),
+        "json_lone_surrogate.json": small_config(outputs={"json": "\ud800.json"}),
         "float_n.json": small_config(grid={**grid, "n": 1024.0}),
         "float_n_signed.json": small_config(route_c={"enabled": True, "n_signed": 4096.0}),
         "huge_n.json": small_config(grid={**grid, "n": 2**40}),
@@ -346,6 +377,20 @@ def test_cli_exit_codes(tmp_path, capsys):
             assert err == f"config error: --out {out}: {afile} exists and is not a directory\n"
             assert "Traceback" not in err
             assert afile.read_text() == "keep\n"
+    # an output name that is an existing directory under --out: 2 before any
+    # work, one stderr line, nothing written, the directory untouched
+    plots = tmp_path / "withdir" / "plots"
+    plots.mkdir(parents=True)
+    (plots / "keep").write_text("keep\n")
+    cfg = tmp_path / "csv_is_a_dir.json"
+    cfg.write_text(json.dumps(small_config(outputs={"csv": "plots"})))
+    capsys.readouterr()
+    rc = main(["trace-sweep", "--config", str(cfg), "--out", str(plots.parent)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"config error: config.outputs: {plots} exists and is not a regular file\n"
+    assert sorted(p.name for p in plots.parent.iterdir()) == ["plots"]
+    assert [p.name for p in plots.iterdir()] == ["keep"]
     # grid too coarse to certify the transform: 1, one stderr line, no traceback
     capsys.readouterr()
     coarse = small_config()

@@ -8,13 +8,14 @@ columns C[:, b], U_e[b, :] and their product, b the positive half of the
 block.
 """
 
+import functools
 import logging
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import loctrace.fourier as fourier_mod
 from loctrace.cli import run_trace_sweep
@@ -30,11 +31,45 @@ from loctrace.operators import TestFunction
 from oracles import peak_rise
 
 
+def _fold(k, size: int):
+    """Position of |x_k| on the positive half of a symmetric grid of ``size`` points."""
+    return abs(2 * k - (size - 1)) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; 512 of them take numpy seconds."""
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def gauss_legendre_rows(f: TestFunction, vs, us, step: float, nodes: int) -> np.ndarray:
+    """2 step int f(v/y) (vy)^{-1/2} cos(2 pi y u) dy for v in vs, u in us.
+
+    Gauss-Legendre in y on each row's own support [v e^-rho, v e^rho]: no
+    node is shared between rows, unlike the log lattice of the lab.
+    """
+    rho = f.support_radius
+    x, wts = _legendre(nodes)
+    out = np.empty((len(vs), len(us)))
+    for i, v in enumerate(vs):
+        a, b = v * math.exp(-rho), v * math.exp(rho)
+        y = 0.5 * (b - a) * x + 0.5 * (b + a)
+        base = f(v / y) / np.sqrt(v * y) * (0.5 * (b - a) * wts)
+        out[i] = np.cos(2.0 * np.pi * np.outer(us, y)) @ base
+    return out * (2.0 * step)
+
+
 class DenseSignedTraceLab:
-    """Full-matrix route C: dense n x n cutoffs, transform and U_f."""
+    """Full-matrix route C: dense n x n cutoffs, transform and U_f.
+
+    Rows with |x| < 0.5 are integrated by ``gauss_legendre_rows`` at 512
+    nodes, converged to about 3e-13 at the parameters below.  Their entries
+    depend on (|v|, |u|) only, so each pair is integrated once, the first
+    time a block needs it.
+    """
 
     BAD_ROW_EXTENT = 0.5
-    GL_NODES = 192
+    GL_NODES = 512
 
     def __init__(self, f: TestFunction, n: int):
         self.f = f
@@ -43,19 +78,19 @@ class DenseSignedTraceLab:
         self.fourier_matrix = np.exp(-2j * np.pi * np.outer(x, x)) * self.sgrid.step
         ratio = np.abs(np.outer(x, 1.0 / x))
         self.uf_matrix = f(ratio) / (2.0 * np.sqrt(np.abs(np.outer(x, x)))) * self.sgrid.step
-        self._gl = np.polynomial.legendre.leggauss(self.GL_NODES)
+        self._xp = x[n // 2 :]
+        # (U_f F)(|v|, |u|) for the bad |v| and the first columns of the positive half
+        self._bad_block = np.empty((int((self._xp < self.BAD_ROW_EXTENT).sum()), 0))
 
-    def _uf_fourier_rows(self, vs, us):
-        rho = self.f.support_radius
-        nodes, wts = self._gl
-        out = np.empty((len(vs), len(us)))
-        for i, v in enumerate(np.abs(vs)):
-            a, b = v * math.exp(-rho), v * math.exp(rho)
-            y = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-            w = 0.5 * (b - a) * wts
-            base = self.f(v / y) / np.sqrt(v * y) * w
-            out[i] = np.cos(2.0 * np.pi * np.outer(np.abs(us), y)) @ base
-        return out * self.sgrid.step
+    def _uf_fourier_rows(self, rows, cols):
+        n = len(self.sgrid.x)
+        pr, pc = _fold(rows, n), _fold(cols, n)
+        have = self._bad_block.shape[1]
+        if pc.max() >= have:
+            vs, us = self._xp[: len(self._bad_block)], self._xp[have : pc.max() + 1]
+            new = gauss_legendre_rows(self.f, vs, us, self.sgrid.step, self.GL_NODES)
+            self._bad_block = np.hstack([self._bad_block, new / 2.0])  # U_f is U_e / 2
+        return self._bad_block[np.ix_(pr, pc)]
 
     def trace_route_c(self, lam):
         x = self.sgrid.x
@@ -67,7 +102,7 @@ class DenseSignedTraceLab:
         m2 = self.uf_matrix[bi, :] @ Fm[:, bi]
         bad = np.abs(x[bi]) < self.BAD_ROW_EXTENT
         if bad.any():
-            m2[bad, :] = self._uf_fourier_rows(x[bi][bad], x[bi])
+            m2[bad, :] = self._uf_fourier_rows(bi[bad], bi)
         return float(np.sum(m1 * m2.T).real)
 
     def cyclicity_defect(self, lam):
@@ -129,9 +164,10 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     # the geometric block size behind the estimate is the lab's block
     fl = FullLineFourier(make_signed_grid(n), lam)
     b, half = len(fl.block), n // 2
+    bad = int((fl.grid.x[half:][fl.block] < SignedTraceLab.BAD_ROW_EXTENT).sum())
     kept = 2 * half * b + b * b
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
-    quadrature = 2 * SignedTraceLab.GL_NODES * b + b * b
+    quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     packing = b * b
     assert route_c_bytes(n, lam) == 8 * (
         kept + ROUTE_C_TEMPORARIES * chunk + 24 * n + quadrature + packing
@@ -200,11 +236,6 @@ def test_block_certification_passes_and_reports_its_defect():
     assert 0.0 < fl.unitarity_defect < 1e-10
 
 
-def _fold(k: int, size: int) -> int:
-    """Position of |x_k| on the positive half of a symmetric grid of ``size`` points."""
-    return abs(2 * k - (size - 1)) // 2
-
-
 @pytest.mark.parametrize("row, col", [(0, 0), (517, 3), (1023, 63), (300, 40)])
 @pytest.mark.parametrize("delta", [1e-8, 1e-8j])
 def test_perturbed_block_entry_fails_certification(row, col, delta):
@@ -271,6 +302,52 @@ def test_even_sector_lab_matches_dense_oracle_property(half, frac, center):
     assert lab.cyclicity_defect(max_lambda) < 1e-8
 
 
+def composite_gauss_legendre_rows(f: TestFunction, vs, us, step: float, panels: int = 256) -> np.ndarray:
+    """The rows of ``gauss_legendre_rows`` by 20-node Gauss-Legendre on ``panels``
+    equal panels of s = log(y/v) in [-rho, rho]; 1024 panels move them by at
+    most 1.4e-15 (relative to the largest entry) at the corners of the
+    property below."""
+    rho = f.support_radius
+    x, wts = _legendre(20)
+    edges = np.linspace(-rho, rho, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    s = (mid[:, None] + half[:, None] * x).ravel()
+    base = f(np.exp(-s)) * np.exp(0.5 * s) * (half[:, None] * wts).ravel()  # f(v/y) (vy)^-1/2 dy
+    out = np.empty((len(vs), len(us)))
+    for i, v in enumerate(vs):
+        out[i] = np.cos(2.0 * np.pi * np.outer(us, v * np.exp(s))) @ base
+    return out * (2.0 * step)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    half=st.integers(min_value=32, max_value=1024),
+    frac=st.floats(min_value=0.05, max_value=0.999),
+    center=st.floats(min_value=-0.5, max_value=0.5),
+    width=st.floats(min_value=0.05, max_value=2.0),
+    rho=st.floats(min_value=0.5, max_value=3.0),
+)
+@example(half=1024, frac=0.999, center=0.5, width=0.05, rho=3.0)
+@example(half=1024, frac=0.999, center=-0.5, width=0.05, rho=0.5)
+@example(half=1024, frac=0.999, center=0.0, width=2.0, rho=3.0)
+@example(half=32, frac=0.05, center=0.5, width=0.05, rho=0.5)
+def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, rho):
+    # the bad rows against up to 48 columns spread over the block, the last
+    # (the fastest cosine) included; a lab with a small block is enough, since
+    # the rows do not depend on its block
+    n = 2 * half
+    sgrid = make_signed_grid(n)
+    xp = sgrid.x[half:]
+    block = xp[xp <= frac * sgrid.extent / 2.0]
+    us = block[np.unique(np.linspace(0, len(block) - 1, 48).round().astype(int))]
+    f = TestFunction(center=center, width=width, support_radius=rho)
+    lab = SignedTraceLab(f, n, min(block[-1], SignedTraceLab.BAD_ROW_EXTENT))
+    vs = xp[xp < SignedTraceLab.BAD_ROW_EXTENT]
+    got = lab._ue_cosine_rows(vs, us)
+    want = composite_gauss_legendre_rows(f, vs, us, lab.sgrid.step)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, lab.quadrature_nodes)
+
+
 def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     with caplog.at_level(logging.INFO, logger="loctrace"):
         lab = SignedTraceLab(standard_bump, 1024, 2.0)
@@ -286,9 +363,11 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         f"peak_bytes_estimate={route_c_bytes(1024, 2.0)} ",
         "unitarity_defect=",
         "bad_rows=32",
+        f"quadrature_nodes={lab.quadrature_nodes} ",
         "duration_s=",
     ):
         assert key in setup[0]
+    assert lab.quadrature_nodes > 0
     assert float(setup[0].split("duration_s=")[1]) >= 0.0
     traces = [m for m in lines if m.startswith("route C trace")]
     assert traces == ["route C trace: lam=1 block_rows=64", "route C trace: lam=2 block_rows=128"]
