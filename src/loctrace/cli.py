@@ -12,8 +12,9 @@ summary) or the transform failed certification (one stderr line), 2 usage or
 configuration error, refused before any work.  A sweep config is checked
 against the key table CONFIG_KEYS in one walk, and a refusal names the path
 and what was expected (``config.lambdas[1] is not a finite number above 0
-(got -1.0)``); then across keys, and against BYTES_BUDGET for the grid
-transform and the route C block.  Verbosity via the LOCTRACE_LOG
+(got -1.0)``); then across keys, against BYTES_BUDGET for the grid
+transform and the route C block, and against LATTICE_NODES_MAX for the
+lattice of route C's bad rows.  Verbosity via the LOCTRACE_LOG
 environment variable (DEBUG/INFO/WARNING/ERROR).  Runs are deterministic:
 no RNG without an explicit seed, artifacts are byte-stable.
 """
@@ -44,6 +45,7 @@ from .cutoff_trace import (
     asymptotic_fit,
     gate_reports,
     route_c_bytes,
+    route_c_lattice_nodes,
 )
 
 log = logging.getLogger("loctrace")
@@ -200,6 +202,10 @@ def validate_config(config: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"route_c: {exc}") from exc
         _check_budget(need, f"route_c: n_signed {n_signed} up to lambda {lam}")
+        try:
+            route_c_lattice_nodes(TestFunction(**config["test_function"]), n_signed, lam)
+        except ValueError as exc:
+            raise ConfigError(f"route_c: {exc}") from exc
     return config
 
 
@@ -224,19 +230,14 @@ def run_trace_sweep(config: dict, out_dir: Path) -> dict:
     """Run one sweep; writes CSV (+ JSON summary) and returns the summary."""
     start = time.perf_counter()
     config = validate_config(config)
+    _check_out_dir(out_dir)
     for name in _output_names(config):
         path = out_dir / name
         if path.exists() and not path.is_file():
             raise ConfigError(f"config.outputs: {path} exists and is not a regular file")
     field = config["field"]
     grid = make_grid(make_backend(field), config["grid"]["log_t_half_range"], config["grid"]["n"])
-    tf_cfg = config["test_function"]
-    f = TestFunction(
-        center=tf_cfg["center"],
-        width=tf_cfg["width"],
-        support_radius=tf_cfg["support_radius"],
-        kind=tf_cfg["kind"],
-    )
+    f = TestFunction(**config["test_function"])
     fourier = build_fourier(grid)
     comp = TraceComputation(f, fourier)
     lams = [float(x) for x in config["lambdas"]]

@@ -223,7 +223,7 @@ def route_c_bytes(n: int, max_lambda: float) -> int:
     n-length arrays (grid, phases, certification probes, the 4n-entry cosine
     table), the quadrature of the bad rows (its result, one product of the
     same size and ROUTE_C_TEMPORARIES arrays of one row chunk of its lattice,
-    so nothing that grows with the lattice) and the packing buffers of the BLAS product
+    whose nodes are made per chunk) and the packing buffers of the BLAS product
     M_e (counted as one more |b| x |b|).  Raises ValueError, before anything is
     allocated, when the signed grid cannot hold the block: n odd or below 2,
     or max_lambda at or beyond half the grid's extent.
@@ -253,6 +253,62 @@ def route_c_bytes(n: int, max_lambda: float) -> int:
     return 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature + packing)
 
 
+# lattice nodes per unit of log y beyond the cosine's, per 1/support_radius
+# and per 1/width: within 3e-13 of converged Gauss-Legendre (relative to
+# the largest entry) for centres within the support, widths 0.01-2 and
+# support radii 0.5-3; without the width term a centre at the support's
+# edge with width 0.05 loses 3e-12
+LATTICE_EDGE = 128.0
+LATTICE_WIDTH = 4.0
+# the most nodes the bad rows' log lattice may take, 308x the 851 of the
+# default profile (width 0.25, support_radius 1.5): about 3.4 s of set-up at
+# n_signed=4096, max_lambda=8 (2 cores), where it is reached at width 1.1e-4
+# or support_radius 8.1; the lattice grows as 1/width and e^support_radius
+LATTICE_NODES_MAX = 2**18
+
+
+def log_lattice(f: TestFunction, v_min: float, v_max: float, u_max: float) -> tuple[float, float, int]:
+    """(lo, dtau, nodes): the uniform lattice in tau = log y of the bad rows' quadrature.
+
+    It spans [log v_min - rho, log v_max + rho] (rho = f.support_radius), the
+    supports of the rows v_min..v_max, at ``LATTICE_EDGE / rho +
+    LATTICE_WIDTH / width`` nodes per unit of tau (the mollifier edge and the
+    Gaussian) on top of the cosine's top log-frequency v_max e^rho u_max, for
+    columns up to u_max.  Raises ValueError, before anything is allocated,
+    when that takes more than LATTICE_NODES_MAX nodes.
+    """
+    rho = f.support_radius
+    lo, hi = math.log(v_min) - rho, math.log(v_max) + rho
+    try:
+        per_unit = v_max * math.exp(rho) * u_max + LATTICE_EDGE / rho + LATTICE_WIDTH / f.width
+    except OverflowError:  # e^rho or 1/width beyond the float range
+        per_unit = math.inf
+    span = per_unit * (hi - lo)
+    if not span < LATTICE_NODES_MAX:
+        raise ValueError(
+            f"the bad rows' log lattice needs {span:.3g} nodes, above the {LATTICE_NODES_MAX} "
+            f"allowed (width {f.width}, support_radius {rho})"
+        )
+    nodes = math.ceil(span) + 1
+    return lo, (hi - lo) / (nodes - 1), nodes
+
+
+def route_c_lattice_nodes(f: TestFunction, n: int, max_lambda: float) -> int:
+    """Nodes of the log lattice of SignedTraceLab(f, n, max_lambda), from the geometry alone.
+
+    0 when the block has no bad row.  Raises ValueError like ``log_lattice``;
+    n and max_lambda are those ``route_c_bytes`` accepts.
+    """
+    root = math.sqrt(n)
+    # x_j = (j + 1/2) / sqrt(n) on the positive half: |b| of them are <= max_lambda,
+    # and the bad ones are < BAD_ROW_EXTENT
+    b = int(math.floor(max_lambda * root * (1.0 + 1e-12) + 0.5))
+    bad = min(b, max(0, math.ceil(SignedTraceLab.BAD_ROW_EXTENT * root - 0.5)))
+    if bad == 0:
+        return 0
+    return log_lattice(f, 0.5 / root, (bad - 0.5) / root, (b - 0.5) / root)[2]
+
+
 class SignedTraceLab:
     """Route C on the signed real line (field R): dense cutoffs, transform and U_f.
 
@@ -278,17 +334,11 @@ class SignedTraceLab:
     """
 
     BAD_ROW_EXTENT = 0.5
-    # lattice nodes per unit of log y beyond the cosine's, per 1/support_radius
-    # and per 1/width: within 3e-13 of converged Gauss-Legendre (relative to
-    # the largest entry) for centres within the support, widths 0.01-2 and
-    # support radii 0.5-3; without the width term a centre at the support's
-    # edge with width 0.05 loses 3e-12
-    LATTICE_EDGE = 128.0
-    LATTICE_WIDTH = 4.0
 
     def __init__(self, f: TestFunction, n: int, max_lambda: float):
         start = time.perf_counter()
-        peak_bytes = route_c_bytes(n, max_lambda)  # geometry check before any allocation
+        peak_bytes = route_c_bytes(n, max_lambda)  # geometry checks before any allocation
+        route_c_lattice_nodes(f, n, max_lambda)
         self.f = f
         self.max_lambda = max_lambda
         self.sgrid: SignedGrid = make_signed_grid(n)
@@ -328,27 +378,17 @@ class SignedTraceLab:
         node count (Trefethen & Weideman, SIAM Review 56, 2014).  One lattice
         over [log min(v) - rho, log max(v) + rho] serves every row: the
         cosine table cos(2 pi y_k u) is shared and each row weighs it by
-        f(v/y_k) (y_k/v)^{1/2} dtau.  Per unit of tau it takes
-        ``LATTICE_EDGE / rho + LATTICE_WIDTH / width`` nodes (the mollifier
-        edge and the Gaussian) on top of the cosine's top log-frequency
-        max(v) e^rho max(u).  The table is filled one row chunk of the
-        lattice at a time (``row_chunks``) and each chunk is added to the
-        result by one product, so no temporary outgrows a chunk.  Sets
+        f(v/y_k) (y_k/v)^{1/2} dtau; ``log_lattice`` sizes it.  The table
+        is filled one row chunk of the lattice at a time (``row_chunks``),
+        its nodes made per chunk, and each chunk is added to the result by
+        one product, so no array outgrows a chunk.  Sets
         ``quadrature_nodes`` to the lattice size.
         """
         f = self.f
-        rho = f.support_radius
-        lo, hi = math.log(vs.min()) - rho, math.log(vs.max()) + rho
-        per_unit = (
-            vs.max() * math.exp(rho) * us.max()
-            + self.LATTICE_EDGE / rho
-            + self.LATTICE_WIDTH / f.width
-        )
-        self.quadrature_nodes = math.ceil(per_unit * (hi - lo)) + 1
-        tau, dtau = np.linspace(lo, hi, self.quadrature_nodes, retstep=True)
+        lo, dtau, self.quadrature_nodes = log_lattice(f, vs.min(), vs.max(), us.max())
         out = np.zeros((len(vs), len(us)))
-        for rows in row_chunks(len(tau), len(us)):
-            y = np.exp(tau[rows])
+        for rows in row_chunks(self.quadrature_nodes, len(us)):
+            y = np.exp(np.arange(rows.start, rows.stop) * dtau + lo)
             ratio = np.outer(vs, 1.0 / y)
             weights = f(ratio) / np.sqrt(ratio)  # zero on the ends, so trapezoid = plain sum
             table = np.outer(y, 2.0 * np.pi * us)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,10 +247,14 @@ def make_signed_grid(n: int) -> SignedGrid:
 CHUNK_ENTRIES = 2**14
 
 
-def row_chunks(rows: int, cols: int) -> list[slice]:
-    """Row slices covering a rows x cols array, CHUNK_ENTRIES entries (at least one row) each."""
+def row_chunks(rows: int, cols: int) -> Iterator[slice]:
+    """Row slices covering a rows x cols array, CHUNK_ENTRIES entries (at least one row) each.
+
+    Yielded one at a time, so stepping through them holds no list that grows with ``rows``.
+    """
     step = max(1, CHUNK_ENTRIES // max(cols, 1))
-    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    for r in range(0, rows, step):
+        yield slice(r, min(r + step, rows))
 
 
 def cutoff_block(x: np.ndarray, lam: float) -> np.ndarray:

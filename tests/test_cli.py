@@ -233,27 +233,6 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     assert summary["gates"]["route_ab_agreement"]["passed"]
 
 
-@pytest.mark.parametrize(
-    "outputs, message",
-    [
-        ({"csv": "plots"}, "plots exists and is not a regular file"),
-        ({"json": "plots"}, "plots exists and is not a regular file"),
-        ({"csv": "x" * 300}, "config.outputs.csv is not a plain file name of at most 255 bytes"),
-    ],
-    ids=["csv-is-a-directory", "json-is-a-directory", "csv-too-long"],
-)
-def test_unwritable_output_name_is_refused_before_any_work(tmp_path, monkeypatch, outputs, message):
-    (tmp_path / "plots").mkdir()
-
-    def no_work(grid):
-        raise AssertionError("the sweep started")
-
-    monkeypatch.setattr("loctrace.cli.build_fourier", no_work)
-    with pytest.raises(ConfigError, match=message):
-        run_trace_sweep(small_config(outputs=outputs), tmp_path)
-    assert [p.name for p in tmp_path.iterdir()] == ["plots"]
-
-
 def test_sweep_deterministic(tmp_path):
     cfg = small_config()
     d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -282,7 +261,7 @@ def test_emit_plots(tmp_path):
     assert all(b1 >= b2 - 1e-15 for b1, b2 in zip(bounds, bounds[1:]))
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # unknown suite: usage error (2)
     rc = main(["sandbox", "--suite", "unknown", "--out", str(tmp_path)])
     assert rc == 2
@@ -327,6 +306,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a need beyond the float range, refused by the route C budget
     huge = small_config(route_c={"enabled": True, "n_signed": 2**1000})
     (tmp_path / "n_signed_huge.json").write_text(json.dumps(huge))
+    # a profile whose bad-row lattice would exceed LATTICE_NODES_MAX: 2.9e8 nodes
+    # at width 1e-7, and e^800 overflows at support_radius 800
+    narrow = {"kind": "log_gauss_bump", "center": 0.0, "width": 1e-7, "support_radius": 1.5}
+    wide = {**narrow, "width": 0.25, "support_radius": 800.0}
+    for name, profile, grid_range in (("narrow.json", narrow, math.log(1e3)), ("wide.json", wide, 1e3)):
+        lattice = small_config(
+            grid={"log_t_half_range": grid_range, "n": 512},
+            test_function=profile,
+            route_c={"enabled": True, "n_signed": 4096, "max_lambda": 8.0},
+        )
+        (tmp_path / name).write_text(json.dumps(lattice))
     run_trace_sweep(small_config(), tmp_path / "sweep")
     with (tmp_path / "sweep" / "sweep_R.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -337,10 +327,17 @@ def test_cli_exit_codes(tmp_path, capsys):
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(bad_rows)
+    # from here to the coarse grid every case is refused before any work:
+    # building the transform fails the test
+    def no_work(grid):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("loctrace.cli.build_fourier", no_work)
     commands = [
         ["trace-sweep", "--config", str(tmp_path / name)]
         for name in (
-            "truncated.json", "directory.json", "latin1.json", "long_int.json", "n_signed_huge.json", *keyed
+            "truncated.json", "directory.json", "latin1.json", "long_int.json", "n_signed_huge.json",
+            "narrow.json", "wide.json", *keyed
         )
     ] + [["emit-plots", str(tmp_path / name)] for name in ("bad_b.csv", "bad_log.csv", "directory.json")]
     for i, command in enumerate(commands):
@@ -360,9 +357,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["trace-sweep", "--config", str(tmp_path / name), "--out", str(tmp_path / "unread")])
         assert "not valid JSON" not in capsys.readouterr().err
     # an --out that is an existing file (or lies under one): 2 before any work,
-    # one stderr line, no traceback, the file untouched
+    # one stderr line, no traceback, the file untouched; run_trace_sweep called
+    # directly refuses it too
     afile = tmp_path / "afile"
     afile.write_text("keep\n")
+    with pytest.raises(ConfigError, match="exists and is not a directory"):
+        run_trace_sweep(small_config(), afile)
     for command in (
         ["trace-sweep", "--field", "C"],
         ["sandbox"],
@@ -382,15 +382,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     plots = tmp_path / "withdir" / "plots"
     plots.mkdir(parents=True)
     (plots / "keep").write_text("keep\n")
-    cfg = tmp_path / "csv_is_a_dir.json"
-    cfg.write_text(json.dumps(small_config(outputs={"csv": "plots"})))
-    capsys.readouterr()
-    rc = main(["trace-sweep", "--config", str(cfg), "--out", str(plots.parent)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == f"config error: config.outputs: {plots} exists and is not a regular file\n"
-    assert sorted(p.name for p in plots.parent.iterdir()) == ["plots"]
-    assert [p.name for p in plots.iterdir()] == ["keep"]
+    for key in ("csv", "json"):
+        cfg = tmp_path / f"{key}_is_a_dir.json"
+        cfg.write_text(json.dumps(small_config(outputs={key: "plots"})))
+        capsys.readouterr()
+        rc = main(["trace-sweep", "--config", str(cfg), "--out", str(plots.parent)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"config error: config.outputs: {plots} exists and is not a regular file\n"
+        assert sorted(p.name for p in plots.parent.iterdir()) == ["plots"]
+        assert [p.name for p in plots.iterdir()] == ["keep"]
+    monkeypatch.undo()
     # grid too coarse to certify the transform: 1, one stderr line, no traceback
     capsys.readouterr()
     coarse = small_config()
