@@ -69,10 +69,17 @@ class TraceComputation:
     def transform_of_inverted(self, invert: bool = True) -> np.ndarray:
         """G on the product lattice, from I(f) (default) or from f itself."""
         if invert not in self._G:
+            start = time.perf_counter()
             fv = self.f(self.grid.t)
             samples = fv[::-1] if invert else fv
             arep = samples / np.sqrt(self.omega * self.grid.t)
             self._G[invert] = self.fourier.apply_product_lattice(arep)
+            log.info(
+                "transform of %s: n=%d duration_s=%.6f",
+                "I(f)" if invert else "f",
+                self.grid.n,
+                time.perf_counter() - start,
+            )
         return self._G[invert]
 
     # -- route B and its relatives -------------------------------------------
@@ -87,9 +94,14 @@ class TraceComputation:
         )
 
     def route_b(self, lam: float) -> float:
+        start = time.perf_counter()
         ell = math.log(lam)
         w = np.maximum(2.0 * ell - self.mu, 0.0)
-        return self.lattice_moment(w)
+        value = self.lattice_moment(w)
+        log.info(
+            "route B: lam=%g t_route_b=%.15g duration_s=%.6f", lam, value, time.perf_counter() - start
+        )
+        return value
 
     def first_moment(self) -> float:
         """sqrt(omega) * (inverse transform of G at 1); recovers f(1)."""
@@ -121,21 +133,35 @@ class TraceComputation:
 
         Midpoint-cell weights clipped at log(lam), the below-grid strip
         completed analytically through the cumulative kernel integral, and the
-        doubly-subgrid corner removed.
+        doubly-subgrid corner removed.  The box sums w_i w_j (K G)[i + j] over
+        pairs of cells.  Each full cell i < m below log(lam) weighs
+        a t_i (a = omega 2 sinh(h/2)) and t_i t_j = t_p[i + j], so the full
+        pairs sum to a^2 sum_k N_m(k) t_p[k] (K G)[k], with
+        N_m(k) = min(k, 2m - 2 - k) + 1 pairs of sum k; the one cut cell m adds
+        its cross term with the full cells and its own corner.  O(n) per lam.
         """
+        start = time.perf_counter()
         ell = math.log(lam)
         if 2.0 * ell >= self.mu[-1]:
             raise ValueError("lam^2 exceeds the grid range")
         g = self.grid
         G = self.transform_of_inverted()
+        KG = self.K_p * G
+        KGu = KG * self.t_p
         lo = g.log_t - self.h / 2.0
         hi = np.minimum(g.log_t + self.h / 2.0, ell)
         cells = np.where(hi > lo, hi - lo, 0.0)
-        w_box = self.omega * np.where(hi > lo, np.exp(hi) - np.exp(lo), 0.0)
-        conv = np.convolve(w_box, w_box)
-        box = float(np.sum(conv * self.K_p * G) / self.sqrt_omega)
+        # m full cells (hi = the cell's top); cell m, when it starts below ell, is cut
+        m = int(np.count_nonzero(g.log_t + self.h / 2.0 <= ell))
+        a = self.omega * 2.0 * math.sinh(self.h / 2.0)
+        k = np.arange(max(2 * m - 1, 0))
+        box = a * a * float(np.sum((np.minimum(k, 2 * m - 2 - k) + 1.0) * KGu[: len(k)]))
+        if m < g.n and hi[m] > lo[m]:
+            c = self.omega * float(np.exp(hi[m]) - np.exp(lo[m]))
+            cross = float(np.sum(g.t[:m] * KG[m : 2 * m]))
+            box += 2.0 * a * c * cross + c * c * float(KG[2 * m])
+        box /= self.sqrt_omega
         # strip x in (0, e^{-L - h/2}]: cumulative Phi(v) = int_0^v K G du at v = x_floor * t_j
-        KGu = self.K_p * G * self.t_p
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (KGu[1:] + KGu[:-1]) * self.h)])
         Phi = cum + KGu[0]
         Phi_half = np.concatenate(
@@ -144,7 +170,11 @@ class TraceComputation:
         pref = self.omega**2 / self.sqrt_omega
         strip = pref * float(np.sum(cells * Phi_half))
         corner = pref * float(G[0]) * (g.t[0] * math.exp(-self.h / 2.0)) ** 2
-        return box + 2.0 * strip - corner
+        value = box + 2.0 * strip - corner
+        log.info(
+            "route A: lam=%g t_route_a=%.15g duration_s=%.6f", lam, value, time.perf_counter() - start
+        )
+        return value
 
     # -- assembled report --------------------------------------------------------
 

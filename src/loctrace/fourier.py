@@ -10,13 +10,18 @@ conjugate transpose.  FourierOperator keeps only its generator and applies it
 by FFT; the dense matrix is formed by the test oracles alone.
 Certification reads the involution defect off the generator's spectrum:
 S[i, j] = hankel[(i + j) mod n] is a circulant times the index reversal, so
-S^2 is circulant with eigenvalues lam_k lam_{-k}, lam = fft(hankel).
+S^2 is circulant with eigenvalues lam_k lam_{-k} = |lam_k|^2, lam = fft(hankel).
 
 Applying the transform to sampled profiles goes through a padded log-lattice
 (4n points) with a two-term power-law continuation of the profile below the
 grid floor; that is what keeps profiles with phi(0) != 0 accurate to the
 grid's certified tolerance, and it also evaluates the transform on the
 "product lattice" (log t = -2L + p h) where products of grid points live.
+
+The samples are real and the kernel is real, so every spectrum is Hermitian:
+the symbol is evaluated for nu >= 0 only and every FFT is a real one
+(``rfft``/``irfft``), half the points of a complex FFT.  The kernels of the
+two evaluation lattices are built once per transform.
 """
 
 from __future__ import annotations
@@ -59,30 +64,48 @@ class ProductLattice:
 
 
 class FourierOperator:
-    """Radial Fourier transform bound to one grid, for the grid's field."""
+    """Radial Fourier transform bound to one grid, for the grid's field.
+
+    Every spectrum here is Hermitian: the samples are real and the symbol
+    obeys symbol(-nu) = conj(symbol(nu)), the Mellin transform of a real
+    kernel.  So the symbol is evaluated on the nu >= 0 half only
+    (``rfftfreq``), and every transform is an ``rfft``/``irfft`` pair
+    (Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP 35, 1987).  The
+    two evaluation lattices of the padded pipeline, the grid and the product
+    lattice, each get one kernel built here, the symbol times the phase of
+    the lattice's start, so an evaluation is one ``rfft`` and one ``irfft``.
+    """
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
         n, h, L = grid.n, grid.step, grid.log_t_half_range
-        nu = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        D = mellin_symbol(grid.backend.field_id, -nu) * np.exp(2j * nu * L)
+        fid = grid.backend.field_id
+        nu = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+        D = mellin_symbol(fid, -nu) * np.exp(2j * nu * L)
         # Nyquist mode snapped to +-1: keeps the matrix real, |D| = 1 and D*D_refl = 1
-        D[n // 2] = 1.0 if D[n // 2].real >= 0 else -1.0
-        c = np.fft.fft(D) / n
-        # Hankel generator: entry (i, j) of the symmetrized matrix is hankel[(i + j) % n]
-        self.hankel = np.real(c)
+        D[-1] = 1.0 if D[-1].real >= 0 else -1.0
+        # Hankel generator: entry (i, j) of the symmetrized matrix is hankel[(i + j) % n];
+        # irfft(conj(D)) is real(fft(D)) / n for the Hermitian D
+        self.hankel = np.fft.irfft(np.conj(D), n)
         # padded evaluation lattice: left pad 2n (power-law continuation), right pad n
         self._Bl = 2 * n
         self._Np = 4 * n
         self._Xi0 = -L - self._Bl * h
-        nup = 2.0 * np.pi * np.fft.fftfreq(self._Np, d=h)
-        khp = mellin_symbol(grid.backend.field_id, -nup)
-        khp[self._Np // 2] = 0.0
-        self._nup = nup
-        self._khp = khp
+        # the left pad's sqrt(omega t) and t^kappa, for the power-law continuation
+        tl = np.exp(self._Xi0 + h * np.arange(self._Bl))
+        self._pad_root = np.sqrt(grid.backend.omega * tl)
+        self._pad_power = tl ** _KAPPA[fid]
+        nup = 2.0 * np.pi * np.fft.rfftfreq(self._Np, d=h)
+        khp = mellin_symbol(fid, -nup)
+        khp[-1] = 0.0
         p = np.arange(2 * n - 1)
         self.product_lattice = ProductLattice(
             log_t=-2.0 * L + h * p, t=np.exp(-2.0 * L + h * p), step=h
+        )
+        # real(fft(b)) = irfft(conj(b)) * Np for a Hermitian b: the 1/Np cancels
+        self._grid_kernel = np.conj(khp * np.exp(-1j * nup * (grid.log_t[0] + self._Xi0)))
+        self._product_kernel = np.conj(
+            khp * np.exp(-1j * nup * (self.product_lattice.log_t[0] + self._Xi0))
         )
         self.unitarity_defect = None
         self.defects: dict[str, float] = {}
@@ -90,6 +113,7 @@ class FourierOperator:
     # -- applying the transform to sampled profiles -------------------------
 
     def _padded_spectrum(self, phi: np.ndarray) -> np.ndarray:
+        """Conjugated half spectrum of the padded additive-picture samples."""
         g = self.grid
         omega = g.backend.omega
         kap = _KAPPA[g.backend.field_id]
@@ -101,30 +125,24 @@ class FourierOperator:
             beta = (ph1 - ph0) / (t1**kap - t0**kap)
             alpha = ph0 - beta * t0**kap
         up = np.zeros(self._Np)
-        xl = self._Xi0 + g.step * np.arange(self._Bl)
-        tl = np.exp(xl)
-        up[: self._Bl] = np.sqrt(omega * tl) * (alpha + beta * tl**kap)
+        up[: self._Bl] = self._pad_root * (alpha + beta * self._pad_power)
         up[self._Bl : self._Bl + g.n] = np.sqrt(omega * g.t) * phi
-        return np.fft.fft(up)
+        return np.conj(np.fft.rfft(up))
 
-    def _evaluate(self, spectrum: np.ndarray, xi_start: float, count: int) -> np.ndarray:
-        b = spectrum * self._khp / self._Np
-        shift = np.exp(-1j * self._nup * (xi_start + self._Xi0))
-        return np.real(np.fft.fft(b * shift))[:count]
+    def _evaluate(self, spectrum: np.ndarray, kernel: np.ndarray, count: int) -> np.ndarray:
+        return np.fft.irfft(spectrum * kernel, self._Np)[:count]
 
     def apply(self, phi) -> np.ndarray:
         """Transform additive-picture samples, returned on the same grid."""
         phi = np.asarray(phi, dtype=float)
-        spec = self._padded_spectrum(phi)
-        v = self._evaluate(spec, float(self.grid.log_t[0]), self.grid.n)
+        v = self._evaluate(self._padded_spectrum(phi), self._grid_kernel, self.grid.n)
         return v / np.sqrt(self.grid.backend.omega * self.grid.t)
 
     def apply_product_lattice(self, phi) -> np.ndarray:
         """Transform evaluated on the product lattice (2n-1 points)."""
         phi = np.asarray(phi, dtype=float)
-        spec = self._padded_spectrum(phi)
         pl = self.product_lattice
-        v = self._evaluate(spec, float(pl.log_t[0]), len(pl.log_t))
+        v = self._evaluate(self._padded_spectrum(phi), self._product_kernel, len(pl.log_t))
         return v / np.sqrt(self.grid.backend.omega * pl.t)
 
     # -- certification -------------------------------------------------------
@@ -149,11 +167,14 @@ class FourierOperator:
 
         S^2 is circulant with eigenvalues lam_k lam_{-k} (lam = fft(hankel)),
         so by Parseval the Frobenius defect is the RMS of |lam_k lam_{-k} - 1|.
-        S is real and symmetric by construction.
+        S is real and symmetric by construction, so lam_{-k} = conj(lam_k):
+        the RMS runs over the half spectrum, the modes 0 < k < n/2 counted twice.
         """
-        lam = np.fft.fft(self.hankel)
-        lam_neg = np.roll(lam[::-1], 1)  # lam_{-k mod n}
-        return float(np.sqrt(np.mean(np.abs(lam * lam_neg - 1.0) ** 2)))
+        n = len(self.hankel)
+        lam = np.fft.rfft(self.hankel)
+        sq = (lam.real**2 + lam.imag**2 - 1.0) ** 2
+        sq[1 : (n + 1) // 2] *= 2.0
+        return float(np.sqrt(np.sum(sq) / n))
 
     def measure_defect(self) -> float:
         """Recorded involution defect: the largest entry of ``self.defects``.
@@ -200,9 +221,9 @@ def build_fourier(grid: RadialGrid) -> FourierOperator:
 
 # bytes per grid point at the peak of build_fourier and a TraceComputation on
 # its transform: every array there has n to 4n entries.  The ru_maxrss rise on
-# field R (C and H are lower) was 762 n at n = 2**16 and 760 n at n = 2**18,
-# a slope of 759 bytes per point and an offset of 0.2 MB
-FOURIER_BYTES_PER_POINT = 800
+# field R (C and H are lower) was 391 n at n = 2**16 and 388 n at n = 2**18,
+# a slope of 387 bytes per point and an offset of 0.27 MB
+FOURIER_BYTES_PER_POINT = 400
 
 
 def fourier_bytes(n: int) -> int:

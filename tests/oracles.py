@@ -11,7 +11,9 @@ independent dense constructions:
   the scaled Gaussians;
 - dense integral operators on a radial grid (``KernelOperator``, its
   algebra, cutoffs, translations and two assemblies of U_f);
-- the dense n x n matrix of a radial transform;
+- the dense n x n matrix of a radial transform, and the transform's
+  full-spectrum construction (complex FFTs over every frequency);
+- route A's box pairing by direct convolution of the cell weights;
 - the JSON Schema of a sweep config (``CONFIG_SCHEMA``);
 - the peak resident-set rise of a step run in a fresh interpreter.
 """
@@ -28,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from loctrace.fields import FieldBackend, RadialGrid
-from loctrace.fourier import FourierOperator
+from loctrace.cutoff_trace import TraceComputation
+from loctrace.fourier import _KAPPA, FourierOperator
+from loctrace.kernels import mellin_symbol
 from loctrace.operators import TestFunction
 
 log = logging.getLogger("loctrace")
@@ -330,6 +334,105 @@ def fourier_matrix(op: FourierOperator) -> np.ndarray:
     sym = op.hankel[idx]
     r = np.sqrt(op.grid.backend.omega * op.grid.t)
     return sym * (r[None, :] / r[:, None])
+
+
+class FullSpectrumFourier:
+    """The radial transform built over the whole spectrum, nu < 0 included.
+
+    The symbol is evaluated at every ``fftfreq`` frequency and every step
+    is a complex FFT whose real part is kept; the production
+    ``FourierOperator`` uses the Hermitian half spectrum and must agree.
+    """
+
+    def __init__(self, grid: RadialGrid):
+        self.grid = grid
+        n, h, L = grid.n, grid.step, grid.log_t_half_range
+        fid = grid.backend.field_id
+        nu = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+        D = mellin_symbol(fid, -nu) * np.exp(2j * nu * L)
+        D[n // 2] = 1.0 if D[n // 2].real >= 0 else -1.0
+        self.hankel = np.real(np.fft.fft(D) / n)
+        self._Bl = 2 * n
+        self._Np = 4 * n
+        self._Xi0 = -L - self._Bl * h
+        self._nup = 2.0 * np.pi * np.fft.fftfreq(self._Np, d=h)
+        self._khp = mellin_symbol(fid, -self._nup)
+        self._khp[self._Np // 2] = 0.0
+        p = np.arange(2 * n - 1)
+        self.product_log_t = -2.0 * L + h * p
+
+    def _padded_spectrum(self, phi: np.ndarray) -> np.ndarray:
+        g = self.grid
+        omega = g.backend.omega
+        kap = _KAPPA[g.backend.field_id]
+        t0, t1 = g.t[0], g.t[1]
+        ph0, ph1 = float(phi[0]), float(phi[1])
+        if ph0 == 0.0 and ph1 == 0.0:
+            alpha = beta = 0.0
+        else:
+            beta = (ph1 - ph0) / (t1**kap - t0**kap)
+            alpha = ph0 - beta * t0**kap
+        up = np.zeros(self._Np)
+        tl = np.exp(self._Xi0 + g.step * np.arange(self._Bl))
+        up[: self._Bl] = np.sqrt(omega * tl) * (alpha + beta * tl**kap)
+        up[self._Bl : self._Bl + g.n] = np.sqrt(omega * g.t) * phi
+        return np.fft.fft(up)
+
+    def _evaluate(self, phi, log_t: np.ndarray) -> np.ndarray:
+        b = self._padded_spectrum(np.asarray(phi, dtype=float)) * self._khp / self._Np
+        shift = np.exp(-1j * self._nup * (log_t[0] + self._Xi0))
+        v = np.real(np.fft.fft(b * shift))[: len(log_t)]
+        return v / np.sqrt(self.grid.backend.omega * np.exp(log_t))
+
+    def apply(self, phi) -> np.ndarray:
+        return self._evaluate(phi, self.grid.log_t)
+
+    def apply_product_lattice(self, phi) -> np.ndarray:
+        return self._evaluate(phi, self.product_log_t)
+
+    def spectral_defect(self) -> float:
+        lam = np.fft.fft(self.hankel)
+        lam_neg = np.roll(lam[::-1], 1)  # lam_{-k mod n}
+        return float(np.sqrt(np.mean(np.abs(lam * lam_neg - 1.0) ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# route A by direct convolution
+# ---------------------------------------------------------------------------
+
+
+def route_a_by_convolution(comp: TraceComputation, lam: float) -> float:
+    """Route A with its box pairing as the direct O(n^2) convolution of the cell weights.
+
+    w_i = omega (e^hi_i - e^lo_i) over the cells [lo_i, hi_i] clipped at
+    log(lam); the box is sum_{i, j} w_i w_j (K G)[i + j] / sqrt(omega).  The
+    box runs in extended precision (``np.longdouble``): in float64 the cell
+    edges x_i +- h/2 are rounded to ulp(x_i), which moves each w_i by up to
+    about 1e-12 relative on wide fine grids.  The strip and corner terms are
+    those of ``TraceComputation.route_a``.
+    """
+    ell = math.log(lam)
+    g = comp.grid
+    G = comp.transform_of_inverted()
+    x = g.log_t.astype(np.longdouble)
+    half = np.longdouble(comp.h) / 2
+    lo_x, hi_x = x - half, np.minimum(x + half, np.longdouble(ell))
+    w_box = comp.omega * np.where(hi_x > lo_x, np.exp(hi_x) - np.exp(lo_x), 0.0)
+    conv = np.convolve(w_box, w_box)
+    box = float(np.sum(conv * comp.K_p * G) / comp.sqrt_omega)
+    lo = g.log_t - comp.h / 2.0
+    hi = np.minimum(g.log_t + comp.h / 2.0, ell)
+    cells = np.where(hi > lo, hi - lo, 0.0)
+    KGu = comp.K_p * G * comp.t_p
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (KGu[1:] + KGu[:-1]) * comp.h)])
+    Phi = cum + KGu[0]
+    Phi_half = np.concatenate(
+        [[Phi[0] * math.exp(-0.5 * comp.h)], 0.5 * (Phi[:-1] + Phi[1:])]
+    )[: g.n]
+    pref = comp.omega**2 / comp.sqrt_omega
+    strip = pref * float(np.sum(cells * Phi_half))
+    corner = pref * float(G[0]) * (g.t[0] * math.exp(-comp.h / 2.0)) ** 2
+    return box + 2.0 * strip - corner
 
 
 # ---------------------------------------------------------------------------

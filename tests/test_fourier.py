@@ -18,7 +18,7 @@ from loctrace import (
 )
 from loctrace.fourier import DEFECT_THRESHOLDS, fourier_bytes
 from loctrace.kernels import scaled_gaussian, selfdual_gaussian
-from oracles import fourier_matrix, peak_rise, scaled_gaussian_transform
+from oracles import FullSpectrumFourier, fourier_matrix, peak_rise, scaled_gaussian_transform
 
 
 def dense_symmetrized(op):
@@ -50,6 +50,33 @@ def test_spectral_defect_equals_dense_frobenius(field_id, n):
     S = dense_symmetrized(op)
     dense = np.linalg.norm(S @ S - np.eye(n)) / math.sqrt(n)
     assert abs(op.spectral_defect() - dense) < 1e-14
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("field_id", ["R", "C", "H"])
+def test_half_spectrum_matches_the_full_spectrum(field_id, n):
+    # the Hermitian half spectrum against the complex FFTs over every
+    # frequency.  apply and apply_product_lattice are compared in the
+    # weighted picture sqrt(omega t) phi, where the transform is unitary: the
+    # additive picture divides by sqrt(omega t) down to t = e^{-2L}, which
+    # lifts the rounding of either construction to ~1e-12 of the maximum
+    b = make_backend(field_id)
+    g = make_grid(b, CERT_GRIDS[field_id], n)
+    half, full = FourierOperator(g), FullSpectrumFourier(g)
+
+    def close(got, want, scale=None):
+        scale = np.abs(want).max() if scale is None else scale
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
+    close(half.hankel, full.hankel)
+    pl_root = np.sqrt(b.omega * half.product_lattice.t)
+    root = np.sqrt(b.omega * g.t)
+    profiles = [selfdual_gaussian(field_id, g.t), TestFunction(center=0.3)(g.t)[::-1] / root]
+    for phi in profiles:
+        close(root * half.apply(phi), root * full.apply(phi))
+        close(pl_root * half.apply_product_lattice(phi), pl_root * full.apply_product_lattice(phi))
+    # the defect measures |lam_k|^2 - 1 against eigenvalues of modulus 1
+    close(half.spectral_defect(), full.spectral_defect(), scale=1.0)
 
 
 @pytest.mark.parametrize("index", [0, 517, 2047])

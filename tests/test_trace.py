@@ -1,10 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loctrace import (
+    FourierOperator,
     TestFunction,
     TraceComputation,
     asymptotic_fit,
@@ -15,7 +17,7 @@ from loctrace import (
 from loctrace.cli import DEFAULT_CONFIGS, ROUTE_AGREEMENT_TOL
 from loctrace.cutoff_trace import TraceReport, gate_reports
 from loctrace.fourier import DEFECT_THRESHOLDS
-from oracles import RadialFunction, inversion
+from oracles import RadialFunction, inversion, route_a_by_convolution
 
 
 # ----------------------------- inversion -----------------------------------
@@ -78,6 +80,64 @@ def test_route_a_zero_profile(fourier_r2048):
     comp._G[True] = np.zeros_like(comp.t_p)  # f = 0 profile
     assert comp.route_a(4.0) == 0.0
     assert comp.route_b(4.0) == 0.0
+
+
+def lam_with_log(x: float) -> float | None:
+    """A lam whose math.log is exactly x, or None (near x = 0 no float lam has it)."""
+    lam = math.exp(x)
+    for _ in range(8):
+        if math.log(lam) == x:
+            return lam
+        lam = math.nextafter(lam, math.inf if math.log(lam) < x else 0.0)
+    return None
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    field_id=st.sampled_from(["R", "C", "H"]),
+    half_n=st.integers(32, 4096),
+    half_range=st.floats(1.6, 14.0),
+    position=st.floats(0.0, 0.999),
+    edge=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(field_id="R", half_n=32, half_range=1.6, position=0.0, edge=0.0)
+@example(field_id="C", half_n=4096, half_range=14.0, position=0.999, edge=0.999)
+@example(field_id="H", half_n=1024, half_range=math.log(3e4), position=0.5, edge=0.25)
+def test_route_a_matches_the_direct_convolution(field_id, half_n, half_range, position, edge):
+    # the closed-form box pairing against the O(n^2) convolution of the cell
+    # weights, at lam below the first cell's top (m = 0), with log lam exactly
+    # on a cell's top edge, and anywhere up to the grid's range
+    n = 2 * half_n
+    grid = make_grid(make_backend(field_id), half_range, n)
+    comp = TraceComputation(TestFunction(), FourierOperator(grid))
+    h, x = grid.step, grid.log_t
+    k = int(edge * (n - 1))  # cells 0..n-2 have their top edge below log lam's limit L
+    on_edges = [lam_with_log(float(x[k] + h / 2.0)), lam_with_log(float(x[k + 1] - h / 2.0))]
+    lams = [
+        math.exp(x[0] - 0.7 * h),  # below every cell
+        math.exp(x[0] + 0.3 * h),  # inside the first cell
+        math.exp(x[0] + position * (half_range - x[0])),
+    ] + [lam for lam in on_edges if lam is not None]
+    for lam in lams:
+        want = route_a_by_convolution(comp, lam)
+        got = comp.route_a(lam)
+        assert abs(got - want) <= 1e-12 * abs(want), (lam, got, want)
+
+
+def test_stages_log_their_spans(fourier_r2048, standard_bump, caplog):
+    # one INFO line for the product-lattice transform, and one per lam for each route
+    comp = TraceComputation(standard_bump, fourier_r2048)
+    with caplog.at_level(logging.INFO, logger="loctrace"):
+        a, b = comp.route_a(4.0), comp.route_b(4.0)
+        comp.route_b(4.0)
+    lines = [r.getMessage() for r in caplog.records]
+    (transform,) = [m for m in lines if m.startswith("transform of I(f):")]
+    assert "n=2048 duration_s=" in transform
+    (route_a,) = [m for m in lines if m.startswith("route A:")]
+    assert route_a.startswith(f"route A: lam=4 t_route_a={a:.15g} duration_s=")
+    route_b = [m for m in lines if m.startswith("route B:")]
+    assert len(route_b) == 2
+    assert route_b[0].startswith(f"route B: lam=4 t_route_b={b:.15g} duration_s=")
 
 
 def test_route_scaling(comp_r, fourier_r2048):
