@@ -24,11 +24,14 @@ from loctrace.cli import (
     ConfigError,
     DEFAULT_CONFIGS,
     _check_keys,
+    _sandwich_gate,
     emit_plot_data,
     main,
     run_trace_sweep,
+    run_verify,
     validate_config,
 )
+from loctrace.sandbox import SUITE_NAMES, run_sandbox
 from oracles import CONFIG_SCHEMA
 
 
@@ -578,3 +581,84 @@ def test_zero_profile_fit_degenerate(tmp_path, monkeypatch):
 def test_default_configs_validate():
     for cfg in DEFAULT_CONFIGS.values():
         validate_config(json.loads(json.dumps(cfg)))
+
+
+def test_summary_and_sandbox_report_are_plain_json(tmp_path):
+    # the returned objects themselves, not only the files, hold no numpy scalars
+    cfg = small_config(route_c={"enabled": True, "n_signed": 1024, "max_lambda": 4.0})
+    summary = run_trace_sweep(cfg, tmp_path)
+    assert json.loads(json.dumps(summary)) == json.loads((tmp_path / "summary_R.json").read_text())
+    json.dumps(run_sandbox(list(SUITE_NAMES)))
+
+
+# the gates each verify sweep judges; the narrow H grid is run with fit_gates=False
+VERIFY_GATES = {
+    "R": {
+        "route_ab_agreement", "route_c_agreement", "trace_cyclicity",
+        "asymptote_sandwich", "fit_slope", "fit_intercept",
+    },
+    "C": {"route_ab_agreement", "asymptote_sandwich", "fit_slope", "fit_intercept"},
+    "H": {"route_ab_agreement", "asymptote_sandwich"},
+    "H-asymptotic": {"route_ab_agreement", "asymptote_sandwich", "fit_slope", "fit_intercept"},
+}
+
+
+def test_verify_gates_have_one_shape(tmp_path):
+    report = run_verify(tmp_path)
+    assert report == json.loads((tmp_path / "verify.json").read_text())
+    for key, gate_names in VERIFY_GATES.items():
+        summary = json.loads((tmp_path / f"summary_{key}.json").read_text())
+        assert set(summary["gates"]) == gate_names
+        assert report["sweeps"][key] == {"passed": summary["passed"], "gates": summary["gates"]}
+        assert summary["passed"] == all(g["passed"] for g in summary["gates"].values())
+        for name, g in summary["gates"].items():
+            if name.startswith("fit_") and "error" in summary["fit"]:
+                assert g == {"passed": False, "error": summary["fit"]["error"]}
+                continue
+            assert set(g) == {"value", "tolerance", "passed"}, name
+            if name == "asymptote_sandwich":  # the one gate that passes at its bound
+                assert g["passed"] is (g["value"] <= g["tolerance"])
+            else:
+                assert g["passed"] is (g["value"] < g["tolerance"]), name
+    # the fit of the narrow H grid is still computed and written, only not judged
+    summary_h = json.loads((tmp_path / "summary_H.json").read_text())
+    assert "f1_estimate" in summary_h["fit"] or "error" in summary_h["fit"]
+    assert "fit_gate_factor" not in summary_h["config"]
+
+
+@pytest.mark.parametrize("slack", [0.0, 5.44e-9, 1e-3, 0.3, 1.0, 123.456])
+def test_sandwich_passes_at_its_bound_and_fails_one_float_above(slack):
+    bound = slack + 1e-12
+    gate = _sandwich_gate([0.0, bound], [1.0, slack])
+    assert gate == {"value": 1.0, "tolerance": 1.0, "passed": True}
+    gate = _sandwich_gate([0.0, math.nextafter(bound, math.inf)], [1.0, slack])
+    assert gate["value"] > 1.0 and gate["passed"] is False
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(slack=st.floats(0.0, 1e6), steps=st.integers(-4, 4))
+def test_sandwich_ratio_decides_as_the_inequality(slack, steps):
+    bound = slack + 1e-12
+    residual = bound
+    for _ in range(abs(steps)):
+        residual = math.nextafter(residual, math.inf if steps > 0 else 0.0)
+    assert _sandwich_gate([residual], [slack])["passed"] is (residual <= slack + 1e-12)
+
+
+def test_failed_gates_named_on_stderr(tmp_path, capsys, monkeypatch):
+    import loctrace.cli as cli_mod
+
+    failing = {"passed": False, "value": 2.0, "tolerance": 1.0}
+    passing = {"passed": True, "value": 0.0, "tolerance": 1.0}
+    summary = {"passed": False, "rows": [], "gates": {"a": failing, "b": passing, "c": failing}}
+    monkeypatch.setattr(cli_mod, "run_trace_sweep", lambda config, out: summary)
+    assert main(["trace-sweep", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "FAIL gates: a, c\n"
+    report = {
+        "passed": False,
+        "sandbox_passed": False,
+        "sweeps": {"R": summary, "H": {"passed": True, "gates": {"a": passing}}, "C": summary},
+    }
+    monkeypatch.setattr(cli_mod, "run_verify", lambda out: report)
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "FAIL gates: R:a, R:c, C:a, C:c, sandbox\n"
