@@ -9,15 +9,17 @@ shifted operators have full range.  Nonabelian groups enter through their
 biregular action, the image of G x G by all L_g R_h, whose commutant is the
 abelian algebra of class-function convolutions.
 
-Everything here is exact dense linear algebra.  A commutant is the range of
-the Reynolds operator K = (1/k) sum A (x) conj(A) of the k operators of a
-group image: an orthogonal projector of rank (1/k) sum |tr A|^2, the
-character count (Serre, Linear Representations of Finite Groups, 1977,
-sections 2.3 and 2.6).  One Hermitian eigh of K gives an orthonormal basis,
-its eigenvalue-1 eigenvectors.  Inputs that are not a group image are
-refused: an operator that is not unitary, a K that is not Hermitian (the set
-is not closed under inverses) or a K with an eigenvalue more than RANK_TOL
-from 0 and 1 (not closed under products).  The eigenvalue-1 count must equal
+Everything here is exact dense linear algebra on stacked arrays.  A
+commutant is the range of the Reynolds operator K = (1/k) sum A (x) conj(A)
+of the k operators of a group image: an orthogonal projector of rank
+(1/k) sum |tr A|^2, the character count (Serre, Linear Representations of
+Finite Groups, 1977, sections 2.3 and 2.6).  K is one GEMM of the stacked
+operators, and a Hermitian eigh of each diagonal block of its exact nonzero
+pattern gives an orthonormal basis, its eigenvalue-1 eigenvectors.  Inputs
+that are not a group image are refused: an operator with a non-finite entry
+or that is not unitary, a K that is not Hermitian (the set is not closed
+under inverses) or a K with an eigenvalue more than RANK_TOL from 0 and 1
+(not closed under products).  The eigenvalue-1 count must equal
 the character count.  A DEBUG line per commutant gives the operator count,
 n, the dimension, the character count and the worst eigenvalue distance from
 {0, 1}.  The commutation-system SVD oracles live in the test suite.
@@ -50,13 +52,16 @@ class FiniteGroup:
     """Finite group as cyclic factors (abelian) or an explicit table.
 
     table[i, j] is the index of element_i * element_j.  Explicit tables are
-    checked for the group axioms on construction.
+    checked for the group axioms on construction, which also fixes the
+    identity and every element's inverse.
     """
 
     order: int
     cyclic_factors: Optional[tuple[int, ...]] = None
     table: np.ndarray = field(default=None, repr=False)
     name: str = ""
+    _identity: int = field(init=False, repr=False)
+    _inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.table is None:
@@ -66,25 +71,22 @@ class FiniteGroup:
         self.table = np.asarray(self.table, dtype=int)
         if self.table.shape != (self.order, self.order):
             raise ValueError("table shape must be (order, order)")
-        _check_group_axioms(self.table)
+        self._identity, self._inverses = _check_group_axioms(self.table)
 
     @property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
     def inverse(self, g: int) -> int:
-        return int(np.where(self.table[g] == self.identity)[0][0])
+        return int(self._inverses[g])
 
     @property
     def identity(self) -> int:
-        for e in range(self.order):
-            if np.array_equal(self.table[e], np.arange(self.order)):
-                return e
-        raise ValueError("no identity element")
+        return self._identity
 
     def conjugacy_class(self, g: int) -> set[int]:
         """The conjugation orbit {h g h^-1 : h in G}."""
-        return {int(self.table[self.table[h, g], self.inverse(h)]) for h in range(self.order)}
+        return set(self.table[self.table[:, g], self._inverses].tolist())
 
     def conjugacy_class_count(self) -> int:
         seen = set()
@@ -102,32 +104,46 @@ def _cayley_table(elements: Sequence, multiply) -> np.ndarray:
     return np.array([[index[multiply(a, b)] for b in elements] for a in elements], dtype=int)
 
 
+def _coordinates(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-radix coordinates of the elements 0..order-1 and the radix strides.
+
+    Row x of the (order, len(factors)) coordinates is x written in the radices
+    ``factors``, the last one fastest, as ``itertools.product`` enumerates
+    them; ``coords @ strides`` is the element index again.
+    """
+    radices = np.array(factors, dtype=int)
+    strides = np.ones(len(factors), dtype=int)
+    strides[:-1] = np.cumprod(radices[:0:-1])[::-1]
+    order = int(np.prod(radices))
+    return (np.arange(order)[:, None] // strides) % radices, strides
+
+
 def _cyclic_table(factors: Sequence[int]) -> np.ndarray:
     factors = tuple(int(n) for n in factors)
     if any(n < 1 for n in factors):
         raise ValueError("cyclic factors must be positive")
-    coords = list(itertools.product(*[range(n) for n in factors]))
-    return _cayley_table(coords, lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, factors)))
+    coords, strides = _coordinates(factors)
+    return ((coords[:, None, :] + coords[None, :, :]) % np.array(factors, dtype=int)) @ strides
 
 
-def _check_group_axioms(table: np.ndarray) -> None:
+def _check_group_axioms(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """Refuse a table that is not a group; return its identity and the inverses."""
     n = table.shape[0]
     if not ((table >= 0).all() and (table < n).all()):
         raise ValueError("table entries out of range")
-    ident = None
-    for e in range(n):
-        if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n)):
-            ident = e
-            break
-    if ident is None:
+    elements = np.arange(n)
+    two_sided = (table == elements).all(axis=1) & (table.T == elements).all(axis=1)
+    if not two_sided.any():
         raise ValueError("table has no two-sided identity")
-    for g in range(n):
-        if ident not in table[g]:
-            raise ValueError(f"element {g} has no inverse")
-    # associativity, brute force
-    for a in range(n):
-        if not np.array_equal(table[table[a], :], table[a][table]):
-            raise ValueError("table is not associative")
+    ident = int(np.argmax(two_sided))
+    hits = table == ident
+    has_inverse = hits.any(axis=1)
+    if not has_inverse.all():
+        raise ValueError(f"element {int(np.argmin(has_inverse))} has no inverse")
+    # (ab)c against a(bc) for every triple at once
+    if not np.array_equal(table[table], table[:, table]):
+        raise ValueError("table is not associative")
+    return ident, np.argmax(hits, axis=1)
 
 
 def cyclic_group(*factors: int, name: str = "") -> FiniteGroup:
@@ -195,14 +211,9 @@ def characters(group: FiniteGroup) -> np.ndarray:
     """All unitary characters of an abelian group, one row per character."""
     if group.cyclic_factors is None or not group.is_abelian:
         raise ValueError("characters require an abelian cyclic-factor presentation")
-    factors = group.cyclic_factors
-    coords = list(itertools.product(*[range(n) for n in factors])) or [()]
-    chars = np.zeros((group.order, group.order), dtype=complex)
-    for a_idx, a in enumerate(coords):
-        for x_idx, x in enumerate(coords):
-            phase = sum(ai * xi / ni for ai, xi, ni in zip(a, x, factors))
-            chars[a_idx, x_idx] = np.exp(2j * np.pi * phase)
-    return chars
+    coords, _ = _coordinates(group.cyclic_factors)
+    phase = (coords[:, None, :] * coords[None, :, :] / np.array(group.cyclic_factors)).sum(axis=-1)
+    return np.exp(2j * np.pi * phase)
 
 
 @dataclass
@@ -210,75 +221,165 @@ class CommutantBasis:
     basis: list[np.ndarray]
     is_abelian: bool
     character_count: int
+    # diagonal blocks of the Reynolds projector K, one eigh problem each
+    blocks: int
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def max_offdiagonal_mass(self) -> float:
-        worst = 0.0
-        for b in self.basis:
-            off = b - np.diag(np.diag(b))
-            worst = max(worst, float(np.abs(off).max()))
-        return worst
+        if not self.basis:
+            return 0.0
+        stack = np.asarray(self.basis)
+        offdiagonal = ~np.eye(stack.shape[1], dtype=bool)
+        return float(np.abs(stack[:, offdiagonal]).max(initial=0.0))
+
+
+def _diagonals(rows: np.ndarray) -> np.ndarray:
+    """The (k, n, n) stack of diagonal matrices whose diagonals are the k rows."""
+    k, n = rows.shape
+    out = np.zeros((k, n, n), dtype=rows.dtype)
+    out[:, np.arange(n), np.arange(n)] = rows
+    return out
+
+
+def _operator_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """The operators as one (k, n, n) complex stack of finite, non-empty squares."""
+    if len(operators) == 0:
+        raise ValueError("commutant_of_set needs at least one operator")
+    try:
+        stack = np.asarray(operators, dtype=complex)
+    except ValueError:  # ragged shapes; the loop below names the misfit
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+        ops = [np.asarray(a, dtype=complex) for a in operators]
+        for k, a in enumerate(ops):
+            if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+                raise ValueError(
+                    f"operator #{k} has shape {a.shape}; need a non-empty square matrix"
+                )
+            if a.shape != ops[0].shape:
+                raise ValueError(
+                    f"operator #{k} has shape {a.shape}, operator #0 has {ops[0].shape}"
+                )
+        raise ValueError(f"operators of shapes {[a.shape for a in ops]} do not stack")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"operator #{np.argmin(finite)} has a non-finite entry")
+    return stack
+
+
+def _blocks(matrix: np.ndarray) -> np.ndarray:
+    """Block label of each index: the least index of its connected component.
+
+    Indices i and j are joined when matrix[i, j] or matrix[j, i] is exactly
+    nonzero, so the matrix restricted to a component, with its indices in
+    ascending order, is one diagonal block of a permutation similar matrix
+    and every entry outside the blocks is 0.  Label propagation: each index
+    takes the least label among itself and its neighbours, then the label of
+    that label, until nothing changes.
+    """
+    size = len(matrix)
+    pattern = (matrix != 0) | (matrix != 0).T
+    labels = np.arange(size)
+    while True:
+        nxt = np.minimum(labels, np.where(pattern, labels, size).min(axis=1))
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
+def _eigh_by_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenvalues of a Hermitian matrix, its eigenvalue-1 eigenvectors and its block count.
+
+    eigh on each diagonal block of ``_blocks``, one stacked call per block
+    size.  The blocks are a permutation similarity of the whole matrix, with
+    each block's indices ascending, so the lower triangle that eigh reads is
+    the whole matrix's lower triangle and the spectrum and eigenvalue-1
+    space are exactly those of one eigh of the whole.  Eigenvectors with
+    eigenvalue above 1/2 come back as rows, zero off their block.
+    """
+    size = len(matrix)
+    labels = _blocks(matrix)
+    _, sizes = np.unique(labels, return_counts=True)
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    values, vectors = [], []
+    for s in np.unique(sizes):
+        idx = members[starts[sizes == s][:, None] + np.arange(s)]
+        w, v = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
+        block, col = np.nonzero(w > 0.5)
+        fixed = np.zeros((len(block), size), dtype=matrix.dtype)
+        fixed[np.arange(len(block))[:, None], idx[block]] = v[block, :, col]
+        values.append(w.ravel())
+        vectors.append(fixed)
+    return np.concatenate(values), np.concatenate(vectors), len(sizes)
 
 
 def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
     """Basis of all matrices commuting with every operator, plus abelianness.
 
-    The operators must be one or more unitary square matrices of one common
-    size, closed under products and inverses (the image of a finite group).
-    The commutant is the eigenvalue-1 eigenspace of the Reynolds projector
-    K = (1/k) sum A (x) conj(A) on row-major vec(X); K is refused unless it
-    is Hermitian with every eigenvalue within RANK_TOL of 0 or 1, and its
-    rank must equal the character count (1/k) sum |tr A|^2.
+    The operators must be one or more finite unitary square matrices of one
+    common size, closed under products and inverses (the image of a finite
+    group).  They are handled as one (k, n, n) stack.  The commutant is the
+    eigenvalue-1 eigenspace of the Reynolds projector
+    K = (1/k) sum A (x) conj(A) on row-major vec(X), formed as one GEMM
+    flat^T conj(flat) / k of the (k, n^2) stack and permuted to rows (i, a)
+    and columns (j, b).  K is refused unless it is Hermitian with every
+    eigenvalue within RANK_TOL of 0 or 1, and its rank must equal the
+    character count (1/k) sum |tr A|^2.  K is diagonalised block by block
+    (``_eigh_by_blocks``): character actions give n^2 blocks of size 1,
+    permutation actions their orbit blocks, a dense image one block.
     """
-    ops = [np.asarray(a, dtype=complex) for a in operators]
-    if not ops:
-        raise ValueError("commutant_of_set needs at least one operator")
-    for k, a in enumerate(ops):
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-            raise ValueError(f"operator #{k} has shape {a.shape}; need a non-empty square matrix")
-        if a.shape != ops[0].shape:
-            raise ValueError(f"operator #{k} has shape {a.shape}, operator #0 has {ops[0].shape}")
-    n = ops[0].shape[0]
-    eye = np.eye(n)
-    for k, a in enumerate(ops):
-        defect = float(np.abs(a @ a.conj().T - eye).max())
-        if defect > RANK_TOL:
-            raise ValueError(f"operator #{k} is not unitary (|AA* - I| = {defect:.2e})")
-    reynolds = sum(np.kron(a, a.conj()) for a in ops) / len(ops)
+    stack = _operator_stack(operators)
+    k, n, _ = stack.shape
+    unitarity = np.abs(stack @ stack.conj().transpose(0, 2, 1) - np.eye(n)).max(axis=(1, 2))
+    bad = np.flatnonzero(unitarity > RANK_TOL)
+    if bad.size:
+        raise ValueError(
+            f"operator #{bad[0]} is not unitary (|AA* - I| = {unitarity[bad[0]]:.2e})"
+        )
+    flat = stack.reshape(k, n * n)
+    reynolds = (
+        (flat.T @ flat.conj() / k).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    )
     asym = float(np.abs(reynolds - reynolds.conj().T).max())
     if asym > RANK_TOL:
         raise ValueError(
             f"the averaged action K is not Hermitian (|K - K*| = {asym:.2e}); "
             "the operators are not closed under inverses"
         )
-    w, v = np.linalg.eigh(reynolds)
+    w, fixed, blocks = _eigh_by_blocks(reynolds)
     gap = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
     if gap > RANK_TOL:
         raise ValueError(
             f"the averaged action K is not idempotent (an eigenvalue lies {gap:.2e} "
             "from {0, 1}); the operators are not closed under products"
         )
-    count = sum(abs(np.trace(a)) ** 2 for a in ops) / len(ops)
+    count = float((np.abs(np.einsum("kii->k", stack)) ** 2).sum()) / k
     chars = int(round(count))
     if abs(count - chars) > RANK_TOL:
         raise ValueError(f"the character count {count!r} is not an integer")
-    fixed = w > 0.5
-    dim = int(fixed.sum())
+    dim = len(fixed)
     if dim != chars:
         raise ValueError(f"eigenvalue-1 count {dim} differs from the character count {chars}")
     log.debug(
         "commutant: %d operators, n %d, dimension %d, character count %d, "
         "worst eigenvalue distance from {0, 1} %.3e",
-        len(ops), n, dim, chars, gap,
+        k, n, dim, chars, gap,
     )
-    basis = [col.reshape(n, n) for col in v[:, fixed].T]
-    abelian = all(
-        np.abs(a @ b - b @ a).max() <= 1e-10 for a, b in itertools.combinations(basis, 2)
+    basis = fixed.reshape(dim, n, n)
+    # a commutative *-algebra of n x n matrices has dimension at most n, a
+    # bound that also keeps the dim^2 products within n^4 entries, K's size
+    abelian = dim <= n
+    if abelian:
+        products = basis[:, None] @ basis[None, :]
+        abelian = bool(np.abs(products - products.transpose(1, 0, 2, 3)).max() <= 1e-10)
+    return CommutantBasis(
+        basis=list(basis), is_abelian=abelian, character_count=chars, blocks=blocks
     )
-    return CommutantBasis(basis=basis, is_abelian=abelian, character_count=chars)
 
 
 def commutant_of_characters(group: FiniteGroup, char_subset=None) -> CommutantBasis:
@@ -286,7 +387,7 @@ def commutant_of_characters(group: FiniteGroup, char_subset=None) -> CommutantBa
     chars = characters(group)
     if char_subset is not None:
         chars = chars[list(char_subset)]
-    return commutant_of_set([np.diag(chi) for chi in chars])
+    return commutant_of_set(_diagonals(chars))
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +436,10 @@ class ResolventReport:
 def resolvent_normality_check(m: np.ndarray, action: Sequence[np.ndarray]) -> ResolventReport:
     """Forms R = (M + i)^(-1) and verifies the self-adjointness mechanism.
 
-    Preconditions (violations raised individually): M symmetric, M commutes
-    with every action element, and the action's commutant is abelian.  The
-    report carries ||R R* - R* R||, and the smallest singular values of
+    Preconditions (violations raised individually): M and the action
+    finite, M symmetric, M commutes with every action element (checked on
+    the whole action stack at once), and the action's commutant is abelian.
+    The report carries ||R R* - R* R||, and the smallest singular values of
     (M +- i), which must be bounded away from zero (full range).
     """
     report = _resolvent_report(m, action)
@@ -353,12 +455,19 @@ def _require_abelian_commutant(action: Sequence[np.ndarray]) -> None:
 def _resolvent_report(m: np.ndarray, action: Sequence[np.ndarray]) -> ResolventReport:
     """The per-M half of resolvent_normality_check: its preconditions and report."""
     m = np.asarray(m, dtype=complex)
+    ops = np.asarray(action)
+    if not np.isfinite(m).all():
+        raise ValueError("M has a non-finite entry")
+    finite = np.isfinite(ops).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"action element #{np.argmin(finite)} has a non-finite entry")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > 1e-10 * scale:
         raise ValueError("M is not symmetric")
-    for k, a in enumerate(action):
-        if np.abs(m @ a - a @ m).max() > 1e-10 * scale:
-            raise ValueError(f"M does not commute with action element #{k}")
+    defect = np.abs(m @ ops - ops @ m).max(axis=(1, 2))
+    bad = np.flatnonzero(defect > 1e-10 * scale)
+    if bad.size:
+        raise ValueError(f"M does not commute with action element #{bad[0]}")
     n = m.shape[0]
     eye = np.eye(n)
     r = np.linalg.inv(m + 1j * eye)
@@ -382,8 +491,7 @@ def left_translation_operator(group: FiniteGroup, g: int) -> np.ndarray:
     """(L_g phi)(x) = phi(g^{-1} x) as a permutation matrix."""
     n = group.order
     mat = np.zeros((n, n))
-    for y in range(n):
-        mat[group.table[g, y], y] = 1.0
+    mat[group.table[g], np.arange(n)] = 1.0
     return mat
 
 
@@ -391,21 +499,21 @@ def right_translation_operator(group: FiniteGroup, g: int) -> np.ndarray:
     """(R_g phi)(x) = phi(x g) as a permutation matrix."""
     n = group.order
     mat = np.zeros((n, n))
-    for x in range(n):
-        mat[x, group.table[x, g]] = 1.0
+    mat[np.arange(n), group.table[:, g]] = 1.0
     return mat
 
 
-def biregular_action(group: FiniteGroup) -> list[np.ndarray]:
-    """The image of G x G: every L_g R_h, |G|^2 permutation matrices.
+def biregular_action(group: FiniteGroup) -> np.ndarray:
+    """The image of G x G: every L_g R_h, a (|G|^2, |G|, |G|) stack of permutations.
 
     The whole image, not the 2|G| generators, because commutant_of_set
     averages over its input: over the generators the average would be
     (P_L + P_R)/2, which is not a projector.
     """
-    lefts = [left_translation_operator(group, g) for g in range(group.order)]
-    rights = [right_translation_operator(group, h) for h in range(group.order)]
-    return [left @ right for left in lefts for right in rights]
+    n = group.order
+    lefts = np.stack([left_translation_operator(group, g) for g in range(n)])
+    rights = np.stack([right_translation_operator(group, h) for h in range(n)])
+    return (lefts[:, None] @ rights[None, :]).reshape(n * n, n, n)
 
 
 def class_function_convolution(group: FiniteGroup, seed: int = 0) -> np.ndarray:
@@ -489,7 +597,7 @@ def _suite_multiplier(seed: int) -> dict:
 def _suite_polar(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     group = cyclic_group(6)
-    chars = [np.diag(c) for c in characters(group)]
+    chars = _diagonals(characters(group))
     worst_recon = 0.0
     worst_comm = 0.0
     for _ in range(10):
@@ -497,12 +605,11 @@ def _suite_polar(seed: int) -> dict:
         m = np.diag(diag)
         u, p = polar_decompose(m)
         worst_recon = max(worst_recon, float(np.abs(m - u @ p).max()))
-        for d in chars:
-            worst_comm = max(
-                worst_comm,
-                float(np.abs(u @ d - d @ u).max()),
-                float(np.abs(p @ d - d @ p).max()),
-            )
+        worst_comm = max(
+            worst_comm,
+            float(np.abs(u @ chars - chars @ u).max()),
+            float(np.abs(p @ chars - chars @ p).max()),
+        )
     ok = worst_recon < 1e-10 and worst_comm < 1e-8
     return {
         "suite": "annex2-polar",
@@ -541,7 +648,7 @@ def _suite_biregular(seed: int) -> dict:
 
 def _suite_resolvent_z8(seed: int) -> dict:
     group = cyclic_group(8)
-    action = [np.diag(c) for c in characters(group)]
+    action = _diagonals(characters(group))
     _require_abelian_commutant(action)
     rng = np.random.default_rng(seed)
     worst = 0.0

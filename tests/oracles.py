@@ -14,12 +14,16 @@ independent dense constructions:
 - the dense n x n matrix of a radial transform, and the transform's
   full-spectrum construction (complex FFTs over every frequency);
 - route A's box pairing by direct convolution of the cell weights;
+- the finite-group sandbox built entry by entry: cyclic Cayley tables and
+  characters by loops over coordinate tuples, and the Reynolds projector as
+  a sum of Kronecker products with one full eigh;
 - the JSON Schema of a sweep config (``CONFIG_SCHEMA``);
 - the peak resident-set rise of a step run in a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -433,6 +437,49 @@ def route_a_by_convolution(comp: TraceComputation, lam: float) -> float:
     strip = pref * float(np.sum(cells * Phi_half))
     corner = pref * float(G[0]) * (g.t[0] * math.exp(-comp.h / 2.0)) ** 2
     return box + 2.0 * strip - corner
+
+
+# ---------------------------------------------------------------------------
+# finite-group sandbox
+# ---------------------------------------------------------------------------
+
+
+def cyclic_table_by_loops(factors) -> np.ndarray:
+    """Cayley table of Z_f1 x ... x Z_fr, entry by entry over coordinate tuples.
+
+    Elements are indexed by their coordinates in ``itertools.product`` order.
+    """
+    coords = list(itertools.product(*[range(n) for n in factors]))
+    index = {x: i for i, x in enumerate(coords)}
+    def add(a, b):
+        return index[tuple((x + y) % n for x, y, n in zip(a, b, factors))]
+
+    return np.array([[add(a, b) for b in coords] for a in coords], dtype=int)
+
+
+def characters_by_loops(factors) -> np.ndarray:
+    """chi_a(x) = exp(2 pi i sum a_i x_i / f_i), entry by entry, rows and columns as above."""
+    coords = list(itertools.product(*[range(n) for n in factors]))
+    chars = np.zeros((len(coords), len(coords)), dtype=complex)
+    for a_idx, a in enumerate(coords):
+        for x_idx, x in enumerate(coords):
+            phase = sum(ai * xi / ni for ai, xi, ni in zip(a, x, factors))
+            chars[a_idx, x_idx] = np.exp(2j * np.pi * phase)
+    return chars
+
+
+def reynolds_by_kron(operators) -> tuple[np.ndarray, list[np.ndarray]]:
+    """K = (1/k) sum A (x) conj(A) as a sum of Kronecker products, and its fixed space.
+
+    One full Hermitian eigh of K; the eigenvalue-1 eigenvectors, reshaped
+    row-major to n x n, are an orthonormal basis of the commutant of a
+    group image.  No input checks: the caller passes a group image.
+    """
+    ops = [np.asarray(a, dtype=complex) for a in operators]
+    n = ops[0].shape[0]
+    reynolds = sum(np.kron(a, a.conj()) for a in ops) / len(ops)
+    w, v = np.linalg.eigh(reynolds)
+    return reynolds, [col.reshape(n, n) for col in v[:, w > 0.5].T]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Dense oracles for the commutant.
 
 The production route reads the commutant off the Reynolds projector
-K = (1/k) sum A (x) conj(A).  Two independent oracles solve the commutation
-system A X - X A = 0 instead: one thin complex SVD of the stacked system,
+K = (1/k) sum A (x) conj(A), formed as one GEMM and diagonalised block by
+block.  A third oracle, ``reynolds_by_kron``, forms the same K as a sum of
+Kronecker products and diagonalises it whole.  Two independent oracles
+solve the commutation system A X - X A = 0 instead: one thin complex SVD of the stacked system,
 and scipy's full-SVD ``null_space`` of the doubled real system followed by a
 second SVD that extracts a complex basis.  On every group image all three
 must give the same dimension and the same subspace; on inputs the Reynolds
@@ -15,8 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import null_space
 
+from oracles import reynolds_by_kron
+
 from loctrace.sandbox import (
     RANK_TOL,
+    _blocks,
+    _eigh_by_blocks,
     abelian_presentations_up_to,
     biregular_action,
     characters,
@@ -204,7 +210,83 @@ def test_reynolds_matches_character_count_and_thin_svd_on_dual_subgroups(case):
     n = ops[0].shape[0]
     comm = commutant_of_set(ops)
     oracle = complex_nullspace(commutation_system(ops), n)
+    _, kron = reynolds_by_kron(ops)
     # X commutes with diag(chi) for chi in H iff X lives on the cosets of the
     # annihilator of H, |G| / |H| of them of size |H|: dimension |G|^2 / |H|
-    assert comm.dimension == comm.character_count == len(oracle) == n * n // len(subgroup)
+    dim = n * n // len(subgroup)
+    assert comm.dimension == comm.character_count == len(oracle) == len(kron) == dim
     assert np.abs(projector(comm.basis, n) - projector(oracle, n)).max() < 1e-10
+    assert np.abs(projector(comm.basis, n) - projector(kron, n)).max() < 1e-10
+    # a diagonal action makes K diagonal: n^2 blocks of size 1
+    assert comm.blocks == n * n
+
+
+def seeded_unitary(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def pair_orbits(image: np.ndarray) -> int:
+    """Orbits of a permutation group image on index pairs (j, b) -> (g j, g b)."""
+    n = image.shape[1]
+    moves = image.argmax(axis=1)  # moves[g, j] is the row of the 1 in column j
+    return len({frozenset(zip(moves[:, j], moves[:, b])) for j in range(n) for b in range(n)})
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(
+    group=st.sampled_from([symmetric_s3(), quaternion_q8(), dihedral_d4()]),
+    conjugate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reynolds_matches_both_oracles_on_biregular_images(group, conjugate, seed):
+    image = biregular_action(group)
+    generators = biregular_generators(group)
+    n = group.order
+    if conjugate:
+        # a seeded unitary spreads K over every entry: one dense block
+        u = seeded_unitary(n, seed)
+        image = u @ image @ u.conj().T
+        generators = [u @ g @ u.conj().T for g in generators]
+    comm = commutant_of_set(image)
+    reynolds, kron = reynolds_by_kron(image)
+    oracle = complex_nullspace(commutation_system(generators), n)
+    classes = group.conjugacy_class_count()
+    assert comm.dimension == comm.character_count == len(kron) == len(oracle) == classes
+    assert np.abs(projector(comm.basis, n) - projector(kron, n)).max() < 1e-10
+    assert np.abs(projector(comm.basis, n) - projector(oracle, n)).max() < 1e-10
+    assert comm.blocks == (1 if conjugate else pair_orbits(image))
+    # the block-wise spectrum is the whole spectrum of the oracle's K
+    w, _, _ = _eigh_by_blocks(reynolds)
+    assert np.abs(np.sort(w) - np.linalg.eigvalsh(reynolds)).max() < 1e-12
+
+
+def test_blocks_follow_chains_and_one_sided_entries():
+    # the chain 6-4-2-0 needs more than one pass of label propagation; an
+    # entry on one side of the diagonal alone still joins its pair
+    m = np.zeros((8, 8))
+    for i, j in [(6, 4), (4, 2), (2, 0), (7, 5), (1, 3)]:
+        m[i, j] = 1e-300
+    assert _blocks(m).tolist() == [0, 1, 0, 1, 0, 5, 0, 5]
+
+
+def test_eigh_by_blocks_matches_one_eigh_on_shuffled_chains():
+    # a Hermitian matrix whose blocks are paths of length 5, 2, 1 and 1 under
+    # shuffled indices, scaled so that some eigenvalues exceed 1/2
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(9)
+    m = np.zeros((9, 9), dtype=complex)
+    for chain in ([0, 1, 2, 3, 4], [5, 6], [7], [8]):
+        idx = perm[chain]
+        m[idx, idx] = rng.standard_normal(len(idx))
+        z = rng.standard_normal(len(idx) - 1) + 1j * rng.standard_normal(len(idx) - 1)
+        m[idx[1:], idx[:-1]] = z
+        m[idx[:-1], idx[1:]] = z.conj()
+    w, fixed, blocks = _eigh_by_blocks(m)
+    assert blocks == 4
+    assert np.abs(np.sort(w) - np.linalg.eigvalsh(m)).max() < 1e-14
+    whole_w, whole_v = np.linalg.eigh(m)
+    top = whole_v[:, whole_w > 0.5]
+    assert len(fixed) == top.shape[1] > 0
+    assert np.abs(fixed.T @ fixed.conj() - top @ top.conj().T).max() < 1e-12

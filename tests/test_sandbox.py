@@ -15,6 +15,7 @@ from loctrace import (
 )
 from loctrace.sandbox import (
     FiniteGroup,
+    _cyclic_table,
     abelian_presentations_up_to,
     biregular_action,
     class_function_convolution,
@@ -26,6 +27,7 @@ from loctrace.sandbox import (
     run_suite,
     symmetric_s3,
 )
+from oracles import characters_by_loops, cyclic_table_by_loops
 
 
 # ----------------------------- groups ---------------------------------------
@@ -38,10 +40,39 @@ def test_cyclic_table_is_group():
     assert g.identity == 0
 
 
-def test_bad_table_rejected():
-    table = np.zeros((3, 3), dtype=int)  # constant table: no identity
-    with pytest.raises(ValueError):
-        FiniteGroup(order=3, table=table)
+@pytest.mark.parametrize(
+    "table,match",
+    [
+        ([[0, 1], [1, 2]], "table entries out of range"),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], "table has no two-sided identity"),
+        ([[0, 1], [1, 1]], "element 1 has no inverse"),
+        # a Latin square with identity 0, so every element has an inverse,
+        # but (1 * 1) * 2 = 2 and 1 * (1 * 2) = 4
+        (
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+            "table is not associative",
+        ),
+    ],
+    ids=["out-of-range", "no-identity", "no-inverse", "not-associative"],
+)
+def test_bad_table_rejected(table, match):
+    with pytest.raises(ValueError, match=match):
+        FiniteGroup(order=len(table), table=np.array(table))
+
+
+def test_identity_and_inverses_match_the_table():
+    for group in (cyclic_group(2, 6), symmetric_s3(), quaternion_q8(), dihedral_d4()):
+        e = group.identity
+        assert (group.table[e] == np.arange(group.order)).all()
+        for g in range(group.order):
+            assert group.table[g, group.inverse(g)] == group.table[group.inverse(g), g] == e
+
+
+def test_cyclic_tables_and_characters_match_loop_references():
+    for factors in abelian_presentations_up_to(12):
+        assert np.array_equal(_cyclic_table(factors), cyclic_table_by_loops(factors))
+        chars = characters(cyclic_group(*factors))
+        assert np.abs(chars - characters_by_loops(factors)).max() <= 1e-15
 
 
 def test_nonabelian_tables():
@@ -134,8 +165,12 @@ def test_commutant_of_identity_is_everything():
         ([np.ones(4)], "square"),
         ([np.zeros((0, 0))], "square"),
         ([np.eye(3), np.eye(4)], "operator #1"),
+        # NaN compares False with every tolerance, so it is refused up front
+        ([np.eye(2), [[np.nan, 0], [0, 1]]], "operator #1 has a non-finite entry"),
+        ([np.eye(2), [[np.inf, 0], [0, 1]]], "operator #1 has a non-finite entry"),
+        ([[[1, 0], [0, -np.inf]], np.eye(2)], "operator #0 has a non-finite entry"),
     ],
-    ids=["empty", "non-square", "vector", "zero-size", "mismatched"],
+    ids=["empty", "non-square", "vector", "zero-size", "mismatched", "nan", "inf", "minus-inf"],
 )
 def test_commutant_of_set_rejects_bad_operators(ops, match):
     with pytest.raises(ValueError, match=match):
@@ -161,6 +196,15 @@ def test_biregular_commutant_dimensions():
         comm = commutant_of_set(action)
         assert comm.dimension == comm.character_count == expected[group.name]
         assert comm.is_abelian
+
+
+def test_left_regular_commutant_is_not_abelian():
+    # the commutant of the left regular image is the span of the right
+    # translations: |G| = n dimensions, so only the commutators decide
+    for group in (symmetric_s3(), quaternion_q8(), dihedral_d4(), cyclic_group(6)):
+        comm = commutant_of_set([left_translation_operator(group, g) for g in range(group.order)])
+        assert comm.dimension == group.order
+        assert comm.is_abelian == group.is_abelian
 
 
 def test_translations_are_permutations():
@@ -288,9 +332,20 @@ def test_resolvent_class_convolution_s3():
 def test_resolvent_rejects_noncommuting():
     g = cyclic_group(4)
     action = [np.diag(c) for c in characters(g)]
-    m = np.ones((4, 4))  # symmetric, does not commute with the characters
-    with pytest.raises(ValueError, match="commute"):
+    m = np.ones((4, 4))  # symmetric, commutes with the trivial character only
+    with pytest.raises(ValueError, match="does not commute with action element #1$"):
         resolvent_normality_check(m, action)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_resolvent_refuses_non_finite_input(bad):
+    action = [np.diag(c) for c in characters(cyclic_group(4))]
+    m = np.diag([1.0, 2.0, 3.0, bad])
+    with pytest.raises(ValueError, match="M has a non-finite entry"):
+        resolvent_normality_check(m, action)
+    action[2] = np.diag([1.0, 1.0, bad, 1.0])
+    with pytest.raises(ValueError, match="action element #2 has a non-finite entry"):
+        resolvent_normality_check(np.diag([1.0, 2.0, 3.0, 4.0]), action)
 
 
 def test_resolvent_rejects_nonabelian_commutant():
