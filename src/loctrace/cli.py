@@ -42,8 +42,7 @@ from .cutoff_trace import (
     TraceReport,
     asymptotic_fit,
     gate_reports,
-    route_c_bytes,
-    route_c_lattice_nodes,
+    route_c_plan,
 )
 
 log = logging.getLogger("loctrace")
@@ -196,14 +195,10 @@ def validate_config(config: dict) -> dict:
         # lambda 0 (an empty block) still checks that n_signed is even
         lam = max(c_lams, default=0.0)
         try:
-            need = route_c_bytes(n_signed, lam)
+            plan = route_c_plan(TestFunction(**config["test_function"]), n_signed, lam)
         except ValueError as exc:
             raise ConfigError(f"route_c: {exc}") from exc
-        _check_budget(need, f"route_c: n_signed {n_signed} up to lambda {lam}")
-        try:
-            route_c_lattice_nodes(TestFunction(**config["test_function"]), n_signed, lam)
-        except ValueError as exc:
-            raise ConfigError(f"route_c: {exc}") from exc
+        _check_budget(plan.peak_bytes, f"route_c: n_signed {n_signed} up to lambda {lam}")
     return config
 
 
@@ -470,8 +465,15 @@ def run_verify(out_dir: Path) -> dict:
 
 
 def _failed_gates(summary: dict, prefix: str = "") -> list[str]:
-    """The names of a sweep summary's failed gates, each after ``prefix``."""
-    return [prefix + name for name, g in summary["gates"].items() if not g["passed"]]
+    """A sweep summary's failed gates, each named after ``prefix`` with its value and
+    tolerance, or with its error when it has no value (a fit gate without a fit)."""
+    return [
+        f"{prefix}{name} ({g['error']})"
+        if "error" in g
+        else f"{prefix}{name} ({g['value']:.1e}, tolerance {g['tolerance']:.1e})"
+        for name, g in summary["gates"].items()
+        if not g["passed"]
+    ]
 
 
 def _seed(text: str) -> int:

@@ -32,10 +32,10 @@ from .fourier import (
     FourierOperator,
     FullLineFourier,
     SignedGrid,
-    cutoff_block,
     full_line_fourier,
     make_signed_grid,
     row_chunks,
+    signed_point,
 )
 from .kernels import kernel_values
 from .operators import TestFunction
@@ -241,48 +241,6 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 # quotient); tracemalloc measures 8.9 at n_signed=4096, max_lambda=8
 ROUTE_C_TEMPORARIES = 10
 
-
-def route_c_bytes(n: int, max_lambda: float) -> int:
-    """Peak bytes of SignedTraceLab(f, n, max_lambda), from the geometry alone.
-
-    Counts the kept even-sector arrays on the positive half b of the block B,
-    all real: C[:, b] ((n/2) x |b|), U_e[b, :] (|b| x (n/2)) and
-    M_e (|b| x |b|).  On top of them it bounds every temporary of the set-up:
-    ROUTE_C_TEMPORARIES arrays of one row chunk (at most
-    max(CHUNK_ENTRIES, n/2) entries, see ``row_chunks``), the transform's
-    n-length arrays (grid, phases, certification probes, the 4n-entry cosine
-    table), the quadrature of the bad rows (its result, one product of the
-    same size and ROUTE_C_TEMPORARIES arrays of one row chunk of its lattice,
-    whose nodes are made per chunk) and the packing buffers of the BLAS product
-    M_e (counted as one more |b| x |b|).  Raises ValueError, before anything is
-    allocated, when the signed grid cannot hold the block: n odd or below 2,
-    or max_lambda at or beyond half the grid's extent.
-    """
-    if n < 2 or n % 2 != 0:
-        raise ValueError("signed grid needs an even n >= 2")
-    extent = (n - 1) / 2.0 * (1.0 / math.sqrt(n))  # SignedGrid.extent, bit for bit
-    if max_lambda >= extent / 2.0:
-        raise ValueError(
-            f"lam too close to the signed-grid extent (lam {max_lambda}, n {n}: "
-            f"needs lam < {extent / 2.0:.6g})"
-        )
-    # x_j = (j + 1/2) / sqrt(n) on the positive half: |b| counts the j with x_j <= lam
-    b = int(math.floor(max_lambda * math.sqrt(n) * (1.0 + 1e-12) + 0.5))
-    # the bad rows, x_j < BAD_ROW_EXTENT, are at most the x_j <= BAD_ROW_EXTENT
-    bad = min(b, int(math.floor(SignedTraceLab.BAD_ROW_EXTENT * math.sqrt(n) * (1.0 + 1e-12) + 0.5)))
-    half = n // 2
-    kept = 2 * half * b + b * b
-    chunk = min(half * b, max(CHUNK_ENTRIES, half))
-    # the grid, the FFT form's phases and complex probes (14 n measured), the
-    # cosine table and one array of its size while it is built (8 n)
-    vectors = 24 * n
-    # the bad rows' result and the product of one lattice chunk (bad x |b| each),
-    # and the arrays of one lattice chunk against the block, whatever the lattice's length
-    quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
-    packing = b * b  # the BLAS buffers of the product M_e (2.2 MB measured for 2.1 MB of M_e)
-    return 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature + packing)
-
-
 # lattice nodes per unit of log y beyond the cosine's, per 1/support_radius
 # and per 1/width: within 3e-13 of converged Gauss-Legendre (relative to
 # the largest entry) for centres within the support, widths 0.01-2 and
@@ -323,20 +281,70 @@ def log_lattice(f: TestFunction, v_min: float, v_max: float, u_max: float) -> tu
     return lo, (hi - lo) / (nodes - 1), nodes
 
 
-def route_c_lattice_nodes(f: TestFunction, n: int, max_lambda: float) -> int:
-    """Nodes of the log lattice of SignedTraceLab(f, n, max_lambda), from the geometry alone.
+def _points_up_to(n: int, bound: float) -> int:
+    """How many x_j of the positive half-grid are <= bound: the grid's own count, by bisection."""
+    lo, hi = 0, n // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if signed_point(n, mid) <= bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
-    0 when the block has no bad row.  Raises ValueError like ``log_lattice``;
-    n and max_lambda are those ``route_c_bytes`` accepts.
+
+def block_size(n: int, lam: float) -> int:
+    """|b|: the x_j <= lam of the positive half-grid (relative slack 1e-12 for boundary points)."""
+    return _points_up_to(n, lam * (1.0 + 1e-12))
+
+
+@dataclass(frozen=True)
+class RouteCPlan:
+    """The geometry of a SignedTraceLab, decided before anything is allocated."""
+
+    block: int  # |b|: the block's positive half b is the first |b| points x_j
+    bad_rows: int  # the first bad_rows of them are the bad rows, x < BAD_ROW_EXTENT
+    lattice: Optional[tuple[float, float, int]]  # the bad rows' log_lattice; None without them
+    peak_bytes: int  # bounds the set-up's peak
+
+
+def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
+    """The plan of SignedTraceLab(f, n, max_lambda), from arithmetic alone.
+
+    ``peak_bytes`` counts the kept arrays C[:, b], U_e[b, :] and M_e, all
+    real, and bounds every temporary of the set-up: ROUTE_C_TEMPORARIES arrays
+    of one row chunk (``row_chunks``), the transform's n-length arrays, the
+    bad rows' quadrature (its result, one product of its size and
+    ROUTE_C_TEMPORARIES arrays of one lattice chunk) and the BLAS packing of
+    M_e.  Raises ValueError when n is odd or below 2, when max_lambda reaches
+    half the grid's extent, or when the bad rows' lattice exceeds
+    LATTICE_NODES_MAX.
     """
-    root = math.sqrt(n)
-    # x_j = (j + 1/2) / sqrt(n) on the positive half: |b| of them are <= max_lambda,
-    # and the bad ones are < BAD_ROW_EXTENT
-    b = int(math.floor(max_lambda * root * (1.0 + 1e-12) + 0.5))
-    bad = min(b, max(0, math.ceil(SignedTraceLab.BAD_ROW_EXTENT * root - 0.5)))
-    if bad == 0:
-        return 0
-    return log_lattice(f, 0.5 / root, (bad - 0.5) / root, (b - 0.5) / root)[2]
+    if n < 2 or n % 2 != 0:
+        raise ValueError("signed grid needs an even n >= 2")
+    extent = signed_point(n, n // 2 - 1)  # the grid's largest point, x[-1]
+    if max_lambda >= extent / 2.0:
+        raise ValueError(
+            f"lam too close to the signed-grid extent (lam {max_lambda}, n {n}: "
+            f"needs lam < {extent / 2.0:.6g})"
+        )
+    b = block_size(n, max_lambda)
+    # x < BAD_ROW_EXTENT is x <= the float just below it
+    bad = min(b, _points_up_to(n, math.nextafter(SignedTraceLab.BAD_ROW_EXTENT, 0.0)))
+    # the bad rows run from x_0 to x_{bad-1}, against columns up to x_{b-1}
+    lattice = log_lattice(f, *(signed_point(n, j) for j in (0, bad - 1, b - 1))) if bad else None
+    half = n // 2
+    kept = 2 * half * b + b * b
+    chunk = min(half * b, max(CHUNK_ENTRIES, half))
+    # the grid, the FFT form's phases and complex probes (14 n measured), the
+    # cosine table and one array of its size while it is built (8 n)
+    vectors = 24 * n
+    # the bad rows' result and the product of one lattice chunk (bad x |b| each),
+    # and the arrays of one lattice chunk against the block, whatever the lattice's length
+    quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
+    packing = b * b  # the BLAS buffers of the product M_e (2.2 MB measured for 2.1 MB of M_e)
+    peak = 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature + packing)
+    return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, peak_bytes=peak)
 
 
 class SignedTraceLab:
@@ -350,77 +358,67 @@ class SignedTraceLab:
     C[j, k] = 2 step cos(2 pi x_j x_k) on the positive half-grid, and U_f as
     U_e[v, y] = f(v/y) / sqrt(vy) step = 2 U_f(|v|, |y|); folding the signs
     gives Tr(P F^-1 P U_f F) = Tr(C[b, b] U_e[b, :] C[:, b]) with b the
-    positive half of B.  For the largest block the lab holds C[:, b]
-    (certified against the FFT form of the full matrix), U_e[b, :] and, once,
-    M_e = U_e[b, :] C[:, b]; each trace slices them to its own block.  C[:, b]
-    and U_e[b, :] are filled one row chunk at a time (``row_chunks``), so the
-    set-up's peak stays within ``route_c_bytes``: the kept arrays plus the
-    temporaries of one chunk, not of the whole block.  Rows
-    with x < 0.5 cannot resolve the multiplicative kernel on a uniform grid;
-    for those rows the entries of M_e are integrated directly, U_e's kernel
-    times the cosine kernel, by the trapezoid rule on one uniform lattice in
-    log y shared by all of them (``_ue_cosine_rows``): one cosine table
-    against the block and one product per lattice chunk.
+    positive half of B.  The lab takes the largest block, its bad rows and
+    their lattice from its ``plan`` (``route_c_plan``), made and checked
+    before anything is allocated.  It holds C[:, b] (certified against the
+    FFT form of the full matrix), U_e[b, :] and, once, M_e = U_e[b, :] C[:, b],
+    which each trace slices to its own block; C[:, b] and U_e[b, :] are filled
+    one row chunk at a time (``row_chunks``), so the set-up stays within
+    ``plan.peak_bytes``.  Rows with x < 0.5 cannot resolve the multiplicative
+    kernel on a uniform grid; their entries of M_e are integrated directly
+    (``_ue_cosine_rows``).
     """
 
     BAD_ROW_EXTENT = 0.5
 
     def __init__(self, f: TestFunction, n: int, max_lambda: float):
         start = time.perf_counter()
-        peak_bytes = route_c_bytes(n, max_lambda)  # geometry checks before any allocation
-        route_c_lattice_nodes(f, n, max_lambda)
+        self.plan = plan = route_c_plan(f, n, max_lambda)  # every refusal before any allocation
         self.f = f
         self.max_lambda = max_lambda
         self.sgrid: SignedGrid = make_signed_grid(n)
-        self.fourier: FullLineFourier = full_line_fourier(self.sgrid, max_lambda)
+        self.fourier: FullLineFourier = full_line_fourier(self.sgrid, plan.block)
         step = self.sgrid.step
         xp = self.sgrid.x[n // 2 :]
-        self._xb = xb = xp[self.fourier.block]  # a prefix of the positive half-grid
+        xb = xp[: plan.block]
         inv_xp = 1.0 / xp
-        self.u_even = np.empty((len(xb), len(xp)))
-        for rows in row_chunks(len(xb), len(xp)):
+        self.u_even = np.empty((plan.block, len(xp)))
+        for rows in row_chunks(plan.block, len(xp)):
             xr = xb[rows]
             self.u_even[rows] = f(np.outer(xr, inv_xp)) / np.sqrt(np.outer(xr, xp)) * step
         self.m_even = self.u_even @ self.fourier.matrix
-        self.quadrature_nodes = 0  # set by _ue_cosine_rows: the size of its log lattice
-        bad = xb < self.BAD_ROW_EXTENT
-        if bad.any():
-            self.m_even[bad, :] = self._ue_cosine_rows(xb[bad], xb)
+        if plan.bad_rows:
+            self.m_even[: plan.bad_rows] = self._ue_cosine_rows(xb[: plan.bad_rows], xb)
         log.info(
             "route C set-up: n_signed=%d |B|=%d block_bytes=%d peak_bytes_estimate=%d "
             "unitarity_defect=%.3e bad_rows=%d quadrature_nodes=%d duration_s=%.4f",
             n,
-            2 * len(xb),
+            2 * plan.block,
             self.fourier.matrix.nbytes + self.u_even.nbytes + self.m_even.nbytes,
-            peak_bytes,
+            plan.peak_bytes,
             self.fourier.unitarity_defect,
-            2 * int(bad.sum()),
-            self.quadrature_nodes,
+            2 * plan.bad_rows,
+            plan.lattice[2] if plan.lattice else 0,
             time.perf_counter() - start,
         )
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
         """(U_e C)(v, u) by direct quadrature: 2 step int f(v/y) (vy)^{-1/2} cos(2 pi y u) dy.
 
-        In tau = log y row v integrates f(v e^-tau) (e^tau / v)^{1/2} cos(2 pi u e^tau),
-        which is C^inf and supported in |tau - log v| < rho, so the trapezoid
-        rule on a uniform tau lattice converges faster than any power of its
-        node count (Trefethen & Weideman, SIAM Review 56, 2014).  One lattice
-        over [log min(v) - rho, log max(v) + rho] serves every row: the
-        cosine table cos(2 pi y_k u) is shared and each row weighs it by
-        f(v/y_k) (y_k/v)^{1/2} dtau; ``log_lattice`` sizes it.  The table
-        is filled one row chunk of the lattice at a time (``row_chunks``),
-        its nodes made per chunk, and each chunk is added to the result by
-        one product, so no array outgrows a chunk.  Sets
-        ``quadrature_nodes`` to the lattice size.
+        In tau = log y each row's integrand is C^inf and supported in
+        |tau - log v| < rho, so the trapezoid rule on the plan's uniform tau
+        lattice converges faster than any power of its node count (Trefethen
+        & Weideman, SIAM Review 56, 2014).  The lattice is shared by every
+        row: one cosine table cos(2 pi y_k u), weighed per row by
+        f(v/y_k) (y_k/v)^{1/2} dtau, filled and multiplied one lattice chunk
+        at a time (``row_chunks``), so no array outgrows a chunk.
         """
-        f = self.f
-        lo, dtau, self.quadrature_nodes = log_lattice(f, vs.min(), vs.max(), us.max())
+        lo, dtau, nodes = self.plan.lattice
         out = np.zeros((len(vs), len(us)))
-        for rows in row_chunks(self.quadrature_nodes, len(us)):
+        for rows in row_chunks(nodes, len(us)):
             y = np.exp(np.arange(rows.start, rows.stop) * dtau + lo)
             ratio = np.outer(vs, 1.0 / y)
-            weights = f(ratio) / np.sqrt(ratio)  # zero on the ends, so trapezoid = plain sum
+            weights = self.f(ratio) / np.sqrt(ratio)  # zero on the ends, so trapezoid = plain sum
             table = np.outer(y, 2.0 * np.pi * us)
             out += weights @ np.cos(table, out=table)
         out *= 2.0 * self.sgrid.step * dtau
@@ -430,7 +428,7 @@ class SignedTraceLab:
         """Size k of the positive half of the block {|x| <= lam}: its first k points."""
         if lam > self.max_lambda:
             raise ValueError(f"lam {lam} exceeds this lab's max_lambda {self.max_lambda}")
-        return len(cutoff_block(self._xb, lam))
+        return block_size(self.sgrid.n, lam)
 
     def trace_route_c(self, lam: float) -> float:
         k = self._sub_block(lam)

@@ -27,6 +27,7 @@ two evaluation lattices are built once per transform.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -253,12 +254,17 @@ class SignedGrid:
         return float(self.x[-1])
 
 
+def signed_point(n: int, j):
+    """x_j = (j + 1/2) (1/sqrt(n)) on the positive half of the n-point signed grid (j an index
+    or an array): the grid is made from it, so route C's plan counts the grid's own floats."""
+    return (j + 0.5) * (1.0 / math.sqrt(n))
+
+
 def make_signed_grid(n: int) -> SignedGrid:
     if n < 2 or n % 2 != 0:
         raise ValueError("signed grid needs an even n >= 2")
-    step = 1.0 / np.sqrt(n)
-    x = (np.arange(n) - (n - 1) / 2.0) * step
-    return SignedGrid(n=n, step=step, x=x)
+    xp = signed_point(n, np.arange(n // 2))
+    return SignedGrid(n=n, step=1.0 / math.sqrt(n), x=np.concatenate([-xp[::-1], xp]))
 
 
 # entries per row chunk while the dense signed-grid arrays are filled: every
@@ -278,11 +284,6 @@ def row_chunks(rows: int, cols: int) -> Iterator[slice]:
         yield slice(r, min(r + step, rows))
 
 
-def cutoff_block(x: np.ndarray, lam: float) -> np.ndarray:
-    """Indices of the closed cutoff |x| <= lam (relative slack 1e-12 for boundary points)."""
-    return np.flatnonzero(np.abs(x) <= lam * (1.0 + 1e-12))
-
-
 class FullLineFourier:
     """The e^{-2 pi i x y} transform on a SignedGrid (field R) and its even-sector columns.
 
@@ -292,9 +293,9 @@ class FullLineFourier:
     by one FFT.  On even vectors F acts through its cosine part: on the
     positive half-grid x_j = (2j+1) / (2 sqrt(n)) it is the real matrix
     C[j, k] = 2 step cos(2 pi x_j x_k), the orthonormal DCT-IV of size n/2 and
-    its own inverse.  ``block`` holds the positions j of the positive half-grid
-    with x_j <= max_lambda (all n/2 of them when max_lambda is None), and
-    ``matrix`` the columns C[:, block], (n/2) x |block|.  Since
+    its own inverse.  ``matrix`` holds its first ``cols`` columns,
+    C[:, :cols] ((n/2) x cols): the block x_k <= lam of a route C plan, or
+    all n/2 of them.  Since
     2 pi x_j x_k = 2 pi (2j+1)(2k+1) / 4n, every entry is one of the 4n values
     of a cosine table indexed by (2j+1)(2k+1) mod 4n; ``matrix`` is filled
     from it in row chunks (``row_chunks``), so no temporary outgrows a chunk.
@@ -302,22 +303,17 @@ class FullLineFourier:
     against it.
     """
 
-    def __init__(self, sgrid: SignedGrid, max_lambda: float | None = None):
+    def __init__(self, sgrid: SignedGrid, cols: int):
         self.grid = sgrid
         n = sgrid.n
         half = n // 2
-        if max_lambda is None:
-            self.block = np.arange(half)
-        else:
-            self.block = cutoff_block(sgrid.x[half:], max_lambda)
         # x_j x_k = (2j+1)(2k+1) / 4n, reduced mod 1 exactly in integers: the
         # columns take only the 4n values of one cosine table
         table = 2.0 * sgrid.step * np.cos(np.arange(4 * n) * (2.0 * np.pi / (4 * n)))
         odd = 2 * np.arange(half) + 1
-        odd_block = odd[self.block]
-        self.matrix = np.empty((half, len(self.block)))
-        for rows in row_chunks(half, len(self.block)):
-            self.matrix[rows] = table[np.outer(odd[rows], odd_block) % (4 * n)]
+        self.matrix = np.empty((half, cols))
+        for rows in row_chunks(half, cols):
+            self.matrix[rows] = table[np.outer(odd[rows], odd[:cols]) % (4 * n)]
         # phases reduced exactly in integers: c j / n = (n-1) j / 2n, c^2 / n = (n-1)^2 / 4n
         j = np.arange(n)
         self._phase = np.exp(1j * np.pi * (((n - 1) * j) % (2 * n)) / n)
@@ -336,13 +332,13 @@ class FullLineFourier:
         """Larger of the FFT form's unitarity defect and the cosine columns' gap to it.
 
         Unitarity: max |F F^H v - v| / max |v| on three seeded Gaussian
-        probes.  Columns: max |C[:, block] u - (F v)[n/2:]| on three seeded
-        probes with unimodular entries u on the block, v holding u mirrored
+        probes.  Columns: max |C[:, :cols] u - (F v)[n/2:]| on three seeded
+        probes with unimodular entries u on the columns, v holding u mirrored
         onto both signs, so a single cosine entry off by eps moves every probe
         by eps.
         """
         n = self.grid.n
-        half = n // 2
+        half, cols = n // 2, self.matrix.shape[1]
         rng = np.random.default_rng(1234)
         defect = 0.0
         for _ in range(3):
@@ -350,10 +346,10 @@ class FullLineFourier:
             uv = self.apply(self.apply_adjoint(v))
             defect = max(defect, float(np.abs(uv - v).max() / np.abs(v).max()))
         for _ in range(3):
-            u = np.exp(2j * np.pi * rng.random(len(self.block)))
+            u = np.exp(2j * np.pi * rng.random(cols))
             v = np.zeros(n, dtype=complex)
-            v[half + self.block] = u
-            v[half - 1 - self.block] = u
+            v[half : half + cols] = u
+            v[half - cols : half] = u[::-1]
             # two real products: ``matrix @ u`` would copy the matrix to complex
             cu = self.matrix @ u.real + 1j * (self.matrix @ u.imag)
             defect = max(defect, float(np.abs(cu - self.apply(v)[half:]).max()))
@@ -371,6 +367,6 @@ class FullLineFourier:
         return self
 
 
-def full_line_fourier(sgrid: SignedGrid, max_lambda: float | None = None) -> FullLineFourier:
-    """Certified cosine columns C[:, 0 < x <= max_lambda] of the signed-grid transform."""
-    return FullLineFourier(sgrid, max_lambda).certify()
+def full_line_fourier(sgrid: SignedGrid, cols: int) -> FullLineFourier:
+    """Certified first ``cols`` cosine columns C[:, :cols] of the signed-grid transform."""
+    return FullLineFourier(sgrid, cols).certify()

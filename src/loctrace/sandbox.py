@@ -399,15 +399,17 @@ def multiplier_of(m: np.ndarray, psi: np.ndarray, group: FiniteGroup) -> np.ndar
     """Recover the multiplier a(x) = (M psi)(x) / psi(x) of a character-commuting M."""
     m = np.asarray(m, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
+    for name, a in (("M", m), ("psi", psi)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has a non-finite entry")
     if np.any(psi == 0):
         raise ValueError("psi must be nowhere zero")
-    for k, chi in enumerate(characters(group)):
-        d = np.diag(chi)
-        defect = np.abs(m @ d - d @ m).max()
-        if defect > 1e-10:
-            raise ValueError(
-                f"operator does not commute with character #{k} (defect {defect:.2e})"
-            )
+    ds = _diagonals(characters(group))
+    defect = np.abs(m @ ds - ds @ m).max(axis=(1, 2))
+    bad = np.flatnonzero(defect > 1e-10)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"operator does not commute with character #{k} (defect {defect[k]:.2e})")
     return (m @ psi) / psi
 
 

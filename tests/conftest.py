@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from loctrace import (
     TestFunction,
@@ -11,6 +12,11 @@ from loctrace import (
     make_grid,
 )
 from loctrace.cutoff_trace import SignedTraceLab
+
+# every property replays the same examples and runs without a per-example deadline;
+# each @settings(...) adds only its example count
+settings.register_profile("loctrace", derandomize=True, deadline=None)
+settings.load_profile("loctrace")
 
 
 @pytest.fixture(scope="session")

@@ -202,7 +202,7 @@ def dual_subgroups(draw):
     return factors, subgroup_of_dual(factors, generators)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(case=dual_subgroups())
 def test_reynolds_matches_character_count_and_thin_svd_on_dual_subgroups(case):
     factors, subgroup = case
@@ -234,7 +234,7 @@ def pair_orbits(image: np.ndarray) -> int:
     return len({frozenset(zip(moves[:, j], moves[:, b])) for j in range(n) for b in range(n)})
 
 
-@settings(max_examples=24, derandomize=True, deadline=None)
+@settings(max_examples=24)
 @given(
     group=st.sampled_from([symmetric_s3(), quaternion_q8(), dihedral_d4()]),
     conjugate=st.booleans(),

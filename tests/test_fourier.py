@@ -279,7 +279,7 @@ def dense_signed_fourier(sgrid):
 
 @pytest.fixture(scope="module")
 def signed_fourier():
-    return full_line_fourier(make_signed_grid(1024))
+    return full_line_fourier(make_signed_grid(1024), 512)  # every column
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import loctrace.fourier as fourier_mod
 from loctrace.cli import run_trace_sweep
@@ -23,8 +23,8 @@ from loctrace.cutoff_trace import (
     LATTICE_NODES_MAX,
     ROUTE_C_TEMPORARIES,
     SignedTraceLab,
-    route_c_bytes,
-    route_c_lattice_nodes,
+    log_lattice,
+    route_c_plan,
 )
 from loctrace.fourier import (
     CHUNK_ENTRIES,
@@ -154,36 +154,87 @@ def test_lab_refuses_lambda_at_half_extent(standard_bump, n, max_lambda):
     assert max_lambda >= half
     with pytest.raises(ValueError, match="lam too close to the signed-grid extent"):
         SignedTraceLab(standard_bump, n, max_lambda)
-    assert route_c_bytes(n, float(np.nextafter(half, 0.0))) > 0
+    assert route_c_plan(standard_bump, n, float(np.nextafter(half, 0.0))).peak_bytes > 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 4095])
-def test_route_c_bytes_refuses_odd_grids(n):
+def test_route_c_bytes_refuses_odd_grids(standard_bump, n):
     with pytest.raises(ValueError, match="even n"):
-        route_c_bytes(n, 0.5)
+        route_c_plan(standard_bump, n, 0.5)
 
 
 @pytest.mark.parametrize(
     "n, lam", [(64, 0.0), (64, 0.01), (64, 0.5), (1024, 1.0), (4096, 2.0), (4096, 8.0)]
 )
 def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
-    # the geometric block size behind the estimate is the lab's block
-    fl = FullLineFourier(make_signed_grid(n), lam)
-    b, half = len(fl.block), n // 2
-    bad = int((fl.grid.x[half:][fl.block] < SignedTraceLab.BAD_ROW_EXTENT).sum())
+    # the plan's peak, term by term, from the block counted on the float grid
+    xp = make_signed_grid(n).x[n // 2 :]
+    half, b = n // 2, int(np.count_nonzero(xp <= lam * (1.0 + 1e-12)))
+    bad = int((xp[:b] < SignedTraceLab.BAD_ROW_EXTENT).sum())
     kept = 2 * half * b + b * b
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
     quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     packing = b * b
-    assert route_c_bytes(n, lam) == 8 * (
+    plan = route_c_plan(standard_bump, n, lam)
+    assert (plan.block, plan.bad_rows) == (b, bad)
+    assert plan.peak_bytes == 8 * (
         kept + ROUTE_C_TEMPORARIES * chunk + 24 * n + quadrature + packing
     )
     if b:
         lab = SignedTraceLab(standard_bump, n, lam)
+        assert lab.fourier.matrix.shape == (half, b)
         held = lab.fourier.matrix.nbytes + lab.u_even.nbytes + lab.m_even.nbytes
-        assert held < route_c_bytes(n, lam)
-        # and so is the lattice size behind the lab's refusal
-        assert route_c_lattice_nodes(standard_bump, n, lam) == lab.quadrature_nodes > 0
+        assert held < plan.peak_bytes
+        # and so is the lattice behind the lab's refusal
+        assert lab.plan.lattice == plan.lattice
+        assert (plan.lattice is not None) == (bad > 0)
+
+
+@st.composite
+def signed_geometries(draw):
+    """(n, lam): an even n in 64..8192 and a lam in (0, extent/2), often on a cell
+    edge (lam sqrt(n) an integer) or on a grid point (a half-integer), the
+    latter written both as the grid writes it and as a quotient."""
+    n = 2 * draw(st.integers(32, 4096))
+    root, limit = math.sqrt(n), make_signed_grid(n).extent / 2.0
+    kind = draw(st.sampled_from(["anywhere", "cell edge", "point", "point as quotient"]))
+    if kind == "anywhere":
+        lam = limit * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    else:
+        k = draw(st.integers(0, int(limit * root)))
+        lam = {
+            "cell edge": k / root,
+            "point": (k + 0.5) * (1.0 / root),
+            "point as quotient": (k + 0.5) / root,
+        }[kind]
+    assume(0.0 < lam < limit)
+    return n, lam
+
+
+@settings(max_examples=400)
+@given(geometry=signed_geometries())
+@example(geometry=(64, 0.01))  # an empty block
+@example(geometry=(64, 0.5))  # a cell edge at the bad-row extent
+@example(geometry=(4096, 8.0))
+def test_route_c_plan_matches_the_grid_property(geometry):
+    n, lam = geometry
+    f = TestFunction()
+    plan = route_c_plan(f, n, lam)
+    # the counts of the dense oracle, on the float grid
+    x = make_signed_grid(n).x
+    block = np.abs(x) <= lam * (1.0 + 1e-12)
+    assert 2 * plan.block == np.count_nonzero(block)
+    assert 2 * plan.bad_rows == np.count_nonzero(block & (np.abs(x) < SignedTraceLab.BAD_ROW_EXTENT))
+    # the lattice of the lab's own points, bit for bit: the block's positive half and its bad rows
+    xb = x[n // 2 :][: plan.block]
+    bad = xb[xb < SignedTraceLab.BAD_ROW_EXTENT]
+    want = log_lattice(f, bad.min(), bad.max(), xb.max()) if len(bad) else None
+    assert plan.lattice == want
+    if n <= 512 and plan.block:
+        lab = SignedTraceLab(f, n, lam)
+        assert lab.fourier.matrix.shape == (n // 2, plan.block)
+        held = lab.fourier.matrix.nbytes + lab.u_even.nbytes + lab.m_even.nbytes
+        assert held < plan.peak_bytes
 
 
 @pytest.mark.parametrize("width, rho", [(1e-7, 1.5), (0.25, 8.2), (0.25, 800.0), (1e-320, 1.5)])
@@ -210,7 +261,8 @@ print(peak() - before)
 @pytest.mark.parametrize("n, lam", [(4096, 8.0), (1024, 6.0)])
 def test_route_c_bytes_bounds_the_setup_peak(n, lam):
     rise = peak_rise(_RISE_SCRIPT, n, lam)
-    assert 0 < rise <= route_c_bytes(n, lam), (rise, route_c_bytes(n, lam))
+    bound = route_c_plan(TestFunction(), n, lam).peak_bytes
+    assert 0 < rise <= bound, (rise, bound)
 
 
 @pytest.mark.parametrize(
@@ -232,12 +284,12 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
         monkeypatch.setattr(fourier_mod, "CHUNK_ENTRIES", chunk_entries)
     f = TestFunction(center=0.3, width=0.25, support_radius=1.5)
     lab = SignedTraceLab(f, n, lam)
-    step, half, block = lab.sgrid.step, n // 2, lab.fourier.block
+    step, half, b = lab.sgrid.step, n // 2, lab.plan.block
     odd = 2 * np.arange(half) + 1
-    phase = np.outer(odd, odd[block]) % (4 * n)
+    phase = np.outer(odd, odd[:b]) % (4 * n)
     matrix = 2.0 * step * np.cos(phase * (2.0 * np.pi / (4 * n)))
     xp = lab.sgrid.x[half:]
-    xb = xp[block]
+    xb = xp[:b]
     u_even = f(np.outer(xb, 1.0 / xp)) / np.sqrt(np.outer(xb, xp)) * step
     assert np.array_equal(lab.fourier.matrix, matrix)
     assert np.array_equal(lab.u_even, u_even)
@@ -246,8 +298,8 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
 
 
 def test_block_certification_passes_and_reports_its_defect():
-    fl = full_line_fourier(make_signed_grid(4096), 8.0)
-    assert fl.matrix.shape == (2048, len(fl.block))
+    fl = full_line_fourier(make_signed_grid(4096), 512)  # the block x <= 8
+    assert fl.matrix.shape == (2048, 512)
     assert fl.matrix.dtype == np.float64
     assert 0.0 < fl.unitarity_defect < 1e-10
 
@@ -258,7 +310,7 @@ def test_perturbed_block_entry_fails_certification(row, col, delta):
     # (row, col) is an entry of the signed block (1024 x 64) at |x| <= 1; the
     # cosine entry it folds into is perturbed, by a real delta or by an
     # imaginary part the real cosine columns must not have
-    fl = FullLineFourier(make_signed_grid(1024), 1.0)
+    fl = FullLineFourier(make_signed_grid(1024), 32)
     assert fl.matrix.shape == (512, 32)
     fl.matrix = fl.matrix.astype(np.result_type(fl.matrix, delta))
     fl.matrix[_fold(row, 1024), _fold(col, 64)] += delta
@@ -269,7 +321,7 @@ def test_perturbed_block_entry_fails_certification(row, col, delta):
 
 def test_fft_form_matches_dense_matrix():
     sg = make_signed_grid(256)
-    fl = FullLineFourier(sg)
+    fl = FullLineFourier(sg, 128)
     F = np.exp(-2j * np.pi * np.outer(sg.x, sg.x)) * sg.step
     rng = np.random.default_rng(3)
     v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
@@ -299,7 +351,7 @@ def test_odd_sector_part_of_the_trace_vanishes(lam):
     assert abs(np.trace(odd)) < 1e-13 * abs(np.trace(even))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     half=st.integers(min_value=32, max_value=512),
     frac=st.floats(min_value=0.05, max_value=0.999),
@@ -335,7 +387,7 @@ def composite_gauss_legendre_rows(f: TestFunction, vs, us, step: float, panels: 
     return out * (2.0 * step)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(
     half=st.integers(min_value=32, max_value=1024),
     frac=st.floats(min_value=0.05, max_value=0.999),
@@ -350,20 +402,17 @@ def composite_gauss_legendre_rows(f: TestFunction, vs, us, step: float, panels: 
 @example(half=1024, frac=0.999, center=0.5, width=0.01, rho=3.0)
 @example(half=1024, frac=0.999, center=-0.5, width=0.01, rho=0.5)
 def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, rho):
-    # the bad rows against up to 48 columns spread over the block, the last
-    # (the fastest cosine) included; a lab with a small block is enough, since
-    # the rows do not depend on its block
+    # the lab's bad rows of M_e against up to 48 columns spread over the block,
+    # the last (the fastest cosine) included
     n = 2 * half
-    sgrid = make_signed_grid(n)
-    xp = sgrid.x[half:]
-    block = xp[xp <= frac * sgrid.extent / 2.0]
-    us = block[np.unique(np.linspace(0, len(block) - 1, 48).round().astype(int))]
     f = TestFunction(center=center, width=width, support_radius=rho)
-    lab = SignedTraceLab(f, n, min(block[-1], SignedTraceLab.BAD_ROW_EXTENT))
-    vs = xp[xp < SignedTraceLab.BAD_ROW_EXTENT]
-    got = lab._ue_cosine_rows(vs, us)
-    want = composite_gauss_legendre_rows(f, vs, us, lab.sgrid.step)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, lab.quadrature_nodes)
+    lab = SignedTraceLab(f, n, frac * make_signed_grid(n).extent / 2.0)
+    xb = lab.sgrid.x[half:][: lab.plan.block]
+    cols = np.unique(np.linspace(0, len(xb) - 1, 48).round().astype(int))
+    vs = xb[: lab.plan.bad_rows]
+    got = lab.m_even[: lab.plan.bad_rows, cols]
+    want = composite_gauss_legendre_rows(f, vs, xb[cols], lab.sgrid.step)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, lab.plan.lattice)
 
 
 def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
@@ -378,14 +427,14 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         "n_signed=1024",
         "|B|=128",
         "block_bytes=",
-        f"peak_bytes_estimate={route_c_bytes(1024, 2.0)} ",
+        f"peak_bytes_estimate={lab.plan.peak_bytes} ",
         "unitarity_defect=",
         "bad_rows=32",
-        f"quadrature_nodes={lab.quadrature_nodes} ",
+        f"quadrature_nodes={lab.plan.lattice[2]} ",
         "duration_s=",
     ):
         assert key in setup[0]
-    assert lab.quadrature_nodes > 0
+    assert lab.plan.lattice[2] > 0
     assert float(setup[0].split("duration_s=")[1]) >= 0.0
     traces = [m for m in lines if m.startswith("route C trace")]
     assert traces == ["route C trace: lam=1 block_rows=64", "route C trace: lam=2 block_rows=128"]

@@ -256,8 +256,21 @@ def test_multiplier_rejects_zero_psi():
 def test_multiplier_rejects_noncommuting():
     g = cyclic_group(3)
     m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="character"):
+    # character #0 is trivial and commutes with everything; #1 is the first to fail
+    with pytest.raises(ValueError, match=r"does not commute with character #1 \(defect"):
         multiplier_of(m, np.ones(3), g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_multiplier_refuses_non_finite_input(bad):
+    g = cyclic_group(4)
+    # NaN fails every `defect > tol` test, so a NaN M used to return a NaN multiplier
+    with pytest.raises(ValueError, match="^M has a non-finite entry$"):
+        multiplier_of(np.full((4, 4), bad), np.ones(4), g)
+    psi = np.ones(4, dtype=complex)
+    psi[2] = bad
+    with pytest.raises(ValueError, match="^psi has a non-finite entry$"):
+        multiplier_of(np.eye(4), psi, g)
 
 
 # ----------------------------- polar ------------------------------------------

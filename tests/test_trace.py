@@ -92,7 +92,7 @@ def lam_with_log(x: float) -> float | None:
     return None
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(
     field_id=st.sampled_from(["R", "C", "H"]),
     half_n=st.integers(32, 4096),
@@ -315,7 +315,7 @@ def chain_inputs(draw):
     return field_id, scale, center, width
 
 
-@settings(max_examples=36, derandomize=True, deadline=None)
+@settings(max_examples=36)
 @given(case=chain_inputs())
 def test_chain_properties_over_default_grids(case):
     # build_fourier(grid) -> TraceComputation(f, fourier), judged by the
