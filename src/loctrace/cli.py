@@ -257,22 +257,21 @@ def run_trace_sweep(config: dict, out_dir: Path, fit_gates: bool = True) -> dict
     _write_sweep_csv(csv_path, reports)
 
     gates = {}
-    agree = max(
-        abs(r.t_route_a - r.t_route_b) / max(abs(r.t_route_b), 1e-300) for r in reports
+    gates["route_ab_agreement"] = _worst_gate(
+        (r.lam, _gate(_relative_gap(r.t_route_a, r.t_route_b), ROUTE_AGREEMENT_TOL[field]))
+        for r in reports
     )
-    gates["route_ab_agreement"] = _gate(agree, ROUTE_AGREEMENT_TOL[field])
     if route_c_vals:
-        cb = max(
-            abs(r.t_route_c - r.t_route_b) / max(abs(r.t_route_b), 1e-300)
+        gates["route_c_agreement"] = _worst_gate(
+            (r.lam, _gate(_relative_gap(r.t_route_c, r.t_route_b), 1e-3))
             for r in reports
             if r.t_route_c is not None
         )
-        gates["route_c_agreement"] = _gate(cb, 1e-3)
         gates["trace_cyclicity"] = _gate(cyclicity, 1e-8)
     l1 = f.l1_mult_norm(grid.step)
-    gates["asymptote_sandwich"] = _sandwich_gate(
-        [abs(r.t_route_b - r.asymptote) for r in reports],
-        [r.error_bound + 10.0 * r.unitarity_defect * l1 for r in reports],
+    slack = {r.lam: r.error_bound + 10.0 * r.unitarity_defect * l1 for r in reports}
+    gates["asymptote_sandwich"] = _worst_gate(
+        (r.lam, _sandwich_gate([abs(r.t_route_b - r.asymptote)], [slack[r.lam]])) for r in reports
     )
 
     summary = {
@@ -324,6 +323,16 @@ def run_trace_sweep(config: dict, out_dir: Path, fit_gates: bool = True) -> dict
 
 def _gate(value: float, tolerance: float) -> dict:
     return {"value": value, "tolerance": tolerance, "passed": bool(value < tolerance)}
+
+
+def _relative_gap(value: float, reference: float) -> float:
+    return abs(value - reference) / max(abs(reference), 1e-300)
+
+
+def _worst_gate(judged) -> dict:
+    """Of (lam, gate) pairs, the gate whose value is largest, with its lam as ``at_lambda``."""
+    lam, gate = max(judged, key=lambda pair: pair[1]["value"])
+    return {**gate, "at_lambda": lam}
 
 
 def _sandwich_gate(residuals: list[float], slacks: list[float]) -> dict:
@@ -465,12 +474,14 @@ def run_verify(out_dir: Path) -> dict:
 
 
 def _failed_gates(summary: dict, prefix: str = "") -> list[str]:
-    """A sweep summary's failed gates, each named after ``prefix`` with its value and
-    tolerance, or with its error when it has no value (a fit gate without a fit)."""
+    """A sweep summary's failed gates, each named after ``prefix`` with its value,
+    tolerance and the lam where it is worst, or with its error when it has no
+    value (a fit gate without a fit)."""
     return [
         f"{prefix}{name} ({g['error']})"
         if "error" in g
-        else f"{prefix}{name} ({g['value']:.1e}, tolerance {g['tolerance']:.1e})"
+        else f"{prefix}{name} ({g['value']:.1e}, tolerance {g['tolerance']:.1e}"
+        + (f", at lam={g['at_lambda']:g})" if "at_lambda" in g else ")")
         for name, g in summary["gates"].items()
         if not g["passed"]
     ]

@@ -43,12 +43,17 @@ from .operators import TestFunction
 log = logging.getLogger("loctrace")
 
 
+def _log_stage(start: float, message: str, *args) -> None:
+    """One INFO line for a stage: ``message % args`` and its duration_s since ``start``."""
+    log.info(message + " duration_s=%.6f", *args, time.perf_counter() - start)
+
+
 class TraceComputation:
     """Shared state for one trace study: a profile and a certified transform.
 
     The grid and its field are the transform's.  Caches the product-lattice
-    transform G and the kernel values so a lambda sweep costs one FFT
-    pipeline total.
+    transform G, its prefix table and the kernel values so a lambda sweep
+    costs one FFT pipeline total.
     """
 
     def __init__(self, f: TestFunction, fourier: FourierOperator):
@@ -58,10 +63,12 @@ class TraceComputation:
         self.f = f
         self.fourier = fourier
         self._G: dict[bool, np.ndarray] = {}
+        self._prefixes: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         pl = fourier.product_lattice
         self.mu = pl.log_t
         self.t_p = pl.t
         self.h = grid.step
+        self.log_floor = float(self.mu[0]) - self.h / 2.0  # log t_f, the floor of the product lattice
         self.K_p = kernel_values(grid.backend.field_id, self.t_p)
         self.omega = grid.backend.omega
         self.sqrt_omega = math.sqrt(self.omega)
@@ -74,38 +81,41 @@ class TraceComputation:
             samples = fv[::-1] if invert else fv
             arep = samples / np.sqrt(self.omega * self.grid.t)
             self._G[invert] = self.fourier.apply_product_lattice(arep)
-            log.info(
-                "transform of %s: n=%d duration_s=%.6f",
-                "I(f)" if invert else "f",
-                self.grid.n,
-                time.perf_counter() - start,
-            )
+            _log_stage(start, "transform of %s: n=%d", "I(f)" if invert else "f", self.grid.n)
         return self._G[invert]
+
+    def prefixes(self, invert: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """(P0, P1): sqrt(omega) omega int_0^v (1, log t) K G dt, cached per ``invert`` as G is.
+
+        v runs over the 2n - 1 cell floors e^{mu_k - h/2} of the product lattice and the top of
+        its last cell; each cell adds its rectangle K G t h (times log t).  Below the floor t_f,
+        K G is its first lattice value c: entry 0 is the strip, c t_f and c t_f (log t_f - 1).
+        """
+        if invert not in self._prefixes:
+            KG = self.sqrt_omega * self.omega * self.K_p * self.transform_of_inverted(invert)
+            pieces = np.concatenate([[KG[0] * math.exp(self.log_floor)], KG * self.t_p * self.h])
+            logs = np.concatenate([[self.log_floor - 1.0], self.mu])
+            self._prefixes[invert] = (np.cumsum(pieces), np.cumsum(pieces * logs))
+        return self._prefixes[invert]
 
     # -- route B and its relatives -------------------------------------------
 
-    def lattice_moment(self, weight: np.ndarray, G: np.ndarray | None = None) -> float:
-        """sqrt(omega) * sum weight * K * G * t * h over the product lattice."""
-        G = self.transform_of_inverted() if G is None else G
-        return float(
-            self.sqrt_omega
-            * self.omega
-            * np.sum(weight * self.K_p * G * self.t_p * self.h)
-        )
-
     def route_b(self, lam: float) -> float:
+        """sqrt(omega) omega int_0^{lam^2} (2 log lam - log t) K G dt, from the prefixes."""
         start = time.perf_counter()
-        ell = math.log(lam)
-        w = np.maximum(2.0 * ell - self.mu, 0.0)
-        value = self.lattice_moment(w)
-        log.info(
-            "route B: lam=%g t_route_b=%.15g duration_s=%.6f", lam, value, time.perf_counter() - start
-        )
+        two_ell = 2.0 * math.log(lam)
+        P0, P1 = self.prefixes()
+        if two_ell < self.log_floor:  # the strip cut at lam^2: c int_0^{lam^2} (2 log lam - log t) dt
+            value = float(P0[0] * math.exp(two_ell - self.log_floor))
+        else:  # the m lattice points below lam^2
+            m = int(np.searchsorted(self.mu, two_ell))
+            value = float(two_ell * P0[m] - P1[m])
+        _log_stage(start, "route B: lam=%g t_route_b=%.15g", lam, value)
         return value
 
     def first_moment(self) -> float:
         """sqrt(omega) * (inverse transform of G at 1); recovers f(1)."""
-        return self.lattice_moment(np.ones_like(self.mu))
+        return float(self.prefixes()[0][-1])
 
     def conductor_value(self, invert: bool = True) -> float:
         """log-weighted moment of G: the constant term of the asymptotics.
@@ -114,7 +124,7 @@ class TraceComputation:
         the two agree because log(m(x)) + transform-conjugated log(m(x))
         commutes with inversion, so their difference is a convention check.
         """
-        return self.lattice_moment(self.mu, self.transform_of_inverted(invert))
+        return float(self.prefixes(invert)[1][-1])
 
     def error_bound(self, lam: float) -> float:
         """Computable tail bound: sqrt(omega) * int_{t >= lam^2} |log t| |G| dx."""
@@ -131,26 +141,22 @@ class TraceComputation:
     def route_a(self, lam: float) -> float:
         """Two-dimensional box pairing over {m(x), m(y) <= lam}.
 
-        Midpoint-cell weights clipped at log(lam), the below-grid strip
-        completed analytically through the cumulative kernel integral, and the
-        doubly-subgrid corner removed.  The box sums w_i w_j (K G)[i + j] over
-        pairs of cells.  Each full cell i < m below log(lam) weighs
-        a t_i (a = omega 2 sinh(h/2)) and t_i t_j = t_p[i + j], so the full
-        pairs sum to a^2 sum_k N_m(k) t_p[k] (K G)[k], with
-        N_m(k) = min(k, 2m - 2 - k) + 1 pairs of sum k; the one cut cell m adds
-        its cross term with the full cells and its own corner.  O(n) per lam.
+        Each full log-cell i < m below log(lam) weighs a t_i (a = omega 2 sinh(h/2)) and
+        t_i t_j = t_p[i + j], so the full pairs sum to a^2 sum_k N_m(k) t_p[k] (K G)[k], with
+        N_m(k) = min(k, 2m - 2 - k) + 1 pairs of sum k; the one cut cell m adds its cross term
+        and its corner.  The strips below the grid floor x_f pair cell j with the prefix P0 at
+        x_f t_j, the floor of product-lattice cell j, and the square (0, min(lam, x_f)]^2 adds
+        c min(lam, x_f)^2.  O(n) per lam.
         """
         start = time.perf_counter()
         ell = math.log(lam)
         if 2.0 * ell >= self.mu[-1]:
             raise ValueError("lam^2 exceeds the grid range")
         g = self.grid
-        G = self.transform_of_inverted()
-        KG = self.K_p * G
+        KG = self.K_p * self.transform_of_inverted()
         KGu = KG * self.t_p
         lo = g.log_t - self.h / 2.0
         hi = np.minimum(g.log_t + self.h / 2.0, ell)
-        cells = np.where(hi > lo, hi - lo, 0.0)
         # m full cells (hi = the cell's top); cell m, when it starts below ell, is cut
         m = int(np.count_nonzero(g.log_t + self.h / 2.0 <= ell))
         a = self.omega * 2.0 * math.sinh(self.h / 2.0)
@@ -161,33 +167,24 @@ class TraceComputation:
             cross = float(np.sum(g.t[:m] * KG[m : 2 * m]))
             box += 2.0 * a * c * cross + c * c * float(KG[2 * m])
         box /= self.sqrt_omega
-        # strip x in (0, e^{-L - h/2}]: cumulative Phi(v) = int_0^v K G du at v = x_floor * t_j
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (KGu[1:] + KGu[:-1]) * self.h)])
-        Phi = cum + KGu[0]
-        Phi_half = np.concatenate(
-            [[Phi[0] * math.exp(-0.5 * self.h)], 0.5 * (Phi[:-1] + Phi[1:])]
-        )[: g.n]
-        pref = self.omega**2 / self.sqrt_omega
-        strip = pref * float(np.sum(cells * Phi_half))
-        corner = pref * float(G[0]) * (g.t[0] * math.exp(-self.h / 2.0)) ** 2
-        value = box + 2.0 * strip - corner
-        log.info(
-            "route A: lam=%g t_route_a=%.15g duration_s=%.6f", lam, value, time.perf_counter() - start
-        )
+        P0 = self.prefixes()[0]
+        strip = float(np.sum(np.where(hi > lo, hi - lo, 0.0) * P0[: g.n]))
+        corner = float(P0[0]) * math.exp(2.0 * min(ell, lo[0]) - self.log_floor)
+        value = box + 2.0 * strip + corner
+        _log_stage(start, "route A: lam=%g t_route_a=%.15g", lam, value)
         return value
 
     # -- assembled report --------------------------------------------------------
 
     def report(self, lam: float, route_c: Optional[float] = None) -> "TraceReport":
-        b = self.route_b(lam)
-        cond = self.conductor_value()
+        b = self.route_b(lam)  # route B first: its span holds the prefix table's build
         return TraceReport(
             lam=lam,
             two_log_lambda=2.0 * math.log(lam),
             t_route_a=self.route_a(lam),
             t_route_b=b,
             t_route_c=route_c,
-            asymptote=2.0 * math.log(lam) * self.f.value_at_1 - cond,
+            asymptote=2.0 * math.log(lam) * self.f.value_at_1 - self.conductor_value(),
             error_bound=self.error_bound(lam),
             unitarity_defect=float(self.fourier.unitarity_defect),
         )

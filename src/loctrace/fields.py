@@ -65,14 +65,6 @@ class RadialGrid:
     w_mult: np.ndarray = field(repr=False, default=None)
     w_add: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def t_min(self) -> float:
-        return float(self.t[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.t[-1])
-
     def reversal(self) -> np.ndarray:
         return np.arange(self.n)[::-1]
 

@@ -13,7 +13,9 @@ independent dense constructions:
   algebra, cutoffs, translations and two assemblies of U_f);
 - the dense n x n matrix of a radial transform, and the transform's
   full-spectrum construction (complex FFTs over every frequency);
-- route A's box pairing by direct convolution of the cell weights;
+- the lattice moments (route B, f(1), H(f)(1)) as weighted sums over the
+  product lattice with their strips in closed form, and route A's box
+  pairing by direct convolution of the cell weights;
 - the finite-group sandbox built entry by entry: cyclic Cayley tables and
   characters by loops over coordinate tuples, and the Reynolds projector as
   a sum of Kronecker products with one full eigh;
@@ -262,7 +264,7 @@ def cutoff_projection(grid: RadialGrid, lam: float, picture: str = "additive") -
     mask = grid.t <= lam * (1.0 + 1e-12)
     clipped = bool(mask.all() or not mask.any())
     if clipped:
-        log.warning("cutoff %g lies outside the grid range [%g, %g]", lam, grid.t_min, grid.t_max)
+        log.warning("cutoff %g lies outside the grid range [%g, %g]", lam, grid.t[0], grid.t[-1])
     diag = np.where(mask, 1.0, 0.0)
     return KernelOperator(grid, np.diag(diag), picture, boundary_clipped=clipped)
 
@@ -401,8 +403,43 @@ class FullSpectrumFourier:
 
 
 # ---------------------------------------------------------------------------
-# route A by direct convolution
+# lattice moments and route A, term by term
 # ---------------------------------------------------------------------------
+
+
+def lattice_moment_by_weighted_sum(
+    comp: TraceComputation, weight, strip: float, invert: bool = True
+) -> float:
+    """sqrt(omega) omega int_0^inf w K G dt as one weighted sum over the product lattice.
+
+    ``weight`` is w at each lattice point, and each cell adds its rectangle
+    w K G t h; ``strip`` is int_0^{t_f} w dt in closed form, the weight's
+    integral below the lattice floor t_f = e^{mu_0 - h/2}, where K G is its
+    first lattice value.
+    """
+    KG = comp.K_p * comp.transform_of_inverted(invert)
+    total = np.sum(weight * KG * comp.t_p * comp.h) + KG[0] * strip
+    return float(comp.sqrt_omega * comp.omega * total)
+
+
+def route_b_by_weighted_sum(comp: TraceComputation, lam: float) -> float:
+    """Route B: the annulus weight max(2 log lam - log t, 0), whose strip up to
+    u = min(lam^2, t_f) is int_0^u (2 log lam - log t) dt = u (2 log lam - log u + 1)."""
+    two_ell = 2.0 * math.log(lam)
+    log_u = min(two_ell, float(comp.mu[0]) - comp.h / 2.0)
+    weight = np.maximum(two_ell - comp.mu, 0.0)
+    return lattice_moment_by_weighted_sum(comp, weight, math.exp(log_u) * (two_ell - log_u + 1.0))
+
+
+def first_moment_by_weighted_sum(comp: TraceComputation) -> float:
+    log_f = float(comp.mu[0]) - comp.h / 2.0
+    return lattice_moment_by_weighted_sum(comp, np.ones_like(comp.mu), math.exp(log_f))
+
+
+def conductor_by_weighted_sum(comp: TraceComputation, invert: bool = True) -> float:
+    """The log moment; int_0^{t_f} log t dt = t_f (log t_f - 1)."""
+    log_f = float(comp.mu[0]) - comp.h / 2.0
+    return lattice_moment_by_weighted_sum(comp, comp.mu, math.exp(log_f) * (log_f - 1.0), invert)
 
 
 def route_a_by_convolution(comp: TraceComputation, lam: float) -> float:
@@ -412,8 +449,8 @@ def route_a_by_convolution(comp: TraceComputation, lam: float) -> float:
     log(lam); the box is sum_{i, j} w_i w_j (K G)[i + j] / sqrt(omega).  The
     box runs in extended precision (``np.longdouble``): in float64 the cell
     edges x_i +- h/2 are rounded to ulp(x_i), which moves each w_i by up to
-    about 1e-12 relative on wide fine grids.  The strip and corner terms are
-    those of ``TraceComputation.route_a``.
+    about 1e-12 relative on wide fine grids.  The strips and the corner read
+    the shared prefix ``TraceComputation.prefixes``.
     """
     ell = math.log(lam)
     g = comp.grid
@@ -424,19 +461,12 @@ def route_a_by_convolution(comp: TraceComputation, lam: float) -> float:
     w_box = comp.omega * np.where(hi_x > lo_x, np.exp(hi_x) - np.exp(lo_x), 0.0)
     conv = np.convolve(w_box, w_box)
     box = float(np.sum(conv * comp.K_p * G) / comp.sqrt_omega)
-    lo = g.log_t - comp.h / 2.0
-    hi = np.minimum(g.log_t + comp.h / 2.0, ell)
-    cells = np.where(hi > lo, hi - lo, 0.0)
-    KGu = comp.K_p * G * comp.t_p
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (KGu[1:] + KGu[:-1]) * comp.h)])
-    Phi = cum + KGu[0]
-    Phi_half = np.concatenate(
-        [[Phi[0] * math.exp(-0.5 * comp.h)], 0.5 * (Phi[:-1] + Phi[1:])]
-    )[: g.n]
-    pref = comp.omega**2 / comp.sqrt_omega
-    strip = pref * float(np.sum(cells * Phi_half))
-    corner = pref * float(G[0]) * (g.t[0] * math.exp(-comp.h / 2.0)) ** 2
-    return box + 2.0 * strip - corner
+    P0 = comp.prefixes()[0]
+    x_floor = math.exp(g.log_t[0] - comp.h / 2.0)
+    # the strip pairs each cell's clipped log-width with the prefix at x_floor t_j
+    strip = float(np.sum(np.maximum(np.asarray(hi_x - lo_x, dtype=float), 0.0) * P0[: g.n]))
+    corner = float(P0[0]) * min(lam, x_floor) ** 2 / math.exp(comp.log_floor)
+    return box + 2.0 * strip + corner
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,22 @@ def test_cli_trace_sweep_runs(tmp_path):
     assert rc == 0
 
 
+def test_widened_r_grid_keeps_its_asymptote_sandwich(tmp_path):
+    # the default R sweep with its half-range widened 1.24x (11.43, n 2048,
+    # route C off): without the strip below the product lattice route B's
+    # residual at lam = 32 was 5.54e-9 against a slack of 5.43e-9
+    cfg = {
+        "field": "R",
+        "grid": {"log_t_half_range": 11.426762100361486, "n": 2048},
+        "test_function": {"kind": "log_gauss_bump", "center": 0.0, "width": 0.25, "support_radius": 1.5},
+        "lambdas": [2.0, 4.0, 8.0, 16.0, 32.0],
+        "route_c": {"enabled": False},
+    }
+    summary = run_trace_sweep(cfg, tmp_path)
+    assert summary["gates"]["asymptote_sandwich"]["passed"], summary["gates"]["asymptote_sandwich"]
+    assert summary["passed"]
+
+
 def test_zero_profile_fit_degenerate(tmp_path, monkeypatch):
     # a vanishing profile zeroes every trace column and the fit must explain why
     import numpy as np
@@ -603,6 +619,9 @@ VERIFY_GATES = {
 }
 
 
+PER_LAMBDA_GATES = {"route_ab_agreement", "route_c_agreement", "asymptote_sandwich"}
+
+
 def test_verify_gates_have_one_shape(tmp_path):
     report = run_verify(tmp_path)
     assert report == json.loads((tmp_path / "verify.json").read_text())
@@ -615,7 +634,11 @@ def test_verify_gates_have_one_shape(tmp_path):
             if name.startswith("fit_") and "error" in summary["fit"]:
                 assert g == {"passed": False, "error": summary["fit"]["error"]}
                 continue
-            assert set(g) == {"value", "tolerance", "passed"}, name
+            keys = {"value", "tolerance", "passed"}
+            if name in PER_LAMBDA_GATES:  # judged at every lam, reported where it is worst
+                keys.add("at_lambda")
+                assert g["at_lambda"] in summary["config"]["lambdas"], name
+            assert set(g) == keys, name
             if name == "asymptote_sandwich":  # the one gate that passes at its bound
                 assert g["passed"] is (g["value"] <= g["tolerance"])
             else:
@@ -648,14 +671,19 @@ def test_sandwich_ratio_decides_as_the_inequality(slack, steps):
 def test_failed_gates_named_on_stderr(tmp_path, capsys, monkeypatch):
     import loctrace.cli as cli_mod
 
-    failing = {"passed": False, "value": 4.1e-3, "tolerance": 1e-3}
+    failing = {"passed": False, "value": 4.1e-3, "tolerance": 1e-3, "at_lambda": 2.0}
     passing = {"passed": True, "value": 0.0, "tolerance": 1.0}
     no_fit = {"passed": False, "error": "only 2 lambdas are inside the asymptotic regime"}
-    summary = {"passed": False, "rows": [], "gates": {"a": failing, "b": passing, "c": no_fit}}
+    cyclic = {"passed": False, "value": 3e-8, "tolerance": 1e-8}
+    gates = {"a": failing, "b": passing, "c": no_fit, "d": cyclic}
+    summary = {"passed": False, "rows": [], "gates": gates}
     monkeypatch.setattr(cli_mod, "run_trace_sweep", lambda config, out: summary)
     assert main(["trace-sweep", "--out", str(tmp_path)]) == 1
-    a, c = "a (4.1e-03, tolerance 1.0e-03)", "c (only 2 lambdas are inside the asymptotic regime)"
-    assert capsys.readouterr().err == f"FAIL gates: {a}, {c}\n"
+    # a per-lam gate names the lam where it is worst; a gate without one does not
+    a = "a (4.1e-03, tolerance 1.0e-03, at lam=2)"
+    c = "c (only 2 lambdas are inside the asymptotic regime)"
+    d = "d (3.0e-08, tolerance 1.0e-08)"
+    assert capsys.readouterr().err == f"FAIL gates: {a}, {c}, {d}\n"
     report = {
         "passed": False,
         "sandbox_passed": False,
@@ -663,4 +691,5 @@ def test_failed_gates_named_on_stderr(tmp_path, capsys, monkeypatch):
     }
     monkeypatch.setattr(cli_mod, "run_verify", lambda out: report)
     assert main(["verify", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"FAIL gates: R:{a}, R:{c}, C:{a}, C:{c}, sandbox\n"
+    sweep = lambda k: f"{k}:{a}, {k}:{c}, {k}:{d}"
+    assert capsys.readouterr().err == f"FAIL gates: {sweep('R')}, {sweep('C')}, sandbox\n"

@@ -36,10 +36,10 @@ def test_projection_laws(small_grid_r):
 
 
 def test_projection_extremes(small_grid_r):
-    ident = cutoff_projection(small_grid_r, small_grid_r.t_max * 2)
+    ident = cutoff_projection(small_grid_r, small_grid_r.t[-1] * 2)
     assert np.array_equal(ident.matrix, np.eye(small_grid_r.n))
     assert ident.boundary_clipped
-    zero = cutoff_projection(small_grid_r, small_grid_r.t_min / 2)
+    zero = cutoff_projection(small_grid_r, small_grid_r.t[0] / 2)
     assert not zero.matrix.any()
     assert zero.boundary_clipped
 
