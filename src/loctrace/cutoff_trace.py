@@ -127,13 +127,19 @@ class TraceComputation:
         return float(self.prefixes(invert)[1][-1])
 
     def error_bound(self, lam: float) -> float:
-        """Computable tail bound: sqrt(omega) * int_{t >= lam^2} |log t| |G| dx."""
+        """Computable tail bound: sqrt(omega) * int_{t >= lam^2} max(|log t|, log t - 2 log lam) |G| dx.
+
+        The trace's tail beyond lam^2 carries the annulus weight log t - 2 log lam.
+        For lam >= 1 the maximum is |log t|; for lam < 1 it bounds the annulus
+        weight, which |log t| alone does not.
+        """
         G = self.transform_of_inverted()
-        mask = self.mu >= 2.0 * math.log(lam)
+        two_log = 2.0 * math.log(lam)
+        mask = self.mu >= two_log
+        mu = self.mu[mask]
+        weight = np.maximum(np.abs(mu), mu - two_log)
         return float(
-            self.sqrt_omega
-            * self.omega
-            * np.sum(np.abs(self.mu[mask]) * np.abs(G[mask]) * self.t_p[mask] * self.h)
+            self.sqrt_omega * self.omega * np.sum(weight * np.abs(G[mask]) * self.t_p[mask] * self.h)
         )
 
     # -- route A ---------------------------------------------------------------

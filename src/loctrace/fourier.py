@@ -33,11 +33,23 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads these on first attribute access; importing them here keeps
+# that load out of the first transform or sandbox run
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .fields import RadialGrid
 from .kernels import mellin_symbol, scaled_gaussian, selfdual_gaussian
 
 log = logging.getLogger("loctrace")
+
+# glibc maps every block of at least its mmap threshold (128 KiB at start)
+# afresh, and only raises the threshold to the size of a mapped block once it
+# is freed.  The 4n-point arrays of a transform with n >= 4096 sit at that size,
+# so a fresh process would map, fault in and unmap them on every call (800
+# minor faults in the H-asymptotic sweep).  One untouched 4 MiB block, freed
+# here, raises the threshold once; other allocators ignore it.
+np.empty(1 << 19)
 
 # subleading power of a smooth radial profile at module 0: phi ~ a + b t^kappa
 _KAPPA = {"R": 2.0, "C": 1.0, "H": 0.5}

@@ -34,6 +34,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+# numpy loads it on first attribute access; importing it here keeps that
+# load out of the first sandbox run
+import numpy.random  # noqa: F401
 
 log = logging.getLogger("loctrace")
 
@@ -303,11 +306,14 @@ def _eigh_by_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """
     size = len(matrix)
     labels = _blocks(matrix)
-    _, sizes = np.unique(labels, return_counts=True)
+    # labels and sizes are small nonnegative integers: bincount, not np.unique,
+    # whose masked-array check would load numpy.ma mid-run
+    sizes = np.bincount(labels)
+    sizes = sizes[sizes > 0]
     members = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
     values, vectors = [], []
-    for s in np.unique(sizes):
+    for s in np.flatnonzero(np.bincount(sizes)):
         idx = members[starts[sizes == s][:, None] + np.arange(s)]
         w, v = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
         block, col = np.nonzero(w > 0.5)

@@ -215,6 +215,35 @@ def test_cli_import_leaves_jsonschema_out():
     assert out.stdout == "False\n"
 
 
+_RUN_IMPORTS_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+import loctrace.cli as cli
+from loctrace.sandbox import SUITE_NAMES, run_sandbox
+loaded = set(sys.modules)
+small_r = json.loads(sys.argv[1])
+run_sandbox(list(SUITE_NAMES), seed=0)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    cli.run_trace_sweep(small_r, out)
+    for field in ("C", "H"):
+        cli.run_trace_sweep(cli.DEFAULT_CONFIGS[field], out)
+print(json.dumps({"scipy": "scipy" in loaded, "added": sorted(set(sys.modules) - loaded)}))
+"""
+
+
+def test_cli_runs_without_scipy_or_run_time_imports():
+    # scipy is a test-side oracle only, and numpy's lazily loaded submodules
+    # (numpy.fft, numpy.random, numpy.ma) must not load inside a run
+    small_r = small_config(route_c={"enabled": True, "n_signed": 1024, "max_lambda": 4.0})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_IMPORTS_SCRIPT, json.dumps(small_r)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == {"scipy": False, "added": []}
+
+
 def test_sweep_writes_csv_and_summary(tmp_path):
     summary = run_trace_sweep(small_config(), tmp_path)
     csv_path = tmp_path / "sweep_R.csv"

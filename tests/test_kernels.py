@@ -3,8 +3,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import j0, j1, loggamma
 
 from loctrace import kernel_values, make_backend, mellin_symbol
+from loctrace.kernels import bessel_ratio
 from oracles import sphere_average_mc
 
 
@@ -40,6 +42,48 @@ def test_kernel_c_montecarlo():
     b = make_backend("C")
     est = sphere_average_mc(b, 0.3, n_samples=4_000_000, seed=7)
     assert est == pytest.approx(kernel_values("C", 0.3), abs=1.5e-3)
+
+
+def _bessel_points():
+    edges = [np.nextafter(v, d) for v in (5.0, 20.0) for d in (0.0, np.inf, -np.inf)]
+    return np.concatenate([np.linspace(0.0, 100.0, 200001), np.geomspace(100.0, 1.3e6, 200001), edges])
+
+
+@pytest.mark.parametrize("n, oracle", [(0, j0), (1, j1)], ids=["J0", "J1"])
+def test_bessel_matches_scipy(n, oracle):
+    # every regime (series to 5, quadrature to 20, Hankel beyond) and both
+    # sides of each seam; far out the gap is scipy's rounding of x - (2n+1) pi/4
+    x = _bessel_points()
+    gap = np.abs(bessel_ratio(n, x) * (0.5 * x) ** n - oracle(x))
+    for top, bound in ((100.0, 2e-15), (1e4, 5e-15), (1.3e6, 1e-13)):
+        assert gap[x <= top].max() <= bound, (top, gap[x <= top].max())
+
+
+def test_bessel_ratio_keeps_the_input_order():
+    x = np.array([30.0, 0.0, 7.0, 1e5, 2.5, 20.0, 5.0])
+    assert np.array_equal(bessel_ratio(1, x), np.concatenate([bessel_ratio(1, [v]) for v in x]))
+    assert bessel_ratio(0, [0.0])[0] == 1.0 and bessel_ratio(1, [0.0])[0] == 1.0
+
+
+def _symbol_by_loggamma(field_id, nu):
+    """The symbol's closed form with scipy's complex log-gamma."""
+    s = 0.5 - 1j * np.asarray(nu, dtype=complex)
+    log_2pi = math.log(2.0 * math.pi)
+    if field_id == "R":
+        iz = 1j * np.pi * s / 2.0
+        m = np.maximum(iz.real, (-iz).real)
+        logcos = m + np.log(np.exp(iz - m) + np.exp(-iz - m)) - math.log(2.0)
+        return np.exp(math.log(2.0) - s * log_2pi + loggamma(s) + logcos)
+    if field_id == "C":
+        return np.exp(log_2pi * (1.0 - 2.0 * s) + loggamma(s) - loggamma(1.0 - s))
+    return np.exp(2.0 * log_2pi - 4.0 * s * log_2pi + loggamma(2.0 * s) - loggamma(2.0 - 2.0 * s))
+
+
+@pytest.mark.parametrize("field_id", ["R", "C", "H"])
+def test_symbol_matches_the_loggamma_closed_form(field_id):
+    # the phase grows like nu log nu, so both forms round it to ~1e-12 at nu = 900
+    nu = np.linspace(-900.0, 900.0, 360001)
+    assert np.abs(mellin_symbol(field_id, nu) - _symbol_by_loggamma(field_id, nu)).max() <= 2e-11
 
 
 def test_symbol_unimodular():

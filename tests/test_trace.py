@@ -263,11 +263,21 @@ def test_error_bound_small_past_decay(comp_r):
 
 
 def test_sandwich(comp_r, standard_bump, grid_r2048):
+    # below lam = 1, |log t| alone weighs the tail beyond lam^2 too lightly: at
+    # 0.3 and 0.5 the residuals 1.387 and 0.640 exceeded its bounds 0.861 and 0.539
     l1 = standard_bump.l1_mult_norm(grid_r2048.step)
-    for lam in (4.0, 8.0, 16.0, 32.0):
+    for lam in (0.3, 0.5, 0.9, 4.0, 8.0, 16.0, 32.0):
         rep = comp_r.report(lam)
         slack = rep.error_bound + 10.0 * rep.unitarity_defect * l1
         assert abs(rep.t_route_b - rep.asymptote) <= slack + 1e-12
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 8.0])
+def test_error_bound_weight_is_log_t_from_lambda_one(comp_r, lam):
+    mask = comp_r.mu >= 2.0 * math.log(lam)
+    G = comp_r.transform_of_inverted()[mask]
+    tail = np.abs(comp_r.mu[mask]) * np.abs(G) * comp_r.t_p[mask] * comp_r.h
+    assert comp_r.error_bound(lam) == float(comp_r.sqrt_omega * comp_r.omega * np.sum(tail))
 
 
 # ----------------------------- fit -------------------------------------------
