@@ -29,6 +29,7 @@ import numpy as np
 
 from .fourier import (
     CHUNK_ENTRIES,
+    PANEL_ROWS,
     FourierOperator,
     FullLineFourier,
     SignedGrid,
@@ -239,7 +240,7 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 # ---------------------------------------------------------------------------
 
 
-# chunk-sized float arrays alive at once while one row chunk of U_e[b, :] is
+# chunk-sized float arrays alive at once while one row chunk of a U_e panel is
 # evaluated (the ratios, the profile's band, log, exp and smoothstep arrays, the
 # quotient); tracemalloc measures 8.9 at n_signed=4096, max_lambda=8
 ROUTE_C_TEMPORARIES = 10
@@ -314,14 +315,14 @@ class RouteCPlan:
 def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     """The plan of SignedTraceLab(f, n, max_lambda), from arithmetic alone.
 
-    ``peak_bytes`` counts the kept arrays C[:, b], U_e[b, :] and M_e, all
-    real, and bounds every temporary of the set-up: ROUTE_C_TEMPORARIES arrays
-    of one row chunk (``row_chunks``), the transform's n-length arrays, the
-    bad rows' quadrature (its result, one product of its size and
-    ROUTE_C_TEMPORARIES arrays of one lattice chunk) and the BLAS packing of
-    M_e.  Raises ValueError when n is odd or below 2, when max_lambda reaches
-    half the grid's extent, or when the bad rows' lattice exceeds
-    LATTICE_NODES_MAX.
+    ``peak_bytes`` counts the kept arrays C[:, b] and M_e, both real, and
+    bounds every temporary of the set-up: one panel of U_e (``ue_panels``,
+    at most PANEL_ROWS x n/2), ROUTE_C_TEMPORARIES arrays of one row chunk
+    (``row_chunks``), the transform's n-length arrays, the bad rows'
+    quadrature (its result, one product of its size and ROUTE_C_TEMPORARIES
+    arrays of one lattice chunk) and the BLAS packing of M_e.  Raises
+    ValueError when n is odd or below 2, when max_lambda reaches half the
+    grid's extent, or when the bad rows' lattice exceeds LATTICE_NODES_MAX.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("signed grid needs an even n >= 2")
@@ -337,7 +338,8 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     # the bad rows run from x_0 to x_{bad-1}, against columns up to x_{b-1}
     lattice = log_lattice(f, *(signed_point(n, j) for j in (0, bad - 1, b - 1))) if bad else None
     half = n // 2
-    kept = 2 * half * b + b * b
+    kept = half * b + b * b
+    panel = min(PANEL_ROWS, b) * half
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
     # the grid, the FFT form's phases and complex probes (14 n measured), the
     # cosine table and one array of its size while it is built (8 n)
@@ -346,8 +348,36 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     # and the arrays of one lattice chunk against the block, whatever the lattice's length
     quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     packing = b * b  # the BLAS buffers of the product M_e (2.2 MB measured for 2.1 MB of M_e)
-    peak = 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature + packing)
+    peak = 8 * (kept + panel + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature + packing)
     return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, peak_bytes=peak)
+
+
+def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int):
+    """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1, PANEL_ROWS at a time.
+
+    U_e[v, y] = f(v/y) / sqrt(vy) step on the positive half-grid, evaluated
+    per element as f(v * (1/y)) and filled one row chunk at a time
+    (``row_chunks``), but only over the panel's band [lo, hi): 1/y falls
+    along the columns and a float product is monotone in each factor, so
+    t = v * (1/y) falls along each row and rises from row to row.  Every
+    column before lo then has t >= exp(R) in every row of the panel, and
+    every column from hi on has t <= exp(-R), which ``TestFunction`` maps to
+    exactly 0 by the same ``support_band``.
+    """
+    xp = sgrid.x[sgrid.n // 2 :]
+    inv_xp = 1.0 / xp
+    t_lo, t_hi = f.support_band()
+    for r0 in range(first, stop, PANEL_ROWS):
+        rows = slice(r0, min(r0 + PANEL_ROWS, stop))
+        xr = xp[rows]
+        lo = int(np.count_nonzero(xr[0] * inv_xp >= t_hi))
+        hi = max(lo, int(np.count_nonzero(xr[-1] * inv_xp > t_lo)))
+        y, inv_y = xp[lo:hi], inv_xp[lo:hi]
+        panel = np.empty((len(xr), hi - lo))
+        for chunk in row_chunks(len(xr), hi - lo):
+            xc = xr[chunk]
+            panel[chunk] = f(np.outer(xc, inv_y)) / np.sqrt(np.outer(xc, y)) * sgrid.step
+        yield rows, lo, panel
 
 
 class SignedTraceLab:
@@ -364,12 +394,14 @@ class SignedTraceLab:
     positive half of B.  The lab takes the largest block, its bad rows and
     their lattice from its ``plan`` (``route_c_plan``), made and checked
     before anything is allocated.  It holds C[:, b] (certified against the
-    FFT form of the full matrix), U_e[b, :] and, once, M_e = U_e[b, :] C[:, b],
-    which each trace slices to its own block; C[:, b] and U_e[b, :] are filled
-    one row chunk at a time (``row_chunks``), so the set-up stays within
-    ``plan.peak_bytes``.  Rows with x < 0.5 cannot resolve the multiplicative
-    kernel on a uniform grid; their entries of M_e are integrated directly
-    (``_ue_cosine_rows``).
+    FFT form of the full matrix, filled one row chunk at a time) and, once,
+    M_e = U_e[b, :] C[:, b], which each trace slices to its own block.
+    U_e[b, :] is never held: f has compact support, so each panel of its rows
+    is nonzero only on a band of columns (``ue_panels``), and M_e is built
+    one panel at a time as that band of U_e times that band of C's rows,
+    so the set-up stays within ``plan.peak_bytes``.  Rows with x < 0.5
+    cannot resolve the multiplicative kernel on a uniform grid; their
+    entries of M_e are integrated directly (``_ue_cosine_rows``).
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -381,28 +413,27 @@ class SignedTraceLab:
         self.max_lambda = max_lambda
         self.sgrid: SignedGrid = make_signed_grid(n)
         self.fourier: FullLineFourier = full_line_fourier(self.sgrid, plan.block)
-        step = self.sgrid.step
-        xp = self.sgrid.x[n // 2 :]
-        xb = xp[: plan.block]
-        inv_xp = 1.0 / xp
-        self.u_even = np.empty((plan.block, len(xp)))
-        for rows in row_chunks(plan.block, len(xp)):
-            xr = xb[rows]
-            self.u_even[rows] = f(np.outer(xr, inv_xp)) / np.sqrt(np.outer(xr, xp)) * step
-        self.m_even = self.u_even @ self.fourier.matrix
+        xb = self.sgrid.x[n // 2 :][: plan.block]
+        self.m_even = np.empty((plan.block, plan.block))
+        band_entries = 0
+        for rows, lo, u in ue_panels(f, self.sgrid, plan.bad_rows, plan.block):
+            np.matmul(u, self.fourier.matrix[lo : lo + u.shape[1]], out=self.m_even[rows])
+            band_entries += u.size
         if plan.bad_rows:
             self.m_even[: plan.bad_rows] = self._ue_cosine_rows(xb[: plan.bad_rows], xb)
-        log.info(
-            "route C set-up: n_signed=%d |B|=%d block_bytes=%d peak_bytes_estimate=%d "
-            "unitarity_defect=%.3e bad_rows=%d quadrature_nodes=%d duration_s=%.4f",
+        _log_stage(
+            start,
+            "route C set-up: n_signed=%d |B|=%d band_entries=%d/%d block_bytes=%d "
+            "peak_bytes_estimate=%d unitarity_defect=%.3e bad_rows=%d quadrature_nodes=%d",
             n,
             2 * plan.block,
-            self.fourier.matrix.nbytes + self.u_even.nbytes + self.m_even.nbytes,
+            band_entries,
+            (n // 2) * plan.block,
+            self.fourier.matrix.nbytes + self.m_even.nbytes,
             plan.peak_bytes,
             self.fourier.unitarity_defect,
             2 * plan.bad_rows,
             plan.lattice[2] if plan.lattice else 0,
-            time.perf_counter() - start,
         )
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -437,13 +468,26 @@ class SignedTraceLab:
         k = self._sub_block(lam)
         c = self.fourier.matrix[:k, :k]  # cutoff * F^-1 * cutoff
         log.info("route C trace: lam=%g block_rows=%d", lam, 2 * k)
-        return float(np.sum(c * self.m_even[:k, :k].T))
+        # Tr(c M) = sum(c * M.T); c is exactly symmetric (entry (j, k) is indexed by
+        # (2j+1)(2k+1)), so the same sum reads M contiguously
+        return float(np.sum(c * self.m_even[:k, :k]))
 
     def cyclicity_defect(self, lam: float) -> float:
-        """Relative gap between Tr((P F^-1 P U_f) F) and Tr(F (P F^-1 P U_f)), in the even sector."""
+        """Relative gap between Tr((P F^-1 P U_f) F) and Tr(F (P F^-1 P U_f)), in the even sector.
+
+        With c = C[b, b] and cb = C[:, b], the first is Tr(c (U_e[b, :] cb)) and
+        the second Tr((cb c) U_e[b, :]), the trace of the n/2 x n/2 product.
+        Both are summed one panel of U_e[b, :] at a time over its band
+        (``ue_panels``), so neither P F^-1 P U_f nor cb c is formed whole.
+        """
         k = self._sub_block(lam)
         cb = self.fourier.matrix[:, :k]
-        pu = cb[:k] @ self.u_even[:k]
-        t1 = np.trace(pu @ cb)
-        t2 = np.einsum("kj,jk->", cb, pu)  # the trace of C[:, b] @ pu, without the n/2 x n/2 product
-        return float(abs(t1 - t2) / max(abs(t1), 1e-300))
+        c = cb[:k]
+        uc = np.empty((k, k))
+        t2 = 0.0
+        for rows, lo, u in ue_panels(self.f, self.sgrid, 0, k):
+            band = cb[lo : lo + u.shape[1]]
+            np.matmul(u, band, out=uc[rows])
+            t2 += float(np.sum(u * (band @ c[:, rows]).T))
+        t1 = float(np.sum(c * uc))  # Tr(c uc) = sum(c * uc.T), c symmetric
+        return abs(t1 - t2) / max(abs(t1), 1e-300)

@@ -54,15 +54,19 @@ class TestFunction:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         out = np.zeros_like(t)
-        # outside exp(-R) < t < exp(R) the mollifier is exactly 0; near either
-        # edge it underflows to 0 too, so the band need not match |log t| < R
-        # to the last ulp
-        band = (t > math.exp(-self.support_radius)) & (t < math.exp(self.support_radius))
+        # near either edge of the band the mollifier underflows to 0 too, so
+        # the band need not match |log t| < R to the last ulp
+        t_lo, t_hi = self.support_band()
+        band = (t > t_lo) & (t < t_hi)
         x = np.log(t[band])
         vals = np.exp(-((x - self.center) ** 2) / (2.0 * self.width**2))
         vals *= _smoothstep(2.0 * (1.0 - np.abs(x) / self.support_radius))
         out[band] = vals
         return float(out[0]) if scalar else out
+
+    def support_band(self) -> tuple[float, float]:
+        """(exp(-R), exp(R)): f(t) is exactly 0 unless exp(-R) < t < exp(R) on the floats."""
+        return math.exp(-self.support_radius), math.exp(self.support_radius)
 
     @property
     def value_at_1(self) -> float:

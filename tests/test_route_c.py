@@ -4,14 +4,15 @@
 transform and the n x n U_f on the signed grid, a fresh product for every
 lambda and the n x n product in the cyclicity check.  ``SignedTraceLab`` must
 give the same traces from the real even-sector arrays alone: the cosine
-columns C[:, b], U_e[b, :] and their product, b the positive half of the
-block.
+columns C[:, b] and the product M_e = U_e[b, :] C[:, b], b the positive half
+of the block, built from panels of U_e's rows over their bands.
 """
 
 import functools
 import logging
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +24,14 @@ from loctrace.cutoff_trace import (
     LATTICE_NODES_MAX,
     ROUTE_C_TEMPORARIES,
     SignedTraceLab,
+    block_size,
     log_lattice,
     route_c_plan,
+    ue_panels,
 )
 from loctrace.fourier import (
     CHUNK_ENTRIES,
+    PANEL_ROWS,
     FourierBuildError,
     FullLineFourier,
     full_line_fourier,
@@ -171,19 +175,20 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     xp = make_signed_grid(n).x[n // 2 :]
     half, b = n // 2, int(np.count_nonzero(xp <= lam * (1.0 + 1e-12)))
     bad = int((xp[:b] < SignedTraceLab.BAD_ROW_EXTENT).sum())
-    kept = 2 * half * b + b * b
+    kept = half * b + b * b  # C[:, b] and M_e
+    panel = min(PANEL_ROWS, b) * half  # one panel of U_e, never wider than a row
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
     quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     packing = b * b
     plan = route_c_plan(standard_bump, n, lam)
     assert (plan.block, plan.bad_rows) == (b, bad)
     assert plan.peak_bytes == 8 * (
-        kept + ROUTE_C_TEMPORARIES * chunk + 24 * n + quadrature + packing
+        kept + panel + ROUTE_C_TEMPORARIES * chunk + 24 * n + quadrature + packing
     )
     if b:
         lab = SignedTraceLab(standard_bump, n, lam)
         assert lab.fourier.matrix.shape == (half, b)
-        held = lab.fourier.matrix.nbytes + lab.u_even.nbytes + lab.m_even.nbytes
+        held = lab.fourier.matrix.nbytes + lab.m_even.nbytes
         assert held < plan.peak_bytes
         # and so is the lattice behind the lab's refusal
         assert lab.plan.lattice == plan.lattice
@@ -233,7 +238,7 @@ def test_route_c_plan_matches_the_grid_property(geometry):
     if n <= 512 and plan.block:
         lab = SignedTraceLab(f, n, lam)
         assert lab.fourier.matrix.shape == (n // 2, plan.block)
-        held = lab.fourier.matrix.nbytes + lab.u_even.nbytes + lab.m_even.nbytes
+        held = lab.fourier.matrix.nbytes + lab.m_even.nbytes
         assert held < plan.peak_bytes
 
 
@@ -265,16 +270,35 @@ def test_route_c_bytes_bounds_the_setup_peak(n, lam):
     assert 0 < rise <= bound, (rise, bound)
 
 
+def test_setup_and_cyclicity_never_form_an_n_half_by_block_array(standard_bump):
+    # U_e[b, :] or C[b, b] U_e[b, :] would be a second n/2 x |b| array beside C[:, b]
+    n, lam = 4096, 8.0
+    tracemalloc.start()
+    try:
+        lab = SignedTraceLab(standard_bump, n, lam)
+        _, setup_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        lab.cyclicity_defect(lam)
+        _, cyclicity_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    wide = 8 * (n // 2) * lab.plan.block
+    assert setup_peak - lab.fourier.matrix.nbytes - lab.m_even.nbytes < wide
+    assert cyclicity_peak - held < wide
+
+
 @pytest.mark.parametrize(
     "n, lam, chunk_entries",
     [
-        # with CHUNK_ENTRIES = 2**14 at n = 4096: U_e in 8-row chunks, C in 2**14 // |b| rows
-        (4096, 0.1, None),  # |b| = 6, below one U_e chunk; C[:, b] in one chunk
-        (4096, 7.3, None),  # |b| = 467, not a multiple of 8; n/2 = 2048 not a multiple of 35
+        # with CHUNK_ENTRIES = 2**14 at n = 4096: a panel's chunks hold 2**14 // (its band) rows,
+        # C[:, b] is filled in 2**14 // |b| rows
+        (4096, 0.1, None),  # |b| = 6, below one panel; C[:, b] in one chunk
+        (4096, 7.3, None),  # |b| = 467, not a multiple of 32; n/2 = 2048 not a multiple of 35
         (4096, 8.0, None),  # the default block
         (512, 3.0, 1),  # one row per chunk
-        (1000, 5.0, 1500),  # |b| = 158: U_e in 3-row chunks, n/2 = 500 in C's 9-row chunks
-        (2000, 7.3, 5000),  # |b| = 326: U_e in 5-row chunks, n/2 = 1000 in C's 15-row chunks
+        (1000, 5.0, 1500),  # |b| = 158: bands of 141-478 columns, 3- to 10-row chunks
+        (2000, 7.3, 5000),  # |b| = 326: bands of 141-957 columns, 5-row chunks to whole panels
     ],
 )
 def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_entries):
@@ -292,9 +316,53 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
     xb = xp[:b]
     u_even = f(np.outer(xb, 1.0 / xp)) / np.sqrt(np.outer(xb, xp)) * step
     assert np.array_equal(lab.fourier.matrix, matrix)
-    assert np.array_equal(lab.u_even, u_even)
+    # the panels over their bands, zero elsewhere, are U_e[b, :] bit for bit
+    banded = np.zeros_like(u_even)
+    for rows, lo, u in ue_panels(f, lab.sgrid, 0, b):
+        banded[rows, lo : lo + u.shape[1]] = u
+    assert np.array_equal(banded, u_even)
+    # a banded product sums in other BLAS blocks than the one dense GEMM, so it
+    # agrees to rounding, not bit for bit
+    dense = u_even @ matrix
     good = xb >= lab.BAD_ROW_EXTENT  # the other rows come from quadrature
-    assert np.array_equal(lab.m_even[good], (u_even @ matrix)[good])
+    assert np.all(np.abs(lab.m_even[good] - dense[good]) <= 1e-14 * np.abs(dense).max())
+
+
+def test_cosine_block_is_exactly_symmetric(signed_lab):
+    # trace_route_c sums c * M_e where the trace is sum(c * M_e.T): it needs c == c.T
+    b = signed_lab.plan.block
+    c = signed_lab.fourier.matrix[:b, :b]
+    assert np.array_equal(c, c.T)
+
+
+@settings(max_examples=100)
+@given(
+    geometry=signed_geometries(),
+    center_frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    width=st.floats(0.01, 2.0),
+    rho=st.floats(0.5, 3.0),
+)
+@example(geometry=(4096, 8.0), center_frac=0.0, width=0.25, rho=1.5)
+@example(geometry=(8192, 22.0), center_frac=0.99, width=0.01, rho=3.0)
+@example(geometry=(64, 1.9), center_frac=-0.99, width=2.0, rho=0.5)
+def test_ue_panels_are_exact_on_the_band_property(geometry, center_frac, width, rho):
+    # every row of every panel against the per-element formula over the whole
+    # positive half-grid: the same floats on the band, exact zeros off it
+    n, lam = geometry
+    f = TestFunction(center=center_frac * rho, width=width, support_radius=rho)
+    sgrid = make_signed_grid(n)
+    xp = sgrid.x[n // 2 :]
+    b = block_size(n, lam)
+    covered = 0
+    for rows, lo, u in ue_panels(f, sgrid, 0, b):
+        assert rows.start == covered and len(u) == rows.stop - rows.start <= PANEL_ROWS
+        covered = rows.stop
+        xr = xp[rows]
+        dense = f(np.outer(xr, 1.0 / xp)) / np.sqrt(np.outer(xr, xp)) * sgrid.step
+        hi = lo + u.shape[1]
+        assert not dense[:, :lo].any() and not dense[:, hi:].any(), (rows, lo, hi)
+        assert np.array_equal(dense[:, lo:hi], u)
+    assert covered == b
 
 
 def test_block_certification_passes_and_reports_its_defect():
@@ -423,10 +491,14 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     lines = [r.getMessage() for r in caplog.records]
     setup = [m for m in lines if m.startswith("route C set-up")]
     assert len(setup) == 1
+    # the U_e entries evaluated: the panels of the rows outside the quadrature
+    band = sum(u.size for _, _, u in ue_panels(standard_bump, lab.sgrid, lab.plan.bad_rows, 64))
+    assert 0 < band < (64 - lab.plan.bad_rows) * 512
     for key in (
         "n_signed=1024",
         "|B|=128",
-        "block_bytes=",
+        f"band_entries={band}/{512 * 64} ",  # of the half x |b| entries of U_e[b, :]
+        f"block_bytes={lab.fourier.matrix.nbytes + lab.m_even.nbytes} ",
         f"peak_bytes_estimate={lab.plan.peak_bytes} ",
         "unitarity_defect=",
         "bad_rows=32",
