@@ -5,8 +5,9 @@ T(lam) is the trace of (Fourier-conjugated cutoff) * (cutoff) * (U_f).  Route A
 evaluates it as a two-dimensional box pairing of the two kernels; route B as a
 one-dimensional integral of the transform G of the inverted profile's additive
 representative against the annulus weight (2 log lam - log t); route C (real
-line only) literally multiplies dense matrices on a signed grid and takes the
-matrix trace, in the even sector where the grid's transform is a real DCT-IV.
+line only) traces the operator product on a signed grid, in the even sector
+where the grid's transform is a real DCT-IV and its two cutoff factors meet in
+the closed-form Dirichlet kernel.
 The asymptote 2 log(lam) f(1) - H(f)(1) and the computable tail bound
 complete the picture.
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import (
     CHUNK_ENTRIES,
@@ -34,6 +36,7 @@ from .fourier import (
     FullLineFourier,
     SignedGrid,
     full_line_fourier,
+    kernel_fft_length,
     make_signed_grid,
     row_chunks,
     signed_point,
@@ -242,7 +245,7 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 
 # chunk-sized float arrays alive at once while one row chunk of a U_e panel is
 # evaluated (the ratios, the profile's band, log, exp and smoothstep arrays, the
-# quotient); tracemalloc measures 8.9 at n_signed=4096, max_lambda=8
+# quotient); tracemalloc measures 8.8 at n_signed=4096, max_lambda=8
 ROUTE_C_TEMPORARIES = 10
 
 # lattice nodes per unit of log y beyond the cosine's, per 1/support_radius
@@ -285,21 +288,54 @@ def log_lattice(f: TestFunction, v_min: float, v_max: float, u_max: float) -> tu
     return lo, (hi - lo) / (nodes - 1), nodes
 
 
-def _points_up_to(n: int, bound: float) -> int:
-    """How many x_j of the positive half-grid are <= bound: the grid's own count, by bisection."""
-    lo, hi = 0, n // 2
+def _leading(size: int, holds) -> int:
+    """How many of 0..size-1 satisfy ``holds``, a predicate true on a prefix only: by bisection."""
+    lo, hi = 0, size
     while lo < hi:
         mid = (lo + hi) // 2
-        if signed_point(n, mid) <= bound:
+        if holds(mid):
             lo = mid + 1
         else:
             hi = mid
     return lo
 
 
+def _points_up_to(n: int, bound: float) -> int:
+    """How many x_j of the positive half-grid are <= bound: the grid's own count, by bisection."""
+    return _leading(n // 2, lambda j: signed_point(n, j) <= bound)
+
+
 def block_size(n: int, lam: float) -> int:
     """|b|: the x_j <= lam of the positive half-grid (relative slack 1e-12 for boundary points)."""
     return _points_up_to(n, lam * (1.0 + 1e-12))
+
+
+# panels whose bands route_c_plan counts one by one; past them it takes the
+# whole rows, n/2 each.  A plan within the config's 2 GiB budget has at most
+# about 350 (the bands hold about 2.1 |b|^2 entries at the default profile)
+BAND_PANELS_MAX = 4096
+
+
+def band_entries(f: TestFunction, n: int, first: int, stop: int) -> int:
+    """The entries of ``ue_panels(f, grid, first, stop)``, from arithmetic alone.
+
+    Each panel's band ends are counted by bisection with the very comparisons
+    ``ue_panels`` makes on the grid's own floats (t = v * (1/y) falls along a
+    row), so the count is exact.  Beyond BAND_PANELS_MAX panels it is
+    bounded by the whole rows instead.
+    """
+    half = n // 2
+    if stop - first > PANEL_ROWS * BAND_PANELS_MAX:
+        return half * (stop - first)
+    t_lo, t_hi = f.support_band()
+    total = 0
+    for r0 in range(first, stop, PANEL_ROWS):
+        r1 = min(r0 + PANEL_ROWS, stop)
+        top, bottom = signed_point(n, r0), signed_point(n, r1 - 1)
+        lo = _leading(half, lambda j: top * (1.0 / signed_point(n, j)) >= t_hi)
+        hi = max(lo, _leading(half, lambda j: bottom * (1.0 / signed_point(n, j)) > t_lo))
+        total += (r1 - r0) * (hi - lo)
+    return total
 
 
 @dataclass(frozen=True)
@@ -315,14 +351,15 @@ class RouteCPlan:
 def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     """The plan of SignedTraceLab(f, n, max_lambda), from arithmetic alone.
 
-    ``peak_bytes`` counts the kept arrays C[:, b] and M_e, both real, and
-    bounds every temporary of the set-up: one panel of U_e (``ue_panels``,
-    at most PANEL_ROWS x n/2), ROUTE_C_TEMPORARIES arrays of one row chunk
-    (``row_chunks``), the transform's n-length arrays, the bad rows'
-    quadrature (its result, one product of its size and ROUTE_C_TEMPORARIES
-    arrays of one lattice chunk) and the BLAS packing of M_e.  Raises
-    ValueError when n is odd or below 2, when max_lambda reaches half the
-    grid's extent, or when the bad rows' lattice exceeds LATTICE_NODES_MAX.
+    ``peak_bytes`` counts the kept arrays, the good rows' panels of U_e
+    (``band_entries``) and the bad rows' quadrature rows (bad x |b|), and
+    bounds every temporary of the set-up: ROUTE_C_TEMPORARIES arrays of one
+    row chunk (``row_chunks``), the transform's n-length tables and the
+    arrays of its certification (``kernel_fft_length``), and the bad rows'
+    quadrature (one product of its result's size and ROUTE_C_TEMPORARIES
+    arrays of one lattice chunk).  Raises ValueError when n is odd or below
+    2, when max_lambda reaches half the grid's extent, or when the bad rows'
+    lattice exceeds LATTICE_NODES_MAX.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("signed grid needs an even n >= 2")
@@ -338,17 +375,15 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     # the bad rows run from x_0 to x_{bad-1}, against columns up to x_{b-1}
     lattice = log_lattice(f, *(signed_point(n, j) for j in (0, bad - 1, b - 1))) if bad else None
     half = n // 2
-    kept = half * b + b * b
-    panel = min(PANEL_ROWS, b) * half
+    kept = band_entries(f, n, bad, b) + bad * b
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
-    # the grid, the FFT form's phases and complex probes (14 n measured), the
-    # cosine table and one array of its size while it is built (8 n)
-    vectors = 24 * n
-    # the bad rows' result and the product of one lattice chunk (bad x |b| each),
-    # and the arrays of one lattice chunk against the block, whatever the lattice's length
-    quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
-    packing = b * b  # the BLAS buffers of the product M_e (2.2 MB measured for 2.1 MB of M_e)
-    peak = 8 * (kept + panel + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature + packing)
+    # the grid, the cosine, sine and phase tables and the unitarity probes
+    # (17 n measured), and the kernel check's FFTs (6 of its length)
+    vectors = 18 * n + (6 * kernel_fft_length(n, b) if b else 0)
+    # the product of one lattice chunk (bad x |b|) and the arrays of one
+    # lattice chunk against the block, whatever the lattice's length
+    quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
+    peak = 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature)
     return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, peak_bytes=peak)
 
 
@@ -381,7 +416,7 @@ def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int):
 
 
 class SignedTraceLab:
-    """Route C on the signed real line (field R): dense cutoffs, transform and U_f.
+    """Route C on the signed real line (field R): cutoffs, transform and U_f on the signed grid.
 
     The only route that literally traces an operator product,
     Tr(P F^-1 P U_f F) with P the cutoff to B = {|x| <= lam}.  U_f averages
@@ -391,17 +426,19 @@ class SignedTraceLab:
     C[j, k] = 2 step cos(2 pi x_j x_k) on the positive half-grid, and U_f as
     U_e[v, y] = f(v/y) / sqrt(vy) step = 2 U_f(|v|, |y|); folding the signs
     gives Tr(P F^-1 P U_f F) = Tr(C[b, b] U_e[b, :] C[:, b]) with b the
-    positive half of B.  The lab takes the largest block, its bad rows and
-    their lattice from its ``plan`` (``route_c_plan``), made and checked
-    before anything is allocated.  It holds C[:, b] (certified against the
-    FFT form of the full matrix, filled one row chunk at a time) and, once,
-    M_e = U_e[b, :] C[:, b], which each trace slices to its own block.
-    U_e[b, :] is never held: f has compact support, so each panel of its rows
-    is nonzero only on a band of columns (``ue_panels``), and M_e is built
-    one panel at a time as that band of U_e times that band of C's rows,
-    so the set-up stays within ``plan.peak_bytes``.  Rows with x < 0.5
-    cannot resolve the multiplicative kernel on a uniform grid; their
-    entries of M_e are integrated directly (``_ue_cosine_rows``).
+    positive half of B.  The two cosine factors meet over b in the Dirichlet
+    kernel of the cutoff, sum_{u in b} C[y, u] C[u, v] = K(y+v+1) + K(y-v)
+    (``FullLineFourier.dirichlet``), so the trace is
+    sum_{v in b} sum_y U_e[v, y] (K(y+v+1) + K(y-v)) and no cosine block is
+    formed.  The lab takes the largest block, its bad rows and their lattice
+    from its ``plan`` (``route_c_plan``), made and checked before anything is
+    allocated.  It holds the rows of U_e[b, :] as panels over their bands
+    (``ue_panels``: f has compact support, so each panel of rows is nonzero
+    only on a band of columns) and certifies the kernel of the largest block
+    against the FFT form of the transform.  Rows with x < 0.5 cannot resolve
+    the multiplicative kernel on a uniform grid; their rows of U_e C[:, b]
+    are integrated directly (``_ue_cosine_rows``) and traced against the
+    cosines C[b, bad].
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -414,24 +451,22 @@ class SignedTraceLab:
         self.sgrid: SignedGrid = make_signed_grid(n)
         self.fourier: FullLineFourier = full_line_fourier(self.sgrid, plan.block)
         xb = self.sgrid.x[n // 2 :][: plan.block]
-        self.m_even = np.empty((plan.block, plan.block))
-        band_entries = 0
-        for rows, lo, u in ue_panels(f, self.sgrid, plan.bad_rows, plan.block):
-            np.matmul(u, self.fourier.matrix[lo : lo + u.shape[1]], out=self.m_even[rows])
-            band_entries += u.size
-        if plan.bad_rows:
-            self.m_even[: plan.bad_rows] = self._ue_cosine_rows(xb[: plan.bad_rows], xb)
+        self.panels = list(ue_panels(f, self.sgrid, plan.bad_rows, plan.block))
+        self.quadrature_rows = self._ue_cosine_rows(xb[: plan.bad_rows], xb)
+        band = sum(u.size for _, _, u in self.panels)
         _log_stage(
             start,
-            "route C set-up: n_signed=%d |B|=%d band_entries=%d/%d block_bytes=%d "
-            "peak_bytes_estimate=%d unitarity_defect=%.3e bad_rows=%d quadrature_nodes=%d",
+            "route C set-up: n_signed=%d |B|=%d band_entries=%d/%d held_bytes=%d "
+            "peak_bytes_estimate=%d unitarity_defect=%.3e kernel_defect=%.3e bad_rows=%d "
+            "quadrature_nodes=%d",
             n,
             2 * plan.block,
-            band_entries,
+            band,
             (n // 2) * plan.block,
-            self.fourier.matrix.nbytes + self.m_even.nbytes,
+            8 * band + self.quadrature_rows.nbytes,
             plan.peak_bytes,
-            self.fourier.unitarity_defect,
+            self.fourier.defects["unitarity"],
+            self.fourier.defects["kernel"],
             2 * plan.bad_rows,
             plan.lattice[2] if plan.lattice else 0,
         )
@@ -447,8 +482,10 @@ class SignedTraceLab:
         f(v/y_k) (y_k/v)^{1/2} dtau, filled and multiplied one lattice chunk
         at a time (``row_chunks``), so no array outgrows a chunk.
         """
-        lo, dtau, nodes = self.plan.lattice
         out = np.zeros((len(vs), len(us)))
+        if not len(vs):
+            return out
+        lo, dtau, nodes = self.plan.lattice
         for rows in row_chunks(nodes, len(us)):
             y = np.exp(np.arange(rows.start, rows.stop) * dtau + lo)
             ratio = np.outer(vs, 1.0 / y)
@@ -464,30 +501,64 @@ class SignedTraceLab:
             raise ValueError(f"lam {lam} exceeds this lab's max_lambda {self.max_lambda}")
         return block_size(self.sgrid.n, lam)
 
+    def _kernel_table(self, k: int) -> np.ndarray:
+        """K_k(m) for m = 1-k..n/2+k-1: every y + v + 1 and y - v over y < n/2, v < k."""
+        return self.fourier.dirichlet(k, 1 - k, self.sgrid.n // 2 + k)
+
+    @staticmethod
+    def _kernel_panel(table: np.ndarray, k: int, rows: slice, lo: int, u: np.ndarray) -> float:
+        """sum over the panel's rows v < k of sum_y U_e[v, y] (K_k(y+v+1) + K_k(y-v)).
+
+        Over the panel's band the two kernel terms are a Hankel and a Toeplitz
+        window of ``table`` (entry m + k - 1 is K_k(m)), contracted with the panel.
+        """
+        u = u[: k - rows.start]
+        windows = sliding_window_view(table, u.shape[1])
+        # column c of row v = v0 + i: K_k(y + v + 1) is entry lo + v + k + c,
+        # K_k(y - v) entry lo - v + k - 1 + c
+        v0 = rows.start
+        hankel = windows[lo + v0 + k :][: len(u)]
+        toeplitz = windows[lo + k - v0 - len(u) : lo + k - v0][::-1]
+        return float(np.einsum("ij,ij->", u, hankel) + np.einsum("ij,ij->", u, toeplitz))
+
     def trace_route_c(self, lam: float) -> float:
+        """Tr(P F^-1 P U_f F) at lam: the good rows through the kernel, the bad rows
+        (their quadrature rows of U_e C[:, b]) against the cosines C[b, bad]."""
+        start = time.perf_counter()
         k = self._sub_block(lam)
-        c = self.fourier.matrix[:k, :k]  # cutoff * F^-1 * cutoff
-        log.info("route C trace: lam=%g block_rows=%d", lam, 2 * k)
-        # Tr(c M) = sum(c * M.T); c is exactly symmetric (entry (j, k) is indexed by
-        # (2j+1)(2k+1)), so the same sum reads M contiguously
-        return float(np.sum(c * self.m_even[:k, :k]))
+        bad = min(k, self.plan.bad_rows)
+        table = self._kernel_table(k)
+        value = sum(self._kernel_panel(table, k, *p) for p in self.panels if p[0].start < k)
+        cosines = self.fourier.cosines(slice(0, bad), slice(0, k))  # C[b, bad], transposed
+        value += float(np.sum(self.quadrature_rows[:bad, :k] * cosines))
+        _log_stage(start, "route C trace: lam=%g block_rows=%d t_route_c=%.15g", lam, 2 * k, value)
+        return value
 
     def cyclicity_defect(self, lam: float) -> float:
-        """Relative gap between Tr((P F^-1 P U_f) F) and Tr(F (P F^-1 P U_f)), in the even sector.
+        """Largest relative gap of Tr((P F^-1 P U_f) F), Tr(F (P F^-1 P U_f)) and the kernel trace.
 
         With c = C[b, b] and cb = C[:, b], the first is Tr(c (U_e[b, :] cb)) and
-        the second Tr((cb c) U_e[b, :]), the trace of the n/2 x n/2 product.
-        Both are summed one panel of U_e[b, :] at a time over its band
-        (``ue_panels``), so neither P F^-1 P U_f nor cb c is formed whole.
+        the second Tr((cb c) U_e[b, :]), the trace of the n/2 x n/2 product;
+        the third is the kernel trace (``_kernel_panel``) over the same rows
+        of U_e, bad rows included, so the literal products certify the kernel
+        at this lam.  All three are summed one panel of U_e[b, :] at a time
+        over its band (``ue_panels``), the band's cosine rows streamed from
+        the table one row chunk at a time, so no n/2 x |b| array is formed.
         """
+        start = time.perf_counter()
         k = self._sub_block(lam)
-        cb = self.fourier.matrix[:, :k]
-        c = cb[:k]
-        uc = np.empty((k, k))
-        t2 = 0.0
+        cos = self.fourier.cosines
+        table = self._kernel_table(k)
+        t1 = t2 = t3 = 0.0
         for rows, lo, u in ue_panels(self.f, self.sgrid, 0, k):
-            band = cb[lo : lo + u.shape[1]]
-            np.matmul(u, band, out=uc[rows])
-            t2 += float(np.sum(u * (band @ c[:, rows]).T))
-        t1 = float(np.sum(c * uc))  # Tr(c uc) = sum(c * uc.T), c symmetric
-        return abs(t1 - t2) / max(abs(t1), 1e-300)
+            c_cols = cos(slice(0, k), rows)  # c[:, rows]
+            uc = np.zeros((len(u), k))  # (U_e cb)[rows]
+            for chunk in row_chunks(u.shape[1], k):
+                band = cos(slice(lo + chunk.start, lo + chunk.stop), slice(0, k))  # cb[band rows]
+                uc += u[:, chunk] @ band
+                t2 += float(np.sum(u[:, chunk] * (band @ c_cols).T))
+            t1 += float(np.sum(c_cols.T * uc))  # Tr(c uc) = sum(c * uc.T)
+            t3 += self._kernel_panel(table, k, rows, lo, u)
+        defect = (max(t1, t2, t3) - min(t1, t2, t3)) / max(abs(t1), 1e-300)
+        _log_stage(start, "route C cyclicity: lam=%g block_rows=%d defect=%.3e", lam, 2 * k, defect)
+        return defect

@@ -304,8 +304,16 @@ def row_chunks(rows: int, cols: int) -> Iterator[slice]:
         yield slice(r, min(r + step, rows))
 
 
+def kernel_fft_length(n: int, cols: int) -> int:
+    """Length of the kernel check's cyclic FFT correlation: the least power of two
+    that holds the n/2 + 2 cols - 1 kernel values.  The correlation with the 2 cols
+    probe entries then wraps only onto its first 2 cols - 1 entries, which the
+    check drops."""
+    return 1 << (n // 2 + 2 * cols - 2).bit_length()
+
+
 class FullLineFourier:
-    """The e^{-2 pi i x y} transform on a SignedGrid (field R) and its even-sector columns.
+    """The e^{-2 pi i x y} transform on a SignedGrid (field R) and its even-sector tables.
 
     The full n x n matrix is a DFT conjugated by diagonal phases: with
     c = (n-1)/2 and ph_j = e^{2 pi i c j/n},
@@ -313,80 +321,129 @@ class FullLineFourier:
     by one FFT.  On even vectors F acts through its cosine part: on the
     positive half-grid x_j = (2j+1) / (2 sqrt(n)) it is the real matrix
     C[j, k] = 2 step cos(2 pi x_j x_k), the orthonormal DCT-IV of size n/2 and
-    its own inverse.  ``matrix`` holds its first ``cols`` columns,
-    C[:, :cols] ((n/2) x cols): the block x_k <= lam of a route C plan, or
-    all n/2 of them.  Since
-    2 pi x_j x_k = 2 pi (2j+1)(2k+1) / 4n, every entry is one of the 4n values
-    of a cosine table indexed by (2j+1)(2k+1) mod 4n; ``matrix`` is filled
-    from it in row chunks (``row_chunks``), so no temporary outgrows a chunk.
-    ``certify`` checks the FFT form for unitarity and the cosine columns
-    against it.
+    its own inverse.  Since 2 pi x_j x_k = 2 pi (2j+1)(2k+1) / 4n, every entry
+    is one of the 4n values of a cosine table indexed by (2j+1)(2k+1) mod 4n
+    (``cosines``), so C is exactly symmetric; no block of it is held.
+
+    Two cosine factors cut to the first k columns sum in closed form to the
+    Dirichlet kernel (Zygmund, *Trigonometric Series*, 1959, ch. II):
+    sum_{u<k} C[l, u] C[u, j] = K_k(l + j + 1) + K_k(l - j), with
+    K_k(m) = 2 step^2 D_k(m), D_k(m) = sin(2 pi k m / n) / (2 sin(pi m / n))
+    and D_k(0) = k (``dirichlet``).  ``certify`` checks the FFT form for
+    unitarity and the kernel of the first ``cols`` columns against it.
     """
 
     def __init__(self, sgrid: SignedGrid, cols: int):
         self.grid = sgrid
+        self.cols = cols
         n = sgrid.n
-        half = n // 2
-        # x_j x_k = (2j+1)(2k+1) / 4n, reduced mod 1 exactly in integers: the
-        # columns take only the 4n values of one cosine table
-        table = 2.0 * sgrid.step * np.cos(np.arange(4 * n) * (2.0 * np.pi / (4 * n)))
-        odd = 2 * np.arange(half) + 1
-        self.matrix = np.empty((half, cols))
-        for rows in row_chunks(half, cols):
-            self.matrix[rows] = table[np.outer(odd[rows], odd[:cols]) % (4 * n)]
+        # x_j x_k = (2j+1)(2k+1) / 4n, reduced mod 1 exactly in integers: C takes
+        # only the 4n values of one cosine table
+        self.table = 2.0 * sgrid.step * np.cos(np.arange(4 * n) * (2.0 * np.pi / (4 * n)))
+        # sin(pi q / n) for q = 0..2n-1, each from its argument in [0, pi/2] and
+        # the table's symmetries, so a value near pi keeps its relative accuracy
+        quarter = np.sin(np.arange(n // 2 + 1) * (np.pi / n))
+        upper = np.concatenate([quarter, quarter[-2:0:-1]])
+        self._sine = np.concatenate([upper, -upper])
         # phases reduced exactly in integers: c j / n = (n-1) j / 2n, c^2 / n = (n-1)^2 / 4n
         j = np.arange(n)
         self._phase = np.exp(1j * np.pi * (((n - 1) * j) % (2 * n)) / n)
         self._scale = sgrid.step * np.exp(-2j * np.pi * (((n - 1) ** 2) % (4 * n)) / (4 * n))
         self.unitarity_defect = None
+        self.defects: dict[str, float] = {}
+
+    def cosines(self, rows: slice, cols: slice) -> np.ndarray:
+        """C[rows, cols] from the cosine table; C[cols, rows] is its exact transpose."""
+        odd_rows = 2 * np.arange(rows.start, rows.stop) + 1
+        odd_cols = 2 * np.arange(cols.start, cols.stop) + 1
+        return self.table[np.outer(odd_rows, odd_cols) % (4 * self.grid.n)]
+
+    def dirichlet(self, k: int, first: int, stop: int) -> np.ndarray:
+        """K_k(m) = 2 step^2 D_k(m) for m = first..stop-1, both sines from the sine table.
+
+        sin(2 pi k m / n) and sin(pi m / n) are read at (2 k m) mod 2n and m mod 2n,
+        reduced exactly in integers.
+        """
+        n = self.grid.n
+        m = np.arange(first, stop)
+        den = self._sine[m % (2 * n)]
+        out = self._sine[(2 * k * m) % (2 * n)]
+        zero = -first if first <= 0 < stop else None  # m = 0, where D_k is k
+        if zero is not None:
+            den[zero] = 1.0
+        out *= self.grid.step**2
+        out /= den
+        if zero is not None:
+            out[zero] = 2.0 * self.grid.step**2 * k
+        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """F v for the full n x n matrix, in O(n log n)."""
-        return self._scale * self._phase * np.fft.fft(self._phase * v)
+        out = np.fft.fft(self._phase * v)
+        out *= self._phase
+        out *= self._scale
+        return out
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """F^H v; F is symmetric, so F^H v = conj(F conj(v))."""
         return np.conj(self.apply(np.conj(v)))
 
     def measure_defect(self) -> float:
-        """Larger of the FFT form's unitarity defect and the cosine columns' gap to it.
+        """Larger of the FFT form's unitarity defect and the kernel's gap to it.
 
-        Unitarity: max |F F^H v - v| / max |v| on three seeded Gaussian
-        probes.  Columns: max |C[:, :cols] u - (F v)[n/2:]| on three seeded
-        probes with unimodular entries u on the columns, v holding u mirrored
-        onto both signs, so a single cosine entry off by eps moves every probe
-        by eps.
+        ``self.defects["unitarity"]``: max |F F^H v - v| / max |v| on three
+        seeded Gaussian probes.  ``self.defects["kernel"]``: with b = cols,
+        max |C P_b C w - K w| on three seeded probes with unimodular entries w
+        on the first b points of the positive half-grid, P_b the cutoff to
+        them.  C P_b C w is F applied twice to w mirrored onto both signs, and
+        (K w)[y] = sum_{v<b} (K_b(y+v+1) + K_b(y-v)) w[v] is one correlation of
+        the kernel with w mirrored, by FFT.  A single kernel value off by eps
+        moves some entry of every probe by eps.
         """
         n = self.grid.n
-        half, cols = n // 2, self.matrix.shape[1]
+        half, cols = n // 2, self.cols
         rng = np.random.default_rng(1234)
-        defect = 0.0
+        unitarity = 0.0
         for _ in range(3):
             v = rng.standard_normal(n)
             uv = self.apply(self.apply_adjoint(v))
-            defect = max(defect, float(np.abs(uv - v).max() / np.abs(v).max()))
-        for _ in range(3):
-            u = np.exp(2j * np.pi * rng.random(cols))
-            v = np.zeros(n, dtype=complex)
-            v[half : half + cols] = u
-            v[half - cols : half] = u[::-1]
-            # two real products: ``matrix @ u`` would copy the matrix to complex
-            cu = self.matrix @ u.real + 1j * (self.matrix @ u.imag)
-            defect = max(defect, float(np.abs(cu - self.apply(v)[half:]).max()))
-        return defect
+            unitarity = max(unitarity, float(np.abs(uv - v).max() / np.abs(v).max()))
+        kernel = 0.0
+        if cols:
+            # y - v' over y < n/2 and v' = -cols..cols-1 spans m = 1-cols..n/2+cols-1
+            length = kernel_fft_length(n, cols)
+            spectrum = np.fft.fft(self.dirichlet(cols, 1 - cols, half + cols), length)
+            for _ in range(3):
+                w = np.exp(2j * np.pi * rng.random(cols))
+                mirrored = np.concatenate([w[::-1], w])
+                v = np.zeros(n, dtype=complex)
+                v[half - cols : half + cols] = mirrored
+                v = self.apply(v)
+                v[: half - cols] = 0.0
+                v[half + cols :] = 0.0
+                literal = self.apply(v)[half:]
+                del v  # before the correlation's arrays
+                full = np.fft.fft(mirrored, length)
+                full *= spectrum
+                full = np.fft.ifft(full)[2 * cols - 1 : 2 * cols - 1 + half]  # y at y + 2 cols - 1
+                full -= literal
+                kernel = max(kernel, float(np.abs(full).max()))
+        self.defects = {"unitarity": unitarity, "kernel": kernel}
+        return max(unitarity, kernel)
 
     def certify(self) -> "FullLineFourier":
         """Record the defect; FourierBuildError when it exceeds SIGNED_DEFECT_THRESHOLD."""
         self.unitarity_defect = self.measure_defect()
         if self.unitarity_defect > SIGNED_DEFECT_THRESHOLD:
             raise FourierBuildError(
-                f"signed-grid unitarity defect {self.unitarity_defect:.3e} exceeds "
-                f"{SIGNED_DEFECT_THRESHOLD:.3e}",
+                f"signed-grid defect {self.unitarity_defect:.3e} exceeds "
+                f"{SIGNED_DEFECT_THRESHOLD:.3e} "
+                + " ".join(f"({name} {d:.3e})" for name, d in self.defects.items()),
                 self.unitarity_defect,
             )
         return self
 
 
 def full_line_fourier(sgrid: SignedGrid, cols: int) -> FullLineFourier:
-    """Certified first ``cols`` cosine columns C[:, :cols] of the signed-grid transform."""
+    """The signed-grid transform with its kernel certified for the first ``cols`` columns."""
     return FullLineFourier(sgrid, cols).certify()

@@ -17,13 +17,19 @@ from .fields import RadialGrid
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    out[u >= 1.0] = 1.0
-    mid = (u > 0.0) & (u < 1.0)
-    um = u[mid]
+    """0 for u <= 0, 1 for u >= 1 and e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) between.
+
+    Clipping gives both plateaus in one pass; the two exps run only at the
+    edge's flat indices.
+    """
+    out = np.clip(u, 0.0, 1.0)
+    flat = out.reshape(-1)
+    edge = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    um = flat[edge]
     a = np.exp(-1.0 / um)
     b = np.exp(-1.0 / (1.0 - um))
-    out[mid] = a / (a + b)
+    b += a
+    flat[edge] = np.divide(a, b, out=a)
     return out
 
 

@@ -465,7 +465,7 @@ def _refuse_work(*args, **kwargs):
     [
         (4095, "even n"),  # odd
         (64, "too close to the signed-grid extent"),  # extent/2 = 1.97 < lambda 8
-        (2**20, "budget"),  # about 65 GiB
+        (2**22, "budget"),  # about 5.4 GiB
     ],
 )
 def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, n_signed, message):
@@ -482,6 +482,17 @@ def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, 
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_signed, max_lambda", [(153472, 8.0), (90168, 16.0)])
+def test_validate_accepts_the_largest_route_c_grids(n_signed, max_lambda):
+    # the largest grids the 2 GiB budget took while route C held C[:, b] and M_e
+    cfg = small_config(
+        lambdas=[2.0, 4.0, 8.0, 16.0],
+        route_c={"enabled": True, "n_signed": n_signed, "max_lambda": max_lambda},
+    )
+    cfg["grid"]["log_t_half_range"] = math.log(1e4)
+    assert validate_config(cfg) is cfg
 
 
 def test_cli_refuses_support_beyond_the_grid(tmp_path, capsys, monkeypatch):

@@ -279,7 +279,7 @@ def dense_signed_fourier(sgrid):
 
 @pytest.fixture(scope="module")
 def signed_fourier():
-    return full_line_fourier(make_signed_grid(1024), 512)  # every column
+    return full_line_fourier(make_signed_grid(1024), 512)  # the kernel of every column
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +327,8 @@ def test_even_sector_consistency(signed_fourier, signed_matrix, backend_r):
     assert np.abs(out_signed - scaled_gaussian_transform("R", 2.0, np.abs(x))).max() < 1e-10
     # the cosine columns carry the same transform on the positive half-grid
     half = len(x) // 2
-    out_cos = signed_fourier.matrix @ scaled_gaussian("R", 2.0, x[half:])
+    C = signed_fourier.cosines(slice(0, half), slice(0, half))
+    out_cos = C @ scaled_gaussian("R", 2.0, x[half:])
     assert np.abs(out_cos - scaled_gaussian_transform("R", 2.0, x[half:])).max() < 1e-10
     g = make_grid(backend_r, 3.0, 512)
     op = FourierOperator(g)
@@ -339,8 +340,8 @@ def test_even_sector_consistency(signed_fourier, signed_matrix, backend_r):
 def test_cosine_columns_are_the_even_fold_and_a_dct_iv(signed_fourier, signed_matrix):
     # C[j, k] = F[x_j, x_k] + F[x_j, -x_k] on the positive half-grid: the
     # orthonormal DCT-IV of size n/2, symmetric and its own inverse
-    C = signed_fourier.matrix
-    half = C.shape[0]
+    half = len(signed_fourier.grid.x) // 2
+    C = signed_fourier.cosines(slice(0, half), slice(0, half))
     assert C.shape == (half, half) and C.dtype == np.float64
     fold = signed_matrix[half:, half:] + signed_matrix[half:, :half][:, ::-1]
     assert np.abs(fold - C).max() < 1e-12

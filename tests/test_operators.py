@@ -286,3 +286,34 @@ def backend_small20(backend_r):
     from loctrace import make_grid
 
     return make_grid(backend_r, 1.0, 20)
+
+
+def _smoothstep_by_masks(u):
+    """The mollifier's step in its first form: a full-array mask, gather and scatter each."""
+    out = np.zeros_like(u)
+    out[u >= 1.0] = 1.0
+    mid = (u > 0.0) & (u < 1.0)
+    um = u[mid]
+    a = np.exp(-1.0 / um)
+    b = np.exp(-1.0 / (1.0 - um))
+    out[mid] = a / (a + b)
+    return out
+
+
+def test_smoothstep_matches_its_masked_form_bit_for_bit():
+    from loctrace.operators import _smoothstep
+
+    edges = [-1e300, -1.0, -1e-300, 0.0, 1e-300, 0.1, 0.5, 0.9]
+    edges += [1.0 - 2**-53, 1.0, 1.0 + 2**-52, 2.0, 1e300]
+    rng = np.random.default_rng(7)
+    u = np.concatenate([edges, rng.uniform(-0.5, 1.5, 10_000), np.linspace(-1e-3, 1e-3, 101)])
+    got, want = _smoothstep(u), _smoothstep_by_masks(u)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[3] == 0.0 and got[9] == 1.0 and 0.0 < got[5] < got[6] == 0.5 < got[7] < 1.0
+    # the profile's values are unchanged over its whole band
+    f = TestFunction(center=0.2, width=0.4, support_radius=1.5)
+    t = np.exp(np.linspace(-1.6, 1.6, 20_001))
+    x = np.log(t)
+    bump = _smoothstep_by_masks(2.0 * (1.0 - np.abs(x) / 1.5))
+    want = np.exp(-((x - 0.2) ** 2) / (2.0 * 0.4**2)) * bump
+    assert np.array_equal(f(t), np.where((t > math.exp(-1.5)) & (t < math.exp(1.5)), want, 0.0))

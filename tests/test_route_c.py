@@ -3,9 +3,9 @@
 ``DenseSignedTraceLab`` is the full-matrix route C: the complex n x n
 transform and the n x n U_f on the signed grid, a fresh product for every
 lambda and the n x n product in the cyclicity check.  ``SignedTraceLab`` must
-give the same traces from the real even-sector arrays alone: the cosine
-columns C[:, b] and the product M_e = U_e[b, :] C[:, b], b the positive half
-of the block, built from panels of U_e's rows over their bands.
+give the same traces from the even sector alone: the panels of U_e's rows
+over their bands, traced through the Dirichlet kernel of the block's two
+cosine factors, and the bad rows' quadrature rows against their cosines.
 """
 
 import functools
@@ -24,6 +24,7 @@ from loctrace.cutoff_trace import (
     LATTICE_NODES_MAX,
     ROUTE_C_TEMPORARIES,
     SignedTraceLab,
+    band_entries,
     block_size,
     log_lattice,
     route_c_plan,
@@ -35,6 +36,7 @@ from loctrace.fourier import (
     FourierBuildError,
     FullLineFourier,
     full_line_fourier,
+    kernel_fft_length,
     make_signed_grid,
 )
 from loctrace.operators import TestFunction
@@ -172,35 +174,34 @@ def test_route_c_bytes_refuses_odd_grids(standard_bump, n):
 )
 def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     # the plan's peak, term by term, from the block counted on the float grid
-    xp = make_signed_grid(n).x[n // 2 :]
+    sgrid = make_signed_grid(n)
+    xp = sgrid.x[n // 2 :]
     half, b = n // 2, int(np.count_nonzero(xp <= lam * (1.0 + 1e-12)))
     bad = int((xp[:b] < SignedTraceLab.BAD_ROW_EXTENT).sum())
-    kept = half * b + b * b  # C[:, b] and M_e
-    panel = min(PANEL_ROWS, b) * half  # one panel of U_e, never wider than a row
+    band = sum(u.size for _, _, u in ue_panels(standard_bump, sgrid, bad, b))
+    kept = band + bad * b  # the good rows' panels and the bad rows' quadrature rows
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
-    quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
-    packing = b * b
+    vectors = 18 * n + (6 * kernel_fft_length(n, b) if b else 0)
+    quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     plan = route_c_plan(standard_bump, n, lam)
     assert (plan.block, plan.bad_rows) == (b, bad)
-    assert plan.peak_bytes == 8 * (
-        kept + panel + ROUTE_C_TEMPORARIES * chunk + 24 * n + quadrature + packing
-    )
+    assert plan.peak_bytes == 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature)
     if b:
         lab = SignedTraceLab(standard_bump, n, lam)
-        assert lab.fourier.matrix.shape == (half, b)
-        held = lab.fourier.matrix.nbytes + lab.m_even.nbytes
-        assert held < plan.peak_bytes
+        assert not hasattr(lab.fourier, "matrix") and not hasattr(lab, "m_even")
+        held = sum(u.nbytes for _, _, u in lab.panels) + lab.quadrature_rows.nbytes
+        assert held == 8 * kept < plan.peak_bytes
         # and so is the lattice behind the lab's refusal
         assert lab.plan.lattice == plan.lattice
         assert (plan.lattice is not None) == (bad > 0)
 
 
 @st.composite
-def signed_geometries(draw):
-    """(n, lam): an even n in 64..8192 and a lam in (0, extent/2), often on a cell
+def signed_geometries(draw, max_n: int = 8192):
+    """(n, lam): an even n in 64..max_n and a lam in (0, extent/2), often on a cell
     edge (lam sqrt(n) an integer) or on a grid point (a half-integer), the
     latter written both as the grid writes it and as a quotient."""
-    n = 2 * draw(st.integers(32, 4096))
+    n = 2 * draw(st.integers(32, max_n // 2))
     root, limit = math.sqrt(n), make_signed_grid(n).extent / 2.0
     kind = draw(st.sampled_from(["anywhere", "cell edge", "point", "point as quotient"]))
     if kind == "anywhere":
@@ -237,8 +238,7 @@ def test_route_c_plan_matches_the_grid_property(geometry):
     assert plan.lattice == want
     if n <= 512 and plan.block:
         lab = SignedTraceLab(f, n, lam)
-        assert lab.fourier.matrix.shape == (n // 2, plan.block)
-        held = lab.fourier.matrix.nbytes + lab.m_even.nbytes
+        held = sum(u.nbytes for _, _, u in lab.panels) + lab.quadrature_rows.nbytes
         assert held < plan.peak_bytes
 
 
@@ -271,30 +271,42 @@ def test_route_c_bytes_bounds_the_setup_peak(n, lam):
 
 
 def test_setup_and_cyclicity_never_form_an_n_half_by_block_array(standard_bump):
-    # U_e[b, :] or C[b, b] U_e[b, :] would be a second n/2 x |b| array beside C[:, b]
+    # C[:, b], U_e[b, :] or C[b, b] U_e[b, :] would be an n/2 x |b| array; the lab
+    # holds no array of |b| x |b| entries either
     n, lam = 4096, 8.0
     tracemalloc.start()
     try:
         lab = SignedTraceLab(standard_bump, n, lam)
         _, setup_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
         held, _ = tracemalloc.get_traced_memory()
-        lab.cyclicity_defect(lam)
-        _, cyclicity_peak = tracemalloc.get_traced_memory()
+        peaks = {}
+        for name, call in [
+            ("traces", lambda: [lab.trace_route_c(x) for x in (2.0, 4.0, lam)]),
+            ("cyclicity", lambda: lab.cyclicity_defect(2.0)),
+            ("cyclicity at max_lambda", lambda: lab.cyclicity_defect(lam)),
+        ]:
+            tracemalloc.reset_peak()
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    wide = 8 * (n // 2) * lab.plan.block
-    assert setup_peak - lab.fourier.matrix.nbytes - lab.m_even.nbytes < wide
-    assert cyclicity_peak - held < wide
+    b = lab.plan.block
+    wide = 8 * (n // 2) * b
+    held_by = [*vars(lab).values(), *vars(lab.fourier).values()]
+    arrays = [a for a in held_by if isinstance(a, np.ndarray)]
+    arrays += [u for _, _, u in lab.panels]
+    assert max(a.size for a in arrays) < b * b
+    panels = sum(u.nbytes for _, _, u in lab.panels) + lab.quadrature_rows.nbytes
+    assert setup_peak - panels < wide
+    assert all(peak < wide for peak in peaks.values()), peaks
 
 
 @pytest.mark.parametrize(
     "n, lam, chunk_entries",
     [
-        # with CHUNK_ENTRIES = 2**14 at n = 4096: a panel's chunks hold 2**14 // (its band) rows,
-        # C[:, b] is filled in 2**14 // |b| rows
-        (4096, 0.1, None),  # |b| = 6, below one panel; C[:, b] in one chunk
-        (4096, 7.3, None),  # |b| = 467, not a multiple of 32; n/2 = 2048 not a multiple of 35
+        # with CHUNK_ENTRIES = 2**14 at n = 4096: a panel's chunks hold 2**14 // (its band) rows
+        (4096, 0.1, None),  # |b| = 6, below one panel
+        (4096, 7.3, None),  # |b| = 467, not a multiple of 32
         (4096, 8.0, None),  # the default block
         (512, 3.0, 1),  # one row per chunk
         (1000, 5.0, 1500),  # |b| = 158: bands of 141-478 columns, 3- to 10-row chunks
@@ -315,24 +327,31 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
     xp = lab.sgrid.x[half:]
     xb = xp[:b]
     u_even = f(np.outer(xb, 1.0 / xp)) / np.sqrt(np.outer(xb, xp)) * step
-    assert np.array_equal(lab.fourier.matrix, matrix)
-    # the panels over their bands, zero elsewhere, are U_e[b, :] bit for bit
-    banded = np.zeros_like(u_even)
-    for rows, lo, u in ue_panels(f, lab.sgrid, 0, b):
-        banded[rows, lo : lo + u.shape[1]] = u
-    assert np.array_equal(banded, u_even)
-    # a banded product sums in other BLAS blocks than the one dense GEMM, so it
-    # agrees to rounding, not bit for bit
-    dense = u_even @ matrix
-    good = xb >= lab.BAD_ROW_EXTENT  # the other rows come from quadrature
-    assert np.all(np.abs(lab.m_even[good] - dense[good]) <= 1e-14 * np.abs(dense).max())
+    assert np.array_equal(lab.fourier.cosines(slice(0, half), slice(0, b)), matrix)
+    # the held panels over their bands, zero elsewhere, are the good rows of U_e[b, :] bit
+    # for bit, and so are those ue_panels yields for every row
+    good = slice(lab.plan.bad_rows, b)
+    for first, panels in [(good.start, lab.panels), (0, ue_panels(f, lab.sgrid, 0, b))]:
+        banded = np.zeros_like(u_even[first:])
+        for rows, lo, u in panels:
+            banded[rows.start - first : rows.stop - first, lo : lo + u.shape[1]] = u
+        assert np.array_equal(banded, u_even[first:])
+    # the kernel trace against the literal Tr(C[b, b] U_e[b, :] C[:, b]) of the same
+    # rows: the two sum in other orders, so they agree to rounding, not bit for bit
+    m_even = u_even @ matrix
+    m_even[: lab.plan.bad_rows] = lab.quadrature_rows
+    want = float(np.sum(matrix[:b] * m_even))
+    assert abs(lab.trace_route_c(lam) - want) <= 1e-14 * np.abs(matrix[:b] * m_even).sum()
 
 
 def test_cosine_block_is_exactly_symmetric(signed_lab):
-    # trace_route_c sums c * M_e where the trace is sum(c * M_e.T): it needs c == c.T
+    # the cosines of rows and columns swapped are the transpose bit for bit, as the bad
+    # rows' term and the cyclicity check read them
     b = signed_lab.plan.block
-    c = signed_lab.fourier.matrix[:b, :b]
+    c = signed_lab.fourier.cosines(slice(0, b), slice(0, b))
     assert np.array_equal(c, c.T)
+    wide = signed_lab.fourier.cosines(slice(0, 2048), slice(0, 40))
+    assert np.array_equal(wide, signed_lab.fourier.cosines(slice(0, 40), slice(0, 2048)).T)
 
 
 @settings(max_examples=100)
@@ -365,26 +384,115 @@ def test_ue_panels_are_exact_on_the_band_property(geometry, center_frac, width, 
     assert covered == b
 
 
+profiles = st.builds(
+    lambda frac, width, rho: TestFunction(center=frac * rho, width=width, support_radius=rho),
+    frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    width=st.floats(0.01, 2.0),
+    rho=st.floats(0.5, 3.0),
+)
+
+
+@settings(max_examples=10)
+@given(geometry=signed_geometries(max_n=4096), f=profiles)
+@example(geometry=(4096, 7.3), f=TestFunction(center=2.97, width=0.01, support_radius=3.0))
+@example(geometry=(1000, 5.0), f=TestFunction(center=-0.495, width=2.0, support_radius=0.5))
+@example(geometry=(64, 1.9), f=TestFunction(center=0.3, width=0.05, support_radius=1.5))
+def test_kernel_trace_matches_dense_oracle_property(geometry, f):
+    # the oracle takes the lab's quadrature rows for its bad rows, so every other entry
+    # of the trace is the full-matrix product's
+    n, lam = geometry
+    lab = SignedTraceLab(f, n, lam)
+    oracle = DenseSignedTraceLab(f, n)
+    rows = lab.quadrature_rows
+    oracle._uf_fourier_rows = lambda r, c: rows[np.ix_(_fold(r, n), _fold(c, n))] / 2.0
+    for x in (lam, lam / 3.0):
+        want = oracle.trace_route_c(x)
+        got = lab.trace_route_c(x)
+        assert abs(got - want) <= 1e-12 * abs(want), (n, x, f, got, want)
+
+
+def peak_bytes_before_the_kernel(n: int, b: int, bad: int) -> int:
+    """route_c_plan's peak while the lab held C[:, b] and M_e = U_e[b, :] C[:, b]."""
+    half = n // 2
+    kept = half * b + b * b
+    panel = min(PANEL_ROWS, b) * half
+    chunk = min(half * b, max(CHUNK_ENTRIES, half))
+    quadrature = 2 * bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
+    return 8 * (kept + panel + ROUTE_C_TEMPORARIES * chunk + 24 * n + quadrature + b * b)
+
+
+@settings(max_examples=300)
+@given(geometry=signed_geometries(), f=profiles)
+@example(geometry=(64, 0.01), f=TestFunction())  # an empty block
+@example(geometry=(4096, 8.0), f=TestFunction())
+@example(geometry=(8192, 22.0), f=TestFunction(center=0.0, width=0.25, support_radius=3.0))
+def test_route_c_plan_never_exceeds_the_cosine_block_plan_property(geometry, f):
+    # the kept panels and bad rows hold at most the n/2 x |b| entries of C[:, b], and the
+    # band count is exact: the entries ue_panels yields
+    n, lam = geometry
+    plan = route_c_plan(f, n, lam)
+    bad, b = plan.bad_rows, plan.block
+    band = band_entries(f, n, bad, b)
+    assert band + bad * b <= (n // 2) * b
+    assert plan.peak_bytes <= peak_bytes_before_the_kernel(n, b, bad)
+    if n <= 1024:
+        assert band == sum(u.size for _, _, u in ue_panels(f, make_signed_grid(n), bad, b))
+
+
 def test_block_certification_passes_and_reports_its_defect():
     fl = full_line_fourier(make_signed_grid(4096), 512)  # the block x <= 8
-    assert fl.matrix.shape == (2048, 512)
-    assert fl.matrix.dtype == np.float64
-    assert 0.0 < fl.unitarity_defect < 1e-10
+    assert not hasattr(fl, "matrix")  # no cosine block is formed
+    assert set(fl.defects) == {"unitarity", "kernel"}
+    assert all(0.0 < d < 1e-10 for d in fl.defects.values())
+    assert fl.unitarity_defect == max(fl.defects.values())
+
+
+def _perturbed_kernel(fl, at: int, delta):
+    """fl.dirichlet with K_k(at) moved by delta."""
+    dirichlet = fl.dirichlet
+
+    def perturbed(k, first, stop):
+        out = dirichlet(k, first, stop).astype(np.result_type(float, delta))
+        if first <= at < stop:
+            out[at - first] += delta
+        return out
+
+    return perturbed
 
 
 @pytest.mark.parametrize("row, col", [(0, 0), (517, 3), (1023, 63), (300, 40)])
 @pytest.mark.parametrize("delta", [1e-8, 1e-8j])
 def test_perturbed_block_entry_fails_certification(row, col, delta):
-    # (row, col) is an entry of the signed block (1024 x 64) at |x| <= 1; the
-    # cosine entry it folds into is perturbed, by a real delta or by an
-    # imaginary part the real cosine columns must not have
+    # (row, col) is an entry of the signed block (1024 x 64) at |x| <= 1; it folds into
+    # (l, j) of the even sector, where (C P_b C)[l, j] = K(l + j + 1) + K(l - j).  The kernel
+    # value K(l - j) is perturbed, by a real delta or by an imaginary part the real
+    # kernel must not have
     fl = FullLineFourier(make_signed_grid(1024), 32)
-    assert fl.matrix.shape == (512, 32)
-    fl.matrix = fl.matrix.astype(np.result_type(fl.matrix, delta))
-    fl.matrix[_fold(row, 1024), _fold(col, 64)] += delta
+    fl.dirichlet = _perturbed_kernel(fl, _fold(row, 1024) - _fold(col, 64), delta)
     with pytest.raises(FourierBuildError) as exc:
         fl.certify()
     assert exc.value.defect >= 1e-8 * (1.0 - 1e-6)
+    assert fl.defects["kernel"] == exc.value.defect
+
+
+@pytest.mark.parametrize("n, cols", [(1024, 32), (4096, 512), (1000, 5)])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_kernel_table_shifted_by_one_index_fails_certification(n, cols, shift):
+    fl = FullLineFourier(make_signed_grid(n), cols)
+    dirichlet = fl.dirichlet
+    fl.dirichlet = lambda k, first, stop: dirichlet(k, first + shift, stop + shift)
+    with pytest.raises(FourierBuildError, match="kernel"):
+        fl.certify()
+
+
+@pytest.mark.parametrize("index", [1, 9, 4 * 512 - 1])
+def test_corrupted_literal_cosine_fails_trace_cyclicity(standard_bump, index):
+    # the literal products read C from the cosine table, the kernel trace does not: a
+    # corrupted cosine shifts both literal orders alike but not the kernel trace
+    lab = SignedTraceLab(standard_bump, 512, 2.0)
+    assert lab.cyclicity_defect(2.0) < 1e-8
+    lab.fourier.table[index] += 1e-6
+    assert lab.cyclicity_defect(2.0) > 1e-8
 
 
 def test_fft_form_matches_dense_matrix():
@@ -470,7 +578,7 @@ def composite_gauss_legendre_rows(f: TestFunction, vs, us, step: float, panels: 
 @example(half=1024, frac=0.999, center=0.5, width=0.01, rho=3.0)
 @example(half=1024, frac=0.999, center=-0.5, width=0.01, rho=0.5)
 def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, rho):
-    # the lab's bad rows of M_e against up to 48 columns spread over the block,
+    # the lab's bad rows of U_e C[:, b] against up to 48 columns spread over the block,
     # the last (the fastest cosine) included
     n = 2 * half
     f = TestFunction(center=center, width=width, support_radius=rho)
@@ -478,7 +586,7 @@ def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, 
     xb = lab.sgrid.x[half:][: lab.plan.block]
     cols = np.unique(np.linspace(0, len(xb) - 1, 48).round().astype(int))
     vs = xb[: lab.plan.bad_rows]
-    got = lab.m_even[: lab.plan.bad_rows, cols]
+    got = lab.quadrature_rows[:, cols]
     want = composite_gauss_legendre_rows(f, vs, xb[cols], lab.sgrid.step)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, lab.plan.lattice)
 
@@ -486,8 +594,8 @@ def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, 
 def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     with caplog.at_level(logging.INFO, logger="loctrace"):
         lab = SignedTraceLab(standard_bump, 1024, 2.0)
-        lab.trace_route_c(1.0)
-        lab.trace_route_c(2.0)
+        values = [lab.trace_route_c(1.0), lab.trace_route_c(2.0)]
+        defect = lab.cyclicity_defect(1.0)
     lines = [r.getMessage() for r in caplog.records]
     setup = [m for m in lines if m.startswith("route C set-up")]
     assert len(setup) == 1
@@ -498,9 +606,10 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         "n_signed=1024",
         "|B|=128",
         f"band_entries={band}/{512 * 64} ",  # of the half x |b| entries of U_e[b, :]
-        f"block_bytes={lab.fourier.matrix.nbytes + lab.m_even.nbytes} ",
+        f"held_bytes={8 * band + lab.quadrature_rows.nbytes} ",  # the panels and the bad rows
         f"peak_bytes_estimate={lab.plan.peak_bytes} ",
-        "unitarity_defect=",
+        f"unitarity_defect={lab.fourier.defects['unitarity']:.3e} ",
+        f"kernel_defect={lab.fourier.defects['kernel']:.3e} ",
         "bad_rows=32",
         f"quadrature_nodes={lab.plan.lattice[2]} ",
         "duration_s=",
@@ -508,8 +617,15 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         assert key in setup[0]
     assert lab.plan.lattice[2] > 0
     assert float(setup[0].split("duration_s=")[1]) >= 0.0
-    traces = [m for m in lines if m.startswith("route C trace")]
-    assert traces == ["route C trace: lam=1 block_rows=64", "route C trace: lam=2 block_rows=128"]
+    traces = [m.split(" duration_s=") for m in lines if m.startswith("route C trace")]
+    assert [t[0] for t in traces] == [
+        f"route C trace: lam=1 block_rows=64 t_route_c={values[0]:.15g}",
+        f"route C trace: lam=2 block_rows=128 t_route_c={values[1]:.15g}",
+    ]
+    cyclicity = [m.split(" duration_s=") for m in lines if m.startswith("route C cyclicity")]
+    want = f"route C cyclicity: lam=1 block_rows=64 defect={defect:.3e}"
+    assert [c[0] for c in cyclicity] == [want]
+    assert all(float(t[1]) >= 0.0 for t in traces + cyclicity)
     # a sweep closes with one line: its field, lambda count and total duration
     config = {
         "field": "R",
