@@ -316,26 +316,32 @@ def block_size(n: int, lam: float) -> int:
 BAND_PANELS_MAX = 4096
 
 
-def band_entries(f: TestFunction, n: int, first: int, stop: int) -> int:
-    """The entries of ``ue_panels(f, grid, first, stop)``, from arithmetic alone.
+def panel_bands(f: TestFunction, n: int, first: int, stop: int):
+    """Yield (rows, lo, hi), PANEL_ROWS rows of first..stop-1 at a time: U_e[rows, :] is 0 off [lo, hi).
 
-    Each panel's band ends are counted by bisection with the very comparisons
-    ``ue_panels`` makes on the grid's own floats (t = v * (1/y) falls along a
-    row), so the count is exact.  Beyond BAND_PANELS_MAX panels it is
-    bounded by the whole rows instead.
+    t = v * (1/y) falls along each row and rises from row to row (a float product is
+    monotone in each factor), so every column before lo has t >= exp(R) and every column
+    from hi on t <= exp(-R) in every row, which ``TestFunction`` maps to exactly 0 by the
+    same ``support_band``.  The one derivation of a band: bisection on the grid's own floats.
     """
     half = n // 2
-    if stop - first > PANEL_ROWS * BAND_PANELS_MAX:
-        return half * (stop - first)
     t_lo, t_hi = f.support_band()
-    total = 0
     for r0 in range(first, stop, PANEL_ROWS):
         r1 = min(r0 + PANEL_ROWS, stop)
         top, bottom = signed_point(n, r0), signed_point(n, r1 - 1)
         lo = _leading(half, lambda j: top * (1.0 / signed_point(n, j)) >= t_hi)
         hi = max(lo, _leading(half, lambda j: bottom * (1.0 / signed_point(n, j)) > t_lo))
-        total += (r1 - r0) * (hi - lo)
-    return total
+        yield slice(r0, r1), lo, hi
+
+
+def band_entries(f: TestFunction, n: int, first: int, stop: int) -> int:
+    """The entries of ``ue_panels(f, grid, first, stop)``: its ``panel_bands`` summed.
+
+    Beyond BAND_PANELS_MAX panels it is bounded by the whole rows instead.
+    """
+    if stop - first > PANEL_ROWS * BAND_PANELS_MAX:
+        return (n // 2) * (stop - first)
+    return sum((rows.stop - rows.start) * (hi - lo) for rows, lo, hi in panel_bands(f, n, first, stop))
 
 
 @dataclass(frozen=True)
@@ -351,8 +357,9 @@ class RouteCPlan:
 def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     """The plan of SignedTraceLab(f, n, max_lambda), from arithmetic alone.
 
-    ``peak_bytes`` counts the kept arrays, the good rows' panels of U_e
-    (``band_entries``) and the bad rows' quadrature rows (bad x |b|), and
+    ``peak_bytes`` counts the kept arrays, the panels of U_e[b, :]
+    (``band_entries`` of the bad rows and of the good rows, each from its first
+    row) and the bad rows' quadrature rows (bad x |b|), and
     bounds every temporary of the set-up: ROUTE_C_TEMPORARIES arrays of one
     row chunk (``row_chunks``), the transform's n-length tables and the
     arrays of its certification (``kernel_fft_length``), and the bad rows'
@@ -375,7 +382,7 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     # the bad rows run from x_0 to x_{bad-1}, against columns up to x_{b-1}
     lattice = log_lattice(f, *(signed_point(n, j) for j in (0, bad - 1, b - 1))) if bad else None
     half = n // 2
-    kept = band_entries(f, n, bad, b) + bad * b
+    kept = band_entries(f, n, 0, bad) + band_entries(f, n, bad, b) + bad * b
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
     # the grid, the cosine, sine and phase tables and the unitarity probes
     # (17 n measured), and the kernel check's FFTs (6 of its length)
@@ -388,26 +395,16 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
 
 
 def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int):
-    """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1, PANEL_ROWS at a time.
+    """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1 over their ``panel_bands``.
 
     U_e[v, y] = f(v/y) / sqrt(vy) step on the positive half-grid, evaluated
     per element as f(v * (1/y)) and filled one row chunk at a time
-    (``row_chunks``), but only over the panel's band [lo, hi): 1/y falls
-    along the columns and a float product is monotone in each factor, so
-    t = v * (1/y) falls along each row and rises from row to row.  Every
-    column before lo then has t >= exp(R) in every row of the panel, and
-    every column from hi on has t <= exp(-R), which ``TestFunction`` maps to
-    exactly 0 by the same ``support_band``.
+    (``row_chunks``); off the band it is exactly 0.
     """
     xp = sgrid.x[sgrid.n // 2 :]
     inv_xp = 1.0 / xp
-    t_lo, t_hi = f.support_band()
-    for r0 in range(first, stop, PANEL_ROWS):
-        rows = slice(r0, min(r0 + PANEL_ROWS, stop))
-        xr = xp[rows]
-        lo = int(np.count_nonzero(xr[0] * inv_xp >= t_hi))
-        hi = max(lo, int(np.count_nonzero(xr[-1] * inv_xp > t_lo)))
-        y, inv_y = xp[lo:hi], inv_xp[lo:hi]
+    for rows, lo, hi in panel_bands(f, sgrid.n, first, stop):
+        xr, y, inv_y = xp[rows], xp[lo:hi], inv_xp[lo:hi]
         panel = np.empty((len(xr), hi - lo))
         for chunk in row_chunks(len(xr), hi - lo):
             xc = xr[chunk]
@@ -432,13 +429,14 @@ class SignedTraceLab:
     sum_{v in b} sum_y U_e[v, y] (K(y+v+1) + K(y-v)) and no cosine block is
     formed.  The lab takes the largest block, its bad rows and their lattice
     from its ``plan`` (``route_c_plan``), made and checked before anything is
-    allocated.  It holds the rows of U_e[b, :] as panels over their bands
+    allocated.  It evaluates U_e[b, :] once, as panels over their bands
     (``ue_panels``: f has compact support, so each panel of rows is nonzero
-    only on a band of columns) and certifies the kernel of the largest block
+    only on a band of columns), and certifies the kernel of the largest block
     against the FFT form of the transform.  Rows with x < 0.5 cannot resolve
     the multiplicative kernel on a uniform grid; their rows of U_e C[:, b]
     are integrated directly (``_ue_cosine_rows``) and traced against the
-    cosines C[b, bad].
+    cosines C[b, bad], and their grid rows are held for the cyclicity check
+    only.
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -446,13 +444,15 @@ class SignedTraceLab:
     def __init__(self, f: TestFunction, n: int, max_lambda: float):
         start = time.perf_counter()
         self.plan = plan = route_c_plan(f, n, max_lambda)  # every refusal before any allocation
+        bad, b = plan.bad_rows, plan.block
         self.f = f
         self.max_lambda = max_lambda
         self.sgrid: SignedGrid = make_signed_grid(n)
-        self.fourier: FullLineFourier = full_line_fourier(self.sgrid, plan.block)
-        xb = self.sgrid.x[n // 2 :][: plan.block]
-        self.panels = list(ue_panels(f, self.sgrid, plan.bad_rows, plan.block))
-        self.quadrature_rows = self._ue_cosine_rows(xb[: plan.bad_rows], xb)
+        self.fourier: FullLineFourier = full_line_fourier(self.sgrid, b)
+        xb = self.sgrid.x[n // 2 :][:b]
+        # the bad rows' panels, then the good rows' from the first good row
+        self.panels = [*ue_panels(f, self.sgrid, 0, bad), *ue_panels(f, self.sgrid, bad, b)]
+        self.quadrature_rows = self._ue_cosine_rows(xb[:bad], xb)
         band = sum(u.size for _, _, u in self.panels)
         _log_stage(
             start,
@@ -460,14 +460,14 @@ class SignedTraceLab:
             "peak_bytes_estimate=%d unitarity_defect=%.3e kernel_defect=%.3e bad_rows=%d "
             "quadrature_nodes=%d",
             n,
-            2 * plan.block,
+            2 * b,
             band,
-            (n // 2) * plan.block,
+            (n // 2) * b,
             8 * band + self.quadrature_rows.nbytes,
             plan.peak_bytes,
             self.fourier.defects["unitarity"],
             self.fourier.defects["kernel"],
-            2 * plan.bad_rows,
+            2 * bad,
             plan.lattice[2] if plan.lattice else 0,
         )
 
@@ -501,25 +501,29 @@ class SignedTraceLab:
             raise ValueError(f"lam {lam} exceeds this lab's max_lambda {self.max_lambda}")
         return block_size(self.sgrid.n, lam)
 
-    def _kernel_table(self, k: int) -> np.ndarray:
-        """K_k(m) for m = 1-k..n/2+k-1: every y + v + 1 and y - v over y < n/2, v < k."""
-        return self.fourier.dirichlet(k, 1 - k, self.sgrid.n // 2 + k)
+    def _held(self, first: int, stop: int):
+        """The held panels from row ``first`` (0 or the first good row), cut at row ``stop``."""
+        for rows, lo, u in self.panels:
+            if first <= rows.start < stop:
+                yield slice(rows.start, min(rows.stop, stop)), lo, u[: stop - rows.start]
 
-    @staticmethod
-    def _kernel_panel(table: np.ndarray, k: int, rows: slice, lo: int, u: np.ndarray) -> float:
-        """sum over the panel's rows v < k of sum_y U_e[v, y] (K_k(y+v+1) + K_k(y-v)).
+    def _kernel_trace(self, k: int, first: int) -> float:
+        """sum over the held rows first <= v < k of sum_y U_e[v, y] (K_k(y+v+1) + K_k(y-v)).
 
-        Over the panel's band the two kernel terms are a Hankel and a Toeplitz
-        window of ``table`` (entry m + k - 1 is K_k(m)), contracted with the panel.
+        Over a panel's band the two kernel terms are a Hankel and a Toeplitz window of one
+        table of K_k(m), m = 1-k..n/2+k-1 (entry m + k - 1), contracted with the panel.
         """
-        u = u[: k - rows.start]
-        windows = sliding_window_view(table, u.shape[1])
-        # column c of row v = v0 + i: K_k(y + v + 1) is entry lo + v + k + c,
-        # K_k(y - v) entry lo - v + k - 1 + c
-        v0 = rows.start
-        hankel = windows[lo + v0 + k :][: len(u)]
-        toeplitz = windows[lo + k - v0 - len(u) : lo + k - v0][::-1]
-        return float(np.einsum("ij,ij->", u, hankel) + np.einsum("ij,ij->", u, toeplitz))
+        table = self.fourier.dirichlet(k, 1 - k, self.sgrid.n // 2 + k)
+        value = 0.0
+        for rows, lo, u in self._held(first, k):
+            windows = sliding_window_view(table, u.shape[1])
+            # column c of row v = v0 + i: K_k(y + v + 1) is entry lo + v + k + c,
+            # K_k(y - v) entry lo - v + k - 1 + c
+            v0 = rows.start
+            hankel = windows[lo + v0 + k :][: len(u)]
+            toeplitz = windows[lo + k - v0 - len(u) : lo + k - v0][::-1]
+            value += float(np.einsum("ij,ij->", u, hankel) + np.einsum("ij,ij->", u, toeplitz))
+        return value
 
     def trace_route_c(self, lam: float) -> float:
         """Tr(P F^-1 P U_f F) at lam: the good rows through the kernel, the bad rows
@@ -527,11 +531,11 @@ class SignedTraceLab:
         start = time.perf_counter()
         k = self._sub_block(lam)
         bad = min(k, self.plan.bad_rows)
-        table = self._kernel_table(k)
-        value = sum(self._kernel_panel(table, k, *p) for p in self.panels if p[0].start < k)
+        value = self._kernel_trace(k, self.plan.bad_rows)
         cosines = self.fourier.cosines(slice(0, bad), slice(0, k))  # C[b, bad], transposed
         value += float(np.sum(self.quadrature_rows[:bad, :k] * cosines))
-        _log_stage(start, "route C trace: lam=%g block_rows=%d t_route_c=%.15g", lam, 2 * k, value)
+        message = "route C trace: lam=%g block_rows=%d bad_rows=%d t_route_c=%.15g"
+        _log_stage(start, message, lam, 2 * k, 2 * bad, value)
         return value
 
     def cyclicity_defect(self, lam: float) -> float:
@@ -539,18 +543,17 @@ class SignedTraceLab:
 
         With c = C[b, b] and cb = C[:, b], the first is Tr(c (U_e[b, :] cb)) and
         the second Tr((cb c) U_e[b, :]), the trace of the n/2 x n/2 product;
-        the third is the kernel trace (``_kernel_panel``) over the same rows
-        of U_e, bad rows included, so the literal products certify the kernel
-        at this lam.  All three are summed one panel of U_e[b, :] at a time
-        over its band (``ue_panels``), the band's cosine rows streamed from
-        the table one row chunk at a time, so no n/2 x |b| array is formed.
+        the third is the kernel trace (``_kernel_trace``) over the same rows,
+        bad rows included, so the literal products certify the kernel at this
+        lam.  All three read the held panels of U_e (no profile is evaluated);
+        the band's cosine rows are streamed from the table one row chunk at a
+        time, so no n/2 x |b| array is formed.
         """
         start = time.perf_counter()
         k = self._sub_block(lam)
         cos = self.fourier.cosines
-        table = self._kernel_table(k)
-        t1 = t2 = t3 = 0.0
-        for rows, lo, u in ue_panels(self.f, self.sgrid, 0, k):
+        t1 = t2 = 0.0
+        for rows, lo, u in self._held(0, k):
             c_cols = cos(slice(0, k), rows)  # c[:, rows]
             uc = np.zeros((len(u), k))  # (U_e cb)[rows]
             for chunk in row_chunks(u.shape[1], k):
@@ -558,7 +561,7 @@ class SignedTraceLab:
                 uc += u[:, chunk] @ band
                 t2 += float(np.sum(u[:, chunk] * (band @ c_cols).T))
             t1 += float(np.sum(c_cols.T * uc))  # Tr(c uc) = sum(c * uc.T)
-            t3 += self._kernel_panel(table, k, rows, lo, u)
+        t3 = self._kernel_trace(k, 0)
         defect = (max(t1, t2, t3) - min(t1, t2, t3)) / max(abs(t1), 1e-300)
         _log_stage(start, "route C cyclicity: lam=%g block_rows=%d defect=%.3e", lam, 2 * k, defect)
         return defect

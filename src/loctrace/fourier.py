@@ -285,12 +285,11 @@ def make_signed_grid(n: int) -> SignedGrid:
 # and faulted them in afresh (3x the page faults, set-up slower than one shot)
 CHUNK_ENTRIES = 2**14
 
-# rows of U_e per panel in route C's set-up: each panel is filled over its own
-# band of columns and multiplied by that band of C's rows as one GEMM.  At
-# n_signed=4096, max_lambda=8 (2 cores, OpenBLAS 0.3.31, medians of 15) fill +
-# GEMM took 22.7 + 25.2 ms in 8-row panels (one chunk), 19.5 + 14.6 in 16,
-# 17-18 + 10.3 in 32 and 15-17 + 10-14 in 64, against 22.7 + 12.4 ms for the
-# whole U_e[b, :] and one GEMM; 32 rows hold 0.5 MB
+# rows of U_e per panel in route C, each held over its own band of columns.  At
+# n_signed=4096, max_lambda=8 (2 cores, medians of 15, four runs) set-up took 33-41
+# ms at 16, 32 and 64 rows alike, three traces 4.1-5.8, 3.3-3.6 and 3.0-3.5 ms,
+# cyclicity 5.0-5.7, 3.4-3.7 and 3.3-4.1 ms (10.8 once), holding 567k, 584k and
+# 615k entries.  The kernel trace sums by panel: another value moves t_route_C's bits
 PANEL_ROWS = 32
 
 

@@ -3,8 +3,8 @@
 ``DenseSignedTraceLab`` is the full-matrix route C: the complex n x n
 transform and the n x n U_f on the signed grid, a fresh product for every
 lambda and the n x n product in the cyclicity check.  ``SignedTraceLab`` must
-give the same traces from the even sector alone: the panels of U_e's rows
-over their bands, traced through the Dirichlet kernel of the block's two
+give the same traces from the even sector alone: the panels of U_e's good
+rows over their bands, traced through the Dirichlet kernel of the block's two
 cosine factors, and the bad rows' quadrature rows against their cosines.
 """
 
@@ -178,8 +178,9 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     xp = sgrid.x[n // 2 :]
     half, b = n // 2, int(np.count_nonzero(xp <= lam * (1.0 + 1e-12)))
     bad = int((xp[:b] < SignedTraceLab.BAD_ROW_EXTENT).sum())
-    band = sum(u.size for _, _, u in ue_panels(standard_bump, sgrid, bad, b))
-    kept = band + bad * b  # the good rows' panels and the bad rows' quadrature rows
+    # the bad rows' panels, the good rows' panels and the bad rows' quadrature rows
+    band = sum(u.size for r in ((0, bad), (bad, b)) for _, _, u in ue_panels(standard_bump, sgrid, *r))
+    kept = band + bad * b
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
     vectors = 18 * n + (6 * kernel_fft_length(n, b) if b else 0)
     quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
@@ -328,14 +329,17 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
     xb = xp[:b]
     u_even = f(np.outer(xb, 1.0 / xp)) / np.sqrt(np.outer(xb, xp)) * step
     assert np.array_equal(lab.fourier.cosines(slice(0, half), slice(0, b)), matrix)
-    # the held panels over their bands, zero elsewhere, are the good rows of U_e[b, :] bit
-    # for bit, and so are those ue_panels yields for every row
-    good = slice(lab.plan.bad_rows, b)
-    for first, panels in [(good.start, lab.panels), (0, ue_panels(f, lab.sgrid, 0, b))]:
-        banded = np.zeros_like(u_even[first:])
+    # the held panels over their bands, zero elsewhere, are U_e[b, :] bit for bit, the bad
+    # rows' panels first and the good rows' from the first good row; so are those
+    # ue_panels yields from row 0
+    starts = [rows.start for rows, _, _ in lab.panels]
+    bad = lab.plan.bad_rows
+    assert starts == [*range(0, bad, PANEL_ROWS), *range(bad, b, PANEL_ROWS)]
+    for panels in (lab.panels, ue_panels(f, lab.sgrid, 0, b)):
+        banded = np.zeros_like(u_even)
         for rows, lo, u in panels:
-            banded[rows.start - first : rows.stop - first, lo : lo + u.shape[1]] = u
-        assert np.array_equal(banded, u_even[first:])
+            banded[rows, lo : lo + u.shape[1]] = u
+        assert np.array_equal(banded, u_even)
     # the kernel trace against the literal Tr(C[b, b] U_e[b, :] C[:, b]) of the same
     # rows: the two sum in other orders, so they agree to rounding, not bit for bit
     m_even = u_even @ matrix
@@ -495,6 +499,18 @@ def test_corrupted_literal_cosine_fails_trace_cyclicity(standard_bump, index):
     assert lab.cyclicity_defect(2.0) > 1e-8
 
 
+@pytest.mark.parametrize("n, max_lambda, lam", [(4096, 8.0, 2.0), (4096, 8.0, 0.3), (1000, 5.0, 5.0)])
+def test_cyclicity_reads_the_held_rows_and_evaluates_no_profile(monkeypatch, n, max_lambda, lam):
+    # after set-up the check reads U_e from the lab's panels, bad rows included
+    lab = SignedTraceLab(TestFunction(center=0.3), n, max_lambda)
+    want = lab.cyclicity_defect(lam)
+    calls = []
+    call = TestFunction.__call__
+    monkeypatch.setattr(TestFunction, "__call__", lambda self, t: calls.append(1) or call(self, t))
+    assert lab.cyclicity_defect(lam) == want < 1e-8
+    assert not calls
+
+
 def test_fft_form_matches_dense_matrix():
     sg = make_signed_grid(256)
     fl = FullLineFourier(sg, 128)
@@ -594,19 +610,20 @@ def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, 
 def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     with caplog.at_level(logging.INFO, logger="loctrace"):
         lab = SignedTraceLab(standard_bump, 1024, 2.0)
-        values = [lab.trace_route_c(1.0), lab.trace_route_c(2.0)]
+        values = [lab.trace_route_c(0.25), lab.trace_route_c(1.0), lab.trace_route_c(2.0)]
         defect = lab.cyclicity_defect(1.0)
     lines = [r.getMessage() for r in caplog.records]
     setup = [m for m in lines if m.startswith("route C set-up")]
     assert len(setup) == 1
-    # the U_e entries evaluated: the panels of the rows outside the quadrature
-    band = sum(u.size for _, _, u in ue_panels(standard_bump, lab.sgrid, lab.plan.bad_rows, 64))
-    assert 0 < band < (64 - lab.plan.bad_rows) * 512
+    # the U_e entries evaluated: the bad rows' panels and the good rows' panels
+    bad = lab.plan.bad_rows
+    band = sum(u.size for r in ((0, bad), (bad, 64)) for _, _, u in ue_panels(standard_bump, lab.sgrid, *r))
+    assert 0 < band < 64 * 512
     for key in (
         "n_signed=1024",
         "|B|=128",
         f"band_entries={band}/{512 * 64} ",  # of the half x |b| entries of U_e[b, :]
-        f"held_bytes={8 * band + lab.quadrature_rows.nbytes} ",  # the panels and the bad rows
+        f"held_bytes={8 * band + lab.quadrature_rows.nbytes} ",  # the panels and quadrature rows
         f"peak_bytes_estimate={lab.plan.peak_bytes} ",
         f"unitarity_defect={lab.fourier.defects['unitarity']:.3e} ",
         f"kernel_defect={lab.fourier.defects['kernel']:.3e} ",
@@ -618,9 +635,12 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     assert lab.plan.lattice[2] > 0
     assert float(setup[0].split("duration_s=")[1]) >= 0.0
     traces = [m.split(" duration_s=") for m in lines if m.startswith("route C trace")]
+    # bad_rows: the block's signed rows whose terms come from quadrature (x < 0.5), every
+    # row of the block at lam 0.25
     assert [t[0] for t in traces] == [
-        f"route C trace: lam=1 block_rows=64 t_route_c={values[0]:.15g}",
-        f"route C trace: lam=2 block_rows=128 t_route_c={values[1]:.15g}",
+        f"route C trace: lam=0.25 block_rows=16 bad_rows=16 t_route_c={values[0]:.15g}",
+        f"route C trace: lam=1 block_rows=64 bad_rows=32 t_route_c={values[1]:.15g}",
+        f"route C trace: lam=2 block_rows=128 bad_rows=32 t_route_c={values[2]:.15g}",
     ]
     cyclicity = [m.split(" duration_s=") for m in lines if m.startswith("route C cyclicity")]
     want = f"route C cyclicity: lam=1 block_rows=64 defect={defect:.3e}"
