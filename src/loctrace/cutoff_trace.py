@@ -244,8 +244,9 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 
 
 # chunk-sized float arrays alive at once while one row chunk of a U_e panel is
-# evaluated (the ratios, the profile's band, log, exp and smoothstep arrays, the
-# quotient); tracemalloc measures 8.8 at n_signed=4096, max_lambda=8
+# evaluated (the log differences, the exp and smoothstep arrays of the profile on
+# the log axis); tracemalloc measures 7.3 at n_signed=4096, max_lambda=8, and 4.8
+# in the bad rows' quadrature
 ROUTE_C_TEMPORARIES = 10
 
 # lattice nodes per unit of log y beyond the cosine's, per 1/support_radius
@@ -256,7 +257,7 @@ ROUTE_C_TEMPORARIES = 10
 LATTICE_EDGE = 128.0
 LATTICE_WIDTH = 4.0
 # the most nodes the bad rows' log lattice may take, 308x the 851 of the
-# default profile (width 0.25, support_radius 1.5): about 3.4 s of set-up at
+# default profile (width 0.25, support_radius 1.5): 1.2-1.5 s of set-up at
 # n_signed=4096, max_lambda=8 (2 cores), where it is reached at width 1.1e-4
 # or support_radius 8.1; the lattice grows as 1/width and e^support_radius
 LATTICE_NODES_MAX = 2**18
@@ -321,8 +322,10 @@ def panel_bands(f: TestFunction, n: int, first: int, stop: int):
 
     t = v * (1/y) falls along each row and rises from row to row (a float product is
     monotone in each factor), so every column before lo has t >= exp(R) and every column
-    from hi on t <= exp(-R) in every row, which ``TestFunction`` maps to exactly 0 by the
-    same ``support_band``.  The one derivation of a band: bisection on the grid's own floats.
+    from hi on t <= exp(-R) in every row, by the comparisons of ``support_band``.  There
+    |log v - log y| >= R holds to rounding, and ``ue_panels``' profile on the log axis is
+    exactly 0 (``TestFunction.of_log``).  The one derivation of a band: bisection on the
+    grid's own floats.
     """
     half = n // 2
     t_lo, t_hi = f.support_band()
@@ -397,19 +400,45 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
 def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int):
     """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1 over their ``panel_bands``.
 
-    U_e[v, y] = f(v/y) / sqrt(vy) step on the positive half-grid, evaluated
-    per element as f(v * (1/y)) and filled one row chunk at a time
-    (``row_chunks``); off the band it is exactly 0.
+    U_e[v, y] = f(v/y) / sqrt(vy) step is, on the log axis, a profile of log v - log y
+    times two separable factors: x_j = (j + 1/2) step, so step / sqrt(vy) = r_v r_y with
+    r_j = 1/sqrt(j + 1/2).  The logs and the r_j of the positive half-grid are taken once;
+    each panel is f.of_log(log v - log y) r_v r_y, filled in place one row chunk at a time
+    (``row_chunks``).  Off the band |log v - log y| >= R holds to rounding, so there the
+    mollifier's exp underflows and U_e is exactly 0.
     """
-    xp = sgrid.x[sgrid.n // 2 :]
-    inv_xp = 1.0 / xp
+    half = sgrid.n // 2
+    logs = np.log(sgrid.x[half:])
+    r = 1.0 / np.sqrt(np.arange(half) + 0.5)
     for rows, lo, hi in panel_bands(f, sgrid.n, first, stop):
-        xr, y, inv_y = xp[rows], xp[lo:hi], inv_xp[lo:hi]
-        panel = np.empty((len(xr), hi - lo))
-        for chunk in row_chunks(len(xr), hi - lo):
-            xc = xr[chunk]
-            panel[chunk] = f(np.outer(xc, inv_y)) / np.sqrt(np.outer(xc, y)) * sgrid.step
+        log_v, r_v, log_y, r_y = logs[rows, None], r[rows, None], logs[lo:hi], r[lo:hi]
+        panel = np.empty((len(log_v), hi - lo))
+        for chunk in row_chunks(len(log_v), hi - lo):
+            fill = panel[chunk]
+            np.multiply(f.of_log(log_v[chunk] - log_y), r_v[chunk], out=fill)
+            fill *= r_y
         yield rows, lo, panel
+
+
+# columns per block of the bad rows' cosine table: each lattice node takes the cosine
+# and sine at the block's first column and at COSINE_BLOCK offsets, 96 trig values
+# per node at |b| = 512 in place of 512 cosines
+COSINE_BLOCK = 32
+
+
+def block_cosines(theta: np.ndarray, us: np.ndarray, step: float) -> np.ndarray:
+    """cos(theta_k u_j) for evenly spaced u_j = u_0 + j step, by angle addition.
+
+    With B = COSINE_BLOCK and j = J B + i, cos(theta u_j) is
+    cos(theta u_{JB}) cos(theta i step) - sin(theta u_{JB}) sin(theta i step).  Returns
+    the first len(us) columns (a view) of the table over whole blocks,
+    len(theta) x B ceil(len(us) / B) entries in all.
+    """
+    heads = np.outer(theta, us[::COSINE_BLOCK])
+    offsets = np.outer(theta, np.arange(COSINE_BLOCK) * step)
+    table = np.cos(heads)[:, :, None] * np.cos(offsets)[:, None, :]
+    table -= np.sin(heads, out=heads)[:, :, None] * np.sin(offsets, out=offsets)[:, None, :]
+    return table.reshape(len(theta), -1)[:, : len(us)]
 
 
 class SignedTraceLab:
@@ -432,11 +461,15 @@ class SignedTraceLab:
     allocated.  It evaluates U_e[b, :] once, as panels over their bands
     (``ue_panels``: f has compact support, so each panel of rows is nonzero
     only on a band of columns), and certifies the kernel of the largest block
-    against the FFT form of the transform.  Rows with x < 0.5 cannot resolve
-    the multiplicative kernel on a uniform grid; their rows of U_e C[:, b]
-    are integrated directly (``_ue_cosine_rows``) and traced against the
-    cosines C[b, bad], and their grid rows are held for the cyclicity check
-    only.
+    against the FFT form of the transform.  U_f is a convolution on the
+    multiplicative group, which log makes the additive line, so both
+    evaluations read the profile on the log axis (``TestFunction.of_log``):
+    the panels at log v - log y, the bad rows' weights at log v - tau on their
+    lattice.  Rows with x < 0.5 cannot resolve the multiplicative kernel on a
+    uniform grid; their rows of U_e C[:, b] are integrated directly
+    (``_ue_cosine_rows``) and traced against the cosines C[b, bad], and their
+    grid rows are held for the cyclicity check only.  The set-up's log line
+    carries the panels' and the quadrature's own times.
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -451,14 +484,17 @@ class SignedTraceLab:
         self.fourier: FullLineFourier = full_line_fourier(self.sgrid, b)
         xb = self.sgrid.x[n // 2 :][:b]
         # the bad rows' panels, then the good rows' from the first good row
+        panels_start = time.perf_counter()
         self.panels = [*ue_panels(f, self.sgrid, 0, bad), *ue_panels(f, self.sgrid, bad, b)]
+        quadrature_start = time.perf_counter()
         self.quadrature_rows = self._ue_cosine_rows(xb[:bad], xb)
+        quadrature_end = time.perf_counter()
         band = sum(u.size for _, _, u in self.panels)
         _log_stage(
             start,
             "route C set-up: n_signed=%d |B|=%d band_entries=%d/%d held_bytes=%d "
             "peak_bytes_estimate=%d unitarity_defect=%.3e kernel_defect=%.3e bad_rows=%d "
-            "quadrature_nodes=%d",
+            "quadrature_nodes=%d panels_ms=%.3f quadrature_ms=%.3f",
             n,
             2 * b,
             band,
@@ -469,6 +505,8 @@ class SignedTraceLab:
             self.fourier.defects["kernel"],
             2 * bad,
             plan.lattice[2] if plan.lattice else 0,
+            1e3 * (quadrature_start - panels_start),
+            1e3 * (quadrature_end - quadrature_start),
         )
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -478,21 +516,28 @@ class SignedTraceLab:
         |tau - log v| < rho, so the trapezoid rule on the plan's uniform tau
         lattice converges faster than any power of its node count (Trefethen
         & Weideman, SIAM Review 56, 2014).  The lattice is shared by every
-        row: one cosine table cos(2 pi y_k u), weighed per row by
-        f(v/y_k) (y_k/v)^{1/2} dtau, filled and multiplied one lattice chunk
-        at a time (``row_chunks``), so no array outgrows a chunk.
+        row.  With s = log v - tau_k the weight f(v/y_k) (y_k/v)^{1/2} dtau is
+        f.of_log(s) e^{tau_k/2} dtau / sqrt(v), read from the lattice's own tau
+        (no ratio is formed), and the cosine table cos(2 pi y_k u) is built by
+        angle addition (``block_cosines``).  The weights are filled one lattice
+        chunk against the rows at a time, and the table one part of that chunk
+        against the block's whole blocks of columns (both ``row_chunks``), so no
+        array outgrows a chunk.
         """
         out = np.zeros((len(vs), len(us)))
         if not len(vs):
             return out
         lo, dtau, nodes = self.plan.lattice
-        for rows in row_chunks(nodes, len(us)):
-            y = np.exp(np.arange(rows.start, rows.stop) * dtau + lo)
-            ratio = np.outer(vs, 1.0 / y)
-            weights = self.f(ratio) / np.sqrt(ratio)  # zero on the ends, so trapezoid = plain sum
-            table = np.outer(y, 2.0 * np.pi * us)
-            out += weights @ np.cos(table, out=table)
-        out *= 2.0 * self.sgrid.step * dtau
+        log_v = np.log(vs)[:, None]
+        table_cols = -(-len(us) // COSINE_BLOCK) * COSINE_BLOCK
+        for rows in row_chunks(nodes, len(vs)):
+            tau = np.arange(rows.start, rows.stop) * dtau + lo
+            weights = self.f.of_log(log_v - tau)  # zero on the ends, so trapezoid = plain sum
+            weights *= np.exp(0.5 * tau)
+            theta = 2.0 * np.pi * np.exp(tau)
+            for part in row_chunks(len(tau), table_cols):
+                out += weights[:, part] @ block_cosines(theta[part], us, self.sgrid.step)
+        out *= (2.0 * self.sgrid.step * dtau) / np.sqrt(vs)[:, None]
         return out
 
     def _sub_block(self, lam: float) -> int:

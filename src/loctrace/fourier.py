@@ -286,10 +286,10 @@ def make_signed_grid(n: int) -> SignedGrid:
 CHUNK_ENTRIES = 2**14
 
 # rows of U_e per panel in route C, each held over its own band of columns.  At
-# n_signed=4096, max_lambda=8 (2 cores, medians of 15, four runs) set-up took 33-41
-# ms at 16, 32 and 64 rows alike, three traces 4.1-5.8, 3.3-3.6 and 3.0-3.5 ms,
-# cyclicity 5.0-5.7, 3.4-3.7 and 3.3-4.1 ms (10.8 once), holding 567k, 584k and
-# 615k entries.  The kernel trace sums by panel: another value moves t_route_C's bits
+# n_signed=4096, max_lambda=8 (2 cores, medians of 15 interleaved labs, two runs)
+# set-up took 14.8-15.1 ms at 16, 32 and 64 rows alike, three traces 2.3, 1.9 and
+# 1.8-1.9 ms, cyclicity 3.2-3.3, 2.1 and 2.2 ms, holding 567k, 584k and 615k
+# entries.  The kernel trace sums by panel: another value moves t_route_C's bits
 PANEL_ROWS = 32
 
 

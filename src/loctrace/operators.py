@@ -1,8 +1,9 @@
 """The smooth compactly supported test profile f of the trace study.
 
 f lives on the multiplicative module axis; the pipeline samples it on the
-log-module grid (transform of the inverted profile, routes A and B) and on
-ratios of signed-grid points (U_f of route C).  The dense operator algebra
+log-module grid (transform of the inverted profile, routes A and B) and, on
+the log axis (``TestFunction.of_log``), at differences of the signed grid's
+logs and of the bad rows' lattice (U_f of route C).  The dense operator algebra
 the tests check the pipeline against lives in the test suite.
 """
 
@@ -64,11 +65,19 @@ class TestFunction:
         # the band need not match |log t| < R to the last ulp
         t_lo, t_hi = self.support_band()
         band = (t > t_lo) & (t < t_hi)
-        x = np.log(t[band])
+        out[band] = self.of_log(np.log(t[band]))
+        return float(out[0]) if scalar else out
+
+    def of_log(self, x: np.ndarray) -> np.ndarray:
+        """f(e^x) for an array x: the profile's one formula, also read on the log axis.
+
+        Exactly 0 wherever |x| >= support_radius (the mollifier's step clips to 0), and
+        wherever |x| falls short of it by less than about support_radius / 1500, where the
+        step's exp underflows.
+        """
         vals = np.exp(-((x - self.center) ** 2) / (2.0 * self.width**2))
         vals *= _smoothstep(2.0 * (1.0 - np.abs(x) / self.support_radius))
-        out[band] = vals
-        return float(out[0]) if scalar else out
+        return vals
 
     def support_band(self) -> tuple[float, float]:
         """(exp(-R), exp(R)): f(t) is exactly 0 unless exp(-R) < t < exp(R) on the floats."""

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from loctrace import TestFunction
 from oracles import (
@@ -317,3 +318,30 @@ def test_smoothstep_matches_its_masked_form_bit_for_bit():
     bump = _smoothstep_by_masks(2.0 * (1.0 - np.abs(x) / 1.5))
     want = np.exp(-((x - 0.2) ** 2) / (2.0 * 0.4**2)) * bump
     assert np.array_equal(f(t), np.where((t > math.exp(-1.5)) & (t < math.exp(1.5)), want, 0.0))
+
+
+@settings(max_examples=100)
+@given(
+    center_frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    width=st.floats(0.01, 2.0),
+    rho=st.floats(0.5, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(center_frac=0.0, width=0.25, rho=1.5, seed=0)
+@example(center_frac=0.99, width=0.01, rho=3.0, seed=1)
+def test_profile_is_its_log_axis_formula_property(center_frac, width, rho, seed):
+    # f(t) is of_log(log t) bit for bit on the support band and exactly 0 off it, so the
+    # values routes A and B sample keep their bits; of_log is exactly 0 off the band too,
+    # which the panels of route C rely on
+    f = TestFunction(center=center_frac * rho, width=width, support_radius=rho)
+    t_lo, t_hi = f.support_band()
+    near = [t_lo, t_hi, math.exp(-rho / 2.0), math.exp(rho / 2.0), 1.0]
+    near += [np.nextafter(t, side) for t in near for side in (0.0, np.inf)]
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([near, np.exp(rng.uniform(-1.2 * rho, 1.2 * rho, 2000))])
+    band = (t > t_lo) & (t < t_hi)
+    got = f(t)
+    want = f.of_log(np.log(t))
+    assert np.array_equal(got[band].view(np.int64), want[band].view(np.int64))
+    assert not got[~band].any() and not want[~band].any()
+    assert all(f(float(s)) == got[i] for i, s in enumerate(t[:12]))  # the scalar path

@@ -21,10 +21,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 import loctrace.fourier as fourier_mod
 from loctrace.cli import run_trace_sweep
 from loctrace.cutoff_trace import (
+    COSINE_BLOCK,
     LATTICE_NODES_MAX,
     ROUTE_C_TEMPORARIES,
     SignedTraceLab,
     band_entries,
+    block_cosines,
     block_size,
     log_lattice,
     route_c_plan,
@@ -46,6 +48,15 @@ from oracles import peak_rise
 def _fold(k, size: int):
     """Position of |x_k| on the positive half of a symmetric grid of ``size`` points."""
     return abs(2 * k - (size - 1)) // 2
+
+
+def ue_on_the_log_axis(f: TestFunction, sgrid, rows) -> np.ndarray:
+    """U_e[rows, :] over the whole positive half-grid by the per-element log-axis formula
+    f.of_log(log v - log y) r_v r_y, with r_j = 1/sqrt(j + 1/2) = sqrt(step / x_j)."""
+    half = sgrid.n // 2
+    logs = np.log(sgrid.x[half:])
+    r = 1.0 / np.sqrt(np.arange(half) + 0.5)
+    return f.of_log(logs[rows, None] - logs) * r[rows, None] * r
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,13 +336,11 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
     odd = 2 * np.arange(half) + 1
     phase = np.outer(odd, odd[:b]) % (4 * n)
     matrix = 2.0 * step * np.cos(phase * (2.0 * np.pi / (4 * n)))
-    xp = lab.sgrid.x[half:]
-    xb = xp[:b]
-    u_even = f(np.outer(xb, 1.0 / xp)) / np.sqrt(np.outer(xb, xp)) * step
+    u_even = ue_on_the_log_axis(f, lab.sgrid, slice(0, b))
     assert np.array_equal(lab.fourier.cosines(slice(0, half), slice(0, b)), matrix)
-    # the held panels over their bands, zero elsewhere, are U_e[b, :] bit for bit, the bad
-    # rows' panels first and the good rows' from the first good row; so are those
-    # ue_panels yields from row 0
+    # the held panels over their bands, zero elsewhere, are U_e[b, :] of the log-axis
+    # formula over the whole half-grid bit for bit, the bad rows' panels first and the
+    # good rows' from the first good row; so are those ue_panels yields from row 0
     starts = [rows.start for rows, _, _ in lab.panels]
     bad = lab.plan.bad_rows
     assert starts == [*range(0, bad, PANEL_ROWS), *range(bad, b, PANEL_ROWS)]
@@ -369,23 +378,49 @@ def test_cosine_block_is_exactly_symmetric(signed_lab):
 @example(geometry=(8192, 22.0), center_frac=0.99, width=0.01, rho=3.0)
 @example(geometry=(64, 1.9), center_frac=-0.99, width=2.0, rho=0.5)
 def test_ue_panels_are_exact_on_the_band_property(geometry, center_frac, width, rho):
-    # every row of every panel against the per-element formula over the whole
+    # every row of every panel against the per-element log-axis formula over the whole
     # positive half-grid: the same floats on the band, exact zeros off it
     n, lam = geometry
     f = TestFunction(center=center_frac * rho, width=width, support_radius=rho)
     sgrid = make_signed_grid(n)
-    xp = sgrid.x[n // 2 :]
     b = block_size(n, lam)
     covered = 0
     for rows, lo, u in ue_panels(f, sgrid, 0, b):
         assert rows.start == covered and len(u) == rows.stop - rows.start <= PANEL_ROWS
         covered = rows.stop
-        xr = xp[rows]
-        dense = f(np.outer(xr, 1.0 / xp)) / np.sqrt(np.outer(xr, xp)) * sgrid.step
+        dense = ue_on_the_log_axis(f, sgrid, rows)
         hi = lo + u.shape[1]
         assert not dense[:, :lo].any() and not dense[:, hi:].any(), (rows, lo, hi)
         assert np.array_equal(dense[:, lo:hi], u)
     assert covered == b
+
+
+@settings(max_examples=60)
+@given(
+    geometry=signed_geometries(),
+    center_frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    width=st.floats(0.01, 2.0),
+    rho=st.floats(0.5, 3.0),
+)
+@example(geometry=(4096, 8.0), center_frac=0.2, width=0.25, rho=1.5)
+@example(geometry=(8192, 22.0), center_frac=0.4, width=0.01, rho=2.8)
+@example(geometry=(4096, 7.3), center_frac=0.99, width=0.01, rho=3.0)
+def test_log_axis_ue_matches_the_product_form_property(geometry, center_frac, width, rho):
+    # the panels, f.of_log(log v - log y) r_v r_y, against the product form
+    # f(v (1/y)) / sqrt(vy) step: the two take the log of v/y in other roundings, which the
+    # Gaussian's slope multiplies by up to about 1/width.  Over 920 random geometries
+    # and profiles (widths down to 0.01) the worst gap was 6.4e-14 of the largest entry
+    n, lam = geometry
+    f = TestFunction(center=center_frac * rho, width=width, support_radius=rho)
+    sgrid = make_signed_grid(n)
+    xp = sgrid.x[n // 2 :]
+    gap = largest = 0.0
+    for rows, lo, u in ue_panels(f, sgrid, 0, block_size(n, lam)):
+        xr, y = xp[rows], xp[lo : lo + u.shape[1]]
+        product = f(np.outer(xr, 1.0 / y)) / np.sqrt(np.outer(xr, y)) * sgrid.step
+        gap = max(gap, float(np.abs(u - product).max()))
+        largest = max(largest, float(np.abs(product).max()))
+    assert gap <= 2e-13 * largest, (n, lam, f, gap, largest)
 
 
 profiles = st.builds(
@@ -505,10 +540,18 @@ def test_cyclicity_reads_the_held_rows_and_evaluates_no_profile(monkeypatch, n, 
     lab = SignedTraceLab(TestFunction(center=0.3), n, max_lambda)
     want = lab.cyclicity_defect(lam)
     calls = []
-    call = TestFunction.__call__
-    monkeypatch.setattr(TestFunction, "__call__", lambda self, t: calls.append(1) or call(self, t))
+
+    def counting(name):
+        method = getattr(TestFunction, name)
+        return lambda self, t: calls.append(name) or method(self, t)
+
+    # U_e's panels and the bad rows' weights evaluate the profile on the log axis
+    for name in ("__call__", "of_log"):
+        monkeypatch.setattr(TestFunction, name, counting(name))
     assert lab.cyclicity_defect(lam) == want < 1e-8
     assert not calls
+    SignedTraceLab(lab.f, n, max_lambda)  # the counters see the set-up's evaluations
+    assert "of_log" in calls
 
 
 def test_fft_form_matches_dense_matrix():
@@ -607,6 +650,35 @@ def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, 
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, lab.plan.lattice)
 
 
+@pytest.mark.parametrize(
+    "n, lam, f, block",
+    [
+        (4096, 8.0, TestFunction(), 512),  # the default block, 16 whole blocks of columns
+        (4096, 7.3, TestFunction(), 467),  # the last block holds 19 of COSINE_BLOCK columns
+        (4096, 0.1, TestFunction(), 6),  # the block is shorter than one block of columns
+        (8192, 22.0, TestFunction(), 1991),
+        (4096, 7.3, TestFunction(center=2.97, width=0.01, support_radius=3.0), 467),  # 5222 nodes
+    ],
+)
+def test_angle_addition_cosines_match_the_literal_cosines(n, lam, f, block):
+    # the bad rows' cosine table on the lab's own lattice against np.cos of the literal
+    # argument theta_k u_j: the two round the argument apart, by a few ulps of it (the gap
+    # measures at most 1.3 eps max(theta u) in these cases, and 1 eps at |b| = 6)
+    plan = route_c_plan(f, n, lam)
+    assert plan.block == block
+    lo, dtau, nodes = plan.lattice
+    sgrid = make_signed_grid(n)
+    us = sgrid.x[n // 2 :][:block]
+    theta = 2.0 * np.pi * np.exp(np.arange(nodes) * dtau + lo)
+    got = block_cosines(theta, us, sgrid.step)
+    argument = np.outer(theta, us)
+    assert got.shape == argument.shape
+    bound = 4.0 * np.finfo(float).eps * (1.0 + argument.max())
+    assert np.abs(got - np.cos(argument)).max() <= bound
+    # the whole blocks behind the view are as many as the block needs
+    assert got.base.size == nodes * COSINE_BLOCK * -(-block // COSINE_BLOCK)
+
+
 def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     with caplog.at_level(logging.INFO, logger="loctrace"):
         lab = SignedTraceLab(standard_bump, 1024, 2.0)
@@ -629,11 +701,17 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         f"kernel_defect={lab.fourier.defects['kernel']:.3e} ",
         "bad_rows=32",
         f"quadrature_nodes={lab.plan.lattice[2]} ",
+        "panels_ms=",
+        "quadrature_ms=",
         "duration_s=",
     ):
         assert key in setup[0]
     assert lab.plan.lattice[2] > 0
-    assert float(setup[0].split("duration_s=")[1]) >= 0.0
+    # the panels' fill and the bad rows' quadrature are parts of the set-up's duration
+    fields = dict(item.split("=") for item in setup[0].split()[3:])
+    panels_s, quadrature_s = float(fields["panels_ms"]) / 1e3, float(fields["quadrature_ms"]) / 1e3
+    assert 0.0 < panels_s and 0.0 < quadrature_s
+    assert panels_s + quadrature_s <= float(fields["duration_s"])
     traces = [m.split(" duration_s=") for m in lines if m.startswith("route C trace")]
     # bad_rows: the block's signed rows whose terms come from quadrature (x < 0.5), every
     # row of the block at lam 0.25
