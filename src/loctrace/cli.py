@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 from .fields import make_backend, make_grid
-from .fourier import FourierBuildError, build_fourier, fourier_bytes
+from .fourier import FourierBuildError, build_fourier, fourier_bytes, log_stage
 from .operators import TestFunction
 from .sandbox import SUITE_NAMES, run_sandbox
 from .cutoff_trace import (
@@ -44,8 +44,6 @@ from .cutoff_trace import (
     gate_reports,
     route_c_plan,
 )
-
-log = logging.getLogger("loctrace")
 
 DEFAULT_CONFIGS = {
     "R": {
@@ -271,7 +269,7 @@ def run_trace_sweep(config: dict, out_dir: Path, fit_gates: bool = True) -> dict
     l1 = f.l1_mult_norm(grid.step)
     slack = {r.lam: r.error_bound + 10.0 * r.unitarity_defect * l1 for r in reports}
     gates["asymptote_sandwich"] = _worst_gate(
-        (r.lam, _sandwich_gate([abs(r.t_route_b - r.asymptote)], [slack[r.lam]])) for r in reports
+        (r.lam, _sandwich_gate(abs(r.t_route_b - r.asymptote), slack[r.lam])) for r in reports
     )
 
     summary = {
@@ -315,9 +313,7 @@ def run_trace_sweep(config: dict, out_dir: Path, fit_gates: bool = True) -> dict
 
     summary["passed"] = all(g["passed"] for g in gates.values())
     (out_dir / json_name).write_text(_stable_json(summary))
-    log.info(
-        "sweep: field=%s lambdas=%d duration_s=%.4f", field, len(lams), time.perf_counter() - start
-    )
+    log_stage(start, "sweep: field=%s lambdas=%d", field, len(lams))
     return summary
 
 
@@ -335,13 +331,13 @@ def _worst_gate(judged) -> dict:
     return {**gate, "at_lambda": lam}
 
 
-def _sandwich_gate(residuals: list[float], slacks: list[float]) -> dict:
-    """Each |T_B - asymptote| within its slack + 1e-12, as one ratio against 1.
+def _sandwich_gate(residual: float, slack: float) -> dict:
+    """|T_B - asymptote| within its slack + 1e-12, as one ratio against 1.
 
     For a finite residual r >= 0 and d > 0, r <= d holds exactly when the
     rounded r / d is <= 1, so the ratio decides as the inequality would.
     """
-    value = max(r / (s + 1e-12) for r, s in zip(residuals, slacks))
+    value = residual / (slack + 1e-12)
     return {"value": value, "tolerance": 1.0, "passed": bool(value <= 1.0)}
 
 

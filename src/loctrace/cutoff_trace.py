@@ -20,7 +20,6 @@ sums run there, t = 1 included exactly.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass
@@ -37,19 +36,13 @@ from .fourier import (
     SignedGrid,
     full_line_fourier,
     kernel_fft_length,
+    log_stage,
     make_signed_grid,
     row_chunks,
     signed_point,
 )
 from .kernels import kernel_values
 from .operators import TestFunction
-
-log = logging.getLogger("loctrace")
-
-
-def _log_stage(start: float, message: str, *args) -> None:
-    """One INFO line for a stage: ``message % args`` and its duration_s since ``start``."""
-    log.info(message + " duration_s=%.6f", *args, time.perf_counter() - start)
 
 
 class TraceComputation:
@@ -85,7 +78,7 @@ class TraceComputation:
             samples = fv[::-1] if invert else fv
             arep = samples / np.sqrt(self.omega * self.grid.t)
             self._G[invert] = self.fourier.apply_product_lattice(arep)
-            _log_stage(start, "transform of %s: n=%d", "I(f)" if invert else "f", self.grid.n)
+            log_stage(start, "transform of %s: n=%d", "I(f)" if invert else "f", self.grid.n)
         return self._G[invert]
 
     def prefixes(self, invert: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +107,7 @@ class TraceComputation:
         else:  # the m lattice points below lam^2
             m = int(np.searchsorted(self.mu, two_ell))
             value = float(two_ell * P0[m] - P1[m])
-        _log_stage(start, "route B: lam=%g t_route_b=%.15g", lam, value)
+        log_stage(start, "route B: lam=%g t_route_b=%.15g", lam, value)
         return value
 
     def first_moment(self) -> float:
@@ -181,7 +174,7 @@ class TraceComputation:
         strip = float(np.sum(np.where(hi > lo, hi - lo, 0.0) * P0[: g.n]))
         corner = float(P0[0]) * math.exp(2.0 * min(ell, lo[0]) - self.log_floor)
         value = box + 2.0 * strip + corner
-        _log_stage(start, "route A: lam=%g t_route_a=%.15g", lam, value)
+        log_stage(start, "route A: lam=%g t_route_a=%.15g", lam, value)
         return value
 
     # -- assembled report --------------------------------------------------------
@@ -469,7 +462,8 @@ class SignedTraceLab:
     uniform grid; their rows of U_e C[:, b] are integrated directly
     (``_ue_cosine_rows``) and traced against the cosines C[b, bad], and their
     grid rows are held for the cyclicity check only.  The set-up's log line
-    carries the panels' and the quadrature's own times.
+    carries the panels' and the quadrature's own times; the transform's
+    defects are on its own ``certification:`` line (``fourier.certify``).
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -490,19 +484,16 @@ class SignedTraceLab:
         self.quadrature_rows = self._ue_cosine_rows(xb[:bad], xb)
         quadrature_end = time.perf_counter()
         band = sum(u.size for _, _, u in self.panels)
-        _log_stage(
+        log_stage(
             start,
             "route C set-up: n_signed=%d |B|=%d band_entries=%d/%d held_bytes=%d "
-            "peak_bytes_estimate=%d unitarity_defect=%.3e kernel_defect=%.3e bad_rows=%d "
-            "quadrature_nodes=%d panels_ms=%.3f quadrature_ms=%.3f",
+            "peak_bytes_estimate=%d bad_rows=%d quadrature_nodes=%d panels_ms=%.3f quadrature_ms=%.3f",
             n,
             2 * b,
             band,
             (n // 2) * b,
             8 * band + self.quadrature_rows.nbytes,
             plan.peak_bytes,
-            self.fourier.defects["unitarity"],
-            self.fourier.defects["kernel"],
             2 * bad,
             plan.lattice[2] if plan.lattice else 0,
             1e3 * (quadrature_start - panels_start),
@@ -580,7 +571,7 @@ class SignedTraceLab:
         cosines = self.fourier.cosines(slice(0, bad), slice(0, k))  # C[b, bad], transposed
         value += float(np.sum(self.quadrature_rows[:bad, :k] * cosines))
         message = "route C trace: lam=%g block_rows=%d bad_rows=%d t_route_c=%.15g"
-        _log_stage(start, message, lam, 2 * k, 2 * bad, value)
+        log_stage(start, message, lam, 2 * k, 2 * bad, value)
         return value
 
     def cyclicity_defect(self, lam: float) -> float:
@@ -608,5 +599,5 @@ class SignedTraceLab:
             t1 += float(np.sum(c_cols.T * uc))  # Tr(c uc) = sum(c * uc.T)
         t3 = self._kernel_trace(k, 0)
         defect = (max(t1, t2, t3) - min(t1, t2, t3)) / max(abs(t1), 1e-300)
-        _log_stage(start, "route C cyclicity: lam=%g block_rows=%d defect=%.3e", lam, 2 * k, defect)
+        log_stage(start, "route C cyclicity: lam=%g block_rows=%d defect=%.3e", lam, 2 * k, defect)
         return defect

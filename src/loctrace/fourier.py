@@ -22,6 +22,10 @@ The samples are real and the kernel is real, so every spectrum is Hermitian:
 the symbol is evaluated for nu >= 0 only and every FFT is a real one
 (``rfft``/``irfft``), half the points of a complex FFT.  The kernels of the
 two evaluation lattices are built once per transform.
+
+Both transforms, this one and route C's FullLineFourier, are certified by one
+step, ``certify``: measure, record, log, refuse.  ``log_stage`` is the one
+stage timer.
 """
 
 from __future__ import annotations
@@ -207,29 +211,32 @@ class FourierOperator:
         return max(self.defects.values())
 
 
-def build_fourier(grid: RadialGrid) -> FourierOperator:
-    """Construct the radial transform on ``grid`` and certify it to its field's threshold."""
-    field_id = grid.backend.field_id
-    op = FourierOperator(grid)
-    threshold = DEFECT_THRESHOLDS[field_id]
+def log_stage(start: float, message: str, *args) -> None:
+    """One INFO line for a stage, ``message % args`` and its duration_s since ``start``,
+    logged from the caller's frame so the record names the stage's module."""
+    log.info(message + " duration_s=%.6f", *args, time.perf_counter() - start, stacklevel=2)
+
+
+def certify(op, threshold: float, what: str):
+    """Measure ``op``'s defects, record the largest as ``op.unitarity_defect``, log them
+    under ``what`` (the transform's name) and return ``op``; FourierBuildError when the
+    defect exceeds ``threshold``."""
     start = time.perf_counter()
-    defect = op.measure_defect()
-    op.unitarity_defect = defect
-    log.info(
-        "certification: field=%s n=%d %s threshold=%.1e duration_s=%.4f",
-        field_id,
-        grid.n,
-        " ".join(f"{name}={d:.3e}" for name, d in op.defects.items()),
-        threshold,
-        time.perf_counter() - start,
-    )
+    op.unitarity_defect = defect = op.measure_defect()
+    defects = " ".join(f"{name}={d:.3e}" for name, d in op.defects.items())
+    log_stage(start, "certification: %s %s threshold=%.1e", what, defects, threshold)
     if defect > threshold:
         raise FourierBuildError(
-            f"unitarity defect {defect:.3e} exceeds threshold {threshold:.3e} "
-            f"(grid too coarse or too narrow for field {field_id})",
+            f"unitarity defect {defect:.3e} exceeds threshold {threshold:.3e} ({what}: {defects})",
             defect,
         )
     return op
+
+
+def build_fourier(grid: RadialGrid) -> FourierOperator:
+    """Construct the radial transform on ``grid`` and certify it to its field's threshold."""
+    field_id = grid.backend.field_id
+    return certify(FourierOperator(grid), DEFECT_THRESHOLDS[field_id], f"field={field_id} n={grid.n}")
 
 
 # bytes per grid point at the peak of build_fourier and a TraceComputation on
@@ -328,8 +335,8 @@ class FullLineFourier:
     Dirichlet kernel (Zygmund, *Trigonometric Series*, 1959, ch. II):
     sum_{u<k} C[l, u] C[u, j] = K_k(l + j + 1) + K_k(l - j), with
     K_k(m) = 2 step^2 D_k(m), D_k(m) = sin(2 pi k m / n) / (2 sin(pi m / n))
-    and D_k(0) = k (``dirichlet``).  ``certify`` checks the FFT form for
-    unitarity and the kernel of the first ``cols`` columns against it.
+    and D_k(0) = k (``dirichlet``).  ``measure_defect`` checks the FFT form
+    for unitarity and the kernel of the first ``cols`` columns against it.
     """
 
     def __init__(self, sgrid: SignedGrid, cols: int):
@@ -430,19 +437,8 @@ class FullLineFourier:
         self.defects = {"unitarity": unitarity, "kernel": kernel}
         return max(unitarity, kernel)
 
-    def certify(self) -> "FullLineFourier":
-        """Record the defect; FourierBuildError when it exceeds SIGNED_DEFECT_THRESHOLD."""
-        self.unitarity_defect = self.measure_defect()
-        if self.unitarity_defect > SIGNED_DEFECT_THRESHOLD:
-            raise FourierBuildError(
-                f"signed-grid defect {self.unitarity_defect:.3e} exceeds "
-                f"{SIGNED_DEFECT_THRESHOLD:.3e} "
-                + " ".join(f"({name} {d:.3e})" for name, d in self.defects.items()),
-                self.unitarity_defect,
-            )
-        return self
-
 
 def full_line_fourier(sgrid: SignedGrid, cols: int) -> FullLineFourier:
     """The signed-grid transform with its kernel certified for the first ``cols`` columns."""
-    return FullLineFourier(sgrid, cols).certify()
+    what = f"signed n={sgrid.n} cols={cols}"
+    return certify(FullLineFourier(sgrid, cols), SIGNED_DEFECT_THRESHOLD, what)

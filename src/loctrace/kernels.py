@@ -14,7 +14,8 @@ recurrence, and the only constants are seven Bernoulli numbers.  J0 and J1
 come from three regimes (Abramowitz & Stegun 9.1.10, 9.1.18, 9.2.5): the
 power series up to x = 5, the midpoint rule of Bessel's integral up to
 x = 20 (exponentially accurate for a periodic integrand: Trefethen &
-Weideman, SIAM Review 56, 2014), and Hankel's asymptotic expansion beyond.
+Weideman, SIAM Review 56, 2014), and Hankel's asymptotic expansion beyond;
+each regime is a mask of the points, its series summed whole by Horner's rule.
 The symbol is built as its phase, from one Stirling series of log-gamma
 (A&S 6.1.40).
 """
@@ -25,13 +26,11 @@ import math
 
 import numpy as np
 
-# |term| below this is dropped from a truncated series
-_NEGLIGIBLE = 2.0**-60
 _SERIES_MAX = 5.0
 _QUADRATURE_MAX = 20.0
 _QUADRATURE_NODES = 26
 _SERIES_TERMS = 19
-# Hankel terms per series, P and Q; enough at x = 20, fewer further out
+# Hankel terms per series, P and Q; enough at x = 20
 _HANKEL_TERMS = 13
 _LOG_2PI = math.log(2.0 * math.pi)
 # B_2k / (2k (2k - 1)) for k = 1..7: the Stirling series of log-gamma
@@ -43,38 +42,25 @@ _STIRLING = tuple(
 _SHIFT = 10
 
 
-def _horner_plan(coefs: list) -> list[tuple[object, float]]:
-    """Steps of Horner's rule for sum_k coefs[k] z^k, top degree first.
-
-    Each step carries the least z at which it counts: below it, this term
-    and every higher one are under _NEGLIGIBLE.  The coefficients are
-    scalars or columns of one stacked evaluation.
-    """
-    steps, floor = [], math.inf
-    for k in range(len(coefs) - 1, 0, -1):
-        floor = min(floor, (_NEGLIGIBLE / np.abs(coefs[k]).max()) ** (1.0 / k))
-        steps.append((coefs[k], floor))
-    return steps + [(coefs[0], 0.0)]
-
-
-def _horner(plan: list[tuple[object, float]], z: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Run ``plan`` into ``acc`` (zeros) at ascending ``z``: each step on the z it counts at."""
-    for (c, _), start in zip(plan, np.searchsorted(z, [floor for _, floor in plan])):
-        tail = acc[..., start:]
-        tail *= z[start:]
-        tail += c
+def _horner(coefs: list, z: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] z^k by Horner's rule, top degree first; the coefficients are
+    scalars or columns of one stacked evaluation."""
+    acc = np.zeros(np.broadcast_shapes(np.shape(coefs[0]), z.shape))
+    for c in coefs[::-1]:
+        acc *= z
+        acc += c
     return acc
 
 
-def _series_plan(n: int) -> list:
+def _series_coefs(n: int) -> list:
     """J_n(x) / (x/2)^n = sum_k (-1)^k y^k / (k! (k + n)!), y = x^2 / 4."""
     coefs = [1.0 / math.factorial(n)]
     for k in range(1, _SERIES_TERMS):
         coefs.append(-coefs[-1] / (k * (k + n)))
-    return _horner_plan(coefs)
+    return coefs
 
 
-def _hankel_plan(n: int) -> list:
+def _hankel_coefs(n: int) -> list:
     """P and x Q of Hankel's expansion as one stacked series in w = 1/x^2.
 
     a_k = prod_{j <= k} (4 n^2 - (2j - 1)^2) / (k! 8^k), P = sum_m (-1)^m a_2m w^m,
@@ -83,12 +69,10 @@ def _hankel_plan(n: int) -> list:
     a = [1.0]
     for k in range(1, 2 * _HANKEL_TERMS):
         a.append(a[-1] * (4 * n * n - (2 * k - 1) ** 2) / (8.0 * k))
-    return _horner_plan(
-        [(-1) ** m * np.array([[a[2 * m]], [a[2 * m + 1]]]) for m in range(_HANKEL_TERMS)]
-    )
+    return [(-1) ** m * np.array([[a[2 * m]], [a[2 * m + 1]]]) for m in range(_HANKEL_TERMS)]
 
 
-_PLANS = {n: (_series_plan(n), _hankel_plan(n)) for n in (0, 1)}
+_COEFS = {n: (_series_coefs(n), _hankel_coefs(n)) for n in (0, 1)}
 # sin of the nodes in [0, pi/2]: the integrand is symmetric about pi/2
 _NODE_SIN = np.sin((np.arange(_QUADRATURE_NODES // 2) + 0.5) * math.pi / _QUADRATURE_NODES)
 
@@ -96,42 +80,36 @@ _NODE_SIN = np.sin((np.arange(_QUADRATURE_NODES // 2) + 0.5) * math.pi / _QUADRA
 def bessel_ratio(n: int, x) -> np.ndarray:
     """J_n(x) / (x/2)^n for n = 0 or 1 and x >= 0.
 
-    The points are sorted once, so each regime is a slice:
+    Each regime is a mask of the points, and each value is independent of the others:
       - x <= 5: the power series in (x/2)^2;
       - x <= 20: Bessel's integral (1/pi) int_0^pi cos(n theta - x sin theta) d theta
         by the midpoint rule with 26 nodes, folded onto [0, pi/2];
-      - beyond: sqrt(2 / (pi x)) (P cos chi - Q sin chi), chi = x - (2n + 1) pi/4,
-        with the terms that count at each x.  cos and sin of chi come from
-        sin x and cos x, so x is never rounded by a shift.
+      - beyond: sqrt(2 / (pi x)) (P cos chi - Q sin chi), chi = x - (2n + 1) pi/4.
+        cos and sin of chi come from sin x and cos x, so x is never rounded by a shift.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    series, hankel = _PLANS[n]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    a, b = np.searchsorted(xs, (_SERIES_MAX, _QUADRATURE_MAX), side="right")
-    out = np.empty_like(xs)
-    y = 0.25 * xs[:a] ** 2
-    out[:a] = _horner(series, y, np.zeros_like(y))
-    mid = xs[a:b]
+    series, hankel = _COEFS[n]
+    near, far = x <= _SERIES_MAX, x > _QUADRATURE_MAX
+    mid = ~(near | far)
+    out = np.empty_like(x)
+    out[near] = _horner(series, 0.25 * x[near] ** 2)
+    xm = x[mid]
     # row sums, not a matrix product, so each value is independent of the other points
     if n == 0:
-        out[a:b] = np.cos(np.multiply.outer(mid, _NODE_SIN)).sum(axis=1) / (_QUADRATURE_NODES / 2)
+        out[mid] = np.cos(np.multiply.outer(xm, _NODE_SIN)).sum(axis=1) / (_QUADRATURE_NODES / 2)
     else:
-        rows = np.sin(np.multiply.outer(mid, _NODE_SIN)) * _NODE_SIN
-        out[a:b] = rows.sum(axis=1) / (_QUADRATURE_NODES / 4 * mid)
-    # descending x, so w = 1/x^2 ascends
-    far = xs[b:][::-1]
-    p, xq = _horner(hankel, 1.0 / (far * far), np.zeros((2, len(far))))
-    s, c = np.sin(far), np.cos(far)
+        rows = np.sin(np.multiply.outer(xm, _NODE_SIN)) * _NODE_SIN
+        out[mid] = rows.sum(axis=1) / (_QUADRATURE_NODES / 4 * xm)
+    xf = x[far]
+    p, xq = _horner(hankel, 1.0 / (xf * xf))
+    s, c = np.sin(xf), np.cos(xf)
     # sqrt(2) (cos, sin) of x - pi/4; for n = 1, chi is a quarter turn less
     cos_chi, sin_chi = c + s, s - c
     if n == 1:
         cos_chi, sin_chi = sin_chi, -cos_chi
-    j = (p * cos_chi - xq / far * sin_chi) / np.sqrt(math.pi * far)
-    out[b:] = (j if n == 0 else j / (0.5 * far))[::-1]
-    result = np.empty_like(out)
-    result[order] = out
-    return result
+    j = (p * cos_chi - xq / xf * sin_chi) / np.sqrt(math.pi * xf)
+    out[far] = j if n == 0 else j / (0.5 * xf)
+    return out
 
 
 def kernel_values(field_id: str, u) -> np.ndarray:

@@ -38,6 +38,8 @@ import numpy as np
 # load out of the first sandbox run
 import numpy.random  # noqa: F401
 
+from .fourier import log_stage
+
 log = logging.getLogger("loctrace")
 
 RANK_TOL = 1e-10
@@ -451,13 +453,9 @@ def resolvent_normality_check(m: np.ndarray, action: Sequence[np.ndarray]) -> Re
     (M +- i), which must be bounded away from zero (full range).
     """
     report = _resolvent_report(m, action)
-    _require_abelian_commutant(action)
-    return report
-
-
-def _require_abelian_commutant(action: Sequence[np.ndarray]) -> None:
     if not commutant_of_set(action).is_abelian:
         raise ValueError("the commutant of the action is not abelian")
+    return report
 
 
 def _resolvent_report(m: np.ndarray, action: Sequence[np.ndarray]) -> ResolventReport:
@@ -659,10 +657,9 @@ def _suite_biregular(seed: int) -> dict:
 def _suite_resolvent_z8(seed: int) -> dict:
     group = cyclic_group(8)
     action = _diagonals(characters(group))
-    _require_abelian_commutant(action)
     m = np.zeros((50, 8, 8))
     m[:, range(8), range(8)] = np.random.default_rng(seed).standard_normal((50, 8))
-    rep = _resolvent_report(m, action)
+    rep = resolvent_normality_check(m, action)
     min_sv = min(rep.sv_min_plus, rep.sv_min_minus)
     return {
         "suite": "annex1-resolvent-z8",
@@ -710,7 +707,8 @@ def _key_quantity(report: dict) -> str:
 
 
 def run_sandbox(selection: Sequence[str], seed: int = 0) -> dict:
-    """Run the named suites.
+    """Run the named suites, each logging one INFO line (``log_stage``) with its
+    verdict, key quantity and duration.
 
     The request is checked before any suite runs: an unknown suite name
     raises KeyError, a negative seed ValueError.
@@ -724,12 +722,7 @@ def run_sandbox(selection: Sequence[str], seed: int = 0) -> dict:
     for name in selection:
         start = time.perf_counter()
         report = run_suite(name, seed=seed)
-        log.info(
-            "sandbox suite %s: %s in %.3f s, %s",
-            name,
-            "passed" if report["passed"] else "FAILED",
-            time.perf_counter() - start,
-            _key_quantity(report),
-        )
+        verdict = "passed" if report["passed"] else "FAILED"
+        log_stage(start, "sandbox suite %s: %s, %s", name, verdict, _key_quantity(report))
         reports.append(report)
     return {"passed": all(r["passed"] for r in reports), "suites": reports}

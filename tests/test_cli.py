@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import logging
 import math
 import operator
 import os
@@ -692,9 +693,9 @@ def test_verify_gates_have_one_shape(tmp_path):
 @pytest.mark.parametrize("slack", [0.0, 5.44e-9, 1e-3, 0.3, 1.0, 123.456])
 def test_sandwich_passes_at_its_bound_and_fails_one_float_above(slack):
     bound = slack + 1e-12
-    gate = _sandwich_gate([0.0, bound], [1.0, slack])
+    gate = _sandwich_gate(bound, slack)
     assert gate == {"value": 1.0, "tolerance": 1.0, "passed": True}
-    gate = _sandwich_gate([0.0, math.nextafter(bound, math.inf)], [1.0, slack])
+    gate = _sandwich_gate(math.nextafter(bound, math.inf), slack)
     assert gate["value"] > 1.0 and gate["passed"] is False
 
 
@@ -705,7 +706,41 @@ def test_sandwich_ratio_decides_as_the_inequality(slack, steps):
     residual = bound
     for _ in range(abs(steps)):
         residual = math.nextafter(residual, math.inf if steps > 0 else 0.0)
-    assert _sandwich_gate([residual], [slack])["passed"] is (residual <= slack + 1e-12)
+    assert _sandwich_gate(residual, slack)["passed"] is (residual <= slack + 1e-12)
+
+
+# the opening of each INFO stage line, and the module its record must name
+STAGE_MODULES = {
+    "certification: field=": "fourier",
+    "certification: signed ": "fourier",
+    "transform of ": "cutoff_trace",
+    "route A: ": "cutoff_trace",
+    "route B: ": "cutoff_trace",
+    "route C set-up: ": "cutoff_trace",
+    "route C trace: ": "cutoff_trace",
+    "route C cyclicity: ": "cutoff_trace",
+    "sweep: ": "cli",
+    "sandbox suite ": "sandbox",
+}
+
+
+def test_each_stage_record_names_its_module(tmp_path, caplog):
+    # one timer logs every stage, from its caller's frame: both certifications, the
+    # routes, route C, the sweep and a sandbox suite, each with its duration
+    config = small_config(route_c={"enabled": True, "n_signed": 1024, "max_lambda": 2.0})
+    with caplog.at_level(logging.INFO, logger="loctrace"):
+        run_trace_sweep(config, tmp_path)
+        run_sandbox(["annex2-polar"])
+    seen = set()
+    for record in caplog.records:
+        if record.levelno != logging.INFO:
+            continue
+        message = record.getMessage()
+        (stage,) = [s for s in STAGE_MODULES if message.startswith(s)]
+        assert record.module == STAGE_MODULES[stage], message
+        assert float(message.split(" duration_s=")[1]) >= 0.0, message
+        seen.add(stage)
+    assert seen == set(STAGE_MODULES)
 
 
 def test_failed_gates_named_on_stderr(tmp_path, capsys, monkeypatch):

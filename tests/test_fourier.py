@@ -16,7 +16,12 @@ from loctrace import (
     make_grid,
     make_signed_grid,
 )
-from loctrace.fourier import DEFECT_THRESHOLDS, fourier_bytes
+from loctrace.fourier import (
+    DEFECT_THRESHOLDS,
+    SIGNED_DEFECT_THRESHOLD,
+    FullLineFourier,
+    fourier_bytes,
+)
 from loctrace.kernels import scaled_gaussian, selfdual_gaussian
 from oracles import FullSpectrumFourier, fourier_matrix, peak_rise, scaled_gaussian_transform
 
@@ -110,14 +115,50 @@ def test_every_grid_size_certified_by_the_same_statement():
 
 
 def test_certification_logs_each_defect(grid_c1024, caplog):
-    with caplog.at_level(logging.INFO, logger="loctrace"):
-        op = build_fourier(grid_c1024)
-    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("certification")]
-    assert "field=C n=1024" in line
+    # the radial transform and the signed grid's, each on its own line
+    for transform, threshold, build in (
+        ("field=C n=1024", "1.0e-04", lambda: build_fourier(grid_c1024)),
+        ("signed n=4096 cols=512", "1.0e-10", lambda: full_line_fourier(make_signed_grid(4096), 512)),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="loctrace"):
+            op = build()
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("certification")]
+        assert line.startswith(f"certification: {transform} ")
+        for name, d in op.defects.items():
+            assert f"{name}={d:.3e}" in line
+        assert f"threshold={threshold}" in line
+        assert "duration_s=" in line
+
+
+@pytest.mark.parametrize(
+    "transform, threshold",
+    [("field=H n=64", DEFECT_THRESHOLDS["H"]), ("signed n=1024 cols=32", SIGNED_DEFECT_THRESHOLD)],
+)
+def test_failed_certification_names_the_transform_and_each_defect(monkeypatch, transform, threshold):
+    # a grid too coarse for H, and a signed grid whose kernel table is read one index off
+    certified = []
+    for cls in (FourierOperator, FullLineFourier):
+        measure = cls.measure_defect
+        monkeypatch.setattr(cls, "measure_defect", lambda op, m=measure: certified.append(op) or m(op))
+    dirichlet = FullLineFourier.dirichlet
+    monkeypatch.setattr(
+        FullLineFourier, "dirichlet", lambda fl, k, first, stop: dirichlet(fl, k, first + 1, stop + 1)
+    )
+    with pytest.raises(FourierBuildError) as err:
+        if transform.startswith("field"):
+            build_fourier(make_grid(make_backend("H"), math.log(3e4), 64))
+        else:
+            full_line_fourier(make_signed_grid(1024), 32)
+    (op,) = certified
+    message = str(err.value)
+    assert err.value.defect == op.unitarity_defect == max(op.defects.values()) > threshold
+    assert message.startswith(
+        f"unitarity defect {op.unitarity_defect:.3e} exceeds threshold {threshold:.3e} ({transform}: "
+    )
+    assert len(op.defects) >= 2
     for name, d in op.defects.items():
-        assert f"{name}={d:.3e}" in line
-    assert "threshold=1.0e-04" in line
-    assert "duration_s=" in line
+        assert f"{name}={d:.3e}" in message
 
 
 def test_weighted_unitarity(fourier_r2048, grid_r2048):

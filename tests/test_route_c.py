@@ -36,7 +36,9 @@ from loctrace.fourier import (
     CHUNK_ENTRIES,
     PANEL_ROWS,
     FourierBuildError,
+    SIGNED_DEFECT_THRESHOLD,
     FullLineFourier,
+    certify,
     full_line_fourier,
     kernel_fft_length,
     make_signed_grid,
@@ -509,7 +511,7 @@ def test_perturbed_block_entry_fails_certification(row, col, delta):
     fl = FullLineFourier(make_signed_grid(1024), 32)
     fl.dirichlet = _perturbed_kernel(fl, _fold(row, 1024) - _fold(col, 64), delta)
     with pytest.raises(FourierBuildError) as exc:
-        fl.certify()
+        certify(fl, SIGNED_DEFECT_THRESHOLD, "signed n=1024 cols=32")
     assert exc.value.defect >= 1e-8 * (1.0 - 1e-6)
     assert fl.defects["kernel"] == exc.value.defect
 
@@ -521,7 +523,7 @@ def test_kernel_table_shifted_by_one_index_fails_certification(n, cols, shift):
     dirichlet = fl.dirichlet
     fl.dirichlet = lambda k, first, stop: dirichlet(k, first + shift, stop + shift)
     with pytest.raises(FourierBuildError, match="kernel"):
-        fl.certify()
+        certify(fl, SIGNED_DEFECT_THRESHOLD, f"signed n={n} cols={cols}")
 
 
 @pytest.mark.parametrize("index", [1, 9, 4 * 512 - 1])
@@ -687,6 +689,16 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     lines = [r.getMessage() for r in caplog.records]
     setup = [m for m in lines if m.startswith("route C set-up")]
     assert len(setup) == 1
+    # the signed grid's defects are on its own certification line, with its duration
+    (certification,) = [m for m in lines if m.startswith("certification: signed")]
+    assert certification.startswith("certification: signed n=1024 cols=64 ")
+    for key in (
+        f"unitarity={lab.fourier.defects['unitarity']:.3e} ",
+        f"kernel={lab.fourier.defects['kernel']:.3e} ",
+        "threshold=1.0e-10 duration_s=",
+    ):
+        assert key in certification
+    assert "defect" not in setup[0]
     # the U_e entries evaluated: the bad rows' panels and the good rows' panels
     bad = lab.plan.bad_rows
     band = sum(u.size for r in ((0, bad), (bad, 64)) for _, _, u in ue_panels(standard_bump, lab.sgrid, *r))
@@ -697,8 +709,6 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         f"band_entries={band}/{512 * 64} ",  # of the half x |b| entries of U_e[b, :]
         f"held_bytes={8 * band + lab.quadrature_rows.nbytes} ",  # the panels and quadrature rows
         f"peak_bytes_estimate={lab.plan.peak_bytes} ",
-        f"unitarity_defect={lab.fourier.defects['unitarity']:.3e} ",
-        f"kernel_defect={lab.fourier.defects['kernel']:.3e} ",
         "bad_rows=32",
         f"quadrature_nodes={lab.plan.lattice[2]} ",
         "panels_ms=",

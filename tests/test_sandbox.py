@@ -461,7 +461,8 @@ def test_run_sandbox_logs_one_line_per_suite(caplog):
         run_sandbox(["annex2-polar", "annex1-biregular"])
     lines = [r.message for r in caplog.records if r.levelno == logging.INFO]
     assert len(lines) == 2
-    assert lines[0].startswith("sandbox suite annex2-polar: passed in ")
-    assert "worst defect" in lines[0]
-    assert lines[1].startswith("sandbox suite annex1-biregular: passed in ")
-    assert lines[1].endswith("commutant dims S3:3, Q8:5, D4:5")
+    assert lines[0].startswith("sandbox suite annex2-polar: passed, worst defect ")
+    assert " duration_s=" in lines[0]
+    head, duration = lines[1].split(" duration_s=")
+    assert head == "sandbox suite annex1-biregular: passed, commutant dims S3:3, Q8:5, D4:5"
+    assert float(duration) > 0.0
