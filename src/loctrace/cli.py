@@ -15,7 +15,7 @@ and what was expected (``config.lambdas[1] is not a finite number above 0
 (got -1.0)``); then across keys, against BYTES_BUDGET for the grid
 transform and the route C block, and against LATTICE_NODES_MAX for the
 lattice of route C's bad rows.  Verbosity via the LOCTRACE_LOG
-environment variable (DEBUG/INFO/WARNING/ERROR).  Runs are deterministic:
+environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL).  Runs are deterministic:
 no RNG without an explicit seed, artifacts are byte-stable.
 """
 
@@ -184,6 +184,10 @@ def validate_config(config: dict) -> dict:
     if n % 2 != 0:
         raise ConfigError("grid n must be even")
     _check_budget(fourier_bytes(n), f"config.grid.n {n}")
+    try:
+        f = TestFunction(**config["test_function"])
+    except ValueError as exc:
+        raise ConfigError(f"config.test_function: {exc}") from exc
     radius = config["test_function"]["support_radius"]
     if radius >= L:
         raise ConfigError(f"test-function support radius {radius} reaches the grid half-range {L}")
@@ -193,7 +197,7 @@ def validate_config(config: dict) -> dict:
         # lambda 0 (an empty block) still checks that n_signed is even
         lam = max(c_lams, default=0.0)
         try:
-            plan = route_c_plan(TestFunction(**config["test_function"]), n_signed, lam)
+            plan = route_c_plan(f, n_signed, lam)
         except ValueError as exc:
             raise ConfigError(f"route_c: {exc}") from exc
         _check_budget(plan.peak_bytes, f"route_c: n_signed {n_signed} up to lambda {lam}")
@@ -521,10 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("LOCTRACE_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("LOCTRACE_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(f"LOCTRACE_LOG {level!r} is not DEBUG, INFO, WARNING, ERROR or CRITICAL")
+        logging.basicConfig(level=level)
         _check_out_dir(args.out)
         if args.command == "trace-sweep":
             if args.config is not None:

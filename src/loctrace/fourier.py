@@ -1,31 +1,19 @@
 """The radial Fourier transform on a log-module grid, for the grid's field.
 
-The transform is an n x n matrix, the exact multiplicative-spectrum
-realization of the two-point kernel K(m(x) m(y)) against the additive
-measure: a Hankel matrix (constant along antidiagonals) diagonalized by the
-discrete log-Fourier basis with the unimodular critical-line symbol of the
-kernel.  It is symmetric, exactly involutive and exactly unitary in the
-weighted inner product, so the inverse transform coincides with the weighted
-conjugate transpose.  FourierOperator keeps only its generator and applies it
-by FFT; the dense matrix is formed by the test oracles alone.
-Certification reads the involution defect off the generator's spectrum:
-S[i, j] = hankel[(i + j) mod n] is a circulant times the index reversal, so
-S^2 is circulant with eigenvalues lam_k lam_{-k} = |lam_k|^2, lam = fft(hankel).
+FourierOperator applies the critical-line Mellin multiplier of the kernel
+K(m(x) m(y)) to sampled profiles, on the grid and on the "product lattice"
+(log t = -2L + p h) where products of grid points live, through a padded
+log-lattice (4n points).  A two-term power-law continuation of the profile
+below the grid floor keeps profiles with phi(0) != 0 accurate to the grid's
+certified tolerance.  Only the test oracles form the dense matrix.
 
-Applying the transform to sampled profiles goes through a padded log-lattice
-(4n points) with a two-term power-law continuation of the profile below the
-grid floor; that is what keeps profiles with phi(0) != 0 accurate to the
-grid's certified tolerance, and it also evaluates the transform on the
-"product lattice" (log t = -2L + p h) where products of grid points live.
-
-The samples are real and the kernel is real, so every spectrum is Hermitian:
-the symbol is evaluated for nu >= 0 only and every FFT is a real one
-(``rfft``/``irfft``), half the points of a complex FFT.  The kernels of the
-two evaluation lattices are built once per transform.
+The samples and the kernel are real, so every spectrum is Hermitian: the
+symbol is evaluated for nu >= 0 only, every FFT is an ``rfft``/``irfft``, and
+the kernels of the two evaluation lattices are built once per transform.
 
 Both transforms, this one and route C's FullLineFourier, are certified by one
-step, ``certify``: measure, record, log, refuse.  ``log_stage`` is the one
-stage timer.
+step, ``certify``: measure the defects of what the transform applies, record
+the largest, log, refuse.  ``log_stage`` is the one stage timer.
 """
 
 from __future__ import annotations
@@ -44,6 +32,7 @@ import numpy.random  # noqa: F401
 
 from .fields import RadialGrid
 from .kernels import mellin_symbol, scaled_gaussian, selfdual_gaussian
+from .operators import TestFunction
 
 log = logging.getLogger("loctrace")
 
@@ -97,13 +86,6 @@ class FourierOperator:
         self.grid = grid
         n, h, L = grid.n, grid.step, grid.log_t_half_range
         fid = grid.backend.field_id
-        nu = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-        D = mellin_symbol(fid, -nu) * np.exp(2j * nu * L)
-        # Nyquist mode snapped to +-1: keeps the matrix real, |D| = 1 and D*D_refl = 1
-        D[-1] = 1.0 if D[-1].real >= 0 else -1.0
-        # Hankel generator: entry (i, j) of the symmetrized matrix is hankel[(i + j) % n];
-        # irfft(conj(D)) is real(fft(D)) / n for the Hermitian D
-        self.hankel = np.fft.irfft(np.conj(D), n)
         # padded evaluation lattice: left pad 2n (power-law continuation), right pad n
         self._Bl = 2 * n
         self._Np = 4 * n
@@ -174,41 +156,24 @@ class FourierOperator:
         }
         if self.grid.log_t_half_range >= 2.5:
             # compactly supported probe with realistic log-frequency content
-            from .operators import TestFunction
-
             probes["bump"] = TestFunction(width=0.25, support_radius=1.5)(t)
         return probes
 
-    def spectral_defect(self) -> float:
-        """||S^2 - I||_F / sqrt(n) of the symmetrized matrix, from its spectrum.
-
-        S^2 is circulant with eigenvalues lam_k lam_{-k} (lam = fft(hankel)),
-        so by Parseval the Frobenius defect is the RMS of |lam_k lam_{-k} - 1|.
-        S is real and symmetric by construction, so lam_{-k} = conj(lam_k):
-        the RMS runs over the half spectrum, the modes 0 < k < n/2 counted twice.
-        """
-        n = len(self.hankel)
-        lam = np.fft.rfft(self.hankel)
-        sq = (lam.real**2 + lam.imag**2 - 1.0) ** 2
-        sq[1 : (n + 1) // 2] *= 2.0
-        return float(np.sqrt(np.sum(sq) / n))
-
     def measure_defect(self) -> float:
-        """Recorded involution defect: the largest entry of ``self.defects``.
+        """Recorded involution defect: the largest entry of ``self.defects``, NaN if any is.
 
-        ``self.defects`` holds the spectral defect of the matrix and, per
-        analytic probe, the involution error ||F(F phi) - phi||_W / ||phi||_W
-        of the padded pipeline (the transform squares to the identity on
-        radial profiles).
+        ``self.defects`` holds, per analytic probe, the involution error
+        ||F(F phi) - phi||_W / ||phi||_W of the padded pipeline that ``apply``
+        runs (the transform squares to the identity on radial profiles).
         """
-        self.defects = {"spectral": self.spectral_defect()}
+        self.defects = {}
         w = self.grid.w_add
         for name, p in self._probe_profiles().items():
             norm = np.sqrt(np.sum(w * p**2))
             err = np.sqrt(np.sum(w * (self.apply(self.apply(p)) - p) ** 2))
-            # a probe that vanishes on the grid certifies nothing (not a NaN that max() skips)
+            # a probe that vanishes on the grid certifies nothing
             self.defects[name] = float(err / norm) if norm > 0 else np.inf
-        return max(self.defects.values())
+        return float(np.max(list(self.defects.values())))
 
 
 def log_stage(start: float, message: str, *args) -> None:
@@ -218,14 +183,14 @@ def log_stage(start: float, message: str, *args) -> None:
 
 
 def certify(op, threshold: float, what: str):
-    """Measure ``op``'s defects, record the largest as ``op.unitarity_defect``, log them
-    under ``what`` (the transform's name) and return ``op``; FourierBuildError when the
-    defect exceeds ``threshold``."""
+    """Measure the defects of what ``op`` applies, record the largest as
+    ``op.unitarity_defect``, log them under ``what`` (the transform's name) and return
+    ``op``; FourierBuildError unless the defect is at most ``threshold`` (so NaN fails)."""
     start = time.perf_counter()
     op.unitarity_defect = defect = op.measure_defect()
     defects = " ".join(f"{name}={d:.3e}" for name, d in op.defects.items())
     log_stage(start, "certification: %s %s threshold=%.1e", what, defects, threshold)
-    if defect > threshold:
+    if not defect <= threshold:
         raise FourierBuildError(
             f"unitarity defect {defect:.3e} exceeds threshold {threshold:.3e} ({what}: {defects})",
             defect,
@@ -395,7 +360,7 @@ class FullLineFourier:
         return np.conj(self.apply(np.conj(v)))
 
     def measure_defect(self) -> float:
-        """Larger of the FFT form's unitarity defect and the kernel's gap to it.
+        """Larger of the FFT form's unitarity defect and the kernel's gap to it, NaN if either is.
 
         ``self.defects["unitarity"]``: max |F F^H v - v| / max |v| on three
         seeded Gaussian probes.  ``self.defects["kernel"]``: with b = cols,
@@ -413,7 +378,7 @@ class FullLineFourier:
         for _ in range(3):
             v = rng.standard_normal(n)
             uv = self.apply(self.apply_adjoint(v))
-            unitarity = max(unitarity, float(np.abs(uv - v).max() / np.abs(v).max()))
+            unitarity = np.maximum(unitarity, np.abs(uv - v).max() / np.abs(v).max())
         kernel = 0.0
         if cols:
             # y - v' over y < n/2 and v' = -cols..cols-1 spans m = 1-cols..n/2+cols-1
@@ -433,9 +398,9 @@ class FullLineFourier:
                 full *= spectrum
                 full = np.fft.ifft(full)[2 * cols - 1 : 2 * cols - 1 + half]  # y at y + 2 cols - 1
                 full -= literal
-                kernel = max(kernel, float(np.abs(full).max()))
-        self.defects = {"unitarity": unitarity, "kernel": kernel}
-        return max(unitarity, kernel)
+                kernel = np.maximum(kernel, np.abs(full).max())
+        self.defects = {"unitarity": float(unitarity), "kernel": float(kernel)}
+        return float(np.max([unitarity, kernel]))
 
 
 def full_line_fourier(sgrid: SignedGrid, cols: int) -> FullLineFourier:

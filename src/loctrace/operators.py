@@ -55,6 +55,13 @@ class TestFunction:
             raise ValueError(f"unknown test-function kind {self.kind!r}")
         if self.width <= 0 or self.support_radius <= 0:
             raise ValueError("width and support_radius must be positive")
+        for name, value in (("width", self.width), ("center", self.center)):
+            try:  # the profile divides by width**2 and squares the centre
+                square = float(value) ** 2
+            except OverflowError:
+                raise ValueError(f"{name} {value!r:.60}: its square overflows a float") from None
+            if square == 0.0 and name == "width":
+                raise ValueError(f"width {value!r}: its square underflows to 0")
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

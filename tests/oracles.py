@@ -329,17 +329,21 @@ def u_f_from_translations(grid: RadialGrid, f: TestFunction) -> KernelOperator:
 # ---------------------------------------------------------------------------
 
 
+def dense_symmetrized(grid: RadialGrid) -> np.ndarray:
+    """Dense S[i, j] = hankel[(i + j) % n] of the full-spectrum generator on ``grid``: the
+    measure-symmetrized transform, a circulant times the index reversal."""
+    n = grid.n
+    return FullSpectrumFourier(grid).hankel[np.add.outer(np.arange(n), np.arange(n)) % n]
+
+
 def fourier_matrix(op: FourierOperator) -> np.ndarray:
     """Additive-picture action matrix: (F phi)_i = sum_j matrix[i,j] phi_j.
 
     matrix[i][j] / w_add[j] depends on t_i * t_j only (exact Hankel
     product-dependence away from the half-weighted endpoints).
     """
-    n = op.grid.n
-    idx = (np.add.outer(np.arange(n), np.arange(n))) % n
-    sym = op.hankel[idx]
     r = np.sqrt(op.grid.backend.omega * op.grid.t)
-    return sym * (r[None, :] / r[:, None])
+    return dense_symmetrized(op.grid) * (r[None, :] / r[:, None])
 
 
 class FullSpectrumFourier:
@@ -348,6 +352,8 @@ class FullSpectrumFourier:
     The symbol is evaluated at every ``fftfreq`` frequency and every step
     is a complex FFT whose real part is kept; the production
     ``FourierOperator`` uses the Hermitian half spectrum and must agree.
+    ``hankel`` generates the dense n x n matrix of the transform
+    (``dense_symmetrized``), which the production transform never forms.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -397,6 +403,8 @@ class FullSpectrumFourier:
         return self._evaluate(phi, self.product_log_t)
 
     def spectral_defect(self) -> float:
+        """||S^2 - I||_F / sqrt(n) of S = dense_symmetrized(grid), from its spectrum:
+        S^2 is circulant with eigenvalues lam_k lam_{-k}, lam = fft(hankel)."""
         lam = np.fft.fft(self.hankel)
         lam_neg = np.roll(lam[::-1], 1)  # lam_{-k mod n}
         return float(np.sqrt(np.mean(np.abs(lam * lam_neg - 1.0) ** 2)))

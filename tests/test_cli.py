@@ -512,6 +512,35 @@ def test_cli_refuses_support_beyond_the_grid(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        ({"width": 1e-200}, "width 1e-200: its square underflows to 0"),  # ZeroDivisionError in f(1)
+        ({"width": 1e160}, "width 1e+160: its square overflows a float"),  # OverflowError in of_log
+        ({"center": 1e300}, "center 1e+300: its square overflows a float"),  # OverflowError in f(1)
+    ],
+    ids=["width 1e-200", "width 1e160", "center 1e300"],
+)
+def test_cli_refuses_a_profile_the_floats_cannot_hold(tmp_path, capsys, profile, message):
+    # route C is off: the profile is built and checked for every config
+    cfg = tmp_path / "cfg.json"
+    tf = {"kind": "log_gauss_bump", "center": 0.0, "width": 0.25, "support_radius": 1.5, **profile}
+    cfg.write_text(json.dumps(small_config(test_function=tf)))
+    rc = main(["trace-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: config.test_function: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_an_unknown_log_level(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LOCTRACE_LOG", "bogus")
+    rc = main(["sandbox", "--suite", "annex2-multiplier", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "config error: LOCTRACE_LOG 'BOGUS' is not DEBUG, INFO, WARNING, ERROR or CRITICAL\n"
+    assert not (tmp_path / "out").exists()
+
+
 @st.composite
 def sweep_configs(draw):
     L = draw(st.floats(1.0, 10.0))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,22 @@ def test_testfunction_smooth_plateau():
     f = TestFunction(center=0.0, width=0.25, support_radius=1.5)
     for x in (0.0, 0.3, 0.74):
         assert f(math.exp(x)) == pytest.approx(math.exp(-x**2 / (2 * 0.25**2)), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"width": 1e-320}, "width 1e-320: its square underflows to 0"),
+        ({"width": 1e160}, "width 1e+160: its square overflows a float"),
+        ({"width": 10**200}, f"width {'1' + '0' * 59}: its square overflows a float"),
+        ({"center": 1e300}, "center 1e+300: its square overflows a float"),
+    ],
+    ids=["width 1e-320", "width 1e160", "width int 10**200", "center 1e300"],
+)
+def test_testfunction_refuses_squares_beyond_the_floats(params, message):
+    # the profile divides by width**2 and squares the centre
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TestFunction(**params)
 
 
 @pytest.fixture(scope="module")

@@ -256,9 +256,10 @@ def test_route_c_plan_matches_the_grid_property(geometry):
         assert held < plan.peak_bytes
 
 
-@pytest.mark.parametrize("width, rho", [(1e-7, 1.5), (0.25, 8.2), (0.25, 800.0), (1e-320, 1.5)])
+@pytest.mark.parametrize("width, rho", [(1e-7, 1.5), (0.25, 8.2), (0.25, 800.0), (1e-160, 1.5)])
 def test_lab_refuses_a_lattice_beyond_the_cap(width, rho):
-    # the lattice grows as 1/width and e^rho; 1e-7 would take 2.9e8 nodes
+    # the lattice grows as 1/width and e^rho; 1e-7 would take 2.9e8 nodes.  1e-160
+    # is about the least width whose square TestFunction takes
     f = TestFunction(width=width, support_radius=rho)
     with pytest.raises(ValueError, match=f"above the {LATTICE_NODES_MAX} allowed"):
         SignedTraceLab(f, 4096, 8.0)
