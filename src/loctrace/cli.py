@@ -75,6 +75,11 @@ DEFAULT_CONFIGS = {
     },
 }
 
+# the default configs whose fit gates are judged: the narrow H grid certifies the
+# transform and the routes, but its lambdas are outside the asymptotic regime,
+# whose fit H-asymptotic judges.  verify and a trace-sweep without --config read it
+FIT_JUDGED_DEFAULTS = ("R", "C", "H-asymptotic")
+
 ROUTE_AGREEMENT_TOL = {"R": 1e-3, "C": 5e-3, "H": 5e-3}
 
 # refuse configs whose grid transform or route C block would need more memory than this
@@ -191,6 +196,8 @@ def validate_config(config: dict) -> dict:
     radius = config["test_function"]["support_radius"]
     if radius >= L:
         raise ConfigError(f"test-function support radius {radius} reaches the grid half-range {L}")
+    if config["field"] != "R" and config.get("route_c", {}).get("enabled", False):
+        raise ConfigError(f"config.route_c.enabled: route C runs on field R only, not {config['field']}")
     c_lams = _route_c_lambdas(config)
     if c_lams is not None:
         n_signed = config["route_c"].get("n_signed", N_SIGNED_DEFAULT)
@@ -215,7 +222,7 @@ def _check_budget(need: int, what: str) -> None:
 def _route_c_lambdas(config: dict) -> list[float] | None:
     """The lambdas route C traces (those up to route_c.max_lambda); None when it is off."""
     rc = config.get("route_c", {})
-    if config["field"] != "R" or not rc.get("enabled", False):
+    if not rc.get("enabled", False):  # validate_config refuses it off field R
         return None
     c_max = float(rc.get("max_lambda", 8.0))
     return [float(lam) for lam in config["lambdas"] if lam <= c_max]
@@ -459,9 +466,7 @@ def run_verify(out_dir: Path) -> dict:
     for key in ("R", "C", "H", "H-asymptotic"):
         cfg = json.loads(json.dumps(DEFAULT_CONFIGS[key]))
         cfg["outputs"] = {"csv": f"sweep_{key}.csv", "json": f"summary_{key}.json"}
-        # the narrow H grid certifies the transform and the routes; its lambdas
-        # are outside the asymptotic regime, whose fit H-asymptotic judges
-        summaries[key] = run_trace_sweep(cfg, out_dir, fit_gates=key != "H")
+        summaries[key] = run_trace_sweep(cfg, out_dir, fit_gates=key in FIT_JUDGED_DEFAULTS)
     sandbox_report = run_sandbox(list(SUITE_NAMES), seed=0)
     (out_dir / "sandbox.json").write_text(_stable_json(sandbox_report))
     report = {
@@ -535,10 +540,10 @@ def main(argv=None) -> int:
         _check_out_dir(args.out)
         if args.command == "trace-sweep":
             if args.config is not None:
-                config = _load_config(args.config)
+                summary = run_trace_sweep(_load_config(args.config), args.out)
             else:
                 config = json.loads(json.dumps(DEFAULT_CONFIGS[args.field]))
-            summary = run_trace_sweep(config, args.out)
+                summary = run_trace_sweep(config, args.out, fit_gates=args.field in FIT_JUDGED_DEFAULTS)
             if not summary["passed"]:
                 print(f"FAIL gates: {', '.join(_failed_gates(summary))}", file=sys.stderr)
                 return 1

@@ -380,9 +380,9 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     half = n // 2
     kept = band_entries(f, n, 0, bad) + band_entries(f, n, bad, b) + bad * b
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
-    # the grid, the cosine, sine and phase tables and the unitarity probes
-    # (17 n measured), and the kernel check's FFTs (6 of its length)
-    vectors = 18 * n + (6 * kernel_fft_length(n, b) if b else 0)
+    # the grid, the cosine, sine and two phase tables and the involution probes
+    # (13 n measured), and the kernel check's FFTs (6 of its length)
+    vectors = 14 * n + (6 * kernel_fft_length(n, b) if b else 0)
     # the product of one lattice chunk (bad x |b|) and the arrays of one
     # lattice chunk against the block, whatever the lattice's length
     quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
@@ -454,7 +454,7 @@ class SignedTraceLab:
     allocated.  It evaluates U_e[b, :] once, as panels over their bands
     (``ue_panels``: f has compact support, so each panel of rows is nonzero
     only on a band of columns), and certifies the kernel of the largest block
-    against the FFT form of the transform.  U_f is a convolution on the
+    against the DCT-IV applied by FFT.  U_f is a convolution on the
     multiplicative group, which log makes the additive line, so both
     evaluations read the profile on the log axis (``TestFunction.of_log``):
     the panels at log v - log y, the bad rows' weights at log v - tau on their

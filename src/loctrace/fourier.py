@@ -11,9 +11,10 @@ The samples and the kernel are real, so every spectrum is Hermitian: the
 symbol is evaluated for nu >= 0 only, every FFT is an ``rfft``/``irfft``, and
 the kernels of the two evaluation lattices are built once per transform.
 
-Both transforms, this one and route C's FullLineFourier, are certified by one
-step, ``certify``: measure the defects of what the transform applies, record
-the largest, log, refuse.  ``log_stage`` is the one stage timer.
+Both transforms, this one and route C's FullLineFourier (the signed grid's
+even sector, a DCT-IV), are certified by one step, ``certify``: measure the
+defects of what the transform applies, record the largest, log, refuse.
+``log_stage`` is the one stage timer.
 """
 
 from __future__ import annotations
@@ -44,11 +45,8 @@ log = logging.getLogger("loctrace")
 # here, raises the threshold once; other allocators ignore it.
 np.empty(1 << 19)
 
-# subleading power of a smooth radial profile at module 0: phi ~ a + b t^kappa
-_KAPPA = {"R": 2.0, "C": 1.0, "H": 0.5}
-
 DEFECT_THRESHOLDS = {"R": 1e-6, "C": 1e-4, "H": 1e-3}
-# the signed-grid transform is a phased DFT: its defect is rounding only
+# the signed-grid transform is an FFT between two phase tables: its defect is rounding only
 SIGNED_DEFECT_THRESHOLD = 1e-10
 
 
@@ -90,10 +88,13 @@ class FourierOperator:
         self._Bl = 2 * n
         self._Np = 4 * n
         self._Xi0 = -L - self._Bl * h
+        # subleading power of a smooth radial profile at module 0: it is a + b |x|^2
+        # and t = |x|^d (d the euclidean dimension), so phi ~ a + b t^kappa, kappa = 2/d
+        self._kappa = 2.0 / grid.backend.euclidean_dim
         # the left pad's sqrt(omega t) and t^kappa, for the power-law continuation
         tl = np.exp(self._Xi0 + h * np.arange(self._Bl))
         self._pad_root = np.sqrt(grid.backend.omega * tl)
-        self._pad_power = tl ** _KAPPA[fid]
+        self._pad_power = tl**self._kappa
         nup = 2.0 * np.pi * np.fft.rfftfreq(self._Np, d=h)
         khp = mellin_symbol(fid, -nup)
         khp[-1] = 0.0
@@ -115,7 +116,7 @@ class FourierOperator:
         """Conjugated half spectrum of the padded additive-picture samples."""
         g = self.grid
         omega = g.backend.omega
-        kap = _KAPPA[g.backend.field_id]
+        kap = self._kappa
         t0, t1 = g.t[0], g.t[1]
         ph0, ph1 = float(phi[0]), float(phi[1])
         if ph0 == 0.0 and ph1 == 0.0:
@@ -284,24 +285,24 @@ def kernel_fft_length(n: int, cols: int) -> int:
 
 
 class FullLineFourier:
-    """The e^{-2 pi i x y} transform on a SignedGrid (field R) and its even-sector tables.
+    """The e^{-2 pi i x y} transform on a SignedGrid (field R), in the even sector route C traces.
 
-    The full n x n matrix is a DFT conjugated by diagonal phases: with
-    c = (n-1)/2 and ph_j = e^{2 pi i c j/n},
-    F = step e^{-2 pi i c^2/n} diag(ph) DFT diag(ph), which ``apply`` evaluates
-    by one FFT.  On even vectors F acts through its cosine part: on the
-    positive half-grid x_j = (2j+1) / (2 sqrt(n)) it is the real matrix
+    On even vectors the full-line transform acts through its cosine part: on
+    the positive half-grid x_j = (2j+1) / (2 sqrt(n)) it is the real matrix
     C[j, k] = 2 step cos(2 pi x_j x_k), the orthonormal DCT-IV of size n/2 and
     its own inverse.  Since 2 pi x_j x_k = 2 pi (2j+1)(2k+1) / 4n, every entry
     is one of the 4n values of a cosine table indexed by (2j+1)(2k+1) mod 4n
     (``cosines``), so C is exactly symmetric; no block of it is held.
+    ``apply`` evaluates C x by one n-point FFT of x zero-padded, between two
+    phase tables of n/2 entries: (2j+1)(2k+1) / 4n = jk/n + (2j+1)/4n + k/2n,
+    so C x = 2 step Re(e^{i pi (2j+1)/2n} sum_k x_k e^{i pi k/n} e^{2 pi i jk/n}).
 
     Two cosine factors cut to the first k columns sum in closed form to the
     Dirichlet kernel (Zygmund, *Trigonometric Series*, 1959, ch. II):
     sum_{u<k} C[l, u] C[u, j] = K_k(l + j + 1) + K_k(l - j), with
     K_k(m) = 2 step^2 D_k(m), D_k(m) = sin(2 pi k m / n) / (2 sin(pi m / n))
-    and D_k(0) = k (``dirichlet``).  ``measure_defect`` checks the FFT form
-    for unitarity and the kernel of the first ``cols`` columns against it.
+    and D_k(0) = k (``dirichlet``).  ``measure_defect`` checks ``apply`` for
+    C C = I and the kernel of the first ``cols`` columns against it.
     """
 
     def __init__(self, sgrid: SignedGrid, cols: int):
@@ -316,10 +317,11 @@ class FullLineFourier:
         quarter = np.sin(np.arange(n // 2 + 1) * (np.pi / n))
         upper = np.concatenate([quarter, quarter[-2:0:-1]])
         self._sine = np.concatenate([upper, -upper])
-        # phases reduced exactly in integers: c j / n = (n-1) j / 2n, c^2 / n = (n-1)^2 / 4n
-        j = np.arange(n)
-        self._phase = np.exp(1j * np.pi * (((n - 1) * j) % (2 * n)) / n)
-        self._scale = sgrid.step * np.exp(-2j * np.pi * (((n - 1) ** 2) % (4 * n)) / (4 * n))
+        # the FFT's input and output twiddles, conjugated for numpy's e^{-2 pi i jk/n}
+        # (x is real, so Re(z) = Re(conj(z))); every angle lies in [0, pi/2)
+        j = np.arange(n // 2)
+        self._twiddle_in = np.exp(-1j * np.pi / n * j)
+        self._twiddle_out = 2.0 * sgrid.step * np.exp(-1j * np.pi / (2 * n) * (2 * j + 1))
         self.unitarity_defect = None
         self.defects: dict[str, float] = {}
 
@@ -348,59 +350,49 @@ class FullLineFourier:
             out[zero] = 2.0 * self.grid.step**2 * k
         return out
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """F v for the full n x n matrix, in O(n log n)."""
-        out = np.fft.fft(self._phase * v)
-        out *= self._phase
-        out *= self._scale
-        return out
-
-    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        """F^H v; F is symmetric, so F^H v = conj(F conj(v))."""
-        return np.conj(self.apply(np.conj(v)))
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """C x on the n/2 points of the positive half-grid, in O(n log n), for real
+        samples x on its first len(x) <= n/2 points (0 beyond them)."""
+        z = np.fft.fft(self._twiddle_in[: len(x)] * x, self.grid.n)[: self.grid.n // 2]
+        z *= self._twiddle_out
+        return z.real.copy()
 
     def measure_defect(self) -> float:
-        """Larger of the FFT form's unitarity defect and the kernel's gap to it, NaN if either is.
+        """Larger of the involution defect of ``apply`` and the kernel's gap to it, NaN if either is.
 
-        ``self.defects["unitarity"]``: max |F F^H v - v| / max |v| on three
-        seeded Gaussian probes.  ``self.defects["kernel"]``: with b = cols,
-        max |C P_b C w - K w| on three seeded probes with unimodular entries w
-        on the first b points of the positive half-grid, P_b the cutoff to
-        them.  C P_b C w is F applied twice to w mirrored onto both signs, and
+        ``self.defects["involution"]``: max |C (C x) - x| / max |x| on three
+        seeded Gaussian probes x.  ``self.defects["kernel"]``: with b = cols,
+        max |C P_b C w - K w| on three seeded probes w with entries +-1 on the
+        first b points of the positive half-grid, P_b the cutoff to them.
+        C P_b C w is ``apply`` twice, cut to b in between, and
         (K w)[y] = sum_{v<b} (K_b(y+v+1) + K_b(y-v)) w[v] is one correlation of
-        the kernel with w mirrored, by FFT.  A single kernel value off by eps
-        moves some entry of every probe by eps.
+        the kernel with w mirrored, by complex FFT, so an imaginary kernel part
+        shows too.  A single kernel value off by eps moves some entry of every
+        probe by eps.
         """
         n = self.grid.n
         half, cols = n // 2, self.cols
         rng = np.random.default_rng(1234)
-        unitarity = 0.0
+        involution = 0.0
         for _ in range(3):
-            v = rng.standard_normal(n)
-            uv = self.apply(self.apply_adjoint(v))
-            unitarity = np.maximum(unitarity, np.abs(uv - v).max() / np.abs(v).max())
+            x = rng.standard_normal(half)
+            gap = np.abs(self.apply(self.apply(x)) - x).max() / np.abs(x).max()
+            involution = np.maximum(involution, gap)
         kernel = 0.0
         if cols:
             # y - v' over y < n/2 and v' = -cols..cols-1 spans m = 1-cols..n/2+cols-1
             length = kernel_fft_length(n, cols)
             spectrum = np.fft.fft(self.dirichlet(cols, 1 - cols, half + cols), length)
             for _ in range(3):
-                w = np.exp(2j * np.pi * rng.random(cols))
-                mirrored = np.concatenate([w[::-1], w])
-                v = np.zeros(n, dtype=complex)
-                v[half - cols : half + cols] = mirrored
-                v = self.apply(v)
-                v[: half - cols] = 0.0
-                v[half + cols :] = 0.0
-                literal = self.apply(v)[half:]
-                del v  # before the correlation's arrays
-                full = np.fft.fft(mirrored, length)
+                w = np.where(rng.random(cols) < 0.5, -1.0, 1.0)
+                literal = self.apply(self.apply(w)[:cols])  # before the correlation's arrays
+                full = np.fft.fft(np.concatenate([w[::-1], w]), length)
                 full *= spectrum
                 full = np.fft.ifft(full)[2 * cols - 1 : 2 * cols - 1 + half]  # y at y + 2 cols - 1
                 full -= literal
                 kernel = np.maximum(kernel, np.abs(full).max())
-        self.defects = {"unitarity": float(unitarity), "kernel": float(kernel)}
-        return float(np.max([unitarity, kernel]))
+        self.defects = {"involution": float(involution), "kernel": float(kernel)}
+        return float(np.max([involution, kernel]))
 
 
 def full_line_fourier(sgrid: SignedGrid, cols: int) -> FullLineFourier:

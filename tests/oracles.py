@@ -37,7 +37,7 @@ import numpy as np
 
 from loctrace.fields import FieldBackend, RadialGrid
 from loctrace.cutoff_trace import TraceComputation
-from loctrace.fourier import _KAPPA, FourierOperator
+from loctrace.fourier import FourierOperator
 from loctrace.kernels import mellin_symbol
 from loctrace.operators import TestFunction
 
@@ -376,7 +376,7 @@ class FullSpectrumFourier:
     def _padded_spectrum(self, phi: np.ndarray) -> np.ndarray:
         g = self.grid
         omega = g.backend.omega
-        kap = _KAPPA[g.backend.field_id]
+        kap = 2.0 / g.backend.euclidean_dim
         t0, t1 = g.t[0], g.t[1]
         ph0, ph1 = float(phi[0]), float(phi[1])
         if ph0 == 0.0 and ph1 == 0.0:

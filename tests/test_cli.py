@@ -532,6 +532,23 @@ def test_cli_refuses_a_profile_the_floats_cannot_hold(tmp_path, capsys, profile,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["C", "H"])
+def test_cli_refuses_route_c_off_field_r(tmp_path, capsys, field):
+    # route C runs on the signed real line only; off R it was skipped without a word
+    config = copy.deepcopy(DEFAULT_CONFIGS[field])
+    config["route_c"] = {"enabled": False}
+    assert validate_config(config) is config
+    config["route_c"] = {"enabled": True}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["trace-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: config.route_c.enabled: route C runs on field R only, not {field}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_refuses_an_unknown_log_level(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LOCTRACE_LOG", "bogus")
     rc = main(["sandbox", "--suite", "annex2-multiplier", "--out", str(tmp_path / "out")])
@@ -692,6 +709,15 @@ VERIFY_GATES = {
 PER_LAMBDA_GATES = {"route_ab_agreement", "route_c_agreement", "asymptote_sandwich"}
 
 
+def test_default_h_sweep_judges_the_gates_verify_judges(tmp_path, capsys):
+    # without --config the narrow H grid leaves its fit gates out, as verify does
+    assert main(["trace-sweep", "--field", "H", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "ok: 5 lambdas, gates passed\n"
+    summary = json.loads((tmp_path / "summary_H.json").read_text())
+    assert set(summary["gates"]) == VERIFY_GATES["H"]
+    assert "error" in summary["fit"]  # computed and written, not judged
+
+
 def test_verify_gates_have_one_shape(tmp_path):
     report = run_verify(tmp_path)
     assert report == json.loads((tmp_path / "verify.json").read_text())
@@ -781,7 +807,7 @@ def test_failed_gates_named_on_stderr(tmp_path, capsys, monkeypatch):
     cyclic = {"passed": False, "value": 3e-8, "tolerance": 1e-8}
     gates = {"a": failing, "b": passing, "c": no_fit, "d": cyclic}
     summary = {"passed": False, "rows": [], "gates": gates}
-    monkeypatch.setattr(cli_mod, "run_trace_sweep", lambda config, out: summary)
+    monkeypatch.setattr(cli_mod, "run_trace_sweep", lambda config, out, fit_gates=True: summary)
     assert main(["trace-sweep", "--out", str(tmp_path)]) == 1
     # a per-lam gate names the lam where it is worst; a gate without one does not
     a = "a (4.1e-03, tolerance 1.0e-03, at lam=2)"

@@ -195,7 +195,7 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     band = sum(u.size for r in ((0, bad), (bad, b)) for _, _, u in ue_panels(standard_bump, sgrid, *r))
     kept = band + bad * b
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
-    vectors = 18 * n + (6 * kernel_fft_length(n, b) if b else 0)
+    vectors = 14 * n + (6 * kernel_fft_length(n, b) if b else 0)
     quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     plan = route_c_plan(standard_bump, n, lam)
     assert (plan.block, plan.bad_rows) == (b, bad)
@@ -484,7 +484,7 @@ def test_route_c_plan_never_exceeds_the_cosine_block_plan_property(geometry, f):
 def test_block_certification_passes_and_reports_its_defect():
     fl = full_line_fourier(make_signed_grid(4096), 512)  # the block x <= 8
     assert not hasattr(fl, "matrix")  # no cosine block is formed
-    assert set(fl.defects) == {"unitarity", "kernel"}
+    assert set(fl.defects) == {"involution", "kernel"}
     assert all(0.0 < d < 1e-10 for d in fl.defects.values())
     assert fl.unitarity_defect == max(fl.defects.values())
 
@@ -558,13 +558,21 @@ def test_cyclicity_reads_the_held_rows_and_evaluates_no_profile(monkeypatch, n, 
 
 
 def test_fft_form_matches_dense_matrix():
-    sg = make_signed_grid(256)
-    fl = FullLineFourier(sg, 128)
-    F = np.exp(-2j * np.pi * np.outer(sg.x, sg.x)) * sg.step
+    # apply is the even sector's DCT-IV, C[j, k] = 2 step cos(2 pi x_j x_k), built here
+    # with np.cos of the integer outer product (2j+1)(2k+1) mod 4n, not from the table
     rng = np.random.default_rng(3)
-    v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    assert np.abs(fl.apply(v) - F @ v).max() < 1e-12
-    assert np.abs(fl.apply_adjoint(v) - np.conj(F.T) @ v).max() < 1e-12
+    for n in (256, 1000, 4096):
+        sg = make_signed_grid(n)
+        fl = FullLineFourier(sg, 128)
+        odd = 2 * np.arange(n // 2) + 1
+        C = 2.0 * sg.step * np.cos(np.outer(odd, odd) % (4 * n) * (2.0 * np.pi / (4 * n)))
+        x = rng.standard_normal(n // 2)
+        assert np.abs(fl.apply(x) - C @ x).max() < 1e-12
+        assert np.abs(fl.apply(fl.apply(x)) - x).max() < 1e-12
+        if n == 256:
+            # the full-line F on x mirrored onto both signs, read on the positive half
+            F = np.exp(-2j * np.pi * np.outer(sg.x, sg.x)) * sg.step
+            assert np.abs(fl.apply(x) - (F @ np.concatenate([x[::-1], x]))[n // 2 :]).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -694,7 +702,7 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     (certification,) = [m for m in lines if m.startswith("certification: signed")]
     assert certification.startswith("certification: signed n=1024 cols=64 ")
     for key in (
-        f"unitarity={lab.fourier.defects['unitarity']:.3e} ",
+        f"involution={lab.fourier.defects['involution']:.3e} ",
         f"kernel={lab.fourier.defects['kernel']:.3e} ",
         "threshold=1.0e-10 duration_s=",
     ):
