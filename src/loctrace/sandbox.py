@@ -13,9 +13,15 @@ Everything here is exact dense linear algebra on stacked arrays.  A
 commutant is the range of the Reynolds operator K = (1/k) sum A (x) conj(A)
 of the k operators of a group image: an orthogonal projector of rank
 (1/k) sum |tr A|^2, the character count (Serre, Linear Representations of
-Finite Groups, 1977, sections 2.3 and 2.6).  K is one GEMM of the stacked
-operators, and a Hermitian eigh of each diagonal block of its exact nonzero
-pattern gives an orthonormal basis, its eigenvalue-1 eigenvectors.  Inputs
+Finite Groups, 1977, sections 2.3 and 2.6).  K is exactly 0 off the blocks
+that pair two connected components of the operators' union support, so only
+those blocks are formed, one small GEMM per pair of component sizes (a
+character action has n^2 blocks of size 1), and a real group image stays
+real.  A Hermitian eigh of each diagonal block of each block's exact nonzero
+pattern gives an orthonormal basis, its eigenvalue-1 eigenvectors.  Keeping
+every GEMM below the size at which OpenBLAS splits it across threads, rather
+than setting a thread count, spares a caller's BLAS settings and the cost of
+a busy-waiting second thread (``commutant_of_set``).  Inputs
 that are not a group image are refused: an operator with a non-finite entry
 or that is not unitary, a K that is not Hermitian (the set is not closed
 under inverses) or a K with an eigenvalue more than RANK_TOL from 0 and 1
@@ -247,15 +253,19 @@ def _diagonals(rows: np.ndarray) -> np.ndarray:
 
 
 def _operator_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """The operators as one (k, n, n) complex stack of finite, non-empty squares."""
+    """The operators as one (k, n, n) stack of finite, non-empty squares.
+
+    The stack is complex if any operator is complex and float otherwise, so
+    a real group image (a permutation action) keeps every product real.
+    """
     if len(operators) == 0:
         raise ValueError("commutant_of_set needs at least one operator")
     try:
-        stack = np.asarray(operators, dtype=complex)
+        stack = np.asarray(operators)
     except ValueError:  # ragged shapes; the loop below names the misfit
         stack = None
     if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
-        ops = [np.asarray(a, dtype=complex) for a in operators]
+        ops = [np.asarray(a) for a in operators]
         for k, a in enumerate(ops):
             if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
                 raise ValueError(
@@ -266,61 +276,104 @@ def _operator_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
                     f"operator #{k} has shape {a.shape}, operator #0 has {ops[0].shape}"
                 )
         raise ValueError(f"operators of shapes {[a.shape for a in ops]} do not stack")
+    stack = stack.astype(complex if np.iscomplexobj(stack) else float, copy=False)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"operator #{np.argmin(finite)} has a non-finite entry")
     return stack
 
 
-def _blocks(matrix: np.ndarray) -> np.ndarray:
-    """Block label of each index: the least index of its connected component.
+def _blocks(matrices: np.ndarray) -> np.ndarray:
+    """Block label of each index of each matrix in a (..., m, m) stack: the
+    least index of its connected component.
 
     Indices i and j are joined when matrix[i, j] or matrix[j, i] is exactly
     nonzero, so the matrix restricted to a component, with its indices in
     ascending order, is one diagonal block of a permutation similar matrix
     and every entry outside the blocks is 0.  Label propagation: each index
     takes the least label among itself and its neighbours, then the label of
-    that label, until nothing changes.
+    that label, until nothing changes in any matrix of the stack.
     """
-    size = len(matrix)
-    pattern = (matrix != 0) | (matrix != 0).T
-    labels = np.arange(size)
+    size = matrices.shape[-1]
+    pattern = (matrices != 0) | (matrices != 0).swapaxes(-2, -1)
+    labels = np.broadcast_to(np.arange(size), matrices.shape[:-1])
     while True:
-        nxt = np.minimum(labels, np.where(pattern, labels, size).min(axis=1))
-        nxt = nxt[nxt]
+        nxt = np.minimum(labels, np.where(pattern, labels[..., None, :], size).min(axis=-1))
+        nxt = np.take_along_axis(nxt, nxt, axis=-1)
         if np.array_equal(nxt, labels):
-            return labels
+            return nxt
         labels = nxt
 
 
-def _eigh_by_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenvalues of a Hermitian matrix, its eigenvalue-1 eigenvectors and its block count.
-
-    eigh on each diagonal block of ``_blocks``, one stacked call per block
-    size.  The blocks are a permutation similarity of the whole matrix, with
-    each block's indices ascending, so the lower triangle that eigh reads is
-    the whole matrix's lower triangle and the spectrum and eigenvalue-1
-    space are exactly those of one eigh of the whole.  Eigenvectors with
-    eigenvalue above 1/2 come back as rows, zero off their block.
-    """
-    size = len(matrix)
-    labels = _blocks(matrix)
+def _components(labels: np.ndarray) -> list[np.ndarray]:
+    """The indices of each block of ``_blocks`` labels, one (blocks, s) array
+    per block size s, ascending in s; each row ascending, rows in label order."""
     # labels and sizes are small nonnegative integers: bincount, not np.unique,
     # whose masked-array check would load numpy.ma mid-run
     sizes = np.bincount(labels)
     sizes = sizes[sizes > 0]
     members = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    values, vectors = [], []
-    for s in np.flatnonzero(np.bincount(sizes)):
-        idx = members[starts[sizes == s][:, None] + np.arange(s)]
-        w, v = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
+    return [
+        members[starts[sizes == s][:, None] + np.arange(s)]
+        for s in np.flatnonzero(np.bincount(sizes))
+    ]
+
+
+def _eigh_by_blocks(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenvalues of Hermitian matrices, their eigenvalue-1 eigenvectors and block count.
+
+    A (..., m, m) stack is taken as the one block-diagonal matrix of its
+    matrices, of size (number of matrices) * m.  eigh runs on each diagonal
+    block of ``_blocks`` of each matrix, one stacked call per block size.
+    The blocks are a permutation similarity of the whole matrix, with each
+    block's indices ascending, so the lower triangle that eigh reads is the
+    whole matrix's lower triangle and the spectrum and eigenvalue-1 space are
+    exactly those of one eigh of the whole.  Eigenvectors with eigenvalue
+    above 1/2 come back as rows of that size, zero off their block.
+    """
+    m = matrices.shape[-1]
+    stack = matrices.reshape(-1, m, m)
+    size = stack.shape[0] * m
+    # labels in the block-diagonal numbering: matrix b's indices start at b m
+    labels = (_blocks(stack) + m * np.arange(len(stack))[:, None]).ravel()
+    values, vectors, blocks = [], [], 0
+    for idx in _components(labels):
+        owner, local = np.divmod(idx, m)
+        w, v = np.linalg.eigh(stack[owner[:, :, None], local[:, :, None], local[:, None, :]])
         block, col = np.nonzero(w > 0.5)
-        fixed = np.zeros((len(block), size), dtype=matrix.dtype)
+        fixed = np.zeros((len(block), size), dtype=stack.dtype)
         fixed[np.arange(len(block))[:, None], idx[block]] = v[block, :, col]
         values.append(w.ravel())
         vectors.append(fixed)
-    return np.concatenate(values), np.concatenate(vectors), len(sizes)
+        blocks += len(idx)
+    return np.concatenate(values), np.concatenate(vectors), blocks
+
+
+def _reynolds_blocks(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The nonzero blocks of the Reynolds projector K of a (k, n, n) stack.
+
+    K[(i, a), (j, b)] = (1/k) sum A[i, j] conj(A[a, b]) is exactly 0 unless
+    i, j lie in one component C_p of the stack's union support and a, b in
+    one component C_q (``_blocks``), so K is block diagonal with one block
+    (1/k) sum A[C_p, C_p] (x) conj(A[C_q, C_q]) per pair of components.  Per
+    pair of component sizes (s, t): the (P Q, s t, s t) stack of those
+    blocks, from one (P s^2) x k x (Q t^2) GEMM, and the row-major vec index
+    i n + a of each of its rows (i, a).
+    """
+    k, n, _ = stack.shape
+    groups = _components(_blocks((stack != 0).any(axis=0)))
+    # each operator's entries inside the components, component by component
+    inside = [stack[:, idx[:, :, None], idx[:, None, :]].reshape(k, -1) for idx in groups]
+    out = []
+    for rows, x in zip(groups, inside):
+        for cols, y in zip(groups, inside):
+            (p, s), (q, t) = rows.shape, cols.shape
+            block = (x.T @ y.conj() / k).reshape(p, s, s, q, t, t)
+            block = block.transpose(0, 3, 1, 4, 2, 5).reshape(p * q, s * t, s * t)
+            where = rows[:, None, :, None] * n + cols[None, :, None, :]
+            out.append((block, where.ravel()))
+    return out
 
 
 def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
@@ -328,15 +381,24 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
 
     The operators must be one or more finite unitary square matrices of one
     common size, closed under products and inverses (the image of a finite
-    group).  They are handled as one (k, n, n) stack.  The commutant is the
-    eigenvalue-1 eigenspace of the Reynolds projector
-    K = (1/k) sum A (x) conj(A) on row-major vec(X), formed as one GEMM
-    flat^T conj(flat) / k of the (k, n^2) stack and permuted to rows (i, a)
-    and columns (j, b).  K is refused unless it is Hermitian with every
-    eigenvalue within RANK_TOL of 0 or 1, and its rank must equal the
-    character count (1/k) sum |tr A|^2.  K is diagonalised block by block
-    (``_eigh_by_blocks``): character actions give n^2 blocks of size 1,
-    permutation actions their orbit blocks, a dense image one block.
+    group).  They are handled as one (k, n, n) stack, real when every
+    operator is real.  The commutant is the eigenvalue-1 eigenspace of the
+    Reynolds projector K = (1/k) sum A (x) conj(A) on row-major vec(X).  K is
+    formed only on its nonzero blocks, one per pair of connected components
+    of the union support (``_reynolds_blocks``), with one GEMM per pair of
+    component sizes: n x k x n for a character action, where all of K would
+    be n^2 x k x n^2.  The blocks are refused unless they are Hermitian with
+    every eigenvalue within RANK_TOL of 0 or 1, and the rank must equal the
+    character count (1/k) sum |tr A|^2.  Each block is diagonalised by its
+    own exact nonzero pattern (``_eigh_by_blocks``), so ``blocks`` counts
+    the blocks of the whole K: character actions give n^2 blocks of size 1,
+    permutation actions their orbits on index pairs, a dense image one block.
+
+    Every GEMM here stays below the size at which OpenBLAS splits a call
+    across threads (measured on OpenBLAS 0.3.31 with 2 threads: M N K of
+    about 2^16 for a complex GEMM, 2^20 for a real one) on every sandbox
+    suite; a split call costs a busy-waiting second thread, and in its
+    scheduling spells about 15 ms against tens of microseconds.
     """
     stack = _operator_stack(operators)
     k, n, _ = stack.shape
@@ -346,17 +408,22 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
         raise ValueError(
             f"operator #{bad[0]} is not unitary (|AA* - I| = {unitarity[bad[0]]:.2e})"
         )
-    flat = stack.reshape(k, n * n)
-    reynolds = (
-        (flat.T @ flat.conj() / k).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    )
-    asym = float(np.abs(reynolds - reynolds.conj().T).max())
+    reynolds = _reynolds_blocks(stack)
+    asym = max(float(np.abs(b - b.conj().swapaxes(1, 2)).max()) for b, _ in reynolds)
     if asym > RANK_TOL:
         raise ValueError(
             f"the averaged action K is not Hermitian (|K - K*| = {asym:.2e}); "
             "the operators are not closed under inverses"
         )
-    w, fixed, blocks = _eigh_by_blocks(reynolds)
+    values, parts, blocks = [], [], 0
+    for block, where in reynolds:
+        w, local, count = _eigh_by_blocks(block)
+        fixed = np.zeros((len(local), n * n), dtype=stack.dtype)
+        fixed[:, where] = local
+        values.append(w)
+        parts.append(fixed)
+        blocks += count
+    w, fixed = np.concatenate(values), np.concatenate(parts)
     gap = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
     if gap > RANK_TOL:
         raise ValueError(

@@ -1,8 +1,8 @@
 """Dense oracles for the commutant.
 
 The production route reads the commutant off the Reynolds projector
-K = (1/k) sum A (x) conj(A), formed as one GEMM and diagonalised block by
-block.  A third oracle, ``reynolds_by_kron``, forms the same K as a sum of
+K = (1/k) sum A (x) conj(A), formed only on its nonzero component blocks and
+diagonalised block by block.  A third oracle, ``reynolds_by_kron``, forms the same K as a sum of
 Kronecker products and diagonalises it whole.  Two independent oracles
 solve the commutation system A X - X A = 0 instead: one thin complex SVD of the stacked system,
 and scipy's full-SVD ``null_space`` of the doubled real system followed by a
@@ -15,7 +15,7 @@ agree with each other.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import null_space
+from scipy.linalg import block_diag, null_space
 
 from oracles import reynolds_by_kron
 
@@ -110,6 +110,26 @@ def biregular_generators(group):
     ]
 
 
+def mixed_component_action():
+    """Z6 on C^3 + C^2 + C: the regular representations of Z3 and of Z2 and a
+    faithful character, block-diagonally.
+
+    The union support has components of sizes 3, 2 and 1, so the Reynolds
+    projector has blocks of nine size pairs.  The trivial character occurs in
+    both regular representations, so the commutant holds a copy of the 2 x 2
+    matrices: dimension 2^2 + 4 = 8, and not abelian.
+    """
+    z3, z2 = cyclic_group(3), cyclic_group(2)
+    return [
+        block_diag(
+            left_translation_operator(z3, g % 3),
+            left_translation_operator(z2, g % 2),
+            [[np.exp(2j * np.pi * g / 6)]],
+        )
+        for g in range(6)
+    ]
+
+
 # (oracle operators, dimension, the group image that commutant_of_set gets or
 # None); a set and the group it generates have the same commutant, so the
 # oracles solve the abelian and biregular systems for generators only
@@ -127,6 +147,9 @@ CASES = [
     ),
     pytest.param([np.eye(3)], 9, [np.eye(3)], id="identity"),
     pytest.param([np.zeros((3, 3))], 9, None, id="zero"),
+    pytest.param(
+        mixed_component_action()[1:2], 8, mixed_component_action(), id="Z6-mixed-components"
+    ),
     # a generic complex operator: its commutant, the polynomials in it, is not real
     pytest.param([generic_complex_operator(3, seed=5)], 3, None, id="generic-complex"),
 ] + [
@@ -164,6 +187,12 @@ def test_thin_svd_matches_doubled_real_oracle(ops, dim, image):
 def test_commutant_of_set_refuses_non_group_images(ops, match):
     with pytest.raises(ValueError, match=match):
         commutant_of_set(ops)
+
+
+def test_mixed_component_commutant_is_not_abelian():
+    comm = commutant_of_set(mixed_component_action())
+    assert comm.dimension == comm.character_count == 8
+    assert not comm.is_abelian
 
 
 def test_commutant_of_zero_is_everything():

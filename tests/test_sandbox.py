@@ -196,6 +196,9 @@ def test_biregular_commutant_dimensions():
         comm = commutant_of_set(action)
         assert comm.dimension == comm.character_count == expected[group.name]
         assert comm.is_abelian
+        # a permutation image stays real, so its products are real GEMMs
+        assert comm.basis[0].dtype == np.float64
+    assert commutant_of_characters(cyclic_group(4)).basis[0].dtype == np.complex128
 
 
 def test_left_regular_commutant_is_not_abelian():
