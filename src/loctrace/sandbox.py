@@ -444,7 +444,7 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
     )
     basis = fixed.reshape(dim, n, n)
     # a commutative *-algebra of n x n matrices has dimension at most n, a
-    # bound that also keeps the dim^2 products within n^4 entries, K's size
+    # bound that also keeps the dim^2 products within n^4 entries
     abelian = dim <= n
     if abelian:
         products = basis[:, None] @ basis[None, :]
