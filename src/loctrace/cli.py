@@ -204,7 +204,7 @@ def validate_config(config: dict) -> dict:
         # lambda 0 (an empty block) still checks that n_signed is even
         lam = max(c_lams, default=0.0)
         try:
-            plan = route_c_plan(f, n_signed, lam)
+            plan = route_c_plan(f, n_signed, lam, lambdas=len(c_lams))
         except ValueError as exc:
             raise ConfigError(f"route_c: {exc}") from exc
         _check_budget(plan.peak_bytes, f"route_c: n_signed {n_signed} up to lambda {lam}")
@@ -255,8 +255,8 @@ def run_trace_sweep(config: dict, out_dir: Path, fit_gates: bool = True) -> dict
     c_lams = _route_c_lambdas(config)
     if c_lams:
         lab = SignedTraceLab(f, config["route_c"].get("n_signed", N_SIGNED_DEFAULT), max(c_lams))
-        route_c_vals = {lam: lab.trace_route_c(lam) for lam in c_lams}
-        cyclicity = lab.cyclicity_defect(min(c_lams))
+        values, cyclicity = lab.sweep(c_lams, cyclicity_at=min(c_lams))
+        route_c_vals = dict(zip(c_lams, values))
 
     reports = [comp.report(lam, route_c=route_c_vals.get(lam)) for lam in lams]
 

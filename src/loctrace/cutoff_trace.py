@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from .fourier import (
     SignedGrid,
     full_line_fourier,
     kernel_fft_length,
+    log,
     log_stage,
     make_signed_grid,
     row_chunks,
@@ -306,7 +308,7 @@ def block_size(n: int, lam: float) -> int:
 
 # panels whose bands route_c_plan counts one by one; past them it takes the
 # whole rows, n/2 each.  A plan within the config's 2 GiB budget has at most
-# about 350 (the bands hold about 2.1 |b|^2 entries at the default profile)
+# about 5000 at the default profile (n_signed 786432 up to lambda 180)
 BAND_PANELS_MAX = 4096
 
 
@@ -330,14 +332,15 @@ def panel_bands(f: TestFunction, n: int, first: int, stop: int):
         yield slice(r0, r1), lo, hi
 
 
-def band_entries(f: TestFunction, n: int, first: int, stop: int) -> int:
-    """The entries of ``ue_panels(f, grid, first, stop)``: its ``panel_bands`` summed.
+def band_entries(f: TestFunction, n: int, first: int, stop: int) -> tuple[int, int]:
+    """(all, largest): the entries of ``ue_panels(f, grid, first, stop)`` and of its largest panel.
 
-    Beyond BAND_PANELS_MAX panels it is bounded by the whole rows instead.
+    Beyond BAND_PANELS_MAX panels both are bounded by whole rows instead.
     """
     if stop - first > PANEL_ROWS * BAND_PANELS_MAX:
-        return (n // 2) * (stop - first)
-    return sum((rows.stop - rows.start) * (hi - lo) for rows, lo, hi in panel_bands(f, n, first, stop))
+        return (n // 2) * (stop - first), (n // 2) * PANEL_ROWS
+    sizes = [(rows.stop - rows.start) * (hi - lo) for rows, lo, hi in panel_bands(f, n, first, stop)]
+    return sum(sizes), max(sizes, default=0)
 
 
 @dataclass(frozen=True)
@@ -347,22 +350,27 @@ class RouteCPlan:
     block: int  # |b|: the block's positive half b is the first |b| points x_j
     bad_rows: int  # the first bad_rows of them are the bad rows, x < BAD_ROW_EXTENT
     lattice: Optional[tuple[float, float, int]]  # the bad rows' log_lattice; None without them
-    peak_bytes: int  # bounds the set-up's peak
+    largest_panel: int  # the entries of the largest panel of U_e the pass evaluates
+    peak_bytes: int  # bounds the peak of the set-up and of one pass
 
 
-def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
+def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -> RouteCPlan:
     """The plan of SignedTraceLab(f, n, max_lambda), from arithmetic alone.
 
-    ``peak_bytes`` counts the kept arrays, the panels of U_e[b, :]
-    (``band_entries`` of the bad rows and of the good rows, each from its first
-    row) and the bad rows' quadrature rows (bad x |b|), and
-    bounds every temporary of the set-up: ROUTE_C_TEMPORARIES arrays of one
-    row chunk (``row_chunks``), the transform's n-length tables and the
-    arrays of its certification (``kernel_fft_length``), and the bad rows'
-    quadrature (one product of its result's size and ROUTE_C_TEMPORARIES
-    arrays of one lattice chunk).  Raises ValueError when n is odd or below
-    2, when max_lambda reaches half the grid's extent, or when the bad rows'
-    lattice exceeds LATTICE_NODES_MAX.
+    ``peak_bytes`` counts what the lab keeps, the bad rows' quadrature rows
+    (bad x |b|), and what a pass over ``lambdas`` lams holds at once: the
+    largest panel of U_e[b, :] (``band_entries`` of the bad rows and of the
+    good rows, each from its first row) and a Dirichlet table of n/2 + 2 |b|
+    entries for each lam and for the cyclicity check.  It bounds every
+    temporary: ROUTE_C_TEMPORARIES arrays of one row chunk of a panel
+    (``row_chunks``), the transform's n-length tables and the arrays of its
+    certification (``kernel_fft_length``), and the larger of the set-up's
+    bad-row quadrature (one product of its result's size and
+    ROUTE_C_TEMPORARIES arrays of one lattice chunk) and a pass's (two arrays
+    of the bad rows' size in each trace's bad-row term, four of one panel's
+    rows against the block in the cyclicity check).  Raises ValueError when n
+    is odd or below 2, when max_lambda reaches half the grid's extent, or when
+    the bad rows' lattice exceeds LATTICE_NODES_MAX.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("signed grid needs an even n >= 2")
@@ -378,32 +386,44 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float) -> RouteCPlan:
     # the bad rows run from x_0 to x_{bad-1}, against columns up to x_{b-1}
     lattice = log_lattice(f, *(signed_point(n, j) for j in (0, bad - 1, b - 1))) if bad else None
     half = n // 2
-    kept = band_entries(f, n, 0, bad) + band_entries(f, n, bad, b) + bad * b
+    panel = max(band_entries(f, n, 0, bad)[1], band_entries(f, n, bad, b)[1])
+    tables = (lambdas + 1) * (half + 2 * b)  # a pass's Dirichlet tables
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
     # the grid, the cosine, sine and two phase tables and the involution probes
     # (13 n measured), and the kernel check's FFTs (6 of its length)
     vectors = 14 * n + (6 * kernel_fft_length(n, b) if b else 0)
-    # the product of one lattice chunk (bad x |b|) and the arrays of one
-    # lattice chunk against the block, whatever the lattice's length
+    # the set-up's quadrature: the product of one lattice chunk (bad x |b|) and the
+    # arrays of one lattice chunk against the block, whatever the lattice's length
     quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
-    peak = 8 * (kept + ROUTE_C_TEMPORARIES * chunk + vectors + quadrature)
-    return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, peak_bytes=peak)
+    # a pass's, once those are freed: each trace's C[b, bad] and its product with the
+    # quadrature rows, and the check's c[:, rows] with the two index arrays of its
+    # gather, or with U_e cb and their product
+    passing = 2 * bad * b + 4 * min(PANEL_ROWS, b) * b
+    temporaries = ROUTE_C_TEMPORARIES * chunk + vectors + max(quadrature, passing)
+    peak = 8 * (bad * b + panel + tables + temporaries)
+    return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, largest_panel=panel, peak_bytes=peak)
 
 
-def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int):
-    """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1 over their ``panel_bands``.
+def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int, cut: Optional[int] = None):
+    """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1 over their ``panel_bands``,
+    each panel cut at row ``cut`` (default ``stop``), none from it on.
 
     U_e[v, y] = f(v/y) / sqrt(vy) step is, on the log axis, a profile of log v - log y
     times two separable factors: x_j = (j + 1/2) step, so step / sqrt(vy) = r_v r_y with
     r_j = 1/sqrt(j + 1/2).  The logs and the r_j of the positive half-grid are taken once;
-    each panel is f.of_log(log v - log y) r_v r_y, filled in place one row chunk at a time
-    (``row_chunks``).  Off the band |log v - log y| >= R holds to rounding, so there the
-    mollifier's exp underflows and U_e is exactly 0.
+    each panel is f.of_log(log v - log y) r_v r_y, evaluated only when it is asked for and
+    filled in place one row chunk at a time (``row_chunks``).  Off the band
+    |log v - log y| >= R holds to rounding, so there the mollifier's exp underflows and
+    U_e is exactly 0.
     """
+    cut = stop if cut is None else cut
     half = sgrid.n // 2
     logs = np.log(sgrid.x[half:])
     r = 1.0 / np.sqrt(np.arange(half) + 0.5)
     for rows, lo, hi in panel_bands(f, sgrid.n, first, stop):
+        if rows.start >= cut:
+            return
+        rows = slice(rows.start, min(rows.stop, cut))
         log_v, r_v, log_y, r_y = logs[rows, None], r[rows, None], logs[lo:hi], r[lo:hi]
         panel = np.empty((len(log_v), hi - lo))
         for chunk in row_chunks(len(log_v), hi - lo):
@@ -417,6 +437,10 @@ def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int):
 # and sine at the block's first column and at COSINE_BLOCK offsets, 96 trig values
 # per node at |b| = 512 in place of 512 cosines
 COSINE_BLOCK = 32
+
+# multiply-adds (M N K) from which OpenBLAS 0.3.31 runs a real GEMM on every thread
+# (2 cores): 64 x 16 x 1024 took 16 ms there against 0.12 ms for 64 x 15 x 1024
+GEMM_THREADED = 2**20
 
 
 def block_cosines(theta: np.ndarray, us: np.ndarray, step: float) -> np.ndarray:
@@ -451,19 +475,22 @@ class SignedTraceLab:
     sum_{v in b} sum_y U_e[v, y] (K(y+v+1) + K(y-v)) and no cosine block is
     formed.  The lab takes the largest block, its bad rows and their lattice
     from its ``plan`` (``route_c_plan``), made and checked before anything is
-    allocated.  It evaluates U_e[b, :] once, as panels over their bands
-    (``ue_panels``: f has compact support, so each panel of rows is nonzero
-    only on a band of columns), and certifies the kernel of the largest block
-    against the DCT-IV applied by FFT.  U_f is a convolution on the
+    allocated, and certifies the kernel of the largest block against the
+    DCT-IV applied by FFT.  Rows with x < 0.5 cannot resolve the
+    multiplicative kernel on a uniform grid; the set-up integrates their rows
+    of U_e C[:, b] directly (``_ue_cosine_rows``), and the lab keeps these
+    quadrature rows, the plan and the transform, no row of U_e.
+
+    U_e[b, :] is evaluated by ``sweep``, one panel of rows at a time over its
+    band (``ue_panels``: f has compact support, so each panel is nonzero only
+    on a band of columns), and each panel is dropped once every lam of the
+    pass and the cyclicity check have read it.  U_f is a convolution on the
     multiplicative group, which log makes the additive line, so both
     evaluations read the profile on the log axis (``TestFunction.of_log``):
-    the panels at log v - log y, the bad rows' weights at log v - tau on their
-    lattice.  Rows with x < 0.5 cannot resolve the multiplicative kernel on a
-    uniform grid; their rows of U_e C[:, b] are integrated directly
-    (``_ue_cosine_rows``) and traced against the cosines C[b, bad], and their
-    grid rows are held for the cyclicity check only.  The set-up's log line
-    carries the panels' and the quadrature's own times; the transform's
-    defects are on its own ``certification:`` line (``fourier.certify``).
+    the panels at log v - log y, the bad rows' weights at log v - tau on
+    their lattice.  The set-up's log line carries the bytes held, the largest
+    panel and the quadrature's own time; the transform's defects are on its
+    own ``certification:`` line (``fourier.certify``).
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -477,27 +504,21 @@ class SignedTraceLab:
         self.sgrid: SignedGrid = make_signed_grid(n)
         self.fourier: FullLineFourier = full_line_fourier(self.sgrid, b)
         xb = self.sgrid.x[n // 2 :][:b]
-        # the bad rows' panels, then the good rows' from the first good row
-        panels_start = time.perf_counter()
-        self.panels = [*ue_panels(f, self.sgrid, 0, bad), *ue_panels(f, self.sgrid, bad, b)]
         quadrature_start = time.perf_counter()
         self.quadrature_rows = self._ue_cosine_rows(xb[:bad], xb)
-        quadrature_end = time.perf_counter()
-        band = sum(u.size for _, _, u in self.panels)
         log_stage(
             start,
-            "route C set-up: n_signed=%d |B|=%d band_entries=%d/%d held_bytes=%d "
-            "peak_bytes_estimate=%d bad_rows=%d quadrature_nodes=%d panels_ms=%.3f quadrature_ms=%.3f",
+            "route C set-up: n_signed=%d |B|=%d held_bytes=%d largest_panel=%d/%d "
+            "peak_bytes_estimate=%d bad_rows=%d quadrature_nodes=%d quadrature_ms=%.3f",
             n,
             2 * b,
-            band,
-            (n // 2) * b,
-            8 * band + self.quadrature_rows.nbytes,
+            self.quadrature_rows.nbytes,
+            plan.largest_panel,
+            PANEL_ROWS * (n // 2),
             plan.peak_bytes,
             2 * bad,
             plan.lattice[2] if plan.lattice else 0,
-            1e3 * (quadrature_start - panels_start),
-            1e3 * (quadrature_end - quadrature_start),
+            1e3 * (time.perf_counter() - quadrature_start),
         )
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -513,7 +534,10 @@ class SignedTraceLab:
         angle addition (``block_cosines``).  The weights are filled one lattice
         chunk against the rows at a time, and the table one part of that chunk
         against the block's whole blocks of columns (both ``row_chunks``), so no
-        array outgrows a chunk.
+        array outgrows a chunk.  Each product of rows, part and table columns
+        stays below GEMM_THREADED multiply-adds: the parts shrink, and where
+        every row against one node's table would reach it, the rows are split
+        into equal groups.
         """
         out = np.zeros((len(vs), len(us)))
         if not len(vs):
@@ -521,13 +545,17 @@ class SignedTraceLab:
         lo, dtau, nodes = self.plan.lattice
         log_v = np.log(vs)[:, None]
         table_cols = -(-len(us) // COSINE_BLOCK) * COSINE_BLOCK
+        groups = -(-len(vs) // max(1, (GEMM_THREADED - 1) // table_cols))
+        group = -(-len(vs) // groups)  # rows per product
         for rows in row_chunks(nodes, len(vs)):
             tau = np.arange(rows.start, rows.stop) * dtau + lo
             weights = self.f.of_log(log_v - tau)  # zero on the ends, so trapezoid = plain sum
             weights *= np.exp(0.5 * tau)
             theta = 2.0 * np.pi * np.exp(tau)
-            for part in row_chunks(len(tau), table_cols):
-                out += weights[:, part] @ block_cosines(theta[part], us, self.sgrid.step)
+            for part in row_chunks(len(tau), table_cols, (GEMM_THREADED - 1) // group):
+                table = block_cosines(theta[part], us, self.sgrid.step)
+                for g in range(0, len(vs), group):
+                    out[g : g + group] += weights[g : g + group, part] @ table
         out *= (2.0 * self.sgrid.step * dtau) / np.sqrt(vs)[:, None]
         return out
 
@@ -537,67 +565,103 @@ class SignedTraceLab:
             raise ValueError(f"lam {lam} exceeds this lab's max_lambda {self.max_lambda}")
         return block_size(self.sgrid.n, lam)
 
-    def _held(self, first: int, stop: int):
-        """The held panels from row ``first`` (0 or the first good row), cut at row ``stop``."""
-        for rows, lo, u in self.panels:
-            if first <= rows.start < stop:
-                yield slice(rows.start, min(rows.stop, stop)), lo, u[: stop - rows.start]
+    @staticmethod
+    def _kernel_term(table: np.ndarray, k: int, v0: int, lo: int, u: np.ndarray) -> float:
+        """sum over the panel's rows v0 <= v < k of sum_y U_e[v, y] (K_k(y+v+1) + K_k(y-v)).
 
-    def _kernel_trace(self, k: int, first: int) -> float:
-        """sum over the held rows first <= v < k of sum_y U_e[v, y] (K_k(y+v+1) + K_k(y-v)).
-
-        Over a panel's band the two kernel terms are a Hankel and a Toeplitz window of one
-        table of K_k(m), m = 1-k..n/2+k-1 (entry m + k - 1), contracted with the panel.
+        Over the panel's band the two kernel terms are a Hankel and a Toeplitz window of
+        the table of K_k(m), m = 1-k..n/2+k-1 (entry m + k - 1), contracted with the panel.
         """
-        table = self.fourier.dirichlet(k, 1 - k, self.sgrid.n // 2 + k)
-        value = 0.0
-        for rows, lo, u in self._held(first, k):
-            windows = sliding_window_view(table, u.shape[1])
-            # column c of row v = v0 + i: K_k(y + v + 1) is entry lo + v + k + c,
-            # K_k(y - v) entry lo - v + k - 1 + c
+        u = u[: k - v0]
+        windows = sliding_window_view(table, u.shape[1])
+        # column c of row v = v0 + i: K_k(y + v + 1) is entry lo + v + k + c,
+        # K_k(y - v) entry lo - v + k - 1 + c
+        hankel = windows[lo + v0 + k :][: len(u)]
+        toeplitz = windows[lo + k - v0 - len(u) : lo + k - v0][::-1]
+        return float(np.einsum("ij,ij->", u, hankel) + np.einsum("ij,ij->", u, toeplitz))
+
+    def sweep(self, lams: Sequence[float], cyclicity_at: Optional[float] = None):
+        """(traces, defect): Tr(P F^-1 P U_f F) at each lam, and ``cyclicity_defect``
+        at ``cyclicity_at`` (None when it is None), from one pass over the panels of U_e.
+
+        The pass evaluates each panel of U_e[b, :] once (``ue_panels``, the bad rows'
+        from row 0 and the good rows' from the first good row, each band that of the
+        plan's whole panel), adds its terms to every lam and to the check that read
+        it, and drops it: the good rows' kernel term (``_kernel_term``) to each lam's
+        trace, and for the rows below the check's block its three traces.  A trace adds
+        the bad rows' quadrature rows of U_e C[:, b] against the cosines C[b, bad] last,
+        taken before any panel is alive.  Each sum runs over the panels in their order,
+        as one lam alone would sum it.  Each trace and the check log their own time;
+        the pass's line has the rest, mostly the panels' evaluation (``panels_ms``).
+        """
+        start = time.perf_counter()
+        ks = [self._sub_block(lam) for lam in lams]
+        kc = 0 if cyclicity_at is None else self._sub_block(cyclicity_at)
+        half, bad, cos = self.sgrid.n // 2, self.plan.bad_rows, self.fourier.cosines
+        spent = [0.0] * (len(ks) + 1)  # each trace's own seconds, then the check's
+        tables, bad_terms = {}, []
+        for i, k in enumerate([*ks, kc]):
+            mark = time.perf_counter()
+            if k and k not in tables:
+                tables[k] = self.fourier.dirichlet(k, 1 - k, half + k)
+            if i < len(ks):
+                nb = min(k, bad)
+                cosines = cos(slice(0, nb), slice(0, k))  # C[b, bad], transposed
+                bad_terms.append(float(np.sum(self.quadrature_rows[:nb, :k] * cosines)))
+            spent[i] += time.perf_counter() - mark
+        values = [0.0] * len(ks)
+        t1 = t2 = t3 = 0.0
+        panels = band = 0
+        for rows, lo, u in chain(
+            ue_panels(self.f, self.sgrid, 0, bad, cut=kc),
+            ue_panels(self.f, self.sgrid, bad, self.plan.block, cut=max(ks + [kc])),
+        ):
             v0 = rows.start
-            hankel = windows[lo + v0 + k :][: len(u)]
-            toeplitz = windows[lo + k - v0 - len(u) : lo + k - v0][::-1]
-            value += float(np.einsum("ij,ij->", u, hankel) + np.einsum("ij,ij->", u, toeplitz))
-        return value
+            panels, band = panels + 1, band + u.size
+            for i, k in enumerate(ks):
+                if bad <= v0 < k:
+                    mark = time.perf_counter()
+                    values[i] += self._kernel_term(tables[k], k, v0, lo, u)
+                    spent[i] += time.perf_counter() - mark
+            if v0 < kc:
+                mark = time.perf_counter()
+                uk = u[: kc - v0]
+                c_cols = cos(slice(0, kc), slice(v0, v0 + len(uk)))  # c[:, rows]
+                uc = np.zeros((len(uk), kc))  # (U_e cb)[rows]
+                for chunk in row_chunks(uk.shape[1], kc):
+                    cb = cos(slice(lo + chunk.start, lo + chunk.stop), slice(0, kc))  # cb[band rows]
+                    uc += uk[:, chunk] @ cb
+                    t2 += float(np.sum(uk[:, chunk] * (cb @ c_cols).T))
+                t1 += float(np.sum(c_cols.T * uc))  # Tr(c uc) = sum(c * uc.T)
+                t3 += self._kernel_term(tables[kc], kc, v0, lo, u)
+                spent[-1] += time.perf_counter() - mark
+        for i, (lam, k) in enumerate(zip(lams, ks)):
+            values[i] += bad_terms[i]
+            message = "route C trace: lam=%g block_rows=%d bad_rows=%d t_route_c=%.15g duration_s=%.6f"
+            log.info(message, lam, 2 * k, 2 * min(k, bad), values[i], spent[i])
+        defect = None
+        if cyclicity_at is not None:
+            defect = (max(t1, t2, t3) - min(t1, t2, t3)) / max(abs(t1), 1e-300)
+            message = "route C cyclicity: lam=%g block_rows=%d defect=%.3e duration_s=%.6f"
+            log.info(message, cyclicity_at, 2 * kc, defect, spent[-1])
+        rest_ms = 1e3 * (time.perf_counter() - start - sum(spent))
+        message = "route C pass: lambdas=%d panels=%d band_entries=%d/%d panels_ms=%.3f"
+        log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), rest_ms)
+        return values, defect
 
     def trace_route_c(self, lam: float) -> float:
-        """Tr(P F^-1 P U_f F) at lam: the good rows through the kernel, the bad rows
-        (their quadrature rows of U_e C[:, b]) against the cosines C[b, bad]."""
-        start = time.perf_counter()
-        k = self._sub_block(lam)
-        bad = min(k, self.plan.bad_rows)
-        value = self._kernel_trace(k, self.plan.bad_rows)
-        cosines = self.fourier.cosines(slice(0, bad), slice(0, k))  # C[b, bad], transposed
-        value += float(np.sum(self.quadrature_rows[:bad, :k] * cosines))
-        message = "route C trace: lam=%g block_rows=%d bad_rows=%d t_route_c=%.15g"
-        log_stage(start, message, lam, 2 * k, 2 * bad, value)
-        return value
+        """Tr(P F^-1 P U_f F) at lam: ``sweep`` of this lam alone."""
+        return self.sweep([lam])[0][0]
 
     def cyclicity_defect(self, lam: float) -> float:
         """Largest relative gap of Tr((P F^-1 P U_f) F), Tr(F (P F^-1 P U_f)) and the kernel trace.
 
         With c = C[b, b] and cb = C[:, b], the first is Tr(c (U_e[b, :] cb)) and
         the second Tr((cb c) U_e[b, :]), the trace of the n/2 x n/2 product;
-        the third is the kernel trace (``_kernel_trace``) over the same rows,
-        bad rows included, so the literal products certify the kernel at this
-        lam.  All three read the held panels of U_e (no profile is evaluated);
-        the band's cosine rows are streamed from the table one row chunk at a
-        time, so no n/2 x |b| array is formed.
+        the third is the kernel trace over the same rows, bad rows included,
+        so the literal products certify the kernel at this lam.  All three read
+        each panel of ``sweep``'s pass while it is alive; the band's cosine rows
+        are streamed from the table one row chunk at a time, so no n/2 x |b|
+        array is formed.
         """
-        start = time.perf_counter()
-        k = self._sub_block(lam)
-        cos = self.fourier.cosines
-        t1 = t2 = 0.0
-        for rows, lo, u in self._held(0, k):
-            c_cols = cos(slice(0, k), rows)  # c[:, rows]
-            uc = np.zeros((len(u), k))  # (U_e cb)[rows]
-            for chunk in row_chunks(u.shape[1], k):
-                band = cos(slice(lo + chunk.start, lo + chunk.stop), slice(0, k))  # cb[band rows]
-                uc += u[:, chunk] @ band
-                t2 += float(np.sum(u[:, chunk] * (band @ c_cols).T))
-            t1 += float(np.sum(c_cols.T * uc))  # Tr(c uc) = sum(c * uc.T)
-        t3 = self._kernel_trace(k, 0)
-        defect = (max(t1, t2, t3) - min(t1, t2, t3)) / max(abs(t1), 1e-300)
-        log_stage(start, "route C cyclicity: lam=%g block_rows=%d defect=%.3e", lam, 2 * k, defect)
-        return defect
+        return self.sweep([], cyclicity_at=lam)[1]

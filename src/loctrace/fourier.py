@@ -258,20 +258,23 @@ def make_signed_grid(n: int) -> SignedGrid:
 # and faulted them in afresh (3x the page faults, set-up slower than one shot)
 CHUNK_ENTRIES = 2**14
 
-# rows of U_e per panel in route C, each held over its own band of columns.  At
-# n_signed=4096, max_lambda=8 (2 cores, medians of 15 interleaved labs, two runs)
-# set-up took 14.8-15.1 ms at 16, 32 and 64 rows alike, three traces 2.3, 1.9 and
-# 1.8-1.9 ms, cyclicity 3.2-3.3, 2.1 and 2.2 ms, holding 567k, 584k and 615k
-# entries.  The kernel trace sums by panel: another value moves t_route_C's bits
+# rows of U_e per panel in route C, each evaluated over its own band of columns.
+# At n_signed=4096, max_lambda=8 (2 cores, medians of 15 interleaved labs, two
+# runs) filling the panels took 14.8-15.1 ms at 16, 32 and 64 rows alike, three
+# traces 2.3, 1.9 and 1.8-1.9 ms, cyclicity 3.2-3.3, 2.1 and 2.2 ms, over 567k,
+# 584k and 615k entries.  The kernel trace sums by panel: another value moves
+# t_route_C's bits
 PANEL_ROWS = 32
 
 
-def row_chunks(rows: int, cols: int) -> Iterator[slice]:
-    """Row slices covering a rows x cols array, CHUNK_ENTRIES entries (at least one row) each.
+def row_chunks(rows: int, cols: int, entries: int | None = None) -> Iterator[slice]:
+    """Row slices covering a rows x cols array, CHUNK_ENTRIES entries (at least one row) each,
+    or ``entries`` where that is fewer.
 
     Yielded one at a time, so stepping through them holds no list that grows with ``rows``.
     """
-    step = max(1, CHUNK_ENTRIES // max(cols, 1))
+    most = CHUNK_ENTRIES if entries is None else min(entries, CHUNK_ENTRIES)
+    step = max(1, most // max(cols, 1))
     for r in range(0, rows, step):
         yield slice(r, min(r + step, rows))
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import jsonschema
 
 from loctrace.cli import (
+    BYTES_BUDGET,
     CONFIG_KEYS,
     ConfigError,
     DEFAULT_CONFIGS,
@@ -32,6 +33,8 @@ from loctrace.cli import (
     run_verify,
     validate_config,
 )
+from loctrace.cutoff_trace import route_c_plan
+from loctrace.operators import TestFunction
 from loctrace.sandbox import SUITE_NAMES, run_sandbox
 from oracles import CONFIG_SCHEMA
 
@@ -461,17 +464,40 @@ def _refuse_work(*args, **kwargs):
     raise AssertionError("a refused config must not reach the computation")
 
 
+@functools.lru_cache(maxsize=None)
+def route_c_budget_edge(max_lambda: float, lambdas: int) -> tuple[int, int]:
+    """(largest accepted, first refused) n_signed for route C up to max_lambda over
+    ``lambdas`` lams: bisection over even n on route_c_plan's peak bytes against the
+    budget, a refusal of the geometry counting as refused."""
+
+    def fits(n):
+        try:
+            plan = route_c_plan(TestFunction(), n, max_lambda, lambdas=lambdas)
+        except ValueError:
+            return False
+        return plan.peak_bytes <= BYTES_BUDGET
+
+    accepted, refused = 2**14, 2**30  # halves of even n
+    assert fits(2 * accepted) and not fits(2 * refused)
+    while refused - accepted > 1:
+        mid = (accepted + refused) // 2
+        accepted, refused = (mid, refused) if fits(2 * mid) else (accepted, mid)
+    return 2 * accepted, 2 * refused
+
+
 @pytest.mark.parametrize(
     "n_signed, message",
     [
         (4095, "even n"),  # odd
         (64, "too close to the signed-grid extent"),  # extent/2 = 1.97 < lambda 8
-        (2**22, "budget"),  # about 5.4 GiB
+        pytest.param(None, "budget", id="first_refused-budget"),  # about 6.42M, see below
     ],
 )
 def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, n_signed, message):
     import loctrace.cli as cli_mod
 
+    if n_signed is None:  # small_config's three lambdas all run route C
+        n_signed = route_c_budget_edge(8.0, 3)[1]
     # nothing is built: the refusal comes from the geometry alone
     monkeypatch.setattr(cli_mod, "build_fourier", _refuse_work)
     monkeypatch.setattr(cli_mod, "SignedTraceLab", _refuse_work)
@@ -485,15 +511,25 @@ def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("n_signed, max_lambda", [(153472, 8.0), (90168, 16.0)])
-def test_validate_accepts_the_largest_route_c_grids(n_signed, max_lambda):
-    # the largest grids the 2 GiB budget took while route C held C[:, b] and M_e
-    cfg = small_config(
-        lambdas=[2.0, 4.0, 8.0, 16.0],
-        route_c={"enabled": True, "n_signed": n_signed, "max_lambda": max_lambda},
-    )
-    cfg["grid"]["log_t_half_range"] = math.log(1e4)
-    assert validate_config(cfg) is cfg
+@pytest.mark.parametrize("max_lambda, lambdas", [(8.0, 3), (16.0, 4)])
+def test_validate_accepts_route_c_grids_up_to_the_budget_edge(max_lambda, lambdas):
+    # the largest n_signed the 2 GiB budget takes, and the first it refuses, from
+    # route_c_plan: about 6.42M at max_lambda 8 and 4.37M at 16, where it took 1.60M and
+    # 458k while the lab held the panels of U_e[b, :] (n_signed max_lambda^2 entries)
+    accepted, refused = route_c_budget_edge(max_lambda, lambdas)
+    assert refused == accepted + 2
+
+    def config(n_signed):
+        cfg = small_config(
+            lambdas=[2.0, 4.0, 8.0, 16.0],
+            route_c={"enabled": True, "n_signed": n_signed, "max_lambda": max_lambda},
+        )
+        cfg["grid"]["log_t_half_range"] = math.log(1e4)
+        return cfg
+
+    assert validate_config(config(accepted))["route_c"]["n_signed"] == accepted
+    with pytest.raises(ConfigError, match=f"n_signed {refused} up to lambda {max_lambda} needs at least"):
+        validate_config(config(refused))
 
 
 def test_cli_refuses_support_beyond_the_grid(tmp_path, capsys, monkeypatch):
@@ -774,6 +810,7 @@ STAGE_MODULES = {
     "route C set-up: ": "cutoff_trace",
     "route C trace: ": "cutoff_trace",
     "route C cyclicity: ": "cutoff_trace",
+    "route C pass: ": "cutoff_trace",
     "sweep: ": "cli",
     "sandbox suite ": "sandbox",
 }
