@@ -604,10 +604,9 @@ class SignedTraceLab:
             mark = time.perf_counter()
             if k and k not in tables:
                 tables[k] = self.fourier.dirichlet(k, 1 - k, half + k)
-            if i < len(ks):
+            if i < len(ks):  # the quadrature rows against C[b, bad], transposed
                 nb = min(k, bad)
-                cosines = cos(slice(0, nb), slice(0, k))  # C[b, bad], transposed
-                bad_terms.append(float(np.sum(self.quadrature_rows[:nb, :k] * cosines)))
+                bad_terms.append(float(np.sum(self.quadrature_rows[:nb, :k] * cos(slice(0, nb), slice(0, k)))))
             spent[i] += time.perf_counter() - mark
         values = [0.0] * len(ks)
         t1 = t2 = t3 = 0.0

@@ -514,8 +514,7 @@ def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize("max_lambda, lambdas", [(8.0, 3), (16.0, 4)])
 def test_validate_accepts_route_c_grids_up_to_the_budget_edge(max_lambda, lambdas):
     # the largest n_signed the 2 GiB budget takes, and the first it refuses, from
-    # route_c_plan: about 6.42M at max_lambda 8 and 4.37M at 16, where it took 1.60M and
-    # 458k while the lab held the panels of U_e[b, :] (n_signed max_lambda^2 entries)
+    # route_c_plan: about 6.42M at max_lambda 8 and 4.37M at 16
     accepted, refused = route_c_budget_edge(max_lambda, lambdas)
     assert refused == accepted + 2
 
