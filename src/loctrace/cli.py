@@ -493,7 +493,8 @@ def _failed_gates(summary: dict, prefix: str = "") -> list[str]:
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed: numpy's generators refuse negative seeds."""
+    """argparse type of --seed, refusing a negative seed: ``random.Random`` seeds from
+    ``|seed|``, so -s would silently repeat the sandbox draws of s."""
     try:
         value = int(text)
     except ValueError:

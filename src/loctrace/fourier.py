@@ -21,15 +21,18 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-# numpy loads these on first attribute access; importing them here keeps
-# that load out of the first transform or sandbox run
+# numpy loads numpy.fft on first attribute access; importing it here keeps
+# that load out of the first transform.  numpy.random is not loaded at all:
+# with the hashlib that its seeding pulls in it costs 6 MB of peak RSS and
+# 15 ms of import, and the few seeded draws here come from the stdlib's
+# Mersenne Twister instead (``random_signs``, ``standard_normals``)
 import numpy.fft  # noqa: F401
-import numpy.random  # noqa: F401
 
 from .fields import RadialGrid
 from .kernels import mellin_symbol, scaled_gaussian, selfdual_gaussian
@@ -175,6 +178,24 @@ class FourierOperator:
             # a probe that vanishes on the grid certifies nothing
             self.defects[name] = float(err / norm) if norm > 0 else np.inf
         return float(np.max(list(self.defects.values())))
+
+
+def random_signs(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` entries +-1, one bit of ``rng.randbytes`` each."""
+    bits = np.frombuffer(rng.randbytes((count + 7) // 8), dtype=np.uint8)
+    return 1.0 - 2.0 * np.unpackbits(bits, count=count, bitorder="little")
+
+
+def standard_normals(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` standard normal draws by the Box-Muller transform (Box & Muller,
+    Ann. Math. Statist. 29, 1958) of uniforms (k + 1/2) 2^-53 in (0, 1), k the top
+    53 bits of each 8 bytes of ``rng.randbytes``: one pair of uniforms, two normals."""
+    pairs = (count + 1) // 2
+    u = (np.frombuffer(rng.randbytes(16 * pairs), dtype="<u8") >> np.uint64(11)) + 0.5
+    u *= 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:pairs]))
+    angle = 2.0 * np.pi * u[pairs:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
 
 
 def log_stage(start: float, message: str, *args) -> None:
@@ -363,10 +384,11 @@ class FullLineFourier:
     def measure_defect(self) -> float:
         """Larger of the involution defect of ``apply`` and the kernel's gap to it, NaN if either is.
 
-        ``self.defects["involution"]``: max |C (C x) - x| / max |x| on three
-        seeded Gaussian probes x.  ``self.defects["kernel"]``: with b = cols,
-        max |C P_b C w - K w| on three seeded probes w with entries +-1 on the
-        first b points of the positive half-grid, P_b the cutoff to them.
+        ``self.defects["involution"]``: max |C (C x) - x| on three seeded
+        probes x with entries +-1 on the n/2 points of the positive half-grid.
+        ``self.defects["kernel"]``: with b = cols, max |C P_b C w - K w| on
+        three seeded probes w with entries +-1 on its first b points, P_b the
+        cutoff to them.
         C P_b C w is ``apply`` twice, cut to b in between, and
         (K w)[y] = sum_{v<b} (K_b(y+v+1) + K_b(y-v)) w[v] is one correlation of
         the kernel with w mirrored, by complex FFT, so an imaginary kernel part
@@ -375,19 +397,18 @@ class FullLineFourier:
         """
         n = self.grid.n
         half, cols = n // 2, self.cols
-        rng = np.random.default_rng(1234)
+        rng = random.Random(1234)
         involution = 0.0
         for _ in range(3):
-            x = rng.standard_normal(half)
-            gap = np.abs(self.apply(self.apply(x)) - x).max() / np.abs(x).max()
-            involution = np.maximum(involution, gap)
+            x = random_signs(rng, half)
+            involution = np.maximum(involution, np.abs(self.apply(self.apply(x)) - x).max())
         kernel = 0.0
         if cols:
             # y - v' over y < n/2 and v' = -cols..cols-1 spans m = 1-cols..n/2+cols-1
             length = kernel_fft_length(n, cols)
             spectrum = np.fft.fft(self.dirichlet(cols, 1 - cols, half + cols), length)
             for _ in range(3):
-                w = np.where(rng.random(cols) < 0.5, -1.0, 1.0)
+                w = random_signs(rng, cols)
                 literal = self.apply(self.apply(w)[:cols])  # before the correlation's arrays
                 full = np.fft.fft(np.concatenate([w[::-1], w]), length)
                 full *= spectrum

@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import itertools
 import logging
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fourier import log_stage
+from .fourier import log_stage, standard_normals
 
 log = logging.getLogger("loctrace")
 
@@ -590,9 +591,8 @@ def biregular_action(group: FiniteGroup) -> np.ndarray:
 
 def class_function_convolution(group: FiniteGroup, seed: int = 0) -> np.ndarray:
     """Random symmetric convolution by a class function c with c(g) = c(g^-1)."""
-    rng = np.random.default_rng(seed)
     n = group.order
-    coeff = rng.standard_normal(n)
+    coeff = standard_normals(random.Random(seed), n)
     # symmetrize over conjugacy and inversion so the operator is symmetric
     c = np.zeros(n)
     for g in range(n):
@@ -638,17 +638,17 @@ def _suite_abelian_le_12(seed: int) -> dict:
 
 
 def _suite_multiplier(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst_recon = 0.0
     worst_psi = 0.0
     worst_adj = 0.0
     for factors in [(5,), (8,), (2, 2, 3)]:
         group = cyclic_group(*factors)
         n = group.order
-        diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        diag = standard_normals(rng, n) + 1j * standard_normals(rng, n)
         m = np.diag(diag)
         psi1 = np.ones(n)
-        psi2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi2 = standard_normals(rng, n) + 1j * standard_normals(rng, n)
         psi2 += 2.0 * np.sign(psi2.real) + 2j  # keep away from zero
         a1 = multiplier_of(m, psi1, group)
         a2 = multiplier_of(m, psi2, group)
@@ -667,13 +667,13 @@ def _suite_multiplier(seed: int) -> dict:
 
 
 def _suite_polar(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     group = cyclic_group(6)
     chars = _diagonals(characters(group))
     worst_recon = 0.0
     worst_comm = 0.0
     for _ in range(10):
-        diag = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        diag = standard_normals(rng, 6) + 1j * standard_normals(rng, 6)
         m = np.diag(diag)
         u, p = polar_decompose(m)
         worst_recon = max(worst_recon, float(np.abs(m - u @ p).max()))
@@ -722,7 +722,7 @@ def _suite_resolvent_z8(seed: int) -> dict:
     group = cyclic_group(8)
     action = _diagonals(characters(group))
     m = np.zeros((50, 8, 8))
-    m[:, range(8), range(8)] = np.random.default_rng(seed).standard_normal((50, 8))
+    m[:, range(8), range(8)] = standard_normals(random.Random(seed), 400).reshape(50, 8)
     rep = resolvent_normality_check(m, action)
     return {
         "suite": "annex1-resolvent-z8",
@@ -774,7 +774,9 @@ def run_sandbox(selection: Sequence[str], seed: int = 0) -> dict:
     verdict, key quantity and duration.
 
     The request is checked before any suite runs: an unknown suite name
-    raises KeyError, a negative seed ValueError.
+    raises KeyError, a negative seed ValueError.  Each suite seeds
+    ``random.Random(seed)``, which seeds from ``|seed|``: a negative seed
+    would silently repeat the draws of its absolute value.
     """
     for name in selection:
         if name not in SUITE_NAMES:

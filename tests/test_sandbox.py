@@ -1,7 +1,11 @@
 import logging
+import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import loctrace.sandbox as sandbox_mod
 from loctrace import (
@@ -27,6 +31,8 @@ from loctrace.sandbox import (
     run_suite,
     symmetric_s3,
 )
+from loctrace.cli import _stable_json
+from loctrace.fourier import random_signs, standard_normals
 from oracles import characters_by_loops, cyclic_table_by_loops
 
 
@@ -469,3 +475,38 @@ def test_run_sandbox_logs_one_line_per_suite(caplog):
     head, duration = lines[1].split(" duration_s=")
     assert head == "sandbox suite annex1-biregular: passed, commutant dims S3:3, Q8:5, D4:5"
     assert float(duration) > 0.0
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=0)  # verify's seed
+@example(seed=7)
+@example(seed=901)
+@example(seed=2601)
+@example(seed=2801)
+@example(seed=3301)
+@example(seed=3306)
+@example(seed=2**64 - 1)
+def test_sandbox_passes_and_repeats_at_every_seed_property(seed):
+    report = run_sandbox(list(sandbox_mod.SUITE_NAMES), seed=seed)
+    assert report["passed"], _stable_json(report)
+    assert _stable_json(run_sandbox(list(sandbox_mod.SUITE_NAMES), seed=seed)) == _stable_json(report)
+    # another seed draws other resolvent cases
+    other = run_suite("annex1-resolvent-z8", seed=seed ^ 1)
+    assert _stable_json(other) != _stable_json(report["suites"][-1])
+
+
+@pytest.mark.parametrize("seed", [0, 1234])
+def test_seeded_draws_have_the_moments_of_their_law(seed):
+    # 10^5 draws: each sample moment within 5 standard errors of its law's
+    count = 10**5
+    x = standard_normals(random.Random(seed), count)
+    assert x.shape == (count,) and np.isfinite(x).all()
+    assert abs(x.mean()) < 5.0 / math.sqrt(count)
+    assert abs(x.var() - 1.0) < 5.0 * math.sqrt(2.0 / count)
+    signs = random_signs(random.Random(seed), count)
+    assert set(np.unique(signs)) == {-1.0, 1.0}
+    assert abs(signs.mean()) < 5.0 / math.sqrt(count)
+    # one seed, one sequence; an odd count returns that many draws
+    assert np.array_equal(standard_normals(random.Random(seed), count), x)
+    assert standard_normals(random.Random(seed), 7).shape == (7,)
