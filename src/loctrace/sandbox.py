@@ -17,18 +17,19 @@ Finite Groups, 1977, sections 2.3 and 2.6).  K is exactly 0 off the blocks
 that pair two connected components of the operators' union support, so only
 those blocks are formed, one small GEMM per pair of component sizes (a
 character action has n^2 blocks of size 1), and a real group image stays
-real.  A Hermitian eigh of each diagonal block of each block's exact nonzero
-pattern gives an orthonormal basis, its eigenvalue-1 eigenvectors.  Keeping
-every GEMM below the size at which OpenBLAS splits it across threads, rather
-than setting a thread count, spares a caller's BLAS settings and the cost of
-a busy-waiting second thread (``commutant_of_set``).  Inputs
-that are not a group image are refused: an operator with a non-finite entry
-or that is not unitary, a K that is not Hermitian (the set is not closed
-under inverses) or a K with an eigenvalue more than RANK_TOL from 0 and 1
-(not closed under products).  The eigenvalue-1 count must equal
-the character count.  A DEBUG line per commutant gives the operator count,
-n, the dimension, the character count and the worst eigenvalue distance from
-{0, 1}.  The commutation-system SVD oracles live in the test suite.
+real.  One stacked Hermitian eigh per pair of component sizes gives an
+orthonormal basis, the blocks' eigenvalue-1 eigenvectors.  Keeping every
+GEMM below the size at which OpenBLAS splits it across threads, rather than
+setting a thread count, spares a caller's BLAS settings and the cost of a
+busy-waiting second thread (``commutant_of_set``).  Inputs that are not a
+group image are refused: an operator with a non-finite entry or that is not
+unitary, a K that is not Hermitian (the set is not closed under inverses) or
+a K with an eigenvalue more than RANK_TOL from 0 and 1 (not closed under
+products).  The eigenvalue-1 count must equal the character count.  A DEBUG
+line per commutant gives the operator count, n, the dimension, the character
+count, the number of Reynolds blocks, the size of the largest eigh and the
+worst eigenvalue distance from {0, 1}.  The commutation-system SVD oracles
+live in the test suite.
 """
 
 from __future__ import annotations
@@ -227,10 +228,12 @@ def characters(group: FiniteGroup) -> np.ndarray:
 
 @dataclass
 class CommutantBasis:
-    basis: list[np.ndarray]
+    # (dimension, n, n): an orthonormal basis of the commutant
+    basis: np.ndarray
     is_abelian: bool
     character_count: int
-    # diagonal blocks of the Reynolds projector K, one eigh problem each
+    # blocks of the Reynolds projector K, one per pair of components of the
+    # union support, one eigenproblem each
     blocks: int
 
     @property
@@ -238,11 +241,8 @@ class CommutantBasis:
         return len(self.basis)
 
     def max_offdiagonal_mass(self) -> float:
-        if not self.basis:
-            return 0.0
-        stack = np.asarray(self.basis)
-        offdiagonal = ~np.eye(stack.shape[1], dtype=bool)
-        return float(np.abs(stack[:, offdiagonal]).max(initial=0.0))
+        offdiagonal = ~np.eye(self.basis.shape[1], dtype=bool)
+        return float(np.abs(self.basis[:, offdiagonal]).max(initial=0.0))
 
 
 def _diagonals(rows: np.ndarray) -> np.ndarray:
@@ -284,23 +284,23 @@ def _operator_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
     return stack
 
 
-def _blocks(matrices: np.ndarray) -> np.ndarray:
-    """Block label of each index of each matrix in a (..., m, m) stack: the
-    least index of its connected component.
+def _blocks(matrix: np.ndarray) -> np.ndarray:
+    """Block label of each index of a square matrix: the least index of its
+    connected component.
 
     Indices i and j are joined when matrix[i, j] or matrix[j, i] is exactly
     nonzero, so the matrix restricted to a component, with its indices in
     ascending order, is one diagonal block of a permutation similar matrix
     and every entry outside the blocks is 0.  Label propagation: each index
     takes the least label among itself and its neighbours, then the label of
-    that label, until nothing changes in any matrix of the stack.
+    that label, until nothing changes.
     """
-    size = matrices.shape[-1]
-    pattern = (matrices != 0) | (matrices != 0).swapaxes(-2, -1)
-    labels = np.broadcast_to(np.arange(size), matrices.shape[:-1])
+    size = len(matrix)
+    pattern = (matrix != 0) | (matrix != 0).T
+    labels = np.arange(size)
     while True:
-        nxt = np.minimum(labels, np.where(pattern, labels[..., None, :], size).min(axis=-1))
-        nxt = np.take_along_axis(nxt, nxt, axis=-1)
+        nxt = np.minimum(labels, np.where(pattern, labels, size).min(axis=1))
+        nxt = nxt[nxt]
         if np.array_equal(nxt, labels):
             return nxt
         labels = nxt
@@ -321,36 +321,6 @@ def _components(labels: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _eigh_by_blocks(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenvalues of Hermitian matrices, their eigenvalue-1 eigenvectors and block count.
-
-    A (..., m, m) stack is taken as the one block-diagonal matrix of its
-    matrices, of size (number of matrices) * m.  eigh runs on each diagonal
-    block of ``_blocks`` of each matrix, one stacked call per block size.
-    The blocks are a permutation similarity of the whole matrix, with each
-    block's indices ascending, so the lower triangle that eigh reads is the
-    whole matrix's lower triangle and the spectrum and eigenvalue-1 space are
-    exactly those of one eigh of the whole.  Eigenvectors with eigenvalue
-    above 1/2 come back as rows of that size, zero off their block.
-    """
-    m = matrices.shape[-1]
-    stack = matrices.reshape(-1, m, m)
-    size = stack.shape[0] * m
-    # labels in the block-diagonal numbering: matrix b's indices start at b m
-    labels = (_blocks(stack) + m * np.arange(len(stack))[:, None]).ravel()
-    values, vectors, blocks = [], [], 0
-    for idx in _components(labels):
-        owner, local = np.divmod(idx, m)
-        w, v = np.linalg.eigh(stack[owner[:, :, None], local[:, :, None], local[:, None, :]])
-        block, col = np.nonzero(w > 0.5)
-        fixed = np.zeros((len(block), size), dtype=stack.dtype)
-        fixed[np.arange(len(block))[:, None], idx[block]] = v[block, :, col]
-        values.append(w.ravel())
-        vectors.append(fixed)
-        blocks += len(idx)
-    return np.concatenate(values), np.concatenate(vectors), blocks
-
-
 def _reynolds_blocks(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The nonzero blocks of the Reynolds projector K of a (k, n, n) stack.
 
@@ -359,8 +329,8 @@ def _reynolds_blocks(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     one component C_q (``_blocks``), so K is block diagonal with one block
     (1/k) sum A[C_p, C_p] (x) conj(A[C_q, C_q]) per pair of components.  Per
     pair of component sizes (s, t): the (P Q, s t, s t) stack of those
-    blocks, from one (P s^2) x k x (Q t^2) GEMM, and the row-major vec index
-    i n + a of each of its rows (i, a).
+    blocks, from one (P s^2) x k x (Q t^2) GEMM, and the (P Q, s t) row-major
+    vec indices i n + a of their rows (i, a).
     """
     k, n, _ = stack.shape
     groups = _components(_blocks((stack != 0).any(axis=0)))
@@ -373,7 +343,7 @@ def _reynolds_blocks(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             block = (x.T @ y.conj() / k).reshape(p, s, s, q, t, t)
             block = block.transpose(0, 3, 1, 4, 2, 5).reshape(p * q, s * t, s * t)
             where = rows[:, None, :, None] * n + cols[None, :, None, :]
-            out.append((block, where.ravel()))
+            out.append((block, where.reshape(p * q, s * t)))
     return out
 
 
@@ -390,16 +360,19 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
     component sizes: n x k x n for a character action, where all of K would
     be n^2 x k x n^2.  The blocks are refused unless they are Hermitian with
     every eigenvalue within RANK_TOL of 0 or 1, and the rank must equal the
-    character count (1/k) sum |tr A|^2.  Each block is diagonalised by its
-    own exact nonzero pattern (``_eigh_by_blocks``), so ``blocks`` counts
-    the blocks of the whole K: character actions give n^2 blocks of size 1,
-    permutation actions their orbits on index pairs, a dense image one block.
+    character count (1/k) sum |tr A|^2.  One stacked eigh per pair of
+    component sizes diagonalises the blocks, so ``blocks``, the number of
+    eigenproblems, is the number of pairs of components: n^2 for a character
+    action, 1 for a transitive permutation image or a dense image, one per
+    pair of its summands' components for a direct sum.
 
     Every GEMM here stays below the size at which OpenBLAS splits a call
     across threads (measured on OpenBLAS 0.3.31 with 2 threads: M N K of
     about 2^16 for a complex GEMM, 2^20 for a real one) on every sandbox
     suite; a split call costs a busy-waiting second thread, and in its
-    scheduling spells about 15 ms against tens of microseconds.
+    scheduling spells about 15 ms against tens of microseconds.  The largest
+    eigh the sandbox suites run is the real 64 x 64 block of a biregular
+    image of order 8, which runs on one thread.
     """
     stack = _operator_stack(operators)
     k, n, _ = stack.shape
@@ -416,15 +389,18 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
             f"the averaged action K is not Hermitian (|K - K*| = {asym:.2e}); "
             "the operators are not closed under inverses"
         )
-    values, parts, blocks = [], [], 0
+    values, parts = [], []
     for block, where in reynolds:
-        w, local, count = _eigh_by_blocks(block)
-        fixed = np.zeros((len(local), n * n), dtype=stack.dtype)
-        fixed[:, where] = local
-        values.append(w)
+        w, v = np.linalg.eigh(block)
+        # the eigenvalue-1 eigenvectors, each scattered into vec(X)
+        owner, col = np.nonzero(w > 0.5)
+        fixed = np.zeros((len(owner), n * n), dtype=stack.dtype)
+        fixed[np.arange(len(owner))[:, None], where[owner]] = v[owner, :, col]
+        values.append(w.ravel())
         parts.append(fixed)
-        blocks += count
     w, fixed = np.concatenate(values), np.concatenate(parts)
+    blocks = sum(len(block) for block, _ in reynolds)
+    largest = max(block.shape[-1] for block, _ in reynolds)
     gap = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
     if gap > RANK_TOL:
         raise ValueError(
@@ -440,8 +416,8 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
         raise ValueError(f"eigenvalue-1 count {dim} differs from the character count {chars}")
     log.debug(
         "commutant: %d operators, n %d, dimension %d, character count %d, "
-        "worst eigenvalue distance from {0, 1} %.3e",
-        k, n, dim, chars, gap,
+        "%d Reynolds blocks, largest eigh %d, worst eigenvalue distance from {0, 1} %.3e",
+        k, n, dim, chars, blocks, largest, gap,
     )
     basis = fixed.reshape(dim, n, n)
     # a commutative *-algebra of n x n matrices has dimension at most n, a
@@ -450,17 +426,12 @@ def commutant_of_set(operators: Sequence[np.ndarray]) -> CommutantBasis:
     if abelian:
         products = basis[:, None] @ basis[None, :]
         abelian = bool(np.abs(products - products.transpose(1, 0, 2, 3)).max() <= 1e-10)
-    return CommutantBasis(
-        basis=list(basis), is_abelian=abelian, character_count=chars, blocks=blocks
-    )
+    return CommutantBasis(basis=basis, is_abelian=abelian, character_count=chars, blocks=blocks)
 
 
-def commutant_of_characters(group: FiniteGroup, char_subset=None) -> CommutantBasis:
-    """Commutant of the (optionally restricted) character multiplication action."""
-    chars = characters(group)
-    if char_subset is not None:
-        chars = chars[list(char_subset)]
-    return commutant_of_set(_diagonals(chars))
+def commutant_of_characters(group: FiniteGroup) -> CommutantBasis:
+    """Commutant of the character multiplication action."""
+    return commutant_of_set(_diagonals(characters(group)))
 
 
 # ---------------------------------------------------------------------------

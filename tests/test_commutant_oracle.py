@@ -1,9 +1,10 @@
 """Dense oracles for the commutant.
 
 The production route reads the commutant off the Reynolds projector
-K = (1/k) sum A (x) conj(A), formed only on its nonzero component blocks and
-diagonalised block by block.  A third oracle, ``reynolds_by_kron``, forms the same K as a sum of
-Kronecker products and diagonalises it whole.  Two independent oracles
+K = (1/k) sum A (x) conj(A), formed only on its nonzero component blocks,
+one stacked eigh per pair of component sizes.  A third oracle,
+``reynolds_by_kron``, forms the same K as a sum of Kronecker products and
+diagonalises it whole.  Two independent oracles
 solve the commutation system A X - X A = 0 instead: one thin complex SVD of the stacked system,
 and scipy's full-SVD ``null_space`` of the doubled real system followed by a
 second SVD that extracts a complex basis.  On every group image all three
@@ -22,7 +23,6 @@ from oracles import reynolds_by_kron
 from loctrace.sandbox import (
     RANK_TOL,
     _blocks,
-    _eigh_by_blocks,
     abelian_presentations_up_to,
     biregular_action,
     characters,
@@ -72,8 +72,8 @@ def doubled_real_nullspace(system: np.ndarray, n: int) -> list[np.ndarray]:
     return [vh[k].reshape(n, n) for k in range(rank)]
 
 
-def projector(basis: list[np.ndarray], n: int) -> np.ndarray:
-    if not basis:
+def projector(basis, n: int) -> np.ndarray:
+    if len(basis) == 0:
         return np.zeros((n * n, n * n), dtype=complex)
     q, _ = np.linalg.qr(np.array([b.reshape(-1) for b in basis]).T)
     return q @ q.conj().T
@@ -130,6 +130,29 @@ def mixed_component_action():
     ]
 
 
+def repeated_component_action():
+    """Z6 on C^3 + C^3 + C^2 + C^2 + C: the regular representation of Z3
+    through g and through 2g, that of Z2 twice and a faithful character,
+    block-diagonally.
+
+    The union support has components of sizes 3, 3, 2, 2 and 1, so most
+    Reynolds stacks hold several blocks of size > 1.  The trivial character
+    occurs four times, the other three characters of Z3 and Z2 twice each
+    and the faithful one once: dimension 16 + 3 * 4 + 1 = 29.
+    """
+    z3, z2 = cyclic_group(3), cyclic_group(2)
+    return [
+        block_diag(
+            left_translation_operator(z3, g % 3),
+            left_translation_operator(z3, 2 * g % 3),
+            left_translation_operator(z2, g % 2),
+            left_translation_operator(z2, g % 2),
+            [[np.exp(2j * np.pi * g / 6)]],
+        )
+        for g in range(6)
+    ]
+
+
 # (oracle operators, dimension, the group image that commutant_of_set gets or
 # None); a set and the group it generates have the same commutant, so the
 # oracles solve the abelian and biregular systems for generators only
@@ -149,6 +172,12 @@ CASES = [
     pytest.param([np.zeros((3, 3))], 9, None, id="zero"),
     pytest.param(
         mixed_component_action()[1:2], 8, mixed_component_action(), id="Z6-mixed-components"
+    ),
+    pytest.param(
+        repeated_component_action()[1:2],
+        29,
+        repeated_component_action(),
+        id="Z6-repeated-components",
     ),
     # a generic complex operator: its commutant, the polynomials in it, is not real
     pytest.param([generic_complex_operator(3, seed=5)], 3, None, id="generic-complex"),
@@ -256,13 +285,6 @@ def seeded_unitary(n: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def pair_orbits(image: np.ndarray) -> int:
-    """Orbits of a permutation group image on index pairs (j, b) -> (g j, g b)."""
-    n = image.shape[1]
-    moves = image.argmax(axis=1)  # moves[g, j] is the row of the 1 in column j
-    return len({frozenset(zip(moves[:, j], moves[:, b])) for j in range(n) for b in range(n)})
-
-
 @settings(max_examples=24)
 @given(
     group=st.sampled_from([symmetric_s3(), quaternion_q8(), dihedral_d4()]),
@@ -279,16 +301,14 @@ def test_reynolds_matches_both_oracles_on_biregular_images(group, conjugate, see
         image = u @ image @ u.conj().T
         generators = [u @ g @ u.conj().T for g in generators]
     comm = commutant_of_set(image)
-    reynolds, kron = reynolds_by_kron(image)
+    _, kron = reynolds_by_kron(image)
     oracle = complex_nullspace(commutation_system(generators), n)
     classes = group.conjugacy_class_count()
     assert comm.dimension == comm.character_count == len(kron) == len(oracle) == classes
     assert np.abs(projector(comm.basis, n) - projector(kron, n)).max() < 1e-10
     assert np.abs(projector(comm.basis, n) - projector(oracle, n)).max() < 1e-10
-    assert comm.blocks == (1 if conjugate else pair_orbits(image))
-    # the block-wise spectrum is the whole spectrum of the oracle's K
-    w, _, _ = _eigh_by_blocks(reynolds)
-    assert np.abs(np.sort(w) - np.linalg.eigvalsh(reynolds)).max() < 1e-12
+    # a transitive image, conjugated or not, has one component: K is one block
+    assert comm.blocks == 1
 
 
 def test_blocks_follow_chains_and_one_sided_entries():
@@ -300,22 +320,36 @@ def test_blocks_follow_chains_and_one_sided_entries():
     assert _blocks(m).tolist() == [0, 1, 0, 1, 0, 5, 0, 5]
 
 
-def test_eigh_by_blocks_matches_one_eigh_on_shuffled_chains():
-    # a Hermitian matrix whose blocks are paths of length 5, 2, 1 and 1 under
-    # shuffled indices, scaled so that some eigenvalues exceed 1/2
-    rng = np.random.default_rng(3)
-    perm = rng.permutation(9)
-    m = np.zeros((9, 9), dtype=complex)
-    for chain in ([0, 1, 2, 3, 4], [5, 6], [7], [8]):
-        idx = perm[chain]
-        m[idx, idx] = rng.standard_normal(len(idx))
-        z = rng.standard_normal(len(idx) - 1) + 1j * rng.standard_normal(len(idx) - 1)
-        m[idx[1:], idx[:-1]] = z
-        m[idx[:-1], idx[1:]] = z.conj()
-    w, fixed, blocks = _eigh_by_blocks(m)
-    assert blocks == 4
-    assert np.abs(np.sort(w) - np.linalg.eigvalsh(m)).max() < 1e-14
-    whole_w, whole_v = np.linalg.eigh(m)
-    top = whole_v[:, whole_w > 0.5]
-    assert len(fixed) == top.shape[1] > 0
-    assert np.abs(fixed.T @ fixed.conj() - top @ top.conj().T).max() < 1e-12
+@pytest.mark.parametrize(
+    "image,sizes",
+    [
+        pytest.param(character_action((12,)), [1] * 12, id="Z12-characters"),
+        pytest.param(biregular_action(symmetric_s3()), [6], id="S3-biregular"),
+        pytest.param(biregular_action(quaternion_q8()), [8], id="Q8-biregular"),
+        pytest.param(biregular_action(dihedral_d4()), [8], id="D4-biregular"),
+        pytest.param(mixed_component_action(), [3, 2, 1], id="Z6-mixed-components"),
+        pytest.param(repeated_component_action(), [3, 3, 2, 2, 1], id="Z6-repeated-components"),
+    ],
+)
+def test_one_eigh_per_component_size_pair(image, sizes, monkeypatch):
+    # the union support's components have the given sizes: K has one block
+    # per pair of components, and each pair of sizes (s, t) is one stacked
+    # eigh of all its (s t) x (s t) blocks
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    comm = commutant_of_set(image)
+    monkeypatch.undo()
+    counts = {s: sizes.count(s) for s in sizes}
+    expected = [(counts[s] * counts[t], s * t, s * t) for s in counts for t in counts]
+    assert sorted(shapes) == sorted(expected)
+    assert comm.blocks == len(sizes) ** 2
+    n = len(image[0])
+    _, kron = reynolds_by_kron(image)
+    assert comm.dimension == comm.character_count == len(kron)
+    assert np.abs(projector(comm.basis, n) - projector(kron, n)).max() < 1e-10

@@ -152,7 +152,7 @@ def test_dropped_character_enlarges_commutant():
     # order-2 character of Z/4) leaves a strictly larger commutant
     g = cyclic_group(4)
     full = commutant_of_characters(g)
-    reduced = commutant_of_characters(g, char_subset=[0, 2])
+    reduced = commutant_of_set([np.diag(c) for c in characters(g)[[0, 2]]])
     assert full.dimension == 4
     assert reduced.dimension == 8
 
@@ -185,11 +185,12 @@ def test_commutant_of_set_rejects_bad_operators(ops, match):
 
 def test_commutant_debug_log_shows_eigenvalue_gap(caplog):
     with caplog.at_level(logging.DEBUG, logger="loctrace"):
-        commutant_of_characters(cyclic_group(4), char_subset=[0, 2])
+        commutant_of_set([np.diag(c) for c in characters(cyclic_group(4))[[0, 2]]])
     (record,) = [r for r in caplog.records if r.message.startswith("commutant:")]
+    # a diagonal action on C^4: 16 Reynolds blocks, each a 1 x 1 eigenproblem
     assert record.message.startswith(
         "commutant: 2 operators, n 4, dimension 8, character count 8, "
-        "worst eigenvalue distance from {0, 1} "
+        "16 Reynolds blocks, largest eigh 1, worst eigenvalue distance from {0, 1} "
     )
     assert float(record.message.rsplit(" ", 1)[1]) < 1e-15
 
