@@ -14,10 +14,8 @@ from .fourier import (
     FourierBuildError,
     FourierOperator,
     FullLineFourier,
-    SignedGrid,
     build_fourier,
     full_line_fourier,
-    make_signed_grid,
 )
 from .kernels import kernel_values, mellin_symbol
 from .operators import TestFunction

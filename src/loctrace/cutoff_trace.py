@@ -34,12 +34,11 @@ from .fourier import (
     PANEL_ROWS,
     FourierOperator,
     FullLineFourier,
-    SignedGrid,
+    check_signed_n,
     full_line_fourier,
     kernel_fft_length,
     log,
     log_stage,
-    make_signed_grid,
     row_chunks,
     signed_point,
 )
@@ -333,7 +332,7 @@ def panel_bands(f: TestFunction, n: int, first: int, stop: int):
 
 
 def band_entries(f: TestFunction, n: int, first: int, stop: int) -> tuple[int, int]:
-    """(all, largest): the entries of ``ue_panels(f, grid, first, stop)`` and of its largest panel.
+    """(all, largest): the entries of ``ue_panels(f, n, first, stop)`` and of its largest panel.
 
     Beyond BAND_PANELS_MAX panels both are bounded by whole rows instead.
     """
@@ -372,8 +371,7 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     is odd or below 2, when max_lambda reaches half the grid's extent, or when
     the bad rows' lattice exceeds LATTICE_NODES_MAX.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError("signed grid needs an even n >= 2")
+    check_signed_n(n)
     extent = signed_point(n, n // 2 - 1)  # the grid's largest point, x[-1]
     if max_lambda >= extent / 2.0:
         raise ValueError(
@@ -404,9 +402,9 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, largest_panel=panel, peak_bytes=peak)
 
 
-def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int, cut: Optional[int] = None):
+def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: Optional[int] = None):
     """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1 over their ``panel_bands``,
-    each panel cut at row ``cut`` (default ``stop``), none from it on.
+    each panel cut at row ``cut`` (default ``stop``), none from it on, on the n-point signed grid.
 
     U_e[v, y] = f(v/y) / sqrt(vy) step is, on the log axis, a profile of log v - log y
     times two separable factors: x_j = (j + 1/2) step, so step / sqrt(vy) = r_v r_y with
@@ -417,10 +415,10 @@ def ue_panels(f: TestFunction, sgrid: SignedGrid, first: int, stop: int, cut: Op
     U_e is exactly 0.
     """
     cut = stop if cut is None else cut
-    half = sgrid.n // 2
-    logs = np.log(sgrid.x[half:])
+    half = n // 2
+    logs = np.log(signed_point(n, np.arange(half)))
     r = 1.0 / np.sqrt(np.arange(half) + 0.5)
-    for rows, lo, hi in panel_bands(f, sgrid.n, first, stop):
+    for rows, lo, hi in panel_bands(f, n, first, stop):
         if rows.start >= cut:
             return
         rows = slice(rows.start, min(rows.stop, cut))
@@ -479,7 +477,8 @@ class SignedTraceLab:
     DCT-IV applied by FFT.  Rows with x < 0.5 cannot resolve the
     multiplicative kernel on a uniform grid; the set-up integrates their rows
     of U_e C[:, b] directly (``_ue_cosine_rows``), and the lab keeps these
-    quadrature rows, the plan and the transform, no row of U_e.
+    quadrature rows, the plan and the transform, no row of U_e and no grid
+    (the block's points are ``signed_point(n, j)``, j < |b|).
 
     U_e[b, :] is evaluated by ``sweep``, one panel of rows at a time over its
     band (``ue_panels``: f has compact support, so each panel is nonzero only
@@ -501,9 +500,8 @@ class SignedTraceLab:
         bad, b = plan.bad_rows, plan.block
         self.f = f
         self.max_lambda = max_lambda
-        self.sgrid: SignedGrid = make_signed_grid(n)
-        self.fourier: FullLineFourier = full_line_fourier(self.sgrid, b)
-        xb = self.sgrid.x[n // 2 :][:b]
+        self.fourier: FullLineFourier = full_line_fourier(n, b)
+        xb = signed_point(n, np.arange(b))
         quadrature_start = time.perf_counter()
         self.quadrature_rows = self._ue_cosine_rows(xb[:bad], xb)
         log_stage(
@@ -553,17 +551,17 @@ class SignedTraceLab:
             weights *= np.exp(0.5 * tau)
             theta = 2.0 * np.pi * np.exp(tau)
             for part in row_chunks(len(tau), table_cols, (GEMM_THREADED - 1) // group):
-                table = block_cosines(theta[part], us, self.sgrid.step)
+                table = block_cosines(theta[part], us, self.fourier.step)
                 for g in range(0, len(vs), group):
                     out[g : g + group] += weights[g : g + group, part] @ table
-        out *= (2.0 * self.sgrid.step * dtau) / np.sqrt(vs)[:, None]
+        out *= (2.0 * self.fourier.step * dtau) / np.sqrt(vs)[:, None]
         return out
 
     def _sub_block(self, lam: float) -> int:
         """Size k of the positive half of the block {|x| <= lam}: its first k points."""
         if lam > self.max_lambda:
             raise ValueError(f"lam {lam} exceeds this lab's max_lambda {self.max_lambda}")
-        return block_size(self.sgrid.n, lam)
+        return block_size(self.fourier.n, lam)
 
     @staticmethod
     def _kernel_term(table: np.ndarray, k: int, v0: int, lo: int, u: np.ndarray) -> float:
@@ -597,7 +595,7 @@ class SignedTraceLab:
         start = time.perf_counter()
         ks = [self._sub_block(lam) for lam in lams]
         kc = 0 if cyclicity_at is None else self._sub_block(cyclicity_at)
-        half, bad, cos = self.sgrid.n // 2, self.plan.bad_rows, self.fourier.cosines
+        half, bad, cos = self.fourier.n // 2, self.plan.bad_rows, self.fourier.cosines
         spent = [0.0] * (len(ks) + 1)  # each trace's own seconds, then the check's
         tables, bad_terms = {}, []
         for i, k in enumerate([*ks, kc]):
@@ -612,8 +610,8 @@ class SignedTraceLab:
         t1 = t2 = t3 = 0.0
         panels = band = 0
         for rows, lo, u in chain(
-            ue_panels(self.f, self.sgrid, 0, bad, cut=kc),
-            ue_panels(self.f, self.sgrid, bad, self.plan.block, cut=max(ks + [kc])),
+            ue_panels(self.f, self.fourier.n, 0, bad, cut=kc),
+            ue_panels(self.f, self.fourier.n, bad, self.plan.block, cut=max(ks + [kc])),
         ):
             v0 = rows.start
             panels, band = panels + 1, band + u.size

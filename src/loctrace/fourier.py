@@ -11,9 +11,10 @@ The samples and the kernel are real, so every spectrum is Hermitian: the
 symbol is evaluated for nu >= 0 only, every FFT is an ``rfft``/``irfft``, and
 the kernels of the two evaluation lattices are built once per transform.
 
-Both transforms, this one and route C's FullLineFourier (the signed grid's
-even sector, a DCT-IV), are certified by one step, ``certify``: measure the
-defects of what the transform applies, record the largest, log, refuse.
+Both transforms, this one and route C's FullLineFourier (the even sector of
+the n-point signed grid, a DCT-IV on the points ``signed_point(n, j)``), are
+certified by one step, ``certify``: measure the defects of what the transform
+applies, record the largest, log, refuse.
 ``log_stage`` is the one stage timer.
 """
 
@@ -24,7 +25,7 @@ import math
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # numpy loads numpy.fft on first attribute access; importing it here keeps
@@ -42,10 +43,12 @@ log = logging.getLogger("loctrace")
 
 # glibc maps every block of at least its mmap threshold (128 KiB at start)
 # afresh, and only raises the threshold to the size of a mapped block once it
-# is freed.  The 4n-point arrays of a transform with n >= 4096 sit at that size,
-# so a fresh process would map, fault in and unmap them on every call (800
-# minor faults in the H-asymptotic sweep).  One untouched 4 MiB block, freed
-# here, raises the threshold once; other allocators ignore it.
+# is freed.  Route C's chunk temporaries (CHUNK_ENTRIES floats, exactly 128 KiB)
+# and the 4n-point arrays of a transform with n = 4096 sit at that size: without
+# this line a warm default R sweep faulted in 630-1270 pages per sweep (330 with
+# half-size chunks) and the H-asymptotic sweep 160-190, against 0 with it.  One
+# untouched 4 MiB block, freed here, raises the threshold once; other
+# allocators ignore it.
 np.empty(1 << 19)
 
 DEFECT_THRESHOLDS = {"R": 1e-6, "C": 1e-4, "H": 1e-3}
@@ -243,40 +246,22 @@ def fourier_bytes(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedGrid:
-    """Uniform symmetric grid on the real line with half-integer offsets.
-
-    step = 1/sqrt(n) makes the discrete Fourier matrix exactly unitary and
-    its square exactly the reflection permutation; no grid point sits at 0.
-    """
-
-    n: int
-    step: float
-    x: np.ndarray = field(repr=False)
-
-    @property
-    def extent(self) -> float:
-        return float(self.x[-1])
+def check_signed_n(n: int) -> None:
+    """ValueError unless n is even and at least 2: the sizes of a signed grid."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError("signed grid needs an even n >= 2")
 
 
 def signed_point(n: int, j):
     """x_j = (j + 1/2) (1/sqrt(n)) on the positive half of the n-point signed grid (j an index
-    or an array): the grid is made from it, so route C's plan counts the grid's own floats."""
+    or an array): route C's points, so its plan counts the lab's own floats."""
     return (j + 0.5) * (1.0 / math.sqrt(n))
 
 
-def make_signed_grid(n: int) -> SignedGrid:
-    if n < 2 or n % 2 != 0:
-        raise ValueError("signed grid needs an even n >= 2")
-    xp = signed_point(n, np.arange(n // 2))
-    return SignedGrid(n=n, step=1.0 / math.sqrt(n), x=np.concatenate([-xp[::-1], xp]))
-
-
-# entries per row chunk while the dense signed-grid arrays are filled: every
-# temporary of that fill holds at most this many entries, or one row if longer.
-# At 2**16 the C allocator handed each chunk's temporaries back to the system
-# and faulted them in afresh (3x the page faults, set-up slower than one shot)
+# entries per row chunk while route C fills its panels of U_e and the bad rows'
+# quadrature: every temporary of a fill holds at most this many entries, or one
+# row if longer.  At 2**14 floats a temporary is glibc's starting mmap threshold,
+# so it stays off mmap only because the threshold was raised at import (above)
 CHUNK_ENTRIES = 2**14
 
 # rows of U_e per panel in route C, each evaluated over its own band of columns.
@@ -309,7 +294,8 @@ def kernel_fft_length(n: int, cols: int) -> int:
 
 
 class FullLineFourier:
-    """The e^{-2 pi i x y} transform on a SignedGrid (field R), in the even sector route C traces.
+    """The e^{-2 pi i x y} transform on the n-point signed grid (field R), step 1/sqrt(n),
+    in the even sector route C traces.
 
     On even vectors the full-line transform acts through its cosine part: on
     the positive half-grid x_j = (2j+1) / (2 sqrt(n)) it is the real matrix
@@ -329,13 +315,14 @@ class FullLineFourier:
     C C = I and the kernel of the first ``cols`` columns against it.
     """
 
-    def __init__(self, sgrid: SignedGrid, cols: int):
-        self.grid = sgrid
+    def __init__(self, n: int, cols: int):
+        check_signed_n(n)
+        self.n = n
+        self.step = 1.0 / math.sqrt(n)
         self.cols = cols
-        n = sgrid.n
         # x_j x_k = (2j+1)(2k+1) / 4n, reduced mod 1 exactly in integers: C takes
         # only the 4n values of one cosine table
-        self.table = 2.0 * sgrid.step * np.cos(np.arange(4 * n) * (2.0 * np.pi / (4 * n)))
+        self.table = 2.0 * self.step * np.cos(np.arange(4 * n) * (2.0 * np.pi / (4 * n)))
         # sin(pi q / n) for q = 0..2n-1, each from its argument in [0, pi/2] and
         # the table's symmetries, so a value near pi keeps its relative accuracy
         quarter = np.sin(np.arange(n // 2 + 1) * (np.pi / n))
@@ -345,7 +332,7 @@ class FullLineFourier:
         # (x is real, so Re(z) = Re(conj(z))); every angle lies in [0, pi/2)
         j = np.arange(n // 2)
         self._twiddle_in = np.exp(-1j * np.pi / n * j)
-        self._twiddle_out = 2.0 * sgrid.step * np.exp(-1j * np.pi / (2 * n) * (2 * j + 1))
+        self._twiddle_out = 2.0 * self.step * np.exp(-1j * np.pi / (2 * n) * (2 * j + 1))
         self.unitarity_defect = None
         self.defects: dict[str, float] = {}
 
@@ -353,7 +340,7 @@ class FullLineFourier:
         """C[rows, cols] from the cosine table; C[cols, rows] is its exact transpose."""
         odd_rows = 2 * np.arange(rows.start, rows.stop) + 1
         odd_cols = 2 * np.arange(cols.start, cols.stop) + 1
-        return self.table[np.outer(odd_rows, odd_cols) % (4 * self.grid.n)]
+        return self.table[np.outer(odd_rows, odd_cols) % (4 * self.n)]
 
     def dirichlet(self, k: int, first: int, stop: int) -> np.ndarray:
         """K_k(m) = 2 step^2 D_k(m) for m = first..stop-1, both sines from the sine table.
@@ -361,23 +348,23 @@ class FullLineFourier:
         sin(2 pi k m / n) and sin(pi m / n) are read at (2 k m) mod 2n and m mod 2n,
         reduced exactly in integers.
         """
-        n = self.grid.n
+        n = self.n
         m = np.arange(first, stop)
         den = self._sine[m % (2 * n)]
         out = self._sine[(2 * k * m) % (2 * n)]
         zero = -first if first <= 0 < stop else None  # m = 0, where D_k is k
         if zero is not None:
             den[zero] = 1.0
-        out *= self.grid.step**2
+        out *= self.step**2
         out /= den
         if zero is not None:
-            out[zero] = 2.0 * self.grid.step**2 * k
+            out[zero] = 2.0 * self.step**2 * k
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """C x on the n/2 points of the positive half-grid, in O(n log n), for real
         samples x on its first len(x) <= n/2 points (0 beyond them)."""
-        z = np.fft.fft(self._twiddle_in[: len(x)] * x, self.grid.n)[: self.grid.n // 2]
+        z = np.fft.fft(self._twiddle_in[: len(x)] * x, self.n)[: self.n // 2]
         z *= self._twiddle_out
         return z.real.copy()
 
@@ -395,7 +382,7 @@ class FullLineFourier:
         shows too.  A single kernel value off by eps moves some entry of every
         probe by eps.
         """
-        n = self.grid.n
+        n = self.n
         half, cols = n // 2, self.cols
         rng = random.Random(1234)
         involution = 0.0
@@ -419,7 +406,7 @@ class FullLineFourier:
         return float(np.max([involution, kernel]))
 
 
-def full_line_fourier(sgrid: SignedGrid, cols: int) -> FullLineFourier:
-    """The signed-grid transform with its kernel certified for the first ``cols`` columns."""
-    what = f"signed n={sgrid.n} cols={cols}"
-    return certify(FullLineFourier(sgrid, cols), SIGNED_DEFECT_THRESHOLD, what)
+def full_line_fourier(n: int, cols: int) -> FullLineFourier:
+    """The n-point signed grid's transform with its kernel certified for the first ``cols``
+    columns; ValueError unless n is even and at least 2."""
+    return certify(FullLineFourier(n, cols), SIGNED_DEFECT_THRESHOLD, f"signed n={n} cols={cols}")

@@ -63,7 +63,8 @@ class FiniteGroup:
 
     table[i, j] is the index of element_i * element_j.  Explicit tables are
     checked for the group axioms on construction, which also fixes the
-    identity and every element's inverse.
+    identity and every element's inverse.  Given both, the table must be the
+    cyclic factors' own, since ``characters`` reads the factors.
     """
 
     order: int
@@ -74,10 +75,13 @@ class FiniteGroup:
     _inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        cyclic = None if self.cyclic_factors is None else _cyclic_table(self.cyclic_factors)
         if self.table is None:
-            if self.cyclic_factors is None:
+            if cyclic is None:
                 raise ValueError("need cyclic factors or an explicit table")
-            self.table = _cyclic_table(self.cyclic_factors)
+            self.table = cyclic
+        elif cyclic is not None and not np.array_equal(self.table, cyclic):
+            raise ValueError(f"table is not the table of cyclic factors {self.cyclic_factors}")
         self.table = np.asarray(self.table, dtype=int)
         if self.table.shape != (self.order, self.order):
             raise ValueError("table shape must be (order, order)")
@@ -715,10 +719,19 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
+def _check_seed(seed: int) -> None:
+    """ValueError for a negative seed: ``random.Random`` seeds from ``|seed|``, so it
+    would silently repeat the draws of its absolute value."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def run_suite(name: str, seed: int = 0) -> dict:
-    """Run one named verification suite; returns a JSON-ready report."""
+    """Run one named verification suite; returns a JSON-ready report.  An unknown
+    name raises KeyError, a negative seed ValueError."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known suites: {', '.join(SUITE_NAMES)}")
+    _check_seed(seed)
     return SUITES[name](seed)
 
 
@@ -744,16 +757,13 @@ def run_sandbox(selection: Sequence[str], seed: int = 0) -> dict:
     """Run the named suites, each logging one INFO line (``log_stage``) with its
     verdict, key quantity and duration.
 
-    The request is checked before any suite runs: an unknown suite name
-    raises KeyError, a negative seed ValueError.  Each suite seeds
-    ``random.Random(seed)``, which seeds from ``|seed|``: a negative seed
-    would silently repeat the draws of its absolute value.
+    The request is checked before any suite runs, as ``run_suite`` checks
+    it: an unknown suite name raises KeyError, a negative seed ValueError.
     """
     for name in selection:
         if name not in SUITE_NAMES:
             raise KeyError(f"unknown suite {name!r}; known suites: {', '.join(SUITE_NAMES)}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     reports = []
     for name in selection:
         start = time.perf_counter()

@@ -13,6 +13,8 @@ independent dense constructions:
   algebra, cutoffs, translations and two assemblies of U_f);
 - the dense n x n matrix of a radial transform, and the transform's
   full-spectrum construction (complex FFTs over every frequency);
+- route C's signed grid on the whole real line and its dense complex
+  transform (``full_line_grid``);
 - the lattice moments (route B, f(1), H(f)(1)) as weighted sums over the
   product lattice with their strips in closed form, and route A's box
   pairing by direct convolution of the cell weights;
@@ -31,7 +33,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -408,6 +410,45 @@ class FullSpectrumFourier:
         lam = np.fft.fft(self.hankel)
         lam_neg = np.roll(lam[::-1], 1)  # lam_{-k mod n}
         return float(np.sqrt(np.mean(np.abs(lam * lam_neg - 1.0) ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# route C's signed grid on the whole real line
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FullLineGrid:
+    """The n-point signed grid of route C on the whole real line, and its dense transform.
+
+    x is the positive half-grid x_j = (j + 1/2) step, step = 1/sqrt(n), mirrored
+    onto the negative half: symmetric, with no point at 0.  It is derived here by
+    concatenation, not from ``signed_point``, so route C's plan and panels meet
+    an independent grid.
+    """
+
+    n: int
+    step: float
+    x: np.ndarray = field(repr=False)
+
+    @property
+    def positive(self) -> np.ndarray:
+        """The positive half-grid x_0 < ... < x_{n/2-1}, the points of route C's even sector."""
+        return self.x[self.n // 2 :]
+
+    @property
+    def extent(self) -> float:
+        """The largest point x_{n/2-1}."""
+        return float(self.x[-1])
+
+    def fourier_matrix(self) -> np.ndarray:
+        """Dense F[j, k] = step e^{-2 pi i x_j x_k}: the full-line transform on the grid."""
+        return np.exp(-2j * np.pi * np.outer(self.x, self.x)) * self.step
+
+
+def full_line_grid(n: int) -> FullLineGrid:
+    xp = (np.arange(n // 2) + 0.5) * (1.0 / math.sqrt(n))
+    return FullLineGrid(n=n, step=1.0 / math.sqrt(n), x=np.concatenate([-xp[::-1], xp]))
 
 
 # ---------------------------------------------------------------------------

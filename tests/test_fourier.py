@@ -14,7 +14,6 @@ from loctrace import (
     full_line_fourier,
     make_backend,
     make_grid,
-    make_signed_grid,
 )
 from loctrace.fourier import (
     DEFECT_THRESHOLDS,
@@ -22,12 +21,14 @@ from loctrace.fourier import (
     FullLineFourier,
     certify,
     fourier_bytes,
+    signed_point,
 )
 from loctrace.kernels import scaled_gaussian, selfdual_gaussian
 from oracles import (
     FullSpectrumFourier,
     dense_symmetrized,
     fourier_matrix,
+    full_line_grid,
     peak_rise,
     scaled_gaussian_transform,
 )
@@ -119,7 +120,7 @@ def test_certification_logs_each_defect(grid_c1024, caplog):
     # the radial transform and the signed grid's, each on its own line
     for transform, threshold, build in (
         ("field=C n=1024", "1.0e-04", lambda: build_fourier(grid_c1024)),
-        ("signed n=4096 cols=512", "1.0e-10", lambda: full_line_fourier(make_signed_grid(4096), 512)),
+        ("signed n=4096 cols=512", "1.0e-10", lambda: full_line_fourier(4096, 512)),
     ):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="loctrace"):
@@ -150,7 +151,7 @@ def test_failed_certification_names_the_transform_and_each_defect(monkeypatch, t
         if transform.startswith("field"):
             build_fourier(make_grid(make_backend("H"), math.log(3e4), 64))
         else:
-            full_line_fourier(make_signed_grid(1024), 32)
+            full_line_fourier(1024, 32)
     (op,) = certified
     message = str(err.value)
     assert err.value.defect == op.unitarity_defect == max(op.defects.values()) > threshold
@@ -169,10 +170,10 @@ def test_failed_certification_names_the_transform_and_each_defect(monkeypatch, t
         (lambda: FourierOperator(make_grid(make_backend("R"), math.log(1e4), 2048)),
          DEFECT_THRESHOLDS["R"], ["_grid_kernel"], ["selfdual", "gauss_1.5", "gauss_2.5", "bump"]),
         # each of the phase tables around the FFT, one at a time
-        (lambda: FullLineFourier(make_signed_grid(1024), 32), SIGNED_DEFECT_THRESHOLD,
+        (lambda: FullLineFourier(1024, 32), SIGNED_DEFECT_THRESHOLD,
          ["_twiddle_in", "_twiddle_out"], ["involution", "kernel"]),
         # only the kernel check reads the sine table: a NaN part after a finite one
-        (lambda: FullLineFourier(make_signed_grid(1024), 32), SIGNED_DEFECT_THRESHOLD, ["_sine"],
+        (lambda: FullLineFourier(1024, 32), SIGNED_DEFECT_THRESHOLD, ["_sine"],
          ["kernel"]),
     ],
     ids=["radial _grid_kernel", "signed _phase", "signed _sine"],
@@ -334,26 +335,38 @@ def test_defect_recorded(fourier_r2048, fourier_h1024):
 
 
 def test_signed_grid_shape():
-    sg = make_signed_grid(4096)
-    assert sg.n == 4096
+    sg = full_line_grid(4096)
+    assert sg.n == len(sg.x) == 4096
     assert np.allclose(sg.x + sg.x[::-1], 0.0)
     assert sg.step == pytest.approx(1.0 / 64.0)
     assert 0.0 not in sg.x
+    # route C's points are the positive half, bit for bit, and its transform's step the grid's
+    assert np.array_equal(signed_point(4096, np.arange(2048)), sg.positive)
+    assert sg.extent == signed_point(4096, 2047)
+    fl = FullLineFourier(4096, 1)
+    assert (fl.n, fl.step) == (sg.n, sg.step)
 
 
-def dense_signed_fourier(sgrid):
-    """Dense oracle F[j, k] = step e^{-2 pi i x_j x_k}: the full signed-grid transform."""
-    return np.exp(-2j * np.pi * np.outer(sgrid.x, sgrid.x)) * sgrid.step
+@pytest.mark.parametrize("build", [full_line_fourier, FullLineFourier])
+@pytest.mark.parametrize("n", [-2, 0, 1, 63, 4095])
+def test_signed_transform_refuses_odd_or_small_n(build, n):
+    with pytest.raises(ValueError, match=r"^signed grid needs an even n >= 2$"):
+        build(n, 1)
+
+
+@pytest.fixture(scope="module")
+def signed_grid():
+    return full_line_grid(1024)
 
 
 @pytest.fixture(scope="module")
 def signed_fourier():
-    return full_line_fourier(make_signed_grid(1024), 512)  # the kernel of every column
+    return full_line_fourier(1024, 512)  # the kernel of every column
 
 
 @pytest.fixture(scope="module")
-def signed_matrix(signed_fourier):
-    return dense_signed_fourier(signed_fourier.grid)
+def signed_matrix(signed_grid):
+    return signed_grid.fourier_matrix()
 
 
 def test_full_line_unitarity(signed_fourier, signed_matrix):
@@ -363,15 +376,15 @@ def test_full_line_unitarity(signed_fourier, signed_matrix):
     assert signed_fourier.unitarity_defect < 1e-10
 
 
-def test_full_line_gaussian(signed_fourier, signed_matrix):
-    x = signed_fourier.grid.x
+def test_full_line_gaussian(signed_grid, signed_matrix):
+    x = signed_grid.x
     g = np.exp(-np.pi * x**2)
     assert np.abs(signed_matrix @ g - g).max() < 1e-12
 
 
-def test_full_line_hermite_eigenvector(signed_fourier, signed_matrix):
+def test_full_line_hermite_eigenvector(signed_grid, signed_matrix):
     # odd Gaussian-Hermite profile: eigenvalue -i
-    x = signed_fourier.grid.x
+    x = signed_grid.x
     h = x * np.exp(-np.pi * x**2)
     out = signed_matrix @ h
     assert np.abs(out - (-1j) * h).max() < 1e-5
@@ -388,10 +401,10 @@ def test_full_line_fourth_power_identity(signed_matrix):
     assert np.abs(F2 @ F2 - np.eye(n)).max() < 1e-11
 
 
-def test_even_sector_consistency(signed_fourier, signed_matrix, backend_r):
+def test_even_sector_consistency(signed_grid, signed_fourier, signed_matrix, backend_r):
     # an even profile transforms on the signed grid exactly like its radial
     # profile under the radial transform; certify both against the analytic pair
-    x = signed_fourier.grid.x
+    x = signed_grid.x
     out_signed = signed_matrix @ scaled_gaussian("R", 2.0, np.abs(x))
     assert np.abs(out_signed - scaled_gaussian_transform("R", 2.0, np.abs(x))).max() < 1e-10
     # the cosine columns carry the same transform on the positive half-grid
@@ -406,10 +419,10 @@ def test_even_sector_consistency(signed_fourier, signed_matrix, backend_r):
     assert np.abs(out_radial - scaled_gaussian_transform("R", 2.0, g.t)).max() < 1e-4
 
 
-def test_cosine_columns_are_the_even_fold_and_a_dct_iv(signed_fourier, signed_matrix):
+def test_cosine_columns_are_the_even_fold_and_a_dct_iv(signed_grid, signed_fourier, signed_matrix):
     # C[j, k] = F[x_j, x_k] + F[x_j, -x_k] on the positive half-grid: the
     # orthonormal DCT-IV of size n/2, symmetric and its own inverse
-    half = len(signed_fourier.grid.x) // 2
+    half = signed_grid.n // 2
     C = signed_fourier.cosines(slice(0, half), slice(0, half))
     assert C.shape == (half, half) and C.dtype == np.float64
     fold = signed_matrix[half:, half:] + signed_matrix[half:, :half][:, ::-1]

@@ -44,10 +44,9 @@ from loctrace.fourier import (
     certify,
     full_line_fourier,
     kernel_fft_length,
-    make_signed_grid,
 )
 from loctrace.operators import TestFunction
-from oracles import peak_rise
+from oracles import full_line_grid, peak_rise
 
 
 def _fold(k, size: int):
@@ -55,12 +54,12 @@ def _fold(k, size: int):
     return abs(2 * k - (size - 1)) // 2
 
 
-def ue_on_the_log_axis(f: TestFunction, sgrid, rows) -> np.ndarray:
-    """U_e[rows, :] over the whole positive half-grid by the per-element log-axis formula
-    f.of_log(log v - log y) r_v r_y, with r_j = 1/sqrt(j + 1/2) = sqrt(step / x_j)."""
-    half = sgrid.n // 2
-    logs = np.log(sgrid.x[half:])
-    r = 1.0 / np.sqrt(np.arange(half) + 0.5)
+def ue_on_the_log_axis(f: TestFunction, grid, rows) -> np.ndarray:
+    """U_e[rows, :] over the whole positive half of ``grid`` (a ``full_line_grid``) by the
+    per-element log-axis formula f.of_log(log v - log y) r_v r_y, with
+    r_j = 1/sqrt(j + 1/2) = sqrt(step / x_j)."""
+    logs = np.log(grid.positive)
+    r = 1.0 / np.sqrt(np.arange(grid.n // 2) + 0.5)
     return f.of_log(logs[rows, None] - logs) * r[rows, None] * r
 
 
@@ -101,28 +100,28 @@ class DenseSignedTraceLab:
 
     def __init__(self, f: TestFunction, n: int):
         self.f = f
-        self.sgrid = make_signed_grid(n)
-        x = self.sgrid.x
-        self.fourier_matrix = np.exp(-2j * np.pi * np.outer(x, x)) * self.sgrid.step
+        self.grid = full_line_grid(n)
+        x = self.grid.x
+        self.fourier_matrix = self.grid.fourier_matrix()
         ratio = np.abs(np.outer(x, 1.0 / x))
-        self.uf_matrix = f(ratio) / (2.0 * np.sqrt(np.abs(np.outer(x, x)))) * self.sgrid.step
-        self._xp = x[n // 2 :]
+        self.uf_matrix = f(ratio) / (2.0 * np.sqrt(np.abs(np.outer(x, x)))) * self.grid.step
+        self._xp = self.grid.positive
         # (U_f F)(|v|, |u|) for the bad |v| and the first columns of the positive half
         self._bad_block = np.empty((int((self._xp < self.BAD_ROW_EXTENT).sum()), 0))
 
     def _uf_fourier_rows(self, rows, cols):
-        n = len(self.sgrid.x)
+        n = self.grid.n
         pr, pc = _fold(rows, n), _fold(cols, n)
         have = self._bad_block.shape[1]
         if pc.max() >= have:
             vs, us = self._xp[: len(self._bad_block)], self._xp[have : pc.max() + 1]
-            new = gauss_legendre_rows(self.f, vs, us, self.sgrid.step, self.GL_NODES)
+            new = gauss_legendre_rows(self.f, vs, us, self.grid.step, self.GL_NODES)
             self._bad_block = np.hstack([self._bad_block, new / 2.0])  # U_f is U_e / 2
         return self._bad_block[np.ix_(pr, pc)]
 
     def trace_route_c(self, lam):
-        x = self.sgrid.x
-        if lam >= self.sgrid.extent / 2.0:
+        x = self.grid.x
+        if lam >= self.grid.extent / 2.0:
             raise ValueError("lam too close to the signed-grid extent")
         bi = np.where(np.abs(x) <= lam * (1.0 + 1e-12))[0]
         Fm = self.fourier_matrix
@@ -134,7 +133,7 @@ class DenseSignedTraceLab:
         return float(np.sum(m1 * m2.T).real)
 
     def cyclicity_defect(self, lam):
-        x = self.sgrid.x
+        x = self.grid.x
         bi = np.where(np.abs(x) <= lam * (1.0 + 1e-12))[0]
         Fm = self.fourier_matrix
         pu = np.conj(Fm[np.ix_(bi, bi)]) @ self.uf_matrix[bi, :]
@@ -172,7 +171,7 @@ def test_trace_beyond_max_lambda_is_refused(signed_lab):
     "n, max_lambda", [(64, 8.0), (64, 1.96875), (1024, 7.9921875), (4096, 16.0)]
 )
 def test_lab_refuses_lambda_at_half_extent(standard_bump, n, max_lambda):
-    half = make_signed_grid(n).extent / 2.0
+    half = full_line_grid(n).extent / 2.0
     assert max_lambda >= half
     with pytest.raises(ValueError, match="lam too close to the signed-grid extent"):
         SignedTraceLab(standard_bump, n, max_lambda)
@@ -190,12 +189,11 @@ def test_route_c_bytes_refuses_odd_grids(standard_bump, n):
 )
 def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     # the plan's peak, term by term, from the block counted on the float grid
-    sgrid = make_signed_grid(n)
-    xp = sgrid.x[n // 2 :]
+    xp = full_line_grid(n).positive
     half, b = n // 2, int(np.count_nonzero(xp <= lam * (1.0 + 1e-12)))
     bad = int((xp[:b] < SignedTraceLab.BAD_ROW_EXTENT).sum())
     # the largest of the bad rows' panels and the good rows' panels
-    sizes = [u.size for r in ((0, bad), (bad, b)) for _, _, u in ue_panels(standard_bump, sgrid, *r)]
+    sizes = [u.size for r in ((0, bad), (bad, b)) for _, _, u in ue_panels(standard_bump, n, *r)]
     panel = max(sizes, default=0)
     tables = 2 * (half + 2 * b)  # a pass of one lam: its table and the cyclicity check's
     chunk = min(half * b, max(CHUNK_ENTRIES, half))
@@ -225,7 +223,7 @@ def signed_geometries(draw, max_n: int = 8192):
     edge (lam sqrt(n) an integer) or on a grid point (a half-integer), the
     latter written both as the grid writes it and as a quotient."""
     n = 2 * draw(st.integers(32, max_n // 2))
-    root, limit = math.sqrt(n), make_signed_grid(n).extent / 2.0
+    root, limit = math.sqrt(n), full_line_grid(n).extent / 2.0
     kind = draw(st.sampled_from(["anywhere", "cell edge", "point", "point as quotient"]))
     if kind == "anywhere":
         lam = limit * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -250,7 +248,7 @@ def test_route_c_plan_matches_the_grid_property(geometry):
     f = TestFunction()
     plan = route_c_plan(f, n, lam)
     # the counts of the dense oracle, on the float grid
-    x = make_signed_grid(n).x
+    x = full_line_grid(n).x
     block = np.abs(x) <= lam * (1.0 + 1e-12)
     assert 2 * plan.block == np.count_nonzero(block)
     assert 2 * plan.bad_rows == np.count_nonzero(block & (np.abs(x) < SignedTraceLab.BAD_ROW_EXTENT))
@@ -352,7 +350,7 @@ def test_lab_holds_no_panel_and_its_plan_bounds_setup_and_pass(standard_bump, n,
     tracemalloc.start()
     try:
         lab = SignedTraceLab(standard_bump, n, max(lams))
-        held_by = [lab, lab.fourier, lab.sgrid, lab.plan]
+        held_by = [lab, lab.fourier, lab.plan]
         arrays = [a for owner in held_by for a in vars(owner).values() if isinstance(a, np.ndarray)]
         assert not [a for owner in held_by for a in vars(owner).values() if isinstance(a, list)]
         lab.sweep(lams, cyclicity_at=min(lams))
@@ -384,11 +382,11 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
         monkeypatch.setattr(fourier_mod, "CHUNK_ENTRIES", chunk_entries)
     f = TestFunction(center=0.3, width=0.25, support_radius=1.5)
     lab = SignedTraceLab(f, n, lam)
-    step, half, b = lab.sgrid.step, n // 2, lab.plan.block
+    step, half, b = lab.fourier.step, n // 2, lab.plan.block
     odd = 2 * np.arange(half) + 1
     phase = np.outer(odd, odd[:b]) % (4 * n)
     matrix = 2.0 * step * np.cos(phase * (2.0 * np.pi / (4 * n)))
-    u_even = ue_on_the_log_axis(f, lab.sgrid, slice(0, b))
+    u_even = ue_on_the_log_axis(f, full_line_grid(n), slice(0, b))
     assert np.array_equal(lab.fourier.cosines(slice(0, half), slice(0, b)), matrix)
     # the panels one pass evaluates over their bands, zero elsewhere, are U_e[b, :] of
     # the log-axis formula over the whole half-grid bit for bit, the bad rows' panels first
@@ -405,7 +403,7 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
     starts = [rows.start for rows, _, _ in passed]
     bad = lab.plan.bad_rows
     assert starts == [*range(0, bad, PANEL_ROWS), *range(bad, b, PANEL_ROWS)]
-    for panels in (passed, ue_panels(f, lab.sgrid, 0, b)):
+    for panels in (passed, ue_panels(f, n, 0, b)):
         banded = np.zeros_like(u_even)
         for rows, lo, u in panels:
             banded[rows, lo : lo + u.shape[1]] = u
@@ -443,13 +441,13 @@ def test_ue_panels_are_exact_on_the_band_property(geometry, center_frac, width, 
     # positive half-grid: the same floats on the band, exact zeros off it
     n, lam = geometry
     f = TestFunction(center=center_frac * rho, width=width, support_radius=rho)
-    sgrid = make_signed_grid(n)
+    grid = full_line_grid(n)
     b = block_size(n, lam)
     covered = 0
-    for rows, lo, u in ue_panels(f, sgrid, 0, b):
+    for rows, lo, u in ue_panels(f, n, 0, b):
         assert rows.start == covered and len(u) == rows.stop - rows.start <= PANEL_ROWS
         covered = rows.stop
-        dense = ue_on_the_log_axis(f, sgrid, rows)
+        dense = ue_on_the_log_axis(f, grid, rows)
         hi = lo + u.shape[1]
         assert not dense[:, :lo].any() and not dense[:, hi:].any(), (rows, lo, hi)
         assert np.array_equal(dense[:, lo:hi], u)
@@ -473,12 +471,12 @@ def test_log_axis_ue_matches_the_product_form_property(geometry, center_frac, wi
     # and profiles (widths down to 0.01) the worst gap was 6.4e-14 of the largest entry
     n, lam = geometry
     f = TestFunction(center=center_frac * rho, width=width, support_radius=rho)
-    sgrid = make_signed_grid(n)
-    xp = sgrid.x[n // 2 :]
+    grid = full_line_grid(n)
+    xp = grid.positive
     gap = largest = 0.0
-    for rows, lo, u in ue_panels(f, sgrid, 0, block_size(n, lam)):
+    for rows, lo, u in ue_panels(f, n, 0, block_size(n, lam)):
         xr, y = xp[rows], xp[lo : lo + u.shape[1]]
-        product = f(np.outer(xr, 1.0 / y)) / np.sqrt(np.outer(xr, y)) * sgrid.step
+        product = f(np.outer(xr, 1.0 / y)) / np.sqrt(np.outer(xr, y)) * grid.step
         gap = max(gap, float(np.abs(u - product).max()))
         largest = max(largest, float(np.abs(product).max()))
     assert gap <= 2e-13 * largest, (n, lam, f, gap, largest)
@@ -538,12 +536,12 @@ def test_route_c_plan_never_exceeds_the_cosine_block_plan_property(geometry, f):
     assert largest <= plan.largest_panel <= PANEL_ROWS * (n // 2)
     assert plan.peak_bytes <= peak_bytes_before_the_kernel(n, b, bad)
     if n <= 1024:
-        sizes = [u.size for _, _, u in ue_panels(f, make_signed_grid(n), bad, b)]
+        sizes = [u.size for _, _, u in ue_panels(f, n, bad, b)]
         assert (band, largest) == (sum(sizes), max(sizes, default=0))
 
 
 def test_block_certification_passes_and_reports_its_defect():
-    fl = full_line_fourier(make_signed_grid(4096), 512)  # the block x <= 8
+    fl = full_line_fourier(4096, 512)  # the block x <= 8
     assert not hasattr(fl, "matrix")  # no cosine block is formed
     assert set(fl.defects) == {"involution", "kernel"}
     assert all(0.0 < d < 1e-10 for d in fl.defects.values())
@@ -570,7 +568,7 @@ def test_perturbed_block_entry_fails_certification(row, col, delta):
     # (l, j) of the even sector, where (C P_b C)[l, j] = K(l + j + 1) + K(l - j).  The kernel
     # value K(l - j) is perturbed, by a real delta or by an imaginary part the real
     # kernel must not have
-    fl = FullLineFourier(make_signed_grid(1024), 32)
+    fl = FullLineFourier(1024, 32)
     fl.dirichlet = _perturbed_kernel(fl, _fold(row, 1024) - _fold(col, 64), delta)
     with pytest.raises(FourierBuildError) as exc:
         certify(fl, SIGNED_DEFECT_THRESHOLD, "signed n=1024 cols=32")
@@ -581,7 +579,7 @@ def test_perturbed_block_entry_fails_certification(row, col, delta):
 @pytest.mark.parametrize("n, cols", [(1024, 32), (4096, 512), (1000, 5)])
 @pytest.mark.parametrize("shift", [1, -1])
 def test_kernel_table_shifted_by_one_index_fails_certification(n, cols, shift):
-    fl = FullLineFourier(make_signed_grid(n), cols)
+    fl = FullLineFourier(n, cols)
     dirichlet = fl.dirichlet
     fl.dirichlet = lambda k, first, stop: dirichlet(k, first + shift, stop + shift)
     with pytest.raises(FourierBuildError, match="kernel"):
@@ -648,8 +646,8 @@ def test_fft_form_matches_dense_matrix():
     # with np.cos of the integer outer product (2j+1)(2k+1) mod 4n, not from the table
     rng = np.random.default_rng(3)
     for n in (256, 1000, 4096):
-        sg = make_signed_grid(n)
-        fl = FullLineFourier(sg, 128)
+        sg = full_line_grid(n)
+        fl = FullLineFourier(n, 128)
         odd = 2 * np.arange(n // 2) + 1
         C = 2.0 * sg.step * np.cos(np.outer(odd, odd) % (4 * n) * (2.0 * np.pi / (4 * n)))
         x = rng.standard_normal(n // 2)
@@ -657,7 +655,7 @@ def test_fft_form_matches_dense_matrix():
         assert np.abs(fl.apply(fl.apply(x)) - x).max() < 1e-12
         if n == 256:
             # the full-line F on x mirrored onto both signs, read on the positive half
-            F = np.exp(-2j * np.pi * np.outer(sg.x, sg.x)) * sg.step
+            F = sg.fourier_matrix()
             assert np.abs(fl.apply(x) - (F @ np.concatenate([x[::-1], x]))[n // 2 :]).max() < 1e-12
 
 
@@ -673,7 +671,7 @@ def test_odd_sector_part_of_the_trace_vanishes(lam):
     # R is the reflection x -> -x; U_f kills odd vectors and F commutes with R,
     # so Tr(P F^-1 P U_f F (I - R) / 2) is rounding noise
     oracle = DenseSignedTraceLab(TestFunction(center=-0.2), 512)
-    x = oracle.sgrid.x
+    x = oracle.grid.x
     p = (np.abs(x) <= lam * (1.0 + 1e-12)).astype(float)
     Fm = oracle.fourier_matrix
     a = (p[:, None] * np.conj(Fm) * p[None, :]) @ oracle.uf_matrix @ Fm
@@ -691,7 +689,7 @@ def test_odd_sector_part_of_the_trace_vanishes(lam):
 )
 def test_even_sector_lab_matches_dense_oracle_property(half, frac, center):
     n = 2 * half
-    max_lambda = frac * make_signed_grid(n).extent / 2.0
+    max_lambda = frac * full_line_grid(n).extent / 2.0
     f = TestFunction(center=center, width=0.25, support_radius=1.5)
     oracle = DenseSignedTraceLab(f, n)
     lab = SignedTraceLab(f, n, max_lambda)
@@ -738,12 +736,13 @@ def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, 
     # the last (the fastest cosine) included
     n = 2 * half
     f = TestFunction(center=center, width=width, support_radius=rho)
-    lab = SignedTraceLab(f, n, frac * make_signed_grid(n).extent / 2.0)
-    xb = lab.sgrid.x[half:][: lab.plan.block]
+    grid = full_line_grid(n)
+    lab = SignedTraceLab(f, n, frac * grid.extent / 2.0)
+    xb = grid.positive[: lab.plan.block]
     cols = np.unique(np.linspace(0, len(xb) - 1, 48).round().astype(int))
     vs = xb[: lab.plan.bad_rows]
     got = lab.quadrature_rows[:, cols]
-    want = composite_gauss_legendre_rows(f, vs, xb[cols], lab.sgrid.step)
+    want = composite_gauss_legendre_rows(f, vs, xb[cols], grid.step)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, lab.plan.lattice)
 
 
@@ -764,10 +763,10 @@ def test_angle_addition_cosines_match_the_literal_cosines(n, lam, f, block):
     plan = route_c_plan(f, n, lam)
     assert plan.block == block
     lo, dtau, nodes = plan.lattice
-    sgrid = make_signed_grid(n)
-    us = sgrid.x[n // 2 :][:block]
+    grid = full_line_grid(n)
+    us = grid.positive[:block]
     theta = 2.0 * np.pi * np.exp(np.arange(nodes) * dtau + lo)
-    got = block_cosines(theta, us, sgrid.step)
+    got = block_cosines(theta, us, grid.step)
     argument = np.outer(theta, us)
     assert got.shape == argument.shape
     bound = 4.0 * np.finfo(float).eps * (1.0 + argument.max())
@@ -795,7 +794,7 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     assert "defect" not in setup[0]
     # the set-up holds the quadrature rows alone; the largest panel is of PANEL_ROWS whole rows
     bad = lab.plan.bad_rows
-    sizes = [u.size for r in ((0, bad), (bad, 64)) for _, _, u in ue_panels(standard_bump, lab.sgrid, *r)]
+    sizes = [u.size for r in ((0, bad), (bad, 64)) for _, _, u in ue_panels(standard_bump, 1024, *r)]
     assert 0 < max(sizes) < PANEL_ROWS * 512
     for key in (
         "n_signed=1024",

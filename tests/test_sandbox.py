@@ -66,6 +66,32 @@ def test_bad_table_rejected(table, match):
         FiniteGroup(order=len(table), table=np.array(table))
 
 
+@pytest.mark.parametrize(
+    "factors, table",
+    [
+        ((4,), _cyclic_table((2, 2))),  # Z4's factors on the Klein group's table
+        ((2, 2), _cyclic_table((4,))),
+        ((2, 3), _cyclic_table((3, 2))),  # Z6 both ways, its elements in another order
+        ((6,), _cyclic_table((2, 3))),
+    ],
+    ids=["Z4-on-Z2xZ2", "Z2xZ2-on-Z4", "Z2xZ3-on-Z3xZ2", "Z6-on-Z2xZ3"],
+)
+def test_cyclic_factors_must_generate_the_table(factors, table):
+    # characters() reads the factors: on another table its maps are not homomorphisms
+    with pytest.raises(ValueError, match="table is not the table of cyclic factors"):
+        FiniteGroup(order=len(table), cyclic_factors=factors, table=table)
+
+
+def test_cyclic_factors_with_their_own_table_are_accepted():
+    group = FiniteGroup(order=6, cyclic_factors=(2, 3), table=_cyclic_table((2, 3)).tolist())
+    assert np.array_equal(group.table, cyclic_group(2, 3).table)
+    chars = characters(group)
+    table = group.table
+    for a in range(6):
+        for b in range(6):
+            assert np.allclose(chars[:, table[a, b]], chars[:, a] * chars[:, b])
+
+
 def test_identity_and_inverses_match_the_table():
     for group in (cyclic_group(2, 6), symmetric_s3(), quaternion_q8(), dihedral_d4()):
         e = group.identity
@@ -418,6 +444,14 @@ def test_suite_biregular():
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("no-such-suite")
+
+
+@pytest.mark.parametrize("name", sandbox_mod.SUITE_NAMES)
+@pytest.mark.parametrize("seed", [-1, -7])
+def test_run_suite_refuses_a_negative_seed(name, seed):
+    # random.Random seeds from |seed|: a negative seed would repeat its absolute value's draws
+    with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+        run_suite(name, seed)
 
 
 def test_run_sandbox_all():
