@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -210,20 +210,25 @@ def asymptotic_fit(reports: Sequence[TraceReport]) -> tuple[float, float, float]
     """Least squares of route-B values against (2 log lam, 1).
 
     Returns (slope, intercept, max residual): the slope estimates f(1), the
-    intercept estimates -H(f)(1).
+    intercept estimates -H(f)(1).  Two parameters have a closed form; it is
+    taken about the means (Chan, Golub & LeVeque, Amer. Statist. 37, 1983),
+    so the slope is sum(dx dy) / sum(dx^2) with no cancellation in the sums,
+    and the fit needs no LAPACK solver: a sweep calls no ``numpy.linalg``.
     """
     if len(reports) < 3:
         raise ValueError("need at least 3 reports for the asymptotic fit")
-    lams = {r.lam for r in reports}
-    if len(lams) < 2:
+    if len({r.two_log_lambda for r in reports}) < 2:
         raise ValueError("degenerate design matrix: fewer than 2 distinct lambdas")
-    y = np.array([r.t_route_b for r in reports])
+    y = [r.t_route_b for r in reports]
     if np.allclose(y, 0.0):
         raise ValueError("all trace values vanish; the fit is degenerate")
-    X = np.array([[r.two_log_lambda, 1.0] for r in reports])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    return float(coef[0]), float(coef[1]), float(np.abs(resid).max())
+    x = [r.two_log_lambda for r in reports]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    residual = max(abs(b - slope * a) for a, b in zip(dx, dy))
+    return slope, y_mean - slope * x_mean, residual
 
 
 def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[TraceReport]:
@@ -238,10 +243,12 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 
 
 # chunk-sized float arrays alive at once while one row chunk of a U_e panel is
-# evaluated (the log differences, the exp and smoothstep arrays of the profile on
-# the log axis); tracemalloc measures 7.3 at n_signed=4096, max_lambda=8, and 4.8
-# in the bad rows' quadrature
-ROUTE_C_TEMPORARIES = 10
+# evaluated (the log differences, the Gaussian's and the smoothstep's arrays of the
+# profile on the log axis, the step's edge arrays); tracemalloc measures 4.5-5.4 over
+# n_signed 1024-65536 and profiles of width 0.05-2 (6.5-7.1 while each ufunc made a new
+# array), and 1.4-5.5 in the bad rows' quadrature besides its product; at most 6.4 when
+# every entry of a chunk is on the mollifier's edge
+ROUTE_C_TEMPORARIES = 8
 
 # lattice nodes per unit of log y beyond the cosine's, per 1/support_radius
 # and per 1/width: within 3e-13 of converged Gauss-Legendre (relative to
@@ -412,18 +419,21 @@ def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: Optional[int]
     each panel is f.of_log(log v - log y) r_v r_y, evaluated only when it is asked for and
     filled in place one row chunk at a time (``row_chunks``).  Off the band
     |log v - log y| >= R holds to rounding, so there the mollifier's exp underflows and
-    U_e is exactly 0.
+    U_e is exactly 0.  Every panel is a view of one buffer, allocated once at the size of
+    the largest panel yielded, so a panel is valid until the next one is requested.
     """
     cut = stop if cut is None else cut
     half = n // 2
     logs = np.log(signed_point(n, np.arange(half)))
     r = 1.0 / np.sqrt(np.arange(half) + 0.5)
-    for rows, lo, hi in panel_bands(f, n, first, stop):
-        if rows.start >= cut:
-            return
-        rows = slice(rows.start, min(rows.stop, cut))
+    bands = [
+        (slice(rows.start, min(rows.stop, cut)), lo, hi)
+        for rows, lo, hi in takewhile(lambda band: band[0].start < cut, panel_bands(f, n, first, stop))
+    ]
+    buffer = np.empty(max(((rows.stop - rows.start) * (hi - lo) for rows, lo, hi in bands), default=0))
+    for rows, lo, hi in bands:
         log_v, r_v, log_y, r_y = logs[rows, None], r[rows, None], logs[lo:hi], r[lo:hi]
-        panel = np.empty((len(log_v), hi - lo))
+        panel = buffer[: len(log_v) * (hi - lo)].reshape(len(log_v), hi - lo)
         for chunk in row_chunks(len(log_v), hi - lo):
             fill = panel[chunk]
             np.multiply(f.of_log(log_v[chunk] - log_y), r_v[chunk], out=fill)
@@ -578,6 +588,25 @@ class SignedTraceLab:
         toeplitz = windows[lo + k - v0 - len(u) : lo + k - v0][::-1]
         return float(np.einsum("ij,ij->", u, hankel) + np.einsum("ij,ij->", u, toeplitz))
 
+    def _check_terms(self, table: np.ndarray, kc: int, v0: int, lo: int, u: np.ndarray, t1, t2, t3):
+        """(t1, t2, t3) with the panel's rows v0 <= v < kc added: the two literal orders of
+        the cyclicity check and its kernel trace.
+
+        The band's cosine rows cb are streamed one row chunk at a time; the call's
+        temporaries are freed when it returns, before the next panel is filled.
+        """
+        cos = self.fourier.cosines
+        uk = u[: kc - v0]
+        c_cols = cos(slice(0, kc), slice(v0, v0 + len(uk)))  # c[:, rows]
+        uc = np.zeros((len(uk), kc))  # (U_e cb)[rows]
+        for chunk in row_chunks(uk.shape[1], kc):
+            cb = cos(slice(lo + chunk.start, lo + chunk.stop), slice(0, kc))  # cb[band rows]
+            uc += uk[:, chunk] @ cb
+            t2 += float(np.sum(uk[:, chunk] * (cb @ c_cols).T))
+        t1 += float(np.sum(c_cols.T * uc))  # Tr(c uc) = sum(c * uc.T)
+        t3 += self._kernel_term(table, kc, v0, lo, u)
+        return t1, t2, t3
+
     def sweep(self, lams: Sequence[float], cyclicity_at: Optional[float] = None):
         """(traces, defect): Tr(P F^-1 P U_f F) at each lam, and ``cyclicity_defect``
         at ``cyclicity_at`` (None when it is None), from one pass over the panels of U_e.
@@ -585,12 +614,15 @@ class SignedTraceLab:
         The pass evaluates each panel of U_e[b, :] once (``ue_panels``, the bad rows'
         from row 0 and the good rows' from the first good row, each band that of the
         plan's whole panel), adds its terms to every lam and to the check that read
-        it, and drops it: the good rows' kernel term (``_kernel_term``) to each lam's
-        trace, and for the rows below the check's block its three traces.  A trace adds
-        the bad rows' quadrature rows of U_e C[:, b] against the cosines C[b, bad] last,
-        taken before any panel is alive.  Each sum runs over the panels in their order,
-        as one lam alone would sum it.  Each trace and the check log their own time;
-        the pass's line has the rest, mostly the panels' evaluation (``panels_ms``).
+        it, and lets it go before the next is filled into the same buffer: the good
+        rows' kernel term (``_kernel_term``) to each lam's trace, and for the rows below
+        the check's block its three traces (``_check_terms``).  The bad rows' buffer is
+        freed before the good rows' is allocated.  A trace adds the bad rows' quadrature
+        rows of U_e C[:, b] against the cosines C[b, bad] last, taken before any panel
+        is alive.  Each sum runs over the panels in their order, as one lam alone would
+        sum it.  Each trace and the check log their own time; the pass's line has the
+        largest panel buffer's bytes and the rest of the time, mostly the panels'
+        evaluation (``panels_ms``).
         """
         start = time.perf_counter()
         ks = [self._sub_block(lam) for lam in lams]
@@ -608,13 +640,13 @@ class SignedTraceLab:
             spent[i] += time.perf_counter() - mark
         values = [0.0] * len(ks)
         t1 = t2 = t3 = 0.0
-        panels = band = 0
+        panels = band = largest = 0
         for rows, lo, u in chain(
             ue_panels(self.f, self.fourier.n, 0, bad, cut=kc),
             ue_panels(self.f, self.fourier.n, bad, self.plan.block, cut=max(ks + [kc])),
         ):
             v0 = rows.start
-            panels, band = panels + 1, band + u.size
+            panels, band, largest = panels + 1, band + u.size, max(largest, u.size)
             for i, k in enumerate(ks):
                 if bad <= v0 < k:
                     mark = time.perf_counter()
@@ -622,16 +654,9 @@ class SignedTraceLab:
                     spent[i] += time.perf_counter() - mark
             if v0 < kc:
                 mark = time.perf_counter()
-                uk = u[: kc - v0]
-                c_cols = cos(slice(0, kc), slice(v0, v0 + len(uk)))  # c[:, rows]
-                uc = np.zeros((len(uk), kc))  # (U_e cb)[rows]
-                for chunk in row_chunks(uk.shape[1], kc):
-                    cb = cos(slice(lo + chunk.start, lo + chunk.stop), slice(0, kc))  # cb[band rows]
-                    uc += uk[:, chunk] @ cb
-                    t2 += float(np.sum(uk[:, chunk] * (cb @ c_cols).T))
-                t1 += float(np.sum(c_cols.T * uc))  # Tr(c uc) = sum(c * uc.T)
-                t3 += self._kernel_term(tables[kc], kc, v0, lo, u)
+                t1, t2, t3 = self._check_terms(tables[kc], kc, v0, lo, u, t1, t2, t3)
                 spent[-1] += time.perf_counter() - mark
+            del u  # no view of the buffer while the next panel is asked for
         for i, (lam, k) in enumerate(zip(lams, ks)):
             values[i] += bad_terms[i]
             message = "route C trace: lam=%g block_rows=%d bad_rows=%d t_route_c=%.15g duration_s=%.6f"
@@ -642,8 +667,8 @@ class SignedTraceLab:
             message = "route C cyclicity: lam=%g block_rows=%d defect=%.3e duration_s=%.6f"
             log.info(message, cyclicity_at, 2 * kc, defect, spent[-1])
         rest_ms = 1e3 * (time.perf_counter() - start - sum(spent))
-        message = "route C pass: lambdas=%d panels=%d band_entries=%d/%d panels_ms=%.3f"
-        log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), rest_ms)
+        message = "route C pass: lambdas=%d panels=%d band_entries=%d/%d panel_buffer_bytes=%d panels_ms=%.3f"
+        log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), 8 * largest, rest_ms)
         return values, defect
 
     def trace_route_c(self, lam: float) -> float:

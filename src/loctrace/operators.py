@@ -17,18 +17,22 @@ import numpy as np
 from .fields import RadialGrid
 
 
-def _smoothstep(u: np.ndarray) -> np.ndarray:
+def _smoothstep(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0 for u <= 0, 1 for u >= 1 and e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) between.
 
-    Clipping gives both plateaus in one pass; the two exps run only at the
-    edge's flat indices.
+    Clipping gives both plateaus in one pass, into ``out`` (a new array by
+    default, so u is left as it is); the two exps run only at the edge's flat
+    indices, each in place on its own array of the edge's size.
     """
-    out = np.clip(u, 0.0, 1.0)
+    out = np.clip(u, 0.0, 1.0, out=out)
     flat = out.reshape(-1)
     edge = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-    um = flat[edge]
-    a = np.exp(-1.0 / um)
-    b = np.exp(-1.0 / (1.0 - um))
+    b = flat[edge]  # u on the edge, then 1 - u
+    a = np.divide(-1.0, b)
+    np.exp(a, out=a)
+    np.subtract(1.0, b, out=b)
+    np.divide(-1.0, b, out=b)
+    np.exp(b, out=b)
     b += a
     flat[edge] = np.divide(a, b, out=a)
     return out
@@ -80,10 +84,20 @@ class TestFunction:
 
         Exactly 0 wherever |x| >= support_radius (the mollifier's step clips to 0), and
         wherever |x| falls short of it by less than about support_radius / 1500, where the
-        step's exp underflows.
+        step's exp underflows.  The ufuncs of
+        exp(-(x - center)^2 / (2 width^2)) * smoothstep(2 (1 - |x| / R)) run in that order,
+        each into the array of its operand: two temporaries of x's size in all.
         """
-        vals = np.exp(-((x - self.center) ** 2) / (2.0 * self.width**2))
-        vals *= _smoothstep(2.0 * (1.0 - np.abs(x) / self.support_radius))
+        vals = np.subtract(x, self.center)
+        np.square(vals, out=vals)
+        np.negative(vals, out=vals)
+        vals /= 2.0 * self.width**2
+        np.exp(vals, out=vals)
+        step = np.abs(x)
+        step /= self.support_radius
+        np.subtract(1.0, step, out=step)
+        step *= 2.0
+        vals *= _smoothstep(step, out=step)
         return vals
 
     def support_band(self) -> tuple[float, float]:

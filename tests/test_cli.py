@@ -497,7 +497,7 @@ def route_c_budget_edge(max_lambda: float, lambdas: int) -> tuple[int, int]:
     [
         (4095, "even n"),  # odd
         (64, "too close to the signed-grid extent"),  # extent/2 = 1.97 < lambda 8
-        pytest.param(None, "budget", id="first_refused-budget"),  # about 6.42M, see below
+        pytest.param(None, "budget", id="first_refused-budget"),  # about 7.42M, see below
     ],
 )
 def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, n_signed, message):
@@ -521,7 +521,7 @@ def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize("max_lambda, lambdas", [(8.0, 3), (16.0, 4)])
 def test_validate_accepts_route_c_grids_up_to_the_budget_edge(max_lambda, lambdas):
     # the largest n_signed the 2 GiB budget takes, and the first it refuses, from
-    # route_c_plan: about 6.42M at max_lambda 8 and 4.37M at 16
+    # route_c_plan: about 7.42M at max_lambda 8 and 5.24M at 16
     accepted, refused = route_c_budget_edge(max_lambda, lambdas)
     assert refused == accepted + 2
 
@@ -758,6 +758,23 @@ def test_default_h_sweep_judges_the_gates_verify_judges(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary_H.json").read_text())
     assert set(summary["gates"]) == VERIFY_GATES["H"]
     assert "error" in summary["fit"]  # computed and written, not judged
+
+
+def test_sweeps_call_no_numpy_linalg(tmp_path, monkeypatch):
+    # the asymptotic fit has a closed form and route C traces a DCT-IV with no solver:
+    # the default R sweep with route C, and the C sweep, pass with LAPACK's entry points
+    # refused (calling one faults in about 1.1 MB of LAPACK code pages)
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep called numpy.linalg")
+
+    for name in ("lstsq", "svd", "eigh", "solve", "inv", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for key in ("R", "C"):
+        summary = run_trace_sweep(copy.deepcopy(DEFAULT_CONFIGS[key]), tmp_path / key, fit_gates=True)
+        assert summary["passed"] and "error" not in summary["fit"], key
+        assert ("trace_cyclicity" in summary["gates"]) == (key == "R")  # route C ran on R
 
 
 def test_verify_gates_have_one_shape(tmp_path):

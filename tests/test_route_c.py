@@ -340,6 +340,24 @@ def test_setup_and_cyclicity_never_form_an_n_half_by_block_array(standard_bump):
     assert all(peak < wide for peak in peaks.values()), peaks
 
 
+@pytest.mark.parametrize("n, lam", [(4096, 8.0), (8192, 8.0)])
+def test_a_pass_holds_one_panel(standard_bump, n, lam):
+    # a pass over three lams and the check holds one panel buffer, the largest panel's,
+    # and the temporaries of one row chunk at a time: its traced peak above what the lab
+    # holds stays within them (2224443 bytes at n 4096, 13 chunks above the panel, while
+    # each panel was a new array allocated with the one before still alive)
+    lab = SignedTraceLab(standard_bump, n, lam)
+    tracemalloc.start()
+    try:
+        lams = [lam / 4.0, lam / 2.0, lam]
+        held = tracemalloc.get_traced_memory()[0]
+        lab.sweep(lams, cyclicity_at=lams[0])
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= 8 * lab.plan.largest_panel + ROUTE_C_TEMPORARIES * 8 * CHUNK_ENTRIES, peak
+
+
 @pytest.mark.parametrize(
     "n, lams", [(4096, (2.0, 4.0, 8.0)), (1024, (0.3, 1.0, 6.0)), (16384, (8.0,)), (2000, (0.1, 7.3))]
 )
@@ -390,13 +408,15 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
     assert np.array_equal(lab.fourier.cosines(slice(0, half), slice(0, b)), matrix)
     # the panels one pass evaluates over their bands, zero elsewhere, are U_e[b, :] of
     # the log-axis formula over the whole half-grid bit for bit, the bad rows' panels first
-    # and the good rows' from the first good row; so are those ue_panels yields from row 0
+    # and the good rows' from the first good row; so are those ue_panels yields from row 0.
+    # Each panel is a view of the generator's one buffer, valid until the next is asked
+    # for, so the recorder keeps a copy of each as it is yielded
     passed = []
 
     def recording(*args, **kwargs):
-        for panel in ue_panels(*args, **kwargs):
-            passed.append(panel)
-            yield panel
+        for rows, lo, u in ue_panels(*args, **kwargs):
+            passed.append((rows, lo, u.copy()))
+            yield rows, lo, u
 
     monkeypatch.setattr(cutoff_trace_mod, "ue_panels", recording)
     lab.sweep([lam], cyclicity_at=lam)
@@ -814,7 +834,8 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     assert 0.0 < float(fields["quadrature_ms"]) / 1e3 <= float(fields["duration_s"])
     # one line per lam with its value and its own time, one for the check, and the pass's
     # line with the U_e entries it evaluated (of the n/2 x |b| entries of U_e[b, :]), the
-    # time outside the traces and the check (the panels' evaluation) and the whole duration
+    # bytes of its panel buffer (the largest panel's), the time outside the traces and the
+    # check (the panels' evaluation) and the whole duration
     traces = [m.split(" duration_s=") for m in lines if m.startswith("route C trace")]
     # bad_rows: the block's signed rows whose terms come from quadrature (x < 0.5), every
     # row of the block at lam 0.25
@@ -826,7 +847,10 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     cyclicity = [m.split(" duration_s=") for m in lines if m.startswith("route C cyclicity")]
     assert [c[0] for c in cyclicity] == [f"route C cyclicity: lam=1 block_rows=64 defect={defect:.3e}"]
     (passed,) = [m.split(" panels_ms=") for m in lines if m.startswith("route C pass")]
-    assert passed[0] == f"route C pass: lambdas=3 panels={len(sizes)} band_entries={sum(sizes)}/{512 * 64}"
+    assert passed[0] == (
+        f"route C pass: lambdas=3 panels={len(sizes)} band_entries={sum(sizes)}/{512 * 64} "
+        f"panel_buffer_bytes={8 * max(sizes)}"
+    )
     panels_ms, duration = (float(x) for x in passed[1].split(" duration_s="))
     own = [float(t[1]) for t in traces + cyclicity]
     assert 0.0 < panels_ms / 1e3 <= duration and all(t >= 0.0 for t in own)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from loctrace import (
     FourierOperator,
@@ -306,11 +306,35 @@ def test_fit_exact_synthetic():
     assert resid < 1e-12
 
 
+@settings(max_examples=200)
+@given(
+    lams=st.lists(st.floats(0.5, 200.0), min_size=3, max_size=8, unique=True),
+    slope=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+    intercept=st.floats(-10.0, 10.0),
+    noise=st.lists(st.floats(-1e-3, 1e-3), min_size=8, max_size=8),
+)
+def test_fit_closed_form_matches_lstsq_property(lams, slope, intercept, noise):
+    # the closed form against LAPACK's least squares, a test-only oracle.  The intercept
+    # is y_mean - slope x_mean, so it is held relative to the larger of those two terms;
+    # lams spanning a factor 2 keep the design as well conditioned as a sweep's doublings
+    assume(max(lams) >= 2.0 * min(lams))
+    x = [2 * math.log(lam) for lam in lams]
+    y = [slope * xi + intercept + e for xi, e in zip(x, noise)]
+    reports = [TraceReport(lam, xi, yi, yi, None, yi, 0.0, 0.0) for lam, xi, yi in zip(lams, x, y)]
+    got = asymptotic_fit(reports)
+    design = np.column_stack([x, np.ones(len(x))])
+    (a, b), *_ = np.linalg.lstsq(design, np.array(y), rcond=None)
+    resid = float(np.abs(np.array(y) - design @ (a, b)).max())
+    assert abs(got[0] - a) <= 1e-12 * abs(a)
+    assert abs(got[1] - b) <= 1e-12 * max(abs(b), abs(a * np.mean(x)))
+    assert abs(got[2] - resid) <= 1e-12 * max(map(abs, y))
+
+
 def test_fit_rejects_degenerate():
     rep = TraceReport(2.0, 2 * math.log(2.0), 1.0, 1.0, None, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 3 reports"):
         asymptotic_fit([rep, rep])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fewer than 2 distinct lambdas"):
         asymptotic_fit([rep, rep, rep])
     zero = TraceReport(2.0, 2 * math.log(2.0), 0.0, 0.0, None, 0.0, 0.0, 0.0)
     zero4 = TraceReport(4.0, 2 * math.log(4.0), 0.0, 0.0, None, 0.0, 0.0, 0.0)
