@@ -338,17 +338,6 @@ def panel_bands(f: TestFunction, n: int, first: int, stop: int):
         yield slice(r0, r1), lo, hi
 
 
-def band_entries(f: TestFunction, n: int, first: int, stop: int) -> tuple[int, int]:
-    """(all, largest): the entries of ``ue_panels(f, n, first, stop)`` and of its largest panel.
-
-    Beyond BAND_PANELS_MAX panels both are bounded by whole rows instead.
-    """
-    if stop - first > PANEL_ROWS * BAND_PANELS_MAX:
-        return (n // 2) * (stop - first), (n // 2) * PANEL_ROWS
-    sizes = [(rows.stop - rows.start) * (hi - lo) for rows, lo, hi in panel_bands(f, n, first, stop)]
-    return sum(sizes), max(sizes, default=0)
-
-
 @dataclass(frozen=True)
 class RouteCPlan:
     """The geometry of a SignedTraceLab, decided before anything is allocated."""
@@ -365,18 +354,19 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
 
     ``peak_bytes`` counts what the lab keeps, the bad rows' quadrature rows
     (bad x |b|), and what a pass over ``lambdas`` lams holds at once: the
-    largest panel of U_e[b, :] (``band_entries`` of the bad rows and of the
-    good rows, each from its first row) and a Dirichlet table of n/2 + 2 |b|
-    entries for each lam and for the cyclicity check.  It bounds every
-    temporary: ROUTE_C_TEMPORARIES arrays of one row chunk of a panel
-    (``row_chunks``), the transform's n-length tables and the arrays of its
-    certification (``kernel_fft_length``), and the larger of the set-up's
-    bad-row quadrature (one product of its result's size and
-    ROUTE_C_TEMPORARIES arrays of one lattice chunk) and a pass's (two arrays
-    of the bad rows' size in each trace's bad-row term, four of one panel's
-    rows against the block in the cyclicity check).  Raises ValueError when n
-    is odd or below 2, when max_lambda reaches half the grid's extent, or when
-    the bad rows' lattice exceeds LATTICE_NODES_MAX.
+    largest panel of U_e[b, :] (over the ``panel_bands`` of the bad rows and
+    of the good rows, each from its first row) and a Dirichlet table of
+    n/2 + 2 |b| entries for each lam and for the cyclicity check.  It bounds
+    every temporary: ROUTE_C_TEMPORARIES arrays of one row chunk
+    (``row_chunks``) of a panel, as wide as the widest band, or of the
+    check's cosine rows against the block; the transform's n-length tables
+    and the arrays of its certification (``kernel_fft_length``); and the
+    larger of the set-up's bad-row quadrature (one product of its result's
+    size and ROUTE_C_TEMPORARIES arrays of one lattice chunk) and a pass's
+    (two arrays of the bad rows' size in each trace's bad-row term, three of
+    one panel's rows against the block in the cyclicity check).  Raises
+    ValueError when n is odd or below 2, when max_lambda reaches half the
+    grid's extent, or when the bad rows' lattice exceeds LATTICE_NODES_MAX.
     """
     check_signed_n(n)
     extent = signed_point(n, n // 2 - 1)  # the grid's largest point, x[-1]
@@ -391,9 +381,16 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     # the bad rows run from x_0 to x_{bad-1}, against columns up to x_{b-1}
     lattice = log_lattice(f, *(signed_point(n, j) for j in (0, bad - 1, b - 1))) if bad else None
     half = n // 2
-    panel = max(band_entries(f, n, 0, bad)[1], band_entries(f, n, bad, b)[1])
+    # the largest panel and the widest band of the bad rows' and the good rows' panels,
+    # each from its first row; past BAND_PANELS_MAX panels, PANEL_ROWS whole rows
+    panel = widest = 0
+    for first, stop in ((0, bad), (bad, b)):
+        whole = stop - first > PANEL_ROWS * BAND_PANELS_MAX
+        for rows, lo, hi in [(slice(0, PANEL_ROWS), 0, half)] if whole else panel_bands(f, n, first, stop):
+            panel, widest = max(panel, (rows.stop - rows.start) * (hi - lo)), max(widest, hi - lo)
     tables = (lambdas + 1) * (half + 2 * b)  # a pass's Dirichlet tables
-    chunk = min(half * b, max(CHUNK_ENTRIES, half))
+    # a row chunk of a panel, or of the check's cosine rows cb against the block
+    chunk = min(half * b, max(CHUNK_ENTRIES, widest, b))
     # the grid, the cosine, sine and two phase tables and the involution probes
     # (13 n measured), and the kernel check's FFTs (6 of its length)
     vectors = 14 * n + (6 * kernel_fft_length(n, b) if b else 0)
@@ -401,17 +398,17 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     # arrays of one lattice chunk against the block, whatever the lattice's length
     quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     # a pass's, once those are freed: each trace's C[b, bad] and its product with the
-    # quadrature rows, and the check's c[:, rows] with the two index arrays of its
-    # gather, or with U_e cb and their product
-    passing = 2 * bad * b + 4 * min(PANEL_ROWS, b) * b
+    # quadrature rows, and the check's c[:, rows] with U_e cb and their product (the
+    # gather of c[:, rows] holds its one index array before U_e cb exists)
+    passing = 2 * bad * b + 3 * min(PANEL_ROWS, b) * b
     temporaries = ROUTE_C_TEMPORARIES * chunk + vectors + max(quadrature, passing)
     peak = 8 * (bad * b + panel + tables + temporaries)
     return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, largest_panel=panel, peak_bytes=peak)
 
 
-def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: Optional[int] = None):
+def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: np.ndarray):
     """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1 over their ``panel_bands``,
-    each panel cut at row ``cut`` (default ``stop``), none from it on, on the n-point signed grid.
+    each panel cut at row ``cut``, none from it on, on the n-point signed grid.
 
     U_e[v, y] = f(v/y) / sqrt(vy) step is, on the log axis, a profile of log v - log y
     times two separable factors: x_j = (j + 1/2) step, so step / sqrt(vy) = r_v r_y with
@@ -419,19 +416,15 @@ def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: Optional[int]
     each panel is f.of_log(log v - log y) r_v r_y, evaluated only when it is asked for and
     filled in place one row chunk at a time (``row_chunks``).  Off the band
     |log v - log y| >= R holds to rounding, so there the mollifier's exp underflows and
-    U_e is exactly 0.  Every panel is a view of one buffer, allocated once at the size of
-    the largest panel yielded, so a panel is valid until the next one is requested.
+    U_e is exactly 0.  Every panel is a view of the caller's ``buffer``, which must hold
+    the largest panel (``RouteCPlan.largest_panel``), so a panel is valid until the next
+    one is requested.
     """
-    cut = stop if cut is None else cut
     half = n // 2
     logs = np.log(signed_point(n, np.arange(half)))
     r = 1.0 / np.sqrt(np.arange(half) + 0.5)
-    bands = [
-        (slice(rows.start, min(rows.stop, cut)), lo, hi)
-        for rows, lo, hi in takewhile(lambda band: band[0].start < cut, panel_bands(f, n, first, stop))
-    ]
-    buffer = np.empty(max(((rows.stop - rows.start) * (hi - lo) for rows, lo, hi in bands), default=0))
-    for rows, lo, hi in bands:
+    for rows, lo, hi in takewhile(lambda band: band[0].start < cut, panel_bands(f, n, first, stop)):
+        rows = slice(rows.start, min(rows.stop, cut))
         log_v, r_v, log_y, r_y = logs[rows, None], r[rows, None], logs[lo:hi], r[lo:hi]
         panel = buffer[: len(log_v) * (hi - lo)].reshape(len(log_v), hi - lo)
         for chunk in row_chunks(len(log_v), hi - lo):
@@ -611,18 +604,18 @@ class SignedTraceLab:
         """(traces, defect): Tr(P F^-1 P U_f F) at each lam, and ``cyclicity_defect``
         at ``cyclicity_at`` (None when it is None), from one pass over the panels of U_e.
 
-        The pass evaluates each panel of U_e[b, :] once (``ue_panels``, the bad rows'
-        from row 0 and the good rows' from the first good row, each band that of the
-        plan's whole panel), adds its terms to every lam and to the check that read
-        it, and lets it go before the next is filled into the same buffer: the good
-        rows' kernel term (``_kernel_term``) to each lam's trace, and for the rows below
-        the check's block its three traces (``_check_terms``).  The bad rows' buffer is
-        freed before the good rows' is allocated.  A trace adds the bad rows' quadrature
-        rows of U_e C[:, b] against the cosines C[b, bad] last, taken before any panel
-        is alive.  Each sum runs over the panels in their order, as one lam alone would
+        The pass allocates one panel buffer, the plan's largest panel, and evaluates each
+        panel of U_e[b, :] once into it (``ue_panels``, the bad rows' from row 0 and the
+        good rows' from the first good row, each band that of the plan's whole panel).
+        It adds each panel's terms to every lam and to the check that read it before
+        the next is filled into the same buffer: the good rows' kernel term
+        (``_kernel_term``) to each lam's trace, and for the rows below the check's block
+        its three traces (``_check_terms``).  A trace adds the bad rows' quadrature rows
+        of U_e C[:, b] against the cosines C[b, bad] last, taken before any panel is
+        alive.  Each sum runs over the panels in their order, as one lam alone would
         sum it.  Each trace and the check log their own time; the pass's line has the
-        largest panel buffer's bytes and the rest of the time, mostly the panels'
-        evaluation (``panels_ms``).
+        panel buffer's bytes and the rest of the time, mostly the panels' evaluation
+        (``panels_ms``).
         """
         start = time.perf_counter()
         ks = [self._sub_block(lam) for lam in lams]
@@ -640,13 +633,14 @@ class SignedTraceLab:
             spent[i] += time.perf_counter() - mark
         values = [0.0] * len(ks)
         t1 = t2 = t3 = 0.0
-        panels = band = largest = 0
+        panels = band = 0
+        buffer = np.empty(self.plan.largest_panel)
         for rows, lo, u in chain(
-            ue_panels(self.f, self.fourier.n, 0, bad, cut=kc),
-            ue_panels(self.f, self.fourier.n, bad, self.plan.block, cut=max(ks + [kc])),
+            ue_panels(self.f, self.fourier.n, 0, bad, kc, buffer),
+            ue_panels(self.f, self.fourier.n, bad, self.plan.block, max(ks + [kc]), buffer),
         ):
             v0 = rows.start
-            panels, band, largest = panels + 1, band + u.size, max(largest, u.size)
+            panels, band = panels + 1, band + u.size
             for i, k in enumerate(ks):
                 if bad <= v0 < k:
                     mark = time.perf_counter()
@@ -656,7 +650,6 @@ class SignedTraceLab:
                 mark = time.perf_counter()
                 t1, t2, t3 = self._check_terms(tables[kc], kc, v0, lo, u, t1, t2, t3)
                 spent[-1] += time.perf_counter() - mark
-            del u  # no view of the buffer while the next panel is asked for
         for i, (lam, k) in enumerate(zip(lams, ks)):
             values[i] += bad_terms[i]
             message = "route C trace: lam=%g block_rows=%d bad_rows=%d t_route_c=%.15g duration_s=%.6f"
@@ -668,7 +661,7 @@ class SignedTraceLab:
             log.info(message, cyclicity_at, 2 * kc, defect, spent[-1])
         rest_ms = 1e3 * (time.perf_counter() - start - sum(spent))
         message = "route C pass: lambdas=%d panels=%d band_entries=%d/%d panel_buffer_bytes=%d panels_ms=%.3f"
-        log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), 8 * largest, rest_ms)
+        log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), buffer.nbytes, rest_ms)
         return values, defect
 
     def trace_route_c(self, lam: float) -> float:

@@ -340,7 +340,9 @@ class FullLineFourier:
         """C[rows, cols] from the cosine table; C[cols, rows] is its exact transpose."""
         odd_rows = 2 * np.arange(rows.start, rows.stop) + 1
         odd_cols = 2 * np.arange(cols.start, cols.stop) + 1
-        return self.table[np.outer(odd_rows, odd_cols) % (4 * self.n)]
+        index = np.outer(odd_rows, odd_cols)
+        index %= 4 * self.n
+        return self.table[index]
 
     def dirichlet(self, k: int, first: int, stop: int) -> np.ndarray:
         """K_k(m) = 2 step^2 D_k(m) for m = first..stop-1, both sines from the sine table.

@@ -103,13 +103,7 @@ class FiniteGroup:
         return set(self.table[self.table[:, g], self._inverses].tolist())
 
     def conjugacy_class_count(self) -> int:
-        seen = set()
-        count = 0
-        for g in range(self.order):
-            if g not in seen:
-                count += 1
-                seen |= self.conjugacy_class(g)
-        return count
+        return len({frozenset(self.conjugacy_class(g)) for g in range(self.order)})
 
 
 def _cayley_table(elements: Sequence, multiply) -> np.ndarray:
@@ -535,37 +529,27 @@ def _resolvent_report(m: np.ndarray, action: Sequence[np.ndarray]) -> ResolventR
 # ---------------------------------------------------------------------------
 
 
-def left_translation_operator(group: FiniteGroup, g: int) -> np.ndarray:
-    """(L_g phi)(x) = phi(g^{-1} x) as a permutation matrix."""
-    n = group.order
-    mat = np.zeros((n, n))
-    mat[group.table[g], np.arange(n)] = 1.0
-    return mat
-
-
-def right_translation_operator(group: FiniteGroup, g: int) -> np.ndarray:
-    """(R_g phi)(x) = phi(x g) as a permutation matrix."""
-    n = group.order
-    mat = np.zeros((n, n))
-    mat[np.arange(n), group.table[:, g]] = 1.0
-    return mat
-
-
 def biregular_action(group: FiniteGroup) -> np.ndarray:
     """The image of G x G: every L_g R_h, a (|G|^2, |G|, |G|) stack of permutations.
 
-    The whole image, not the 2|G| generators, because commutant_of_set
-    averages over its input: over the generators the average would be
-    (P_L + P_R)/2, which is not a projector.
+    With (L_g phi)(x) = phi(g^-1 x) and (R_h phi)(x) = phi(x h), L_g R_h has its 1 of
+    column z in row g z h^-1: one scatter over the Cayley table.  The whole image, not
+    the 2|G| generators, because commutant_of_set averages over its input: over the
+    generators the average (P_L + P_R)/2 is not a projector.
     """
     n = group.order
-    lefts = np.stack([left_translation_operator(group, g) for g in range(n)])
-    rights = np.stack([right_translation_operator(group, h) for h in range(n)])
-    return (lefts[:, None] @ rights[None, :]).reshape(n * n, n, n)
+    g, h, z = np.ix_(range(n), range(n), range(n))
+    image = np.zeros((n, n, n, n))
+    image[g, h, group.table[group.table[g, z], group._inverses[h]], z] = 1.0
+    return image.reshape(n * n, n, n)
 
 
 def class_function_convolution(group: FiniteGroup, seed: int = 0) -> np.ndarray:
-    """Random symmetric convolution by a class function c with c(g) = c(g^-1)."""
+    """Random symmetric convolution by a class function c with c(g) = c(g^-1).
+
+    The operator sum_g c(g) L_g has entry c(y x^-1) at (y, x): a gather over the
+    Cayley table.
+    """
     n = group.order
     coeff = standard_normals(random.Random(seed), n)
     # symmetrize over conjugacy and inversion so the operator is symmetric
@@ -574,10 +558,7 @@ def class_function_convolution(group: FiniteGroup, seed: int = 0) -> np.ndarray:
         orbit = group.conjugacy_class(g)
         orbit |= {group.inverse(x) for x in orbit}
         c[g] = float(np.mean([coeff[x] for x in sorted(orbit)]))
-    mat = np.zeros((n, n))
-    for g in range(n):
-        mat += c[g] * left_translation_operator(group, g)
-    return mat
+    return c[group.table[:, group._inverses]]
 
 
 # ---------------------------------------------------------------------------

@@ -18,24 +18,29 @@ independent dense constructions:
 - the lattice moments (route B, f(1), H(f)(1)) as weighted sums over the
   product lattice with their strips in closed form, and route A's box
   pairing by direct convolution of the cell weights;
+- the exact T(lam) and H(f)(1) on R from the sine integral, with no grid;
 - the finite-group sandbox built entry by entry: cyclic Cayley tables and
-  characters by loops over coordinate tuples, and the Reynolds projector as
-  a sum of Kronecker products with one full eigh;
+  characters by loops over coordinate tuples, the left and right
+  translations as permutation matrices, and the Reynolds projector as a sum
+  of Kronecker products with one full eigh;
 - the JSON Schema of a sweep config (``CONFIG_SCHEMA``);
 - the peak resident-set rise of a step run in a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import sici
 
 from loctrace.fields import FieldBackend, RadialGrid
 from loctrace.cutoff_trace import TraceComputation
@@ -519,6 +524,53 @@ def route_a_by_convolution(comp: TraceComputation, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the exact cutoff trace on R
+# ---------------------------------------------------------------------------
+
+
+# Gauss-Legendre nodes per panel of exact_trace_r, and its least panel count
+EXACT_NODES = 40
+EXACT_PANELS = 400
+
+
+def exact_trace_r(f: TestFunction, lam: float) -> float:
+    """T(lam) on R from its closed form, with no grid and no FFT.
+
+    T(lam) = (1/pi) int_0^inf g(s) [Si(a (s+1)) / (s+1) + Si(a (s-1)) / (s-1)] ds,
+    g(s) = f(1/s) s^{-1/2}, a = 2 pi lam^2: the continuum route C trace
+    int_0^lam dv int dy U_e(v, y) D(y, v), with the cutoff's kernel
+    D(y, v) = sin(2 pi lam (y+v)) / (pi (y+v)) + sin(2 pi lam (y-v)) / (pi (y-v)),
+    y = v s, and Dirichlet's integral int_0^lam sin(c v)/v dv = Si(c lam) for the v
+    integral (Abramowitz & Stegun 5.2.1).  In tau = log s the integrand is
+    f.of_log(-tau) e^{tau/2} times the bracket, smooth (the second term is a at s = 1)
+    and supported in |tau| < support_radius; composite Gauss-Legendre there.  The
+    bracket's phase runs at up to a e^R per unit of tau, so the panels are at least
+    EXACT_PANELS and give at least half a node per radian of it: 400 panels alone were
+    8.9e-4 off at lam 64 (default profile) and 1.3e-10 at lam 32 (centre 0.4, width 1).
+    Doubling the panels moves the value by at most 4e-15 relative over the profiles
+    and lams the tests use.
+    """
+    rho = f.support_radius
+    a = 2.0 * math.pi * lam**2
+    panels = max(EXACT_PANELS, math.ceil(rho * a * math.exp(rho) / EXACT_NODES))
+    x, w = np.polynomial.legendre.leggauss(EXACT_NODES)
+    edges = np.linspace(-rho, rho, panels + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    tau = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    s_minus = np.expm1(tau)  # s - 1, without cancellation near s = 1
+    s_plus = s_minus + 2.0
+    bracket = sici(a * s_plus)[0] / s_plus + sici(a * s_minus)[0] / s_minus
+    integrand = f.of_log(-tau) * np.exp(0.5 * tau) * bracket
+    return float(np.sum((half * w).ravel() * integrand) / math.pi)
+
+
+def exact_conductor_r(f: TestFunction) -> float:
+    """H(f)(1) as 2 log(64) f(1) - T(64): the asymptote's constant, its tail beyond
+    lam 64 below rounding (the lam 16 to 128 values agree to 2e-14)."""
+    return 2.0 * math.log(64.0) * f(1.0) - exact_trace_r(f, 64.0)
+
+
+# ---------------------------------------------------------------------------
 # finite-group sandbox
 # ---------------------------------------------------------------------------
 
@@ -545,6 +597,22 @@ def characters_by_loops(factors) -> np.ndarray:
             phase = sum(ai * xi / ni for ai, xi, ni in zip(a, x, factors))
             chars[a_idx, x_idx] = np.exp(2j * np.pi * phase)
     return chars
+
+
+def left_translation_operator(group, g: int) -> np.ndarray:
+    """(L_g phi)(x) = phi(g^{-1} x) as a permutation matrix."""
+    n = group.order
+    mat = np.zeros((n, n))
+    mat[group.table[g], np.arange(n)] = 1.0
+    return mat
+
+
+def right_translation_operator(group, g: int) -> np.ndarray:
+    """(R_g phi)(x) = phi(x g) as a permutation matrix."""
+    n = group.order
+    mat = np.zeros((n, n))
+    mat[np.arange(n), group.table[:, g]] = 1.0
+    return mat
 
 
 def reynolds_by_kron(operators) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -576,13 +644,31 @@ def peak():
 """
 
 
+@functools.lru_cache(maxsize=None)
+def _bytecode_environment() -> tuple[tempfile.TemporaryDirectory, dict]:
+    """``peak_rise``'s environment: loctrace compiled once into a private bytecode
+    cache (removed at exit), which its interpreters load instead of the sources."""
+    cache = tempfile.TemporaryDirectory(prefix="loctrace-pyc-")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONPYCACHEPREFIX": cache.name}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", "import loctrace.cutoff_trace"], env=env, check=True)
+    return cache, env
+
+
 def peak_rise(script: str, *argv) -> int:
     """What ``script``, run in a fresh interpreter with ``argv``, prints: the
-    rise of ``peak()`` over the step it measures."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    rise of ``peak()`` over the step it measures.
+
+    The interpreter loads loctrace from cached bytecode.  One that compiles
+    the sources itself (no cache, or PYTHONDONTWRITEBYTECODE set) leaves the
+    compiler's freed memory resident in the heap, and the step reuses it
+    before it raises the peak: the set-up rise at n_signed 4096 then read 0 to
+    172 KB as the sizes of the sources changed (a 40-character comment in
+    sandbox.py moved it), against 627 KB from the cache on every checkout tried.
+    """
     out = subprocess.run(
         [sys.executable, "-c", _PEAK_SOURCE + script, *map(str, argv)],
-        env=env, capture_output=True, text=True, check=True,
+        env=_bytecode_environment()[1], capture_output=True, text=True, check=True,
     )
     return int(out.stdout)
 

@@ -497,7 +497,7 @@ def route_c_budget_edge(max_lambda: float, lambdas: int) -> tuple[int, int]:
     [
         (4095, "even n"),  # odd
         (64, "too close to the signed-grid extent"),  # extent/2 = 1.97 < lambda 8
-        pytest.param(None, "budget", id="first_refused-budget"),  # about 7.42M, see below
+        pytest.param(None, "budget", id="first_refused-budget"),  # about 8.30M, see below
     ],
 )
 def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, n_signed, message):
@@ -521,7 +521,7 @@ def test_cli_refuses_route_c_geometry_and_memory(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize("max_lambda, lambdas", [(8.0, 3), (16.0, 4)])
 def test_validate_accepts_route_c_grids_up_to_the_budget_edge(max_lambda, lambdas):
     # the largest n_signed the 2 GiB budget takes, and the first it refuses, from
-    # route_c_plan: about 7.42M at max_lambda 8 and 5.24M at 16
+    # route_c_plan: about 8.30M at max_lambda 8 and 5.75M at 16
     accepted, refused = route_c_budget_edge(max_lambda, lambdas)
     assert refused == accepted + 2
 

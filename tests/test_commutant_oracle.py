@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, null_space
 
-from oracles import reynolds_by_kron
+from oracles import left_translation_operator, reynolds_by_kron, right_translation_operator
 
 from loctrace.sandbox import (
     RANK_TOL,
@@ -29,9 +29,7 @@ from loctrace.sandbox import (
     commutant_of_set,
     cyclic_group,
     dihedral_d4,
-    left_translation_operator,
     quaternion_q8,
-    right_translation_operator,
     symmetric_s3,
 )
 

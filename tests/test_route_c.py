@@ -27,7 +27,6 @@ from loctrace.cutoff_trace import (
     LATTICE_NODES_MAX,
     ROUTE_C_TEMPORARIES,
     SignedTraceLab,
-    band_entries,
     block_cosines,
     block_size,
     log_lattice,
@@ -52,6 +51,16 @@ from oracles import full_line_grid, peak_rise
 def _fold(k, size: int):
     """Position of |x_k| on the positive half of a symmetric grid of ``size`` points."""
     return abs(2 * k - (size - 1)) // 2
+
+
+def whole_panels(f: TestFunction, n: int, first: int, stop: int):
+    """``ue_panels`` of the rows first..stop-1, uncut, in a buffer of PANEL_ROWS whole rows."""
+    return ue_panels(f, n, first, stop, stop, np.empty(PANEL_ROWS * (n // 2)))
+
+
+def band_sizes(f: TestFunction, n: int, first: int, stop: int) -> list[int]:
+    """The entries of each panel ``whole_panels`` yields, from its ``panel_bands``."""
+    return [(rows.stop - rows.start) * (hi - lo) for rows, lo, hi in panel_bands(f, n, first, stop)]
 
 
 def ue_on_the_log_axis(f: TestFunction, grid, rows) -> np.ndarray:
@@ -192,15 +201,16 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     xp = full_line_grid(n).positive
     half, b = n // 2, int(np.count_nonzero(xp <= lam * (1.0 + 1e-12)))
     bad = int((xp[:b] < SignedTraceLab.BAD_ROW_EXTENT).sum())
-    # the largest of the bad rows' panels and the good rows' panels
-    sizes = [u.size for r in ((0, bad), (bad, b)) for _, _, u in ue_panels(standard_bump, n, *r)]
-    panel = max(sizes, default=0)
+    # the largest of the bad rows' panels and the good rows' panels, and the widest band
+    shapes = [u.shape for r in ((0, bad), (bad, b)) for _, _, u in whole_panels(standard_bump, n, *r)]
+    panel = max((rows * cols for rows, cols in shapes), default=0)
+    widest = max((cols for _, cols in shapes), default=0)
     tables = 2 * (half + 2 * b)  # a pass of one lam: its table and the cyclicity check's
-    chunk = min(half * b, max(CHUNK_ENTRIES, half))
+    chunk = min(half * b, max(CHUNK_ENTRIES, widest, b))
     vectors = 14 * n + (6 * kernel_fft_length(n, b) if b else 0)
     quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
     # the bad-row term's arrays and the check's, against the set-up's quadrature
-    passing = 2 * bad * b + 4 * min(PANEL_ROWS, b) * b
+    passing = 2 * bad * b + 3 * min(PANEL_ROWS, b) * b
     temporaries = ROUTE_C_TEMPORARIES * chunk + vectors + max(quadrature, passing)
     plan = route_c_plan(standard_bump, n, lam)
     assert (plan.block, plan.bad_rows, plan.largest_panel) == (b, bad, panel)
@@ -381,6 +391,22 @@ def test_lab_holds_no_panel_and_its_plan_bounds_setup_and_pass(standard_bump, n,
     assert 0 < peak <= bound, (peak, bound)
 
 
+def test_plan_bounds_setup_and_pass_with_half_rows_above_a_chunk(standard_bump):
+    # n/2 = 32768 > CHUNK_ENTRIES: the chunks are a band's rows (at most 2185 columns
+    # here) or the check's cosine rows against the block, not whole half-grid rows
+    n, lams = 65536, (0.5, 1.0, 2.0)
+    assert n // 2 > CHUNK_ENTRIES
+    tracemalloc.start()
+    try:
+        lab = SignedTraceLab(standard_bump, n, max(lams))
+        lab.sweep(lams, cyclicity_at=min(lams))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = route_c_plan(standard_bump, n, max(lams), lambdas=len(lams)).peak_bytes
+    assert 0 < peak <= bound, (peak, bound)
+
+
 @pytest.mark.parametrize(
     "n, lam, chunk_entries",
     [
@@ -423,7 +449,7 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
     starts = [rows.start for rows, _, _ in passed]
     bad = lab.plan.bad_rows
     assert starts == [*range(0, bad, PANEL_ROWS), *range(bad, b, PANEL_ROWS)]
-    for panels in (passed, ue_panels(f, n, 0, b)):
+    for panels in (passed, whole_panels(f, n, 0, b)):
         banded = np.zeros_like(u_even)
         for rows, lo, u in panels:
             banded[rows, lo : lo + u.shape[1]] = u
@@ -434,6 +460,22 @@ def test_chunked_setup_is_bit_identical_to_one_shot(monkeypatch, n, lam, chunk_e
     m_even[: lab.plan.bad_rows] = lab.quadrature_rows
     want = float(np.sum(matrix[:b] * m_even))
     assert abs(lab.trace_route_c(lam) - want) <= 1e-14 * np.abs(matrix[:b] * m_even).sum()
+
+
+def test_cosine_block_holds_its_index_and_result_alone():
+    # the gather of a 128 x 128 block (128 KiB a side, below numpy's 256 KiB threshold
+    # for reusing a temporary in place) holds at most two arrays of its size at once, its
+    # int64 index and the result: 265952 bytes traced on numpy 2.4
+    fl = FullLineFourier(4096, 128)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        block = fl.cosines(slice(0, 128), slice(0, 128))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes == 2**17
+    assert 2 * block.nbytes < peak < 2.5 * block.nbytes, peak
 
 
 def test_cosine_block_is_exactly_symmetric(signed_lab):
@@ -464,7 +506,7 @@ def test_ue_panels_are_exact_on_the_band_property(geometry, center_frac, width, 
     grid = full_line_grid(n)
     b = block_size(n, lam)
     covered = 0
-    for rows, lo, u in ue_panels(f, n, 0, b):
+    for rows, lo, u in whole_panels(f, n, 0, b):
         assert rows.start == covered and len(u) == rows.stop - rows.start <= PANEL_ROWS
         covered = rows.stop
         dense = ue_on_the_log_axis(f, grid, rows)
@@ -494,7 +536,7 @@ def test_log_axis_ue_matches_the_product_form_property(geometry, center_frac, wi
     grid = full_line_grid(n)
     xp = grid.positive
     gap = largest = 0.0
-    for rows, lo, u in ue_panels(f, n, 0, block_size(n, lam)):
+    for rows, lo, u in whole_panels(f, n, 0, block_size(n, lam)):
         xr, y = xp[rows], xp[lo : lo + u.shape[1]]
         product = f(np.outer(xr, 1.0 / y)) / np.sqrt(np.outer(xr, y)) * grid.step
         gap = max(gap, float(np.abs(u - product).max()))
@@ -551,12 +593,13 @@ def test_route_c_plan_never_exceeds_the_cosine_block_plan_property(geometry, f):
     n, lam = geometry
     plan = route_c_plan(f, n, lam)
     bad, b = plan.bad_rows, plan.block
-    band, largest = band_entries(f, n, bad, b)
+    sizes = band_sizes(f, n, bad, b)
+    band, largest = sum(sizes), max(sizes, default=0)
     assert band + bad * b <= (n // 2) * b
     assert largest <= plan.largest_panel <= PANEL_ROWS * (n // 2)
     assert plan.peak_bytes <= peak_bytes_before_the_kernel(n, b, bad)
     if n <= 1024:
-        sizes = [u.size for _, _, u in ue_panels(f, n, bad, b)]
+        sizes = [u.size for _, _, u in whole_panels(f, n, bad, b)]
         assert (band, largest) == (sum(sizes), max(sizes, default=0))
 
 
@@ -657,8 +700,8 @@ def test_route_c_sweep_evaluates_each_ue_entry_once(monkeypatch, tmp_path, n, ma
         if rows.start < check
     )
     if check >= bad:
-        assert bad_band == band_entries(f, n, 0, bad)[0]
-    assert sum(entries) == bad_band + band_entries(f, n, bad, b)[0] + bad * plan.lattice[2]
+        assert bad_band == sum(band_sizes(f, n, 0, bad))
+    assert sum(entries) == bad_band + sum(band_sizes(f, n, bad, b)) + bad * plan.lattice[2]
 
 
 def test_fft_form_matches_dense_matrix():
@@ -814,7 +857,7 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     assert "defect" not in setup[0]
     # the set-up holds the quadrature rows alone; the largest panel is of PANEL_ROWS whole rows
     bad = lab.plan.bad_rows
-    sizes = [u.size for r in ((0, bad), (bad, 64)) for _, _, u in ue_panels(standard_bump, 1024, *r)]
+    sizes = [u.size for r in ((0, bad), (bad, 64)) for _, _, u in whole_panels(standard_bump, 1024, *r)]
     assert 0 < max(sizes) < PANEL_ROWS * 512
     for key in (
         "n_signed=1024",

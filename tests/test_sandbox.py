@@ -24,16 +24,19 @@ from loctrace.sandbox import (
     biregular_action,
     class_function_convolution,
     dihedral_d4,
-    left_translation_operator,
     quaternion_q8,
-    right_translation_operator,
     run_sandbox,
     run_suite,
     symmetric_s3,
 )
 from loctrace.cli import _stable_json
 from loctrace.fourier import random_signs, standard_normals
-from oracles import characters_by_loops, cyclic_table_by_loops
+from oracles import (
+    characters_by_loops,
+    cyclic_table_by_loops,
+    left_translation_operator,
+    right_translation_operator,
+)
 
 
 # ----------------------------- groups ---------------------------------------
@@ -249,6 +252,27 @@ def test_translations_are_permutations():
         for op in (left_translation_operator(g, k), right_translation_operator(g, k)):
             assert np.allclose(op @ op.T, np.eye(g.order))
             assert np.allclose(op.sum(axis=0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [symmetric_s3(), quaternion_q8(), dihedral_d4(), cyclic_group(6), cyclic_group(2, 4)],
+    ids=lambda g: g.name,
+)
+def test_group_images_equal_the_translation_matrices(group):
+    # the Cayley-table scatter and gather against the products and sums of the oracle's
+    # permutation matrices, bit for bit
+    n = group.order
+    lefts = [left_translation_operator(group, g) for g in range(n)]
+    rights = [right_translation_operator(group, h) for h in range(n)]
+    want = np.stack([left @ right for left in lefts for right in rights])
+    assert np.array_equal(biregular_action(group), want)
+    m = class_function_convolution(group, seed=5)
+    c = m[:, group.identity]  # entry (g, e) is c(g e^-1) = c(g)
+    want = np.zeros((n, n))
+    for g in range(n):
+        want += c[g] * lefts[g]
+    assert np.array_equal(m, want)
 
 
 # ----------------------------- multiplier ------------------------------------
