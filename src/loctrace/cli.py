@@ -308,8 +308,8 @@ def run_trace_sweep(config: dict, out_dir: Path, fit_gates: bool = True) -> dict
             "f1_estimate": slope,
             "minus_H_estimate": intercept,
             "max_residual": resid,
-            "slope_rel_err": abs(slope - f.value_at_1) / abs(f.value_at_1),
-            "intercept_rel_err": abs(intercept + cond) / abs(cond),
+            "slope_rel_err": _relative_gap(slope, f.value_at_1),
+            "intercept_rel_err": _relative_gap(intercept, -cond),
         }
         fit_judged = {
             "fit_slope": _gate(fit["slope_rel_err"], 0.01),

@@ -246,48 +246,56 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 # evaluated (the log differences, the Gaussian's and the smoothstep's arrays of the
 # profile on the log axis, the step's edge arrays); tracemalloc measures 4.5-5.4 over
 # n_signed 1024-65536 and profiles of width 0.05-2 (6.5-7.1 while each ufunc made a new
-# array), and 1.4-5.5 in the bad rows' quadrature besides its product; at most 6.4 when
+# array), and 1.0-5.8 in the bad rows' quadrature besides its result; at most 6.4 when
 # every entry of a chunk is on the mollifier's edge
 ROUTE_C_TEMPORARIES = 8
 
-# lattice nodes per unit of log y beyond the cosine's, per 1/support_radius
+# lattice nodes per unit of tau = log s beyond the cosine's, per 1/support_radius
 # and per 1/width: within 3e-13 of converged Gauss-Legendre (relative to
 # the largest entry) for centres within the support, widths 0.01-2 and
 # support radii 0.5-3; without the width term a centre at the support's
 # edge with width 0.05 loses 3e-12
 LATTICE_EDGE = 128.0
 LATTICE_WIDTH = 4.0
-# the most nodes the bad rows' log lattice may take, 308x the 851 of the
-# default profile (width 0.25, support_radius 1.5): 1.2-1.5 s of set-up at
-# n_signed=4096, max_lambda=8 (2 cores), where it is reached at width 1.1e-4
-# or support_radius 8.1; the lattice grows as 1/width and e^support_radius
+# the most nodes Phi's log lattice may take, 732x the 358 of the default profile at
+# n_signed=4096, max_lambda=8, where width 4.6e-5 reaches it (0.55 s of set-up, 2 cores)
+# or support_radius 8.30.  The lattice and the series' degree both grow as e^rho, so the
+# set-up's table, nodes x degree, grows as e^(2 rho): 1.1 s at rho 6 and 113 s at 8.2
 LATTICE_NODES_MAX = 2**18
 
 
-def log_lattice(f: TestFunction, v_min: float, v_max: float, u_max: float) -> tuple[float, float, int]:
-    """(lo, dtau, nodes): the uniform lattice in tau = log y of the bad rows' quadrature.
+def log_lattice(f: TestFunction, w_max: float) -> tuple[float, float, int]:
+    """(lo, dtau, nodes): the uniform lattice in tau = log s of Phi's quadrature, for products up to w_max.
 
-    It spans [log v_min - rho, log v_max + rho] (rho = f.support_radius), the
-    supports of the rows v_min..v_max, at ``LATTICE_EDGE / rho +
-    LATTICE_WIDTH / width`` nodes per unit of tau (the mollifier edge and the
-    Gaussian) on top of the cosine's top log-frequency v_max e^rho u_max, for
-    columns up to u_max.  Raises ValueError, before anything is allocated,
-    when that takes more than LATTICE_NODES_MAX nodes.
+    It spans [-rho, rho] (rho = f.support_radius), the support of s -> f(1/s), at
+    ``LATTICE_EDGE / rho + LATTICE_WIDTH / width`` nodes per unit of tau (the mollifier
+    edge and the Gaussian) on top of the cosine's top log-frequency w_max e^rho.  Raises
+    ValueError, before anything is allocated, when that takes more than LATTICE_NODES_MAX.
     """
     rho = f.support_radius
-    lo, hi = math.log(v_min) - rho, math.log(v_max) + rho
     try:
-        per_unit = v_max * math.exp(rho) * u_max + LATTICE_EDGE / rho + LATTICE_WIDTH / f.width
+        per_unit = w_max * math.exp(rho) + LATTICE_EDGE / rho + LATTICE_WIDTH / f.width
     except OverflowError:  # e^rho or 1/width beyond the float range
         per_unit = math.inf
-    span = per_unit * (hi - lo)
+    span = per_unit * 2.0 * rho
     if not span < LATTICE_NODES_MAX:
         raise ValueError(
             f"the bad rows' log lattice needs {span:.3g} nodes, above the {LATTICE_NODES_MAX} "
             f"allowed (width {f.width}, support_radius {rho})"
         )
     nodes = math.ceil(span) + 1
-    return lo, (hi - lo) / (nodes - 1), nodes
+    return -rho, 2.0 * rho / (nodes - 1), nodes
+
+
+def chebyshev_degree(f: TestFunction, w_max: float) -> int:
+    """Degree of Phi's Chebyshev series on [0, w_max]: ceil(a + 10 a^(1/3)) + 8, a = pi e^rho w_max.
+
+    On x in [-1, 1], Phi sums cos(a_s (1 + x)), a_s = pi s w_max <= a, of coefficients
+    2 J_k(a_s) up to sign: past k = a_s they fall off like exp(-(2 (k - a_s))^(3/2) /
+    (3 a_s^(1/2))) (Debye), to 1e-13 at 10 a_s^(1/3) on.  ``log_lattice``'s refusal keeps a finite.
+    """
+    a = math.pi * math.exp(f.support_radius) * w_max
+    return math.ceil(a + 10.0 * a ** (1.0 / 3.0)) + 8
 
 
 def _leading(size: int, holds) -> int:
@@ -344,7 +352,8 @@ class RouteCPlan:
 
     block: int  # |b|: the block's positive half b is the first |b| points x_j
     bad_rows: int  # the first bad_rows of them are the bad rows, x < BAD_ROW_EXTENT
-    lattice: Optional[tuple[float, float, int]]  # the bad rows' log_lattice; None without them
+    lattice: Optional[tuple[float, float, int]]  # Phi's log_lattice; None without bad rows
+    degree: int  # of the bad rows' Chebyshev series in Phi (chebyshev_degree); 0 without them
     largest_panel: int  # the entries of the largest panel of U_e the pass evaluates
     peak_bytes: int  # bounds the peak of the set-up and of one pass
 
@@ -361,12 +370,12 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     (``row_chunks``) of a panel, as wide as the widest band, or of the
     check's cosine rows against the block; the transform's n-length tables
     and the arrays of its certification (``kernel_fft_length``); and the
-    larger of the set-up's bad-row quadrature (one product of its result's
-    size and ROUTE_C_TEMPORARIES arrays of one lattice chunk) and a pass's
-    (two arrays of the bad rows' size in each trace's bad-row term, three of
-    one panel's rows against the block in the cyclicity check).  Raises
+    larger of the set-up's bad-row quadrature (its result and the temporaries
+    of ``_ue_cosine_rows``) and a pass's (two arrays of the bad rows' size in
+    each trace's bad-row term, three of one panel's rows against the block in
+    the cyclicity check).  Raises
     ValueError when n is odd or below 2, when max_lambda reaches half the
-    grid's extent, or when the bad rows' lattice exceeds LATTICE_NODES_MAX.
+    grid's extent, or when Phi's lattice exceeds LATTICE_NODES_MAX.
     """
     check_signed_n(n)
     extent = signed_point(n, n // 2 - 1)  # the grid's largest point, x[-1]
@@ -378,8 +387,9 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     b = block_size(n, max_lambda)
     # x < BAD_ROW_EXTENT is x <= the float just below it
     bad = min(b, _points_up_to(n, math.nextafter(SignedTraceLab.BAD_ROW_EXTENT, 0.0)))
-    # the bad rows run from x_0 to x_{bad-1}, against columns up to x_{b-1}
-    lattice = log_lattice(f, *(signed_point(n, j) for j in (0, bad - 1, b - 1))) if bad else None
+    # the bad rows run up to x_{bad-1}, against columns up to x_{b-1}: products up to w_max
+    w_max = signed_point(n, bad - 1) * signed_point(n, b - 1)
+    lattice, degree = (log_lattice(f, w_max), chebyshev_degree(f, w_max)) if bad else (None, 0)
     half = n // 2
     # the largest panel and the widest band of the bad rows' and the good rows' panels,
     # each from its first row; past BAND_PANELS_MAX panels, PANEL_ROWS whole rows
@@ -394,16 +404,17 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     # the grid, the cosine, sine and two phase tables and the involution probes
     # (13 n measured), and the kernel check's FFTs (6 of its length)
     vectors = 14 * n + (6 * kernel_fft_length(n, b) if b else 0)
-    # the set-up's quadrature: the product of one lattice chunk (bad x |b|) and the
-    # arrays of one lattice chunk against the block, whatever the lattice's length
-    quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
+    # the set-up's quadrature: its result and the arrays of one lattice chunk against the
+    # series' points or of one row chunk of the products, each at least three times the
+    # points' length, which makes room for the series' own eight arrays of that length
+    quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b, 3 * (degree + 1)) if bad else 0)
     # a pass's, once those are freed: each trace's C[b, bad] and its product with the
     # quadrature rows, and the check's c[:, rows] with U_e cb and their product (the
     # gather of c[:, rows] holds its one index array before U_e cb exists)
     passing = 2 * bad * b + 3 * min(PANEL_ROWS, b) * b
     temporaries = ROUTE_C_TEMPORARIES * chunk + vectors + max(quadrature, passing)
     peak = 8 * (bad * b + panel + tables + temporaries)
-    return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, largest_panel=panel, peak_bytes=peak)
+    return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, degree=degree, largest_panel=panel, peak_bytes=peak)
 
 
 def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: np.ndarray):
@@ -434,29 +445,16 @@ def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: 
         yield rows, lo, panel
 
 
-# columns per block of the bad rows' cosine table: each lattice node takes the cosine
-# and sine at the block's first column and at COSINE_BLOCK offsets, 96 trig values
-# per node at |b| = 512 in place of 512 cosines
-COSINE_BLOCK = 32
-
-# multiply-adds (M N K) from which OpenBLAS 0.3.31 runs a real GEMM on every thread
-# (2 cores): 64 x 16 x 1024 took 16 ms there against 0.12 ms for 64 x 15 x 1024
-GEMM_THREADED = 2**20
-
-
-def block_cosines(theta: np.ndarray, us: np.ndarray, step: float) -> np.ndarray:
-    """cos(theta_k u_j) for evenly spaced u_j = u_0 + j step, by angle addition.
-
-    With B = COSINE_BLOCK and j = J B + i, cos(theta u_j) is
-    cos(theta u_{JB}) cos(theta i step) - sin(theta u_{JB}) sin(theta i step).  Returns
-    the first len(us) columns (a view) of the table over whole blocks,
-    len(theta) x B ceil(len(us) / B) entries in all.
-    """
-    heads = np.outer(theta, us[::COSINE_BLOCK])
-    offsets = np.outer(theta, np.arange(COSINE_BLOCK) * step)
-    table = np.cos(heads)[:, :, None] * np.cos(offsets)[:, None, :]
-    table -= np.sin(heads, out=heads)[:, :, None] * np.sin(offsets, out=offsets)[:, None, :]
-    return table.reshape(len(theta), -1)[:, : len(us)]
+def clenshaw(coef: np.ndarray, two_x: np.ndarray, out: np.ndarray) -> None:
+    """out = coef_0 + 2 sum_{k>=1} coef_k T_k(x) = b_0 - b_2, b_k = coef_k + 2x b_{k+1} - b_{k+2}
+    (Clenshaw, Math. Comp. 9, 1955), in place: three arrays of two_x's size, freed on return."""
+    b1, b2, spare = np.zeros_like(two_x), np.zeros_like(two_x), np.empty_like(two_x)
+    for c in coef[::-1]:
+        np.multiply(two_x, b1, out=spare)
+        spare -= b2
+        spare += c
+        b1, b2, spare = spare, b1, b2
+    np.subtract(b1, spare, out=out)
 
 
 class SignedTraceLab:
@@ -474,14 +472,15 @@ class SignedTraceLab:
     kernel of the cutoff, sum_{u in b} C[y, u] C[u, v] = K(y+v+1) + K(y-v)
     (``FullLineFourier.dirichlet``), so the trace is
     sum_{v in b} sum_y U_e[v, y] (K(y+v+1) + K(y-v)) and no cosine block is
-    formed.  The lab takes the largest block, its bad rows and their lattice
-    from its ``plan`` (``route_c_plan``), made and checked before anything is
-    allocated, and certifies the kernel of the largest block against the
-    DCT-IV applied by FFT.  Rows with x < 0.5 cannot resolve the
-    multiplicative kernel on a uniform grid; the set-up integrates their rows
-    of U_e C[:, b] directly (``_ue_cosine_rows``), and the lab keeps these
-    quadrature rows, the plan and the transform, no row of U_e and no grid
-    (the block's points are ``signed_point(n, j)``, j < |b|).
+    formed.  The lab takes the largest block, its bad rows, their lattice and
+    their series' degree from its ``plan`` (``route_c_plan``), made and
+    checked before anything is allocated, and certifies the kernel of the
+    largest block against the DCT-IV applied by FFT.  Rows with x < 0.5
+    cannot resolve the multiplicative kernel on a uniform grid; the set-up
+    integrates their rows of U_e C[:, b] directly as one function of v u
+    (``_ue_cosine_rows``), and the lab keeps these quadrature rows, the plan
+    and the transform, no row of U_e and no grid (the block's points are
+    ``signed_point(n, j)``, j < |b|).
 
     U_e[b, :] is evaluated by ``sweep``, one panel of rows at a time over its
     band (``ue_panels``: f has compact support, so each panel is nonzero only
@@ -489,10 +488,11 @@ class SignedTraceLab:
     pass and the cyclicity check have read it.  U_f is a convolution on the
     multiplicative group, which log makes the additive line, so both
     evaluations read the profile on the log axis (``TestFunction.of_log``):
-    the panels at log v - log y, the bad rows' weights at log v - tau on
-    their lattice.  The set-up's log line carries the bytes held, the largest
-    panel and the quadrature's own time; the transform's defects are on its
-    own ``certification:`` line (``fourier.certify``).
+    the panels at log v - log y, Phi's weights at -tau on its lattice.  The
+    set-up's log line carries the bytes held, the largest panel, the
+    lattice's nodes, the series' degree and the quadrature's own time; the
+    transform's defects are on its own ``certification:`` line
+    (``fourier.certify``).
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -510,7 +510,7 @@ class SignedTraceLab:
         log_stage(
             start,
             "route C set-up: n_signed=%d |B|=%d held_bytes=%d largest_panel=%d/%d "
-            "peak_bytes_estimate=%d bad_rows=%d quadrature_nodes=%d quadrature_ms=%.3f",
+            "peak_bytes_estimate=%d bad_rows=%d quadrature_nodes=%d chebyshev_degree=%d quadrature_ms=%.3f",
             n,
             2 * b,
             self.quadrature_rows.nbytes,
@@ -519,45 +519,44 @@ class SignedTraceLab:
             plan.peak_bytes,
             2 * bad,
             plan.lattice[2] if plan.lattice else 0,
+            plan.degree,
             1e3 * (time.perf_counter() - quadrature_start),
         )
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """(U_e C)(v, u) by direct quadrature: 2 step int f(v/y) (vy)^{-1/2} cos(2 pi y u) dy.
+        """(U_e C)(v, u) = 2 step Phi(v u), Phi(w) = int f(1/s) s^{-1/2} cos(2 pi w s) ds,
+        from one Chebyshev series of Phi on [0, W], W = max v max u.
 
-        In tau = log y each row's integrand is C^inf and supported in
-        |tau - log v| < rho, so the trapezoid rule on the plan's uniform tau
-        lattice converges faster than any power of its node count (Trefethen
-        & Weideman, SIAM Review 56, 2014).  The lattice is shared by every
-        row.  With s = log v - tau_k the weight f(v/y_k) (y_k/v)^{1/2} dtau is
-        f.of_log(s) e^{tau_k/2} dtau / sqrt(v), read from the lattice's own tau
-        (no ratio is formed), and the cosine table cos(2 pi y_k u) is built by
-        angle addition (``block_cosines``).  The weights are filled one lattice
-        chunk against the rows at a time, and the table one part of that chunk
-        against the block's whole blocks of columns (both ``row_chunks``), so no
-        array outgrows a chunk.  Each product of rows, part and table columns
-        stays below GEMM_THREADED multiply-adds: the parts shrink, and where
-        every row against one node's table would reach it, the rows are split
-        into equal groups.
+        With y = v s, 2 step int f(v/y) (vy)^{-1/2} cos(2 pi y u) dy depends on v u alone, and
+        Phi is entire, so its series converges geometrically (Trefethen, Approximation Theory
+        and Approximation Practice, 2013, ch. 8).  Phi at the m = degree + 1 points
+        W (1 + cos theta_k) / 2, theta_k = pi (k + 1/2) / m, is the trapezoid rule on the
+        plan's lattice in tau = log s, weight f.of_log(-tau) e^{tau/2} dtau, one lattice
+        chunk at a time (Trefethen & Weideman, SIAM Review 56, 2014: the integrand is C^inf
+        and 0 at both ends); the coefficients (1/m) sum_k Phi_k cos(j theta_k) are one real
+        FFT of their even extension, and the series is summed one row chunk at a time.
         """
-        out = np.zeros((len(vs), len(us)))
+        out = np.empty((len(vs), len(us)))
         if not len(vs):
             return out
         lo, dtau, nodes = self.plan.lattice
-        log_v = np.log(vs)[:, None]
-        table_cols = -(-len(us) // COSINE_BLOCK) * COSINE_BLOCK
-        groups = -(-len(vs) // max(1, (GEMM_THREADED - 1) // table_cols))
-        group = -(-len(vs) // groups)  # rows per product
-        for rows in row_chunks(nodes, len(vs)):
+        m = self.plan.degree + 1
+        w_max = vs[-1] * us[-1]
+        points = (0.5 * w_max) * (1.0 + np.cos((np.arange(m) + 0.5) * (np.pi / m)))
+        phi = np.zeros(m)
+        for rows in row_chunks(nodes, m):
             tau = np.arange(rows.start, rows.stop) * dtau + lo
-            weights = self.f.of_log(log_v - tau)  # zero on the ends, so trapezoid = plain sum
+            weights = self.f.of_log(-tau)  # zero on the ends, so trapezoid = plain sum
             weights *= np.exp(0.5 * tau)
-            theta = 2.0 * np.pi * np.exp(tau)
-            for part in row_chunks(len(tau), table_cols, (GEMM_THREADED - 1) // group):
-                table = block_cosines(theta[part], us, self.fourier.step)
-                for g in range(0, len(vs), group):
-                    out[g : g + group] += weights[g : g + group, part] @ table
-        out *= (2.0 * self.fourier.step * dtau) / np.sqrt(vs)[:, None]
+            table = np.multiply.outer(2.0 * np.pi * np.exp(tau), points)
+            phi += weights @ np.cos(table, out=table)
+        spectrum = np.fft.rfft(np.concatenate([phi, phi[::-1]]))[:m]
+        coef = (spectrum * np.exp(-0.5j * np.pi / m * np.arange(m))).real
+        coef *= self.fourier.step * dtau / m  # 2 step dtau: the phased FFT is 2 sum_k Phi_k cos(j theta_k)
+        for rows in row_chunks(len(vs), len(us)):
+            two_x = np.multiply.outer(vs[rows], us * (4.0 / w_max))
+            two_x -= 2.0
+            clenshaw(coef, two_x, out[rows])
         return out
 
     def _sub_block(self, lam: float) -> int:

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jsonschema
@@ -349,7 +349,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # a need beyond the float range, refused by the route C budget
     huge = small_config(route_c={"enabled": True, "n_signed": 2**1000})
     (tmp_path / "n_signed_huge.json").write_text(json.dumps(huge))
-    # a profile whose bad-row lattice would exceed LATTICE_NODES_MAX: 2.9e8 nodes
+    # a profile whose bad-row lattice would exceed LATTICE_NODES_MAX: 1.2e8 nodes
     # at width 1e-7, and e^800 overflows at support_radius 800
     narrow = {"kind": "log_gauss_bump", "center": 0.0, "width": 1e-7, "support_radius": 1.5}
     wide = {**narrow, "width": 0.25, "support_radius": 800.0}
@@ -618,8 +618,16 @@ def sweep_configs(draw):
     }
 
 
+def _off_centre_r(center: float) -> dict:
+    """The default R grid and lambdas, route C off, with a width 0.025 profile at ``center``."""
+    profile = {"kind": "log_gauss_bump", "center": center, "width": 0.025, "support_radius": 1.5}
+    return {k: v for k, v in DEFAULT_CONFIGS["R"].items() if k != "route_c"} | {"test_function": profile}
+
+
 @settings(max_examples=60)
 @given(config=sweep_configs())
+@example(config=_off_centre_r(1.0))  # f(1) = 0: the slope's relative error divided by it
+@example(config=_off_centre_r(0.9644))  # f(1) = 5e-324: the slope's relative error was inf
 def test_trace_sweep_exits_0_1_or_2(config):
     # computes and passes (0), fails a named gate with the summary written or
     # fails certification on one stderr line (1), or is refused (2)

@@ -22,13 +22,11 @@ import loctrace.cutoff_trace as cutoff_trace_mod
 import loctrace.fourier as fourier_mod
 from loctrace.cli import run_trace_sweep
 from loctrace.cutoff_trace import (
-    COSINE_BLOCK,
-    GEMM_THREADED,
     LATTICE_NODES_MAX,
     ROUTE_C_TEMPORARIES,
     SignedTraceLab,
-    block_cosines,
     block_size,
+    chebyshev_degree,
     log_lattice,
     panel_bands,
     route_c_plan,
@@ -208,7 +206,8 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     tables = 2 * (half + 2 * b)  # a pass of one lam: its table and the cyclicity check's
     chunk = min(half * b, max(CHUNK_ENTRIES, widest, b))
     vectors = 14 * n + (6 * kernel_fft_length(n, b) if b else 0)
-    quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b) if bad else 0)
+    points = chebyshev_degree(standard_bump, xp[bad - 1] * xp[b - 1]) + 1 if bad else 0
+    quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b, 3 * points) if bad else 0)
     # the bad-row term's arrays and the check's, against the set-up's quadrature
     passing = 2 * bad * b + 3 * min(PANEL_ROWS, b) * b
     temporaries = ROUTE_C_TEMPORARIES * chunk + vectors + max(quadrature, passing)
@@ -224,7 +223,7 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
         assert lab.quadrature_rows.nbytes == 8 * bad * b < plan.peak_bytes
         # and so is the lattice behind the lab's refusal
         assert lab.plan == plan
-        assert (plan.lattice is not None) == (bad > 0)
+        assert (plan.lattice is not None) == (bad > 0) == (plan.degree > 0)
 
 
 @st.composite
@@ -262,20 +261,23 @@ def test_route_c_plan_matches_the_grid_property(geometry):
     block = np.abs(x) <= lam * (1.0 + 1e-12)
     assert 2 * plan.block == np.count_nonzero(block)
     assert 2 * plan.bad_rows == np.count_nonzero(block & (np.abs(x) < SignedTraceLab.BAD_ROW_EXTENT))
-    # the lattice of the lab's own points, bit for bit: the block's positive half and its bad rows
+    # the lattice and the degree of the lab's own points, bit for bit: the largest
+    # product of a bad row and a column of the block's positive half
     xb = x[n // 2 :][: plan.block]
     bad = xb[xb < SignedTraceLab.BAD_ROW_EXTENT]
-    want = log_lattice(f, bad.min(), bad.max(), xb.max()) if len(bad) else None
-    assert plan.lattice == want
+    w_max = bad.max() * xb.max() if len(bad) else None
+    assert plan.lattice == (log_lattice(f, w_max) if len(bad) else None)
+    assert plan.degree == (chebyshev_degree(f, w_max) if len(bad) else 0)
     if n <= 512 and plan.block:
         lab = SignedTraceLab(f, n, lam)
         assert lab.quadrature_rows.nbytes + 8 * plan.largest_panel < plan.peak_bytes
 
 
-@pytest.mark.parametrize("width, rho", [(1e-7, 1.5), (0.25, 8.2), (0.25, 800.0), (1e-160, 1.5)])
+@pytest.mark.parametrize("width, rho", [(1e-7, 1.5), (0.25, 8.3), (0.25, 800.0), (1e-160, 1.5)])
 def test_lab_refuses_a_lattice_beyond_the_cap(width, rho):
-    # the lattice grows as 1/width and e^rho; 1e-7 would take 2.9e8 nodes.  1e-160
-    # is about the least width whose square TestFunction takes
+    # the lattice grows as 1/width and e^rho; 1e-7 would take 1.2e8 nodes, and the
+    # edge in rho is at 8.296 (263297 nodes at 8.3).  1e-160 is about the least width
+    # whose square TestFunction takes
     f = TestFunction(width=width, support_radius=rho)
     with pytest.raises(ValueError, match=f"above the {LATTICE_NODES_MAX} allowed"):
         SignedTraceLab(f, 4096, 8.0)
@@ -664,7 +666,8 @@ def test_route_c_sweep_evaluates_each_ue_entry_once(monkeypatch, tmp_path, n, ma
     # one sweep with route C evaluates the profile on the log axis (outside f(t) itself,
     # which routes A and B call) at exactly the panels' band entries and the bad rows'
     # lattice: each entry of U_e once, none twice.  The cyclicity check at the least lam
-    # reads the bad rows' panels up to its block; from lam 0.5 on that is all of them
+    # reads the bad rows' panels up to its block; from lam 0.5 on that is all of them.  The
+    # bad rows' quadrature reads the profile once per node of Phi's lattice
     f = TestFunction(center=0.3)
     entries, inside = [], []
     of_log, call = TestFunction.of_log, TestFunction.__call__
@@ -701,7 +704,7 @@ def test_route_c_sweep_evaluates_each_ue_entry_once(monkeypatch, tmp_path, n, ma
     )
     if check >= bad:
         assert bad_band == sum(band_sizes(f, n, 0, bad))
-    assert sum(entries) == bad_band + sum(band_sizes(f, n, bad, b)) + bad * plan.lattice[2]
+    assert sum(entries) == bad_band + sum(band_sizes(f, n, bad, b)) + plan.lattice[2]
 
 
 def test_fft_form_matches_dense_matrix():
@@ -794,6 +797,9 @@ def composite_gauss_legendre_rows(f: TestFunction, vs, us, step: float, panels: 
 @example(half=32, frac=0.05, center=0.5, width=0.05, rho=0.5)
 @example(half=1024, frac=0.999, center=0.5, width=0.01, rho=3.0)
 @example(half=1024, frac=0.999, center=-0.5, width=0.01, rho=0.5)
+# n_signed 65536 up to lambda 16: the largest product W is 7.97, degree 591 at rho 3
+@example(half=32768, frac=0.25, center=0.5, width=0.01, rho=3.0)
+@example(half=32768, frac=0.25, center=0.0, width=2.0, rho=3.0)
 def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, rho):
     # the lab's bad rows of U_e C[:, b] against up to 48 columns spread over the block,
     # the last (the fastest cosine) included
@@ -807,35 +813,6 @@ def test_log_lattice_rows_match_converged_quadrature(half, frac, center, width, 
     got = lab.quadrature_rows[:, cols]
     want = composite_gauss_legendre_rows(f, vs, xb[cols], grid.step)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, lab.plan.lattice)
-
-
-@pytest.mark.parametrize(
-    "n, lam, f, block",
-    [
-        (4096, 8.0, TestFunction(), 512),  # the default block, 16 whole blocks of columns
-        (4096, 7.3, TestFunction(), 467),  # the last block holds 19 of COSINE_BLOCK columns
-        (4096, 0.1, TestFunction(), 6),  # the block is shorter than one block of columns
-        (8192, 22.0, TestFunction(), 1991),
-        (4096, 7.3, TestFunction(center=2.97, width=0.01, support_radius=3.0), 467),  # 5222 nodes
-    ],
-)
-def test_angle_addition_cosines_match_the_literal_cosines(n, lam, f, block):
-    # the bad rows' cosine table on the lab's own lattice against np.cos of the literal
-    # argument theta_k u_j: the two round the argument apart, by a few ulps of it (the gap
-    # measures at most 1.3 eps max(theta u) in these cases, and 1 eps at |b| = 6)
-    plan = route_c_plan(f, n, lam)
-    assert plan.block == block
-    lo, dtau, nodes = plan.lattice
-    grid = full_line_grid(n)
-    us = grid.positive[:block]
-    theta = 2.0 * np.pi * np.exp(np.arange(nodes) * dtau + lo)
-    got = block_cosines(theta, us, grid.step)
-    argument = np.outer(theta, us)
-    assert got.shape == argument.shape
-    bound = 4.0 * np.finfo(float).eps * (1.0 + argument.max())
-    assert np.abs(got - np.cos(argument)).max() <= bound
-    # the whole blocks behind the view are as many as the block needs
-    assert got.base.size == nodes * COSINE_BLOCK * -(-block // COSINE_BLOCK)
 
 
 def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
@@ -867,11 +844,12 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         f"peak_bytes_estimate={lab.plan.peak_bytes} ",
         "bad_rows=32",
         f"quadrature_nodes={lab.plan.lattice[2]} ",
+        f"chebyshev_degree={lab.plan.degree} ",
         "quadrature_ms=",
         "duration_s=",
     ):
         assert key in setup[0]
-    assert lab.plan.lattice[2] > 0
+    assert lab.plan.lattice[2] > 0 and lab.plan.degree > 0
     # the bad rows' quadrature is part of the set-up's duration
     fields = dict(item.split("=") for item in setup[0].split()[3:])
     assert 0.0 < float(fields["quadrature_ms"]) / 1e3 <= float(fields["duration_s"])
@@ -917,31 +895,6 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     assert lines[-1].startswith("sweep: field=R lambdas=3 duration_s=")
     assert sum(m.startswith("sweep:") for m in lines) == 1
     assert float(lines[-1].split("duration_s=")[1]) > 0.0
-
-
-@pytest.mark.parametrize(
-    "n, bad, block, most", [(4096, 32, 512, 32), (16384, 64, 1024, 15), (65536, 128, 2048, 3)]
-)
-def test_quadrature_products_stay_below_the_threaded_gemm(monkeypatch, n, bad, block, most):
-    # every product of the bad rows' quadrature, rows x lattice nodes x table columns, stays
-    # below GEMM_THREADED, and the products cover every row against every node once.  At
-    # n_signed 4096 (the default) the parts are the chunks' 32 nodes, as before the cap
-    shapes = []
-
-    class Recorded(np.ndarray):
-        def __rmatmul__(self, weights):
-            shapes.append((weights.shape[0], weights.shape[1], self.shape[1]))
-            return weights @ self.view(np.ndarray)
-
-    table = cutoff_trace_mod.block_cosines
-    monkeypatch.setattr(cutoff_trace_mod, "block_cosines", lambda *a: table(*a).view(Recorded))
-    lab = SignedTraceLab(TestFunction(), n, 8.0)
-    assert (lab.plan.bad_rows, lab.plan.block) == (bad, block)
-    table_cols = -(-block // COSINE_BLOCK) * COSINE_BLOCK
-    assert all(rows * nodes * table_cols < GEMM_THREADED for rows, nodes, _ in shapes)
-    assert max(nodes for _, nodes, _ in shapes) == most
-    assert {rows for rows, _, _ in shapes} == {bad} and {cols for _, _, cols in shapes} == {block}
-    assert sum(nodes for _, nodes, _ in shapes) == lab.plan.lattice[2]
 
 
 @settings(max_examples=30)
