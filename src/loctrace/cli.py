@@ -13,8 +13,9 @@ configuration error, refused before any work.  A sweep config is checked
 against the key table CONFIG_KEYS in one walk, and a refusal names the path
 and what was expected (``config.lambdas[1] is not a finite number above 0
 (got -1.0)``); then across keys, against BYTES_BUDGET for the grid
-transform and the route C block, and against LATTICE_NODES_MAX for the
-lattice of route C's bad rows.  Verbosity via the LOCTRACE_LOG
+transform and the route C block, and against LATTICE_NODES_MAX and
+COSINE_TABLE_MAX for the lattice and the cosine table of route C's bad
+rows.  Verbosity via the LOCTRACE_LOG
 environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL).  Runs are deterministic:
 no RNG without an explicit seed, artifacts are byte-stable.
 """

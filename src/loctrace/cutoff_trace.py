@@ -242,13 +242,13 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 # ---------------------------------------------------------------------------
 
 
-# chunk-sized float arrays alive at once while one row chunk of a U_e panel is
-# evaluated (the log differences, the Gaussian's and the smoothstep's arrays of the
-# profile on the log axis, the step's edge arrays); tracemalloc measures 4.5-5.4 over
-# n_signed 1024-65536 and profiles of width 0.05-2 (6.5-7.1 while each ufunc made a new
-# array), and 1.0-5.8 in the bad rows' quadrature besides its result; at most 6.4 when
-# every entry of a chunk is on the mollifier's edge
-ROUTE_C_TEMPORARIES = 8
+# chunk-sized float arrays alive at once, by tracemalloc: 2.01-2.08 while one row chunk
+# of a U_e panel is filled (the smoothstep's two arrays; the chunk holds the log
+# differences and f itself) over n_signed 1024-65536 and profiles of width 0.05-2,
+# whatever the share of the mollifier's edge; and 1.50-6.88 in the bad rows' quadrature
+# besides its result, over n_signed 64-65536, rho 0.5-8.25 and widths 0.01-2 that the
+# caps accept, the most at rho 6 (degree 5207)
+ROUTE_C_TEMPORARIES = 7
 
 # lattice nodes per unit of tau = log s beyond the cosine's, per 1/support_radius
 # and per 1/width: within 3e-13 of converged Gauss-Legendre (relative to
@@ -259,9 +259,12 @@ LATTICE_EDGE = 128.0
 LATTICE_WIDTH = 4.0
 # the most nodes Phi's log lattice may take, 732x the 358 of the default profile at
 # n_signed=4096, max_lambda=8, where width 4.6e-5 reaches it (0.55 s of set-up, 2 cores)
-# or support_radius 8.30.  The lattice and the series' degree both grow as e^rho, so the
-# set-up's table, nodes x degree, grows as e^(2 rho): 1.1 s at rho 6 and 113 s at 8.2
 LATTICE_NODES_MAX = 2**18
+# the most entries of the set-up's cosine table, nodes x (degree + 1): the lattice and the
+# degree both grow as e^rho, so the table grows as e^(2 rho).  At n_signed=4096,
+# max_lambda=8 (2 cores) the set-up took 1.31 s at rho 6 (1.0e8 entries) and 1.44 s at
+# 6.1 (1.2e8), the last accepted; it took 10.3 s at 7 (8.4e8) and 113 s at 8.2 (1.1e10)
+COSINE_TABLE_MAX = 2**27
 
 
 def log_lattice(f: TestFunction, w_max: float) -> tuple[float, float, int]:
@@ -354,6 +357,7 @@ class RouteCPlan:
     bad_rows: int  # the first bad_rows of them are the bad rows, x < BAD_ROW_EXTENT
     lattice: Optional[tuple[float, float, int]]  # Phi's log_lattice; None without bad rows
     degree: int  # of the bad rows' Chebyshev series in Phi (chebyshev_degree); 0 without them
+    cosine_table: int  # entries of the set-up's cosine table, nodes x (degree + 1); 0 without bad rows
     largest_panel: int  # the entries of the largest panel of U_e the pass evaluates
     peak_bytes: int  # bounds the peak of the set-up and of one pass
 
@@ -375,7 +379,8 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     each trace's bad-row term, three of one panel's rows against the block in
     the cyclicity check).  Raises
     ValueError when n is odd or below 2, when max_lambda reaches half the
-    grid's extent, or when Phi's lattice exceeds LATTICE_NODES_MAX.
+    grid's extent, when Phi's lattice exceeds LATTICE_NODES_MAX, or when the
+    set-up's cosine table, lattice nodes x (degree + 1), exceeds COSINE_TABLE_MAX.
     """
     check_signed_n(n)
     extent = signed_point(n, n // 2 - 1)  # the grid's largest point, x[-1]
@@ -390,6 +395,13 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     # the bad rows run up to x_{bad-1}, against columns up to x_{b-1}: products up to w_max
     w_max = signed_point(n, bad - 1) * signed_point(n, b - 1)
     lattice, degree = (log_lattice(f, w_max), chebyshev_degree(f, w_max)) if bad else (None, 0)
+    cosine_table = lattice[2] * (degree + 1) if bad else 0
+    if cosine_table > COSINE_TABLE_MAX:
+        raise ValueError(
+            f"the bad rows' cosine table needs {cosine_table} entries ({lattice[2]} nodes x "
+            f"{degree + 1} points), above the {COSINE_TABLE_MAX} allowed "
+            f"(width {f.width}, support_radius {f.support_radius})"
+        )
     half = n // 2
     # the largest panel and the widest band of the bad rows' and the good rows' panels,
     # each from its first row; past BAND_PANELS_MAX panels, PANEL_ROWS whole rows
@@ -414,7 +426,10 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     passing = 2 * bad * b + 3 * min(PANEL_ROWS, b) * b
     temporaries = ROUTE_C_TEMPORARIES * chunk + vectors + max(quadrature, passing)
     peak = 8 * (bad * b + panel + tables + temporaries)
-    return RouteCPlan(block=b, bad_rows=bad, lattice=lattice, degree=degree, largest_panel=panel, peak_bytes=peak)
+    return RouteCPlan(
+        block=b, bad_rows=bad, lattice=lattice, degree=degree, cosine_table=cosine_table,
+        largest_panel=panel, peak_bytes=peak,
+    )
 
 
 def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: np.ndarray):
@@ -425,7 +440,8 @@ def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: 
     times two separable factors: x_j = (j + 1/2) step, so step / sqrt(vy) = r_v r_y with
     r_j = 1/sqrt(j + 1/2).  The logs and the r_j of the positive half-grid are taken once;
     each panel is f.of_log(log v - log y) r_v r_y, evaluated only when it is asked for and
-    filled in place one row chunk at a time (``row_chunks``).  Off the band
+    filled in place one row chunk at a time (``row_chunks``): the differences, then f over
+    them, then the two factors, so a chunk's only temporaries are the profile's.  Off the band
     |log v - log y| >= R holds to rounding, so there the mollifier's exp underflows and
     U_e is exactly 0.  Every panel is a view of the caller's ``buffer``, which must hold
     the largest panel (``RouteCPlan.largest_panel``), so a panel is valid until the next
@@ -439,8 +455,9 @@ def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: 
         log_v, r_v, log_y, r_y = logs[rows, None], r[rows, None], logs[lo:hi], r[lo:hi]
         panel = buffer[: len(log_v) * (hi - lo)].reshape(len(log_v), hi - lo)
         for chunk in row_chunks(len(log_v), hi - lo):
-            fill = panel[chunk]
-            np.multiply(f.of_log(log_v[chunk] - log_y), r_v[chunk], out=fill)
+            fill = np.subtract(log_v[chunk], log_y, out=panel[chunk])
+            f.of_log(fill, out=fill)
+            fill *= r_v[chunk]
             fill *= r_y
         yield rows, lo, panel
 
@@ -490,9 +507,9 @@ class SignedTraceLab:
     evaluations read the profile on the log axis (``TestFunction.of_log``):
     the panels at log v - log y, Phi's weights at -tau on its lattice.  The
     set-up's log line carries the bytes held, the largest panel, the
-    lattice's nodes, the series' degree and the quadrature's own time; the
-    transform's defects are on its own ``certification:`` line
-    (``fourier.certify``).
+    lattice's nodes, the series' degree, the cosine table's entries and the
+    quadrature's own time; the transform's defects are on its own
+    ``certification:`` line (``fourier.certify``).
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -510,7 +527,8 @@ class SignedTraceLab:
         log_stage(
             start,
             "route C set-up: n_signed=%d |B|=%d held_bytes=%d largest_panel=%d/%d "
-            "peak_bytes_estimate=%d bad_rows=%d quadrature_nodes=%d chebyshev_degree=%d quadrature_ms=%.3f",
+            "peak_bytes_estimate=%d bad_rows=%d quadrature_nodes=%d chebyshev_degree=%d "
+            "cosine_table_entries=%d quadrature_ms=%.3f",
             n,
             2 * b,
             self.quadrature_rows.nbytes,
@@ -520,6 +538,7 @@ class SignedTraceLab:
             2 * bad,
             plan.lattice[2] if plan.lattice else 0,
             plan.degree,
+            plan.cosine_table,
             1e3 * (time.perf_counter() - quadrature_start),
         )
 
@@ -612,7 +631,8 @@ class SignedTraceLab:
         its three traces (``_check_terms``).  A trace adds the bad rows' quadrature rows
         of U_e C[:, b] against the cosines C[b, bad] last, taken before any panel is
         alive.  Each sum runs over the panels in their order, as one lam alone would
-        sum it.  Each trace and the check log their own time; the pass's line has the
+        sum it.  Each trace and the check log their own time, the check also the
+        multiply-adds of its two GEMMs, 2 rows band kc per panel; the pass's line has the
         panel buffer's bytes and the rest of the time, mostly the panels' evaluation
         (``panels_ms``).
         """
@@ -632,7 +652,7 @@ class SignedTraceLab:
             spent[i] += time.perf_counter() - mark
         values = [0.0] * len(ks)
         t1 = t2 = t3 = 0.0
-        panels = band = 0
+        panels = band = check_work = 0
         buffer = np.empty(self.plan.largest_panel)
         for rows, lo, u in chain(
             ue_panels(self.f, self.fourier.n, 0, bad, kc, buffer),
@@ -648,6 +668,7 @@ class SignedTraceLab:
             if v0 < kc:
                 mark = time.perf_counter()
                 t1, t2, t3 = self._check_terms(tables[kc], kc, v0, lo, u, t1, t2, t3)
+                check_work += 2 * min(kc - v0, len(u)) * u.shape[1] * kc  # its two GEMMs
                 spent[-1] += time.perf_counter() - mark
         for i, (lam, k) in enumerate(zip(lams, ks)):
             values[i] += bad_terms[i]
@@ -656,8 +677,8 @@ class SignedTraceLab:
         defect = None
         if cyclicity_at is not None:
             defect = (max(t1, t2, t3) - min(t1, t2, t3)) / max(abs(t1), 1e-300)
-            message = "route C cyclicity: lam=%g block_rows=%d defect=%.3e duration_s=%.6f"
-            log.info(message, cyclicity_at, 2 * kc, defect, spent[-1])
+            message = "route C cyclicity: lam=%g block_rows=%d multiply_adds=%d defect=%.3e duration_s=%.6f"
+            log.info(message, cyclicity_at, 2 * kc, check_work, defect, spent[-1])
         rest_ms = 1e3 * (time.perf_counter() - start - sum(spent))
         message = "route C pass: lambdas=%d panels=%d band_entries=%d/%d panel_buffer_bytes=%d panels_ms=%.3f"
         log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), buffer.nbytes, rest_ms)

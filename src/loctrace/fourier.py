@@ -273,14 +273,12 @@ CHUNK_ENTRIES = 2**14
 PANEL_ROWS = 32
 
 
-def row_chunks(rows: int, cols: int, entries: int | None = None) -> Iterator[slice]:
-    """Row slices covering a rows x cols array, CHUNK_ENTRIES entries (at least one row) each,
-    or ``entries`` where that is fewer.
+def row_chunks(rows: int, cols: int) -> Iterator[slice]:
+    """Row slices covering a rows x cols array, CHUNK_ENTRIES entries (at least one row) each.
 
     Yielded one at a time, so stepping through them holds no list that grows with ``rows``.
     """
-    most = CHUNK_ENTRIES if entries is None else min(entries, CHUNK_ENTRIES)
-    step = max(1, most // max(cols, 1))
+    step = max(1, CHUNK_ENTRIES // max(cols, 1))
     for r in range(0, rows, step):
         yield slice(r, min(r + step, rows))
 

@@ -20,22 +20,20 @@ from .fields import RadialGrid
 def _smoothstep(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0 for u <= 0, 1 for u >= 1 and e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) between.
 
-    Clipping gives both plateaus in one pass, into ``out`` (a new array by
-    default, so u is left as it is); the two exps run only at the edge's flat
-    indices, each in place on its own array of the edge's size.
+    One formula on every entry of u clipped into [0, 1], into ``out`` (a new array by
+    default, so u is left as it is) and one more array of u's size: at 0 and 1 one of
+    the exps is exp(-inf), exactly 0, so the plateaus come out exactly 0 and 1.
     """
     out = np.clip(u, 0.0, 1.0, out=out)
-    flat = out.reshape(-1)
-    edge = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-    b = flat[edge]  # u on the edge, then 1 - u
-    a = np.divide(-1.0, b)
-    np.exp(a, out=a)
-    np.subtract(1.0, b, out=b)
-    np.divide(-1.0, b, out=b)
-    np.exp(b, out=b)
-    b += a
-    flat[edge] = np.divide(a, b, out=a)
-    return out
+    # -1/u is -inf at u = 0 and below about 5.6e-309, -1/(1-u) at u = 1
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.divide(-1.0, out)
+        np.exp(a, out=a)
+        np.subtract(1.0, out, out=out)
+        np.divide(-1.0, out, out=out)
+    np.exp(out, out=out)
+    out += a
+    return np.divide(a, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -79,21 +77,22 @@ class TestFunction:
         out[band] = self.of_log(np.log(t[band]))
         return float(out[0]) if scalar else out
 
-    def of_log(self, x: np.ndarray) -> np.ndarray:
+    def of_log(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """f(e^x) for an array x: the profile's one formula, also read on the log axis.
 
         Exactly 0 wherever |x| >= support_radius (the mollifier's step clips to 0), and
         wherever |x| falls short of it by less than about support_radius / 1500, where the
         step's exp underflows.  The ufuncs of
-        exp(-(x - center)^2 / (2 width^2)) * smoothstep(2 (1 - |x| / R)) run in that order,
-        each into the array of its operand: two temporaries of x's size in all.
+        exp(-(x - center)^2 / (2 width^2)) * smoothstep(2 (1 - |x| / R)) run in that order
+        into ``out`` (a new array by default), and the step's into its two arrays of x's
+        size.  |x| is taken before ``out`` is written, so ``out`` may be x itself.
         """
-        vals = np.subtract(x, self.center)
+        step = np.abs(x)
+        vals = np.subtract(x, self.center, out=out)
         np.square(vals, out=vals)
         np.negative(vals, out=vals)
         vals /= 2.0 * self.width**2
         np.exp(vals, out=vals)
-        step = np.abs(x)
         step /= self.support_radius
         np.subtract(1.0, step, out=step)
         step *= 2.0

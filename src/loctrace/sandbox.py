@@ -177,21 +177,19 @@ def dihedral_d4() -> FiniteGroup:
 
 
 def quaternion_q8() -> FiniteGroup:
-    letters = ["1", "i", "j", "k"]
-    prod = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    elems = [(s, l) for s in (1, -1) for l in letters]
+    # the integer unit quaternions (a, b, c, d) = a + bi + cj + dk: 1, i, j, k, then their negatives
+    elems = [tuple(s * int(m == l) for m in range(4)) for s in (1, -1) for l in range(4)]
 
-    def multiply(a, b):
-        (s, l), (sp, lp) = a, b
-        sq, lq = prod[(l, lp)]
-        return s * sp * sq, lq
+    def hamilton(p, q):
+        (a, b, c, d), (e, f, g, h) = p, q
+        return (
+            a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e,
+        )
 
-    return FiniteGroup(order=8, table=_cayley_table(elems, multiply), name="Q8")
+    return FiniteGroup(order=8, table=_cayley_table(elems, hamilton), name="Q8")
 
 
 def abelian_presentations_up_to(max_order: int) -> list[tuple[int, ...]]:

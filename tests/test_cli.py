@@ -33,7 +33,7 @@ from loctrace.cli import (
     run_verify,
     validate_config,
 )
-from loctrace.cutoff_trace import route_c_plan
+from loctrace.cutoff_trace import COSINE_TABLE_MAX, route_c_plan
 from loctrace.operators import TestFunction
 from loctrace.sandbox import SUITE_NAMES, run_sandbox
 from oracles import CONFIG_SCHEMA
@@ -552,6 +552,36 @@ def test_cli_refuses_support_beyond_the_grid(tmp_path, capsys, monkeypatch):
     assert "support radius 10.0 reaches the grid half-range" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rho, entries",
+    [
+        (7.0, "840061200 entries (60874 nodes x 13800 points)"),
+        (8.2, "10677970800 entries (235405 nodes x 45360 points)"),
+    ],
+)
+def test_cli_refuses_a_cosine_table_beyond_the_cap(tmp_path, capsys, monkeypatch, rho, entries):
+    # the default R sweep with a wider support: the lattice stays under its cap, but the
+    # set-up's cosine table, nodes x (degree + 1), does not (10 s and 113 s of set-up)
+    import loctrace.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "build_fourier", _refuse_work)
+    monkeypatch.setattr(cli_mod, "SignedTraceLab", _refuse_work)
+    config = copy.deepcopy(DEFAULT_CONFIGS["R"])
+    config["test_function"]["support_radius"] = rho
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["trace-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: route_c: the bad rows' cosine table needs {entries}, above the "
+        f"{COSINE_TABLE_MAX} allowed (width 0.25, support_radius {rho})\n"
+    )
+    assert not (tmp_path / "out").exists()
+    # the last support radius in steps of 0.1 the cap takes: 1.2e8 entries, 1.44 s of set-up
+    config["test_function"]["support_radius"] = 6.1
+    assert validate_config(config)["test_function"]["support_radius"] == 6.1
 
 
 @pytest.mark.parametrize(

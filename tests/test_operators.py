@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,19 @@ def test_smoothstep_matches_its_masked_form_bit_for_bit():
     bump = _smoothstep_by_masks(2.0 * (1.0 - np.abs(x) / 1.5))
     want = np.exp(-((x - 0.2) ** 2) / (2.0 * 0.4**2)) * bump
     assert np.array_equal(f(t), np.where((t > math.exp(-1.5)) & (t < math.exp(1.5)), want, 0.0))
+
+
+def test_smoothstep_on_the_extreme_floats_warns_of_nothing():
+    # -1/u overflows at the least subnormal and divides by zero at both plateaus, which the
+    # step's formula turns into exp(-inf) = 0; NaN stays NaN
+    from loctrace.operators import _smoothstep
+
+    u = np.array([5e-324, np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _smoothstep(u)
+    assert got[:3].tolist() == [0.0, 1.0, 0.0] and np.isnan(got[3])
+    assert np.array_equal(u[:3], [5e-324, np.inf, -np.inf])  # u is left as it is
 
 
 @settings(max_examples=100)

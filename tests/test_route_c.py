@@ -2,10 +2,11 @@
 
 ``DenseSignedTraceLab`` is the full-matrix route C: the complex n x n
 transform and the n x n U_f on the signed grid, a fresh product for every
-lambda and the n x n product in the cyclicity check.  ``SignedTraceLab`` must
-give the same traces from the even sector alone: the panels of U_e's good
-rows over their bands, traced through the Dirichlet kernel of the block's two
-cosine factors, and the bad rows' quadrature rows against their cosines.
+lambda and the n x n product in the cyclicity check, one row block at a time.
+``SignedTraceLab`` must give the same traces from the even sector alone: the
+panels of U_e's good rows over their bands, traced through the Dirichlet
+kernel of the block's two cosine factors, and the bad rows' quadrature rows
+against their cosines.
 """
 
 import functools
@@ -104,14 +105,21 @@ class DenseSignedTraceLab:
 
     BAD_ROW_EXTENT = 0.5
     GL_NODES = 512
+    # rows per block of the n x n arrays the oracle builds or multiplies, so that their
+    # temporaries are of a block's size
+    BLOCK_ROWS = 256
 
     def __init__(self, f: TestFunction, n: int):
         self.f = f
         self.grid = full_line_grid(n)
         x = self.grid.x
         self.fourier_matrix = self.grid.fourier_matrix()
-        ratio = np.abs(np.outer(x, 1.0 / x))
-        self.uf_matrix = f(ratio) / (2.0 * np.sqrt(np.abs(np.outer(x, x)))) * self.grid.step
+        self.uf_matrix = np.empty((n, n))
+        for r in range(0, n, self.BLOCK_ROWS):
+            xr = x[r : r + self.BLOCK_ROWS]
+            ratio = np.abs(np.outer(xr, 1.0 / x))
+            uf = f(ratio) / (2.0 * np.sqrt(np.abs(np.outer(xr, x)))) * self.grid.step
+            self.uf_matrix[r : r + len(xr)] = uf
         self._xp = self.grid.positive
         # (U_f F)(|v|, |u|) for the bad |v| and the first columns of the positive half
         self._bad_block = np.empty((int((self._xp < self.BAD_ROW_EXTENT).sum()), 0))
@@ -145,7 +153,11 @@ class DenseSignedTraceLab:
         Fm = self.fourier_matrix
         pu = np.conj(Fm[np.ix_(bi, bi)]) @ self.uf_matrix[bi, :]
         t1 = np.trace(pu @ Fm[:, bi])
-        t2 = np.trace(Fm[:, bi] @ pu)
+        # the trace of the n x n product Fm[:, bi] @ pu, from the diagonals of its row blocks
+        diagonal = np.empty(self.grid.n, dtype=complex)
+        for r in range(0, self.grid.n, self.BLOCK_ROWS):
+            diagonal[r : r + self.BLOCK_ROWS] = np.diagonal(Fm[r : r + self.BLOCK_ROWS, bi] @ pu, offset=r)
+        t2 = diagonal.sum()
         return float(abs(t1 - t2) / max(abs(t1), 1e-300))
 
 
@@ -672,10 +684,10 @@ def test_route_c_sweep_evaluates_each_ue_entry_once(monkeypatch, tmp_path, n, ma
     entries, inside = [], []
     of_log, call = TestFunction.of_log, TestFunction.__call__
 
-    def counting_of_log(self, x):
+    def counting_of_log(self, x, out=None):
         if not inside:
             entries.append(np.size(x))
-        return of_log(self, x)
+        return of_log(self, x, out=out)
 
     def counting_call(self, t):
         inside.append(t)
@@ -845,6 +857,7 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         "bad_rows=32",
         f"quadrature_nodes={lab.plan.lattice[2]} ",
         f"chebyshev_degree={lab.plan.degree} ",
+        f"cosine_table_entries={lab.plan.lattice[2] * (lab.plan.degree + 1)} ",
         "quadrature_ms=",
         "duration_s=",
     ):
@@ -865,8 +878,18 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         f"route C trace: lam=1 block_rows=64 bad_rows=32 t_route_c={values[1]:.15g}",
         f"route C trace: lam=2 block_rows=128 bad_rows=32 t_route_c={values[2]:.15g}",
     ]
+    # the check's two GEMMs per panel, over the rows below its block: 2 rows band kc
+    kc = block_size(1024, 1.0)  # the check's block_rows=64
+    work = sum(
+        2 * (min(rows.stop, kc) - rows.start) * (hi - lo) * kc
+        for first, stop in ((0, bad), (bad, 64))
+        for rows, lo, hi in panel_bands(standard_bump, 1024, first, stop)
+        if rows.start < kc
+    )
     cyclicity = [m.split(" duration_s=") for m in lines if m.startswith("route C cyclicity")]
-    assert [c[0] for c in cyclicity] == [f"route C cyclicity: lam=1 block_rows=64 defect={defect:.3e}"]
+    assert [c[0] for c in cyclicity] == [
+        f"route C cyclicity: lam=1 block_rows=64 multiply_adds={work} defect={defect:.3e}"
+    ]
     (passed,) = [m.split(" panels_ms=") for m in lines if m.startswith("route C pass")]
     assert passed[0] == (
         f"route C pass: lambdas=3 panels={len(sizes)} band_entries={sum(sizes)}/{512 * 64} "
