@@ -13,11 +13,15 @@ configuration error, refused before any work.  A sweep config is checked
 against the key table CONFIG_KEYS in one walk, and a refusal names the path
 and what was expected (``config.lambdas[1] is not a finite number above 0
 (got -1.0)``); then across keys, against BYTES_BUDGET for the grid
-transform and the route C block, and against LATTICE_NODES_MAX and
-COSINE_TABLE_MAX for the lattice and the cosine table of route C's bad
-rows.  Verbosity via the LOCTRACE_LOG
-environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL).  Runs are deterministic:
-no RNG without an explicit seed, artifacts are byte-stable.
+transform and the route C block, and against route C's one run-time budget,
+``cutoff_trace.RUN_SECONDS_MAX`` (8 s): the seconds of its set-up and pass,
+from the signed transform's points, the bad rows' cosine table entries and
+Clenshaw steps, the pass's panels and the entries it reads and the check's
+multiply-adds, each at its cost measured on 2 cores (1.4e-6, 2e-8, 1.7e-9,
+1.5e-6 per bit of n_signed, 2.8e-8 and 4.2e-10 s); a refusal names the
+largest.  Verbosity via the LOCTRACE_LOG environment variable
+(DEBUG/INFO/WARNING/ERROR/CRITICAL).  Runs are deterministic: no RNG without
+an explicit seed, artifacts are byte-stable.
 """
 
 from __future__ import annotations
@@ -205,7 +209,7 @@ def validate_config(config: dict) -> dict:
         # lambda 0 (an empty block) still checks that n_signed is even
         lam = max(c_lams, default=0.0)
         try:
-            plan = route_c_plan(f, n_signed, lam, lambdas=len(c_lams))
+            plan = route_c_plan(f, n_signed, lam, len(c_lams), min(c_lams, default=None))
         except ValueError as exc:
             raise ConfigError(f"route_c: {exc}") from exc
         _check_budget(plan.peak_bytes, f"route_c: n_signed {n_signed} up to lambda {lam}")

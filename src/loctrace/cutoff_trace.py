@@ -243,12 +243,11 @@ def gate_reports(reports: Sequence[TraceReport], factor: float = 0.1) -> list[Tr
 
 
 # chunk-sized float arrays alive at once, by tracemalloc: 2.01-2.08 while one row chunk
-# of a U_e panel is filled (the smoothstep's two arrays; the chunk holds the log
-# differences and f itself) over n_signed 1024-65536 and profiles of width 0.05-2,
-# whatever the share of the mollifier's edge; and 1.50-6.88 in the bad rows' quadrature
-# besides its result, over n_signed 64-65536, rho 0.5-8.25 and widths 0.01-2 that the
-# caps accept, the most at rho 6 (degree 5207)
-ROUTE_C_TEMPORARIES = 7
+# of a U_e panel is filled, over n_signed 1024-65536 and widths 0.05-2; 1.50-4.32 in the
+# bad rows' quadrature besides its result, over n_signed 64-65536, rho 0.5-8 and widths
+# 0.01-2 that the budget accepts; and 5.2 beyond the panel in a pass of three lams and the
+# check at n_signed 8192, max_lambda 8 (the most of ``test_a_pass_holds_one_panel``)
+ROUTE_C_TEMPORARIES = 6
 
 # lattice nodes per unit of tau = log s beyond the cosine's, per 1/support_radius
 # and per 1/width: within 3e-13 of converged Gauss-Legendre (relative to
@@ -257,14 +256,18 @@ ROUTE_C_TEMPORARIES = 7
 # edge with width 0.05 loses 3e-12
 LATTICE_EDGE = 128.0
 LATTICE_WIDTH = 4.0
-# the most nodes Phi's log lattice may take, 732x the 358 of the default profile at
-# n_signed=4096, max_lambda=8, where width 4.6e-5 reaches it (0.55 s of set-up, 2 cores)
-LATTICE_NODES_MAX = 2**18
-# the most entries of the set-up's cosine table, nodes x (degree + 1): the lattice and the
-# degree both grow as e^rho, so the table grows as e^(2 rho).  At n_signed=4096,
-# max_lambda=8 (2 cores) the set-up took 1.31 s at rho 6 (1.0e8 entries) and 1.44 s at
-# 6.1 (1.2e8), the last accepted; it took 10.3 s at 7 (8.4e8) and 113 s at 8.2 (1.1e10)
-COSINE_TABLE_MAX = 2**27
+
+# seconds per unit of route C's work, the slowest measured on 2 cores (numpy 2.4.6,
+# OpenBLAS 0.3.31), one lab and one pass per fresh process, n_signed 4096 to 2^22
+TRANSFORM_SECONDS = 1.4e-6  # per point: the signed transform's tables and checks (1.33e-6 at 2^20)
+COSINE_SECONDS = 2e-8  # per entry of the set-up's cosine table (1.92e-8 at rho 5, 1.85e-8 at 6)
+CLENSHAW_SECONDS = 1.7e-9  # per step, a bad-row entry per coefficient (1.05e-9 to 1.68e-9)
+PASS_SECONDS = 2.8e-8  # per entry a pass reads: band, bad-row terms, Dirichlet tables (1.8e-8 up)
+PANEL_SECONDS = 1.5e-6  # per panel and bit of n: panel_bands' bisections (the plan's walk 1.2e-6)
+CHECK_SECONDS = 4.2e-10  # per multiply-add of the cyclicity check (2.3e-10 to 4.1e-10)
+# the longest predicted route C set-up and pass route_c_plan accepts: above the 3.7 s of the
+# largest lab a test builds (n_signed 65536 up to lam 16, rho 3), below rho 7's 10.3 s
+RUN_SECONDS_MAX = 8.0
 
 
 def log_lattice(f: TestFunction, w_max: float) -> tuple[float, float, int]:
@@ -273,20 +276,11 @@ def log_lattice(f: TestFunction, w_max: float) -> tuple[float, float, int]:
     It spans [-rho, rho] (rho = f.support_radius), the support of s -> f(1/s), at
     ``LATTICE_EDGE / rho + LATTICE_WIDTH / width`` nodes per unit of tau (the mollifier
     edge and the Gaussian) on top of the cosine's top log-frequency w_max e^rho.  Raises
-    ValueError, before anything is allocated, when that takes more than LATTICE_NODES_MAX.
+    OverflowError when e^rho or the node count is beyond the float range.
     """
     rho = f.support_radius
-    try:
-        per_unit = w_max * math.exp(rho) + LATTICE_EDGE / rho + LATTICE_WIDTH / f.width
-    except OverflowError:  # e^rho or 1/width beyond the float range
-        per_unit = math.inf
-    span = per_unit * 2.0 * rho
-    if not span < LATTICE_NODES_MAX:
-        raise ValueError(
-            f"the bad rows' log lattice needs {span:.3g} nodes, above the {LATTICE_NODES_MAX} "
-            f"allowed (width {f.width}, support_radius {rho})"
-        )
-    nodes = math.ceil(span) + 1
+    per_unit = w_max * math.exp(rho) + LATTICE_EDGE / rho + LATTICE_WIDTH / f.width
+    nodes = math.ceil(per_unit * 2.0 * rho) + 1
     return -rho, 2.0 * rho / (nodes - 1), nodes
 
 
@@ -295,7 +289,7 @@ def chebyshev_degree(f: TestFunction, w_max: float) -> int:
 
     On x in [-1, 1], Phi sums cos(a_s (1 + x)), a_s = pi s w_max <= a, of coefficients
     2 J_k(a_s) up to sign: past k = a_s they fall off like exp(-(2 (k - a_s))^(3/2) /
-    (3 a_s^(1/2))) (Debye), to 1e-13 at 10 a_s^(1/3) on.  ``log_lattice``'s refusal keeps a finite.
+    (3 a_s^(1/2))) (Debye), to 1e-13 at 10 a_s^(1/3) on.  OverflowError past the floats.
     """
     a = math.pi * math.exp(f.support_radius) * w_max
     return math.ceil(a + 10.0 * a ** (1.0 / 3.0)) + 8
@@ -323,12 +317,6 @@ def block_size(n: int, lam: float) -> int:
     return _points_up_to(n, lam * (1.0 + 1e-12))
 
 
-# panels whose bands route_c_plan counts one by one; past them it takes the
-# whole rows, n/2 each.  A plan within the config's 2 GiB budget has at most
-# about 5000 at the default profile (n_signed 786432 up to lambda 180)
-BAND_PANELS_MAX = 4096
-
-
 def panel_bands(f: TestFunction, n: int, first: int, stop: int):
     """Yield (rows, lo, hi), PANEL_ROWS rows of first..stop-1 at a time: U_e[rows, :] is 0 off [lo, hi).
 
@@ -351,7 +339,7 @@ def panel_bands(f: TestFunction, n: int, first: int, stop: int):
 
 @dataclass(frozen=True)
 class RouteCPlan:
-    """The geometry of a SignedTraceLab, decided before anything is allocated."""
+    """The geometry and work of a SignedTraceLab and one pass, decided before anything is allocated."""
 
     block: int  # |b|: the block's positive half b is the first |b| points x_j
     bad_rows: int  # the first bad_rows of them are the bad rows, x < BAD_ROW_EXTENT
@@ -359,28 +347,39 @@ class RouteCPlan:
     degree: int  # of the bad rows' Chebyshev series in Phi (chebyshev_degree); 0 without them
     cosine_table: int  # entries of the set-up's cosine table, nodes x (degree + 1); 0 without bad rows
     largest_panel: int  # the entries of the largest panel of U_e the pass evaluates
+    panels: int  # the panels of U_e the pass evaluates
+    band_entries: int  # their entries
+    multiply_adds: int  # of the cyclicity check's two GEMMs
     peak_bytes: int  # bounds the peak of the set-up and of one pass
+    seconds: float  # the predicted time of the set-up and one pass
 
 
-def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -> RouteCPlan:
-    """The plan of SignedTraceLab(f, n, max_lambda), from arithmetic alone.
+def _within_budget(work: list, f: TestFunction) -> float:
+    """The seconds of ``work``, (count, what, seconds per unit); past RUN_SECONDS_MAX a ValueError names its largest."""
+    seconds = [count * cost for count, _, cost in work]
+    if not sum(seconds) <= RUN_SECONDS_MAX:
+        count, what, _ = work[seconds.index(max(seconds))]
+        raise ValueError(
+            f"route C would take at least {sum(seconds):.3g} s, above the {RUN_SECONDS_MAX:g} s budget, "
+            f"{max(seconds):.3g} s of it for {count:.4g} {what} (width {f.width}, support_radius {f.support_radius})"
+        )
+    return sum(seconds)
 
-    ``peak_bytes`` counts what the lab keeps, the bad rows' quadrature rows
-    (bad x |b|), and what a pass over ``lambdas`` lams holds at once: the
-    largest panel of U_e[b, :] (over the ``panel_bands`` of the bad rows and
-    of the good rows, each from its first row) and a Dirichlet table of
-    n/2 + 2 |b| entries for each lam and for the cyclicity check.  It bounds
-    every temporary: ROUTE_C_TEMPORARIES arrays of one row chunk
-    (``row_chunks``) of a panel, as wide as the widest band, or of the
-    check's cosine rows against the block; the transform's n-length tables
-    and the arrays of its certification (``kernel_fft_length``); and the
-    larger of the set-up's bad-row quadrature (its result and the temporaries
-    of ``_ue_cosine_rows``) and a pass's (two arrays of the bad rows' size in
-    each trace's bad-row term, three of one panel's rows against the block in
-    the cyclicity check).  Raises
-    ValueError when n is odd or below 2, when max_lambda reaches half the
-    grid's extent, when Phi's lattice exceeds LATTICE_NODES_MAX, or when the
-    set-up's cosine table, lattice nodes x (degree + 1), exceeds COSINE_TABLE_MAX.
+
+def route_c_plan(
+    f: TestFunction, n: int, max_lambda: float, lambdas: int = 1, check_lambda: Optional[float] = None
+) -> RouteCPlan:
+    """The plan of SignedTraceLab(f, n, max_lambda) and of one pass over ``lambdas`` lams up
+    to max_lambda, the cyclicity check at ``check_lambda`` (None: none), by arithmetic alone.
+
+    ``peak_bytes`` bounds the peak of the set-up and of the pass, term by term below.
+    ``seconds`` sums the set-up's work (the transform's n points, the cosine table,
+    Clenshaw's bad x |b| x (degree + 1) steps) and the pass's (its panels, the entries it
+    reads, the check's multiply-adds), each at its measured cost; the pass evaluates the
+    bad rows' panels below the check's block and every good row's.  Raises ValueError when
+    n is odd or below 2, when max_lambda reaches half the grid's extent, or when ``seconds``
+    exceeds RUN_SECONDS_MAX, naming the largest term; the cosine table, Clenshaw's steps
+    and the panels' count are judged before the panels are walked, which bounds the walk.
     """
     check_signed_n(n)
     extent = signed_point(n, n // 2 - 1)  # the grid's largest point, x[-1]
@@ -390,28 +389,42 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
             f"needs lam < {extent / 2.0:.6g})"
         )
     b = block_size(n, max_lambda)
+    kc = 0 if check_lambda is None else block_size(n, check_lambda)
     # x < BAD_ROW_EXTENT is x <= the float just below it
     bad = min(b, _points_up_to(n, math.nextafter(SignedTraceLab.BAD_ROW_EXTENT, 0.0)))
     # the bad rows run up to x_{bad-1}, against columns up to x_{b-1}: products up to w_max
     w_max = signed_point(n, bad - 1) * signed_point(n, b - 1)
-    lattice, degree = (log_lattice(f, w_max), chebyshev_degree(f, w_max)) if bad else (None, 0)
-    cosine_table = lattice[2] * (degree + 1) if bad else 0
-    if cosine_table > COSINE_TABLE_MAX:
-        raise ValueError(
-            f"the bad rows' cosine table needs {cosine_table} entries ({lattice[2]} nodes x "
-            f"{degree + 1} points), above the {COSINE_TABLE_MAX} allowed "
-            f"(width {f.width}, support_radius {f.support_radius})"
-        )
+    try:
+        lattice, degree = (log_lattice(f, w_max), chebyshev_degree(f, w_max)) if bad else (None, 0)
+    except OverflowError:  # e^rho, or the nodes for 1/width, beyond the float range
+        lattice, degree = (-f.support_radius, 0.0, math.inf), math.inf
+    nodes = lattice[2] if bad else 0
+    panels = -(-min(bad, kc) // PANEL_ROWS) - (-(b - bad) // PANEL_ROWS)
+    work = [  # (count, what, seconds per unit), the counts that may pass the float range as floats
+        (float(nodes) * (degree + 1), "entries of the bad rows' cosine table", COSINE_SECONDS),
+        (float(bad) * b * (degree + 1), "Clenshaw steps over the bad rows", CLENSHAW_SECONDS),
+        (panels, "panels of the pass", PANEL_SECONDS * n.bit_length()),
+    ]
+    _within_budget(work, f)
     half = n // 2
-    # the largest panel and the widest band of the bad rows' and the good rows' panels,
-    # each from its first row; past BAND_PANELS_MAX panels, PANEL_ROWS whole rows
-    panel = widest = 0
-    for first, stop in ((0, bad), (bad, b)):
-        whole = stop - first > PANEL_ROWS * BAND_PANELS_MAX
-        for rows, lo, hi in [(slice(0, PANEL_ROWS), 0, half)] if whole else panel_bands(f, n, first, stop):
-            panel, widest = max(panel, (rows.stop - rows.start) * (hi - lo)), max(widest, hi - lo)
-    tables = (lambdas + 1) * (half + 2 * b)  # a pass's Dirichlet tables
-    # a row chunk of a panel, or of the check's cosine rows cb against the block
+    # the largest panel and the widest band of the bad rows' and the good rows' panels, each
+    # from its first row; the band entries and the check's multiply-adds of the pass
+    largest = widest = band = multiply_adds = 0
+    for first, stop, cut in ((0, bad, kc), (bad, b, b)):
+        for rows, lo, hi in panel_bands(f, n, first, stop):
+            largest, widest = max(largest, (rows.stop - rows.start) * (hi - lo)), max(widest, hi - lo)
+            band += max(0, min(rows.stop, cut) - rows.start) * (hi - lo)
+            multiply_adds += 2 * max(0, min(rows.stop, kc) - rows.start) * (hi - lo) * kc
+    tables = (lambdas + 1) * (half + 2 * b)  # a pass's Dirichlet tables, one per lam and the check's
+    work += [
+        (n, "points of the signed transform", TRANSFORM_SECONDS),
+        (band + lambdas * bad * b + tables, "entries read by the pass", PASS_SECONDS),
+        (multiply_adds, "multiply-adds of the cyclicity check", CHECK_SECONDS),
+    ]
+    seconds = _within_budget(work, f)
+    # the lab's quadrature rows (bad x |b|), a pass's largest panel and tables, and every
+    # temporary: ROUTE_C_TEMPORARIES arrays of one row chunk (``row_chunks``) of a panel, as
+    # wide as the widest band, or of the check's cosine rows cb against the block
     chunk = min(half * b, max(CHUNK_ENTRIES, widest, b))
     # the grid, the cosine, sine and two phase tables and the involution probes
     # (13 n measured), and the kernel check's FFTs (6 of its length)
@@ -425,10 +438,11 @@ def route_c_plan(f: TestFunction, n: int, max_lambda: float, lambdas: int = 1) -
     # gather of c[:, rows] holds its one index array before U_e cb exists)
     passing = 2 * bad * b + 3 * min(PANEL_ROWS, b) * b
     temporaries = ROUTE_C_TEMPORARIES * chunk + vectors + max(quadrature, passing)
-    peak = 8 * (bad * b + panel + tables + temporaries)
+    peak = 8 * (bad * b + largest + tables + temporaries)
     return RouteCPlan(
-        block=b, bad_rows=bad, lattice=lattice, degree=degree, cosine_table=cosine_table,
-        largest_panel=panel, peak_bytes=peak,
+        block=b, bad_rows=bad, lattice=lattice, degree=degree, cosine_table=nodes * (degree + 1),
+        largest_panel=largest, panels=panels, band_entries=band, multiply_adds=multiply_adds,
+        peak_bytes=peak, seconds=seconds,
     )
 
 
@@ -438,14 +452,11 @@ def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: 
 
     U_e[v, y] = f(v/y) / sqrt(vy) step is, on the log axis, a profile of log v - log y
     times two separable factors: x_j = (j + 1/2) step, so step / sqrt(vy) = r_v r_y with
-    r_j = 1/sqrt(j + 1/2).  The logs and the r_j of the positive half-grid are taken once;
-    each panel is f.of_log(log v - log y) r_v r_y, evaluated only when it is asked for and
-    filled in place one row chunk at a time (``row_chunks``): the differences, then f over
-    them, then the two factors, so a chunk's only temporaries are the profile's.  Off the band
-    |log v - log y| >= R holds to rounding, so there the mollifier's exp underflows and
-    U_e is exactly 0.  Every panel is a view of the caller's ``buffer``, which must hold
-    the largest panel (``RouteCPlan.largest_panel``), so a panel is valid until the next
-    one is requested.
+    r_j = 1/sqrt(j + 1/2), taken once with the logs.  Each panel is f.of_log(log v - log y)
+    r_v r_y, filled in place one row chunk at a time (``row_chunks``), so a chunk's only
+    temporaries are the profile's.  Off the band |log v - log y| >= R holds to rounding, so
+    there U_e is exactly 0.  Every panel is a view of the caller's ``buffer``, which must
+    hold the largest panel (``RouteCPlan.largest_panel``), valid until the next is requested.
     """
     half = n // 2
     logs = np.log(signed_point(n, np.arange(half)))
@@ -500,16 +511,13 @@ class SignedTraceLab:
     ``signed_point(n, j)``, j < |b|).
 
     U_e[b, :] is evaluated by ``sweep``, one panel of rows at a time over its
-    band (``ue_panels``: f has compact support, so each panel is nonzero only
-    on a band of columns), and each panel is dropped once every lam of the
-    pass and the cyclicity check have read it.  U_f is a convolution on the
-    multiplicative group, which log makes the additive line, so both
-    evaluations read the profile on the log axis (``TestFunction.of_log``):
-    the panels at log v - log y, Phi's weights at -tau on its lattice.  The
-    set-up's log line carries the bytes held, the largest panel, the
-    lattice's nodes, the series' degree, the cosine table's entries and the
-    quadrature's own time; the transform's defects are on its own
-    ``certification:`` line (``fourier.certify``).
+    band (``ue_panels``: f has compact support), and each panel is dropped once
+    every lam of the pass and the check have read it.  U_f is a convolution on
+    the multiplicative group, which log makes the additive line, so both
+    evaluations read the profile on the log axis (``TestFunction.of_log``).
+    The set-up's log line carries the bytes held, the largest panel and the
+    quadrature's nodes, degree, cosine table and time; the transform's defects
+    are on its own ``certification:`` line (``fourier.certify``).
     """
 
     BAD_ROW_EXTENT = 0.5
@@ -524,23 +532,11 @@ class SignedTraceLab:
         xb = signed_point(n, np.arange(b))
         quadrature_start = time.perf_counter()
         self.quadrature_rows = self._ue_cosine_rows(xb[:bad], xb)
-        log_stage(
-            start,
-            "route C set-up: n_signed=%d |B|=%d held_bytes=%d largest_panel=%d/%d "
-            "peak_bytes_estimate=%d bad_rows=%d quadrature_nodes=%d chebyshev_degree=%d "
-            "cosine_table_entries=%d quadrature_ms=%.3f",
-            n,
-            2 * b,
-            self.quadrature_rows.nbytes,
-            plan.largest_panel,
-            PANEL_ROWS * (n // 2),
-            plan.peak_bytes,
-            2 * bad,
-            plan.lattice[2] if plan.lattice else 0,
-            plan.degree,
-            plan.cosine_table,
-            1e3 * (time.perf_counter() - quadrature_start),
-        )
+        quadrature_ms = 1e3 * (time.perf_counter() - quadrature_start)
+        message = ("route C set-up: n_signed=%d |B|=%d held_bytes=%d largest_panel=%d/%d bad_rows=%d "
+                   "quadrature_nodes=%d chebyshev_degree=%d cosine_table_entries=%d quadrature_ms=%.3f")
+        log_stage(start, message, n, 2 * b, self.quadrature_rows.nbytes, plan.largest_panel, PANEL_ROWS * (n // 2),
+                  2 * bad, plan.lattice[2] if plan.lattice else 0, plan.degree, plan.cosine_table, quadrature_ms)
 
     def _ue_cosine_rows(self, vs: np.ndarray, us: np.ndarray) -> np.ndarray:
         """(U_e C)(v, u) = 2 step Phi(v u), Phi(w) = int f(1/s) s^{-1/2} cos(2 pi w s) ds,
@@ -570,8 +566,11 @@ class SignedTraceLab:
             table = np.multiply.outer(2.0 * np.pi * np.exp(tau), points)
             phi += weights @ np.cos(table, out=table)
         spectrum = np.fft.rfft(np.concatenate([phi, phi[::-1]]))[:m]
-        coef = (spectrum * np.exp(-0.5j * np.pi / m * np.arange(m))).real
-        coef *= self.fourier.step * dtau / m  # 2 step dtau: the phased FFT is 2 sum_k Phi_k cos(j theta_k)
+        spectrum *= np.exp(-0.5j * np.pi / m * np.arange(m))
+        # 2 step dtau: the phased FFT is 2 sum_k Phi_k cos(j theta_k); coef is a new array, so
+        # the spectrum, the last chunk's table, Phi and its points are freed before the sum
+        coef = spectrum.real * (self.fourier.step * dtau / m)
+        del table, spectrum, phi, points
         for rows in row_chunks(len(vs), len(us)):
             two_x = np.multiply.outer(vs[rows], us * (4.0 / w_max))
             two_x -= 2.0
@@ -622,24 +621,23 @@ class SignedTraceLab:
         """(traces, defect): Tr(P F^-1 P U_f F) at each lam, and ``cyclicity_defect``
         at ``cyclicity_at`` (None when it is None), from one pass over the panels of U_e.
 
-        The pass allocates one panel buffer, the plan's largest panel, and evaluates each
-        panel of U_e[b, :] once into it (``ue_panels``, the bad rows' from row 0 and the
-        good rows' from the first good row, each band that of the plan's whole panel).
-        It adds each panel's terms to every lam and to the check that read it before
-        the next is filled into the same buffer: the good rows' kernel term
-        (``_kernel_term``) to each lam's trace, and for the rows below the check's block
-        its three traces (``_check_terms``).  A trace adds the bad rows' quadrature rows
-        of U_e C[:, b] against the cosines C[b, bad] last, taken before any panel is
-        alive.  Each sum runs over the panels in their order, as one lam alone would
-        sum it.  Each trace and the check log their own time, the check also the
-        multiply-adds of its two GEMMs, 2 rows band kc per panel; the pass's line has the
-        panel buffer's bytes and the rest of the time, mostly the panels' evaluation
-        (``panels_ms``).
+        The pass is planned first (``route_c_plan`` of its lams and check, which refuses it
+        beyond the run-time budget), then allocates one panel buffer, the plan's largest
+        panel, and evaluates each panel of U_e[b, :] once into it (``ue_panels``, the bad
+        rows' from row 0 and the good rows' from the first good row).  Each panel's terms go
+        to every lam and to the check before the next is filled: the good rows' kernel term
+        (``_kernel_term``) to each lam's trace, and below the check's block its three traces
+        (``_check_terms``).  A trace adds the bad rows' quadrature rows against C[b, bad]
+        last, taken before any panel is alive, so each sum runs over the panels in the order
+        one lam alone would sum it.  Each trace and the check log their own time, the check
+        also its multiply-adds; the pass's line has the panel buffer's bytes, its plan's peak
+        bytes and seconds, and the rest of the time, mostly the panels' (``panels_ms``).
         """
         start = time.perf_counter()
         ks = [self._sub_block(lam) for lam in lams]
         kc = 0 if cyclicity_at is None else self._sub_block(cyclicity_at)
-        half, bad, cos = self.fourier.n // 2, self.plan.bad_rows, self.fourier.cosines
+        plan = route_c_plan(self.f, self.fourier.n, self.max_lambda, len(ks), cyclicity_at)  # refusals first
+        half, bad, cos = self.fourier.n // 2, plan.bad_rows, self.fourier.cosines
         spent = [0.0] * (len(ks) + 1)  # each trace's own seconds, then the check's
         tables, bad_terms = {}, []
         for i, k in enumerate([*ks, kc]):
@@ -653,10 +651,10 @@ class SignedTraceLab:
         values = [0.0] * len(ks)
         t1 = t2 = t3 = 0.0
         panels = band = check_work = 0
-        buffer = np.empty(self.plan.largest_panel)
+        buffer = np.empty(plan.largest_panel)
         for rows, lo, u in chain(
             ue_panels(self.f, self.fourier.n, 0, bad, kc, buffer),
-            ue_panels(self.f, self.fourier.n, bad, self.plan.block, max(ks + [kc]), buffer),
+            ue_panels(self.f, self.fourier.n, bad, plan.block, max(ks + [kc]), buffer),
         ):
             v0 = rows.start
             panels, band = panels + 1, band + u.size
@@ -680,8 +678,10 @@ class SignedTraceLab:
             message = "route C cyclicity: lam=%g block_rows=%d multiply_adds=%d defect=%.3e duration_s=%.6f"
             log.info(message, cyclicity_at, 2 * kc, check_work, defect, spent[-1])
         rest_ms = 1e3 * (time.perf_counter() - start - sum(spent))
-        message = "route C pass: lambdas=%d panels=%d band_entries=%d/%d panel_buffer_bytes=%d panels_ms=%.3f"
-        log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), buffer.nbytes, rest_ms)
+        message = ("route C pass: lambdas=%d panels=%d band_entries=%d/%d panel_buffer_bytes=%d "
+                   "peak_bytes_estimate=%d predicted_s=%.6g panels_ms=%.3f")
+        log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), buffer.nbytes,
+                  plan.peak_bytes, plan.seconds, rest_ms)
         return values, defect
 
     def trace_route_c(self, lam: float) -> float:
@@ -691,12 +691,8 @@ class SignedTraceLab:
     def cyclicity_defect(self, lam: float) -> float:
         """Largest relative gap of Tr((P F^-1 P U_f) F), Tr(F (P F^-1 P U_f)) and the kernel trace.
 
-        With c = C[b, b] and cb = C[:, b], the first is Tr(c (U_e[b, :] cb)) and
-        the second Tr((cb c) U_e[b, :]), the trace of the n/2 x n/2 product;
-        the third is the kernel trace over the same rows, bad rows included,
-        so the literal products certify the kernel at this lam.  All three read
-        each panel of ``sweep``'s pass while it is alive; the band's cosine rows
-        are streamed from the table one row chunk at a time, so no n/2 x |b|
-        array is formed.
+        With c = C[b, b] and cb = C[:, b], the first is Tr(c (U_e[b, :] cb)) and the second
+        Tr((cb c) U_e[b, :]); the third is the kernel trace over the same rows, bad rows
+        included, so the literal products certify the kernel at this lam (``_check_terms``).
         """
         return self.sweep([], cyclicity_at=lam)[1]

@@ -23,8 +23,8 @@ import loctrace.cutoff_trace as cutoff_trace_mod
 import loctrace.fourier as fourier_mod
 from loctrace.cli import run_trace_sweep
 from loctrace.cutoff_trace import (
-    LATTICE_NODES_MAX,
     ROUTE_C_TEMPORARIES,
+    RUN_SECONDS_MAX,
     SignedTraceLab,
     block_size,
     chebyshev_degree,
@@ -186,6 +186,22 @@ def test_trace_beyond_max_lambda_is_refused(signed_lab):
         signed_lab.cyclicity_defect(16.0)
 
 
+def test_sweep_refuses_a_pass_beyond_the_run_time_budget(standard_bump, monkeypatch):
+    # the lab's set-up and a pass of its traces fit the budget; the check over its whole
+    # block of 4096 rows would take 2.9e11 multiply-adds, and the pass refuses it from its
+    # plan before it builds a table or a panel
+    lab = SignedTraceLab(standard_bump, 65536, 16.0)
+    assert lab.plan.seconds < RUN_SECONDS_MAX
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the pass started")
+
+    monkeypatch.setattr(cutoff_trace_mod, "ue_panels", no_work)
+    monkeypatch.setattr(lab.fourier, "dirichlet", no_work)
+    with pytest.raises(ValueError, match="multiply-adds of the cyclicity check"):
+        lab.cyclicity_defect(16.0)
+
+
 @pytest.mark.parametrize(
     "n, max_lambda", [(64, 8.0), (64, 1.96875), (1024, 7.9921875), (4096, 16.0)]
 )
@@ -287,11 +303,12 @@ def test_route_c_plan_matches_the_grid_property(geometry):
 
 @pytest.mark.parametrize("width, rho", [(1e-7, 1.5), (0.25, 8.3), (0.25, 800.0), (1e-160, 1.5)])
 def test_lab_refuses_a_lattice_beyond_the_cap(width, rho):
-    # the lattice grows as 1/width and e^rho; 1e-7 would take 1.2e8 nodes, and the
-    # edge in rho is at 8.296 (263297 nodes at 8.3).  1e-160 is about the least width
-    # whose square TestFunction takes
+    # the lattice grows as 1/width and e^rho and the series' degree as e^rho, so the
+    # set-up's cosine table does: 1.2e10 entries at width 1e-7 and 1.3e10 at rho 8.3,
+    # beyond the float range at rho 800.  1e-160 is about the least width whose square
+    # TestFunction takes.  Each is refused by the run-time budget before the lab allocates
     f = TestFunction(width=width, support_radius=rho)
-    with pytest.raises(ValueError, match=f"above the {LATTICE_NODES_MAX} allowed"):
+    with pytest.raises(ValueError, match=f"above the {RUN_SECONDS_MAX:g} s budget, .* of the bad rows' cosine table"):
         SignedTraceLab(f, 4096, 8.0)
 
 
@@ -843,7 +860,7 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         "threshold=1.0e-10 duration_s=",
     ):
         assert key in certification
-    assert "defect" not in setup[0]
+    assert "defect" not in setup[0] and "peak_bytes_estimate" not in setup[0]
     # the set-up holds the quadrature rows alone; the largest panel is of PANEL_ROWS whole rows
     bad = lab.plan.bad_rows
     sizes = [u.size for r in ((0, bad), (bad, 64)) for _, _, u in whole_panels(standard_bump, 1024, *r)]
@@ -853,7 +870,6 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
         "|B|=128",
         f"held_bytes={lab.quadrature_rows.nbytes} ",
         f"largest_panel={max(sizes)}/{PANEL_ROWS * 512} ",
-        f"peak_bytes_estimate={lab.plan.peak_bytes} ",
         "bad_rows=32",
         f"quadrature_nodes={lab.plan.lattice[2]} ",
         f"chebyshev_degree={lab.plan.degree} ",
@@ -890,10 +906,13 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     assert [c[0] for c in cyclicity] == [
         f"route C cyclicity: lam=1 block_rows=64 multiply_adds={work} defect={defect:.3e}"
     ]
+    # and the peak bytes and seconds of the plan of its lams and check
     (passed,) = [m.split(" panels_ms=") for m in lines if m.startswith("route C pass")]
+    plan = route_c_plan(standard_bump, 1024, 2.0, 3, 1.0)
     assert passed[0] == (
         f"route C pass: lambdas=3 panels={len(sizes)} band_entries={sum(sizes)}/{512 * 64} "
-        f"panel_buffer_bytes={8 * max(sizes)}"
+        f"panel_buffer_bytes={8 * max(sizes)} peak_bytes_estimate={plan.peak_bytes} "
+        f"predicted_s={plan.seconds:.6g}"
     )
     panels_ms, duration = (float(x) for x in passed[1].split(" duration_s="))
     own = [float(t[1]) for t in traces + cyclicity]
@@ -918,6 +937,32 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     assert lines[-1].startswith("sweep: field=R lambdas=3 duration_s=")
     assert sum(m.startswith("sweep:") for m in lines) == 1
     assert float(lines[-1].split("duration_s=")[1]) > 0.0
+
+
+@pytest.mark.parametrize(
+    "n, lams, check",
+    [
+        (4096, (2.0, 4.0, 8.0), 2.0),  # the default sweep's
+        (1024, (0.25, 1.0, 2.0), 0.3),  # the check below the bad rows' extent
+        (2000, (0.1, 7.3), None),  # no check
+        (8192, (8.0,), 8.0),  # the check over the whole block
+    ],
+)
+def test_plan_predicts_the_work_the_run_logs(standard_bump, caplog, n, lams, check):
+    # the plan of a lab and one pass over its lams, the largest its max_lambda, against the
+    # counts the set-up, the pass and the check log as they run
+    plan = route_c_plan(standard_bump, n, max(lams), len(lams), check)
+    with caplog.at_level(logging.INFO, logger="loctrace"):
+        SignedTraceLab(standard_bump, n, max(lams)).sweep(lams, cyclicity_at=check)
+    logged = {}
+    for message in (r.getMessage() for r in caplog.records):
+        logged.update(item.split("=", 1) for item in message.split() if "=" in item)
+    assert int(logged["cosine_table_entries"]) == plan.cosine_table > 0
+    assert int(logged["panels"]) == plan.panels
+    assert int(logged["band_entries"].split("/")[0]) == plan.band_entries
+    assert int(logged.get("multiply_adds", 0)) == plan.multiply_adds
+    assert (plan.multiply_adds > 0) == (check is not None)
+    assert logged["predicted_s"] == f"{plan.seconds:.6g}" and 0.0 < plan.seconds < RUN_SECONDS_MAX
 
 
 @settings(max_examples=30)
