@@ -12,14 +12,11 @@ summary) or the transform failed certification (one stderr line), 2 usage or
 configuration error, refused before any work.  A sweep config is checked
 against the key table CONFIG_KEYS in one walk, and a refusal names the path
 and what was expected (``config.lambdas[1] is not a finite number above 0
-(got -1.0)``); then across keys, against BYTES_BUDGET for the grid
-transform and the route C block, and against route C's one run-time budget,
-``cutoff_trace.RUN_SECONDS_MAX`` (8 s): the seconds of its set-up and pass,
-from the signed transform's points, the bad rows' cosine table entries and
-Clenshaw steps, the pass's panels and the entries it reads and the check's
-multiply-adds, each at its cost measured on 2 cores (1.4e-6, 2e-8, 1.7e-9,
-1.5e-6 per bit of n_signed, 2.8e-8 and 4.2e-10 s); a refusal names the
-largest.  Verbosity via the LOCTRACE_LOG environment variable
+(got -1.0)``); then across keys, the grid transform against the byte budget
+(``fourier.check_bytes``), and route C by ``cutoff_trace.route_c_plan``, the
+one admission of its set-up and pass, which SignedTraceLab and its sweep
+apply too: its seconds against the run-time budget, then its peak bytes
+against the byte budget.  Verbosity via the LOCTRACE_LOG environment variable
 (DEBUG/INFO/WARNING/ERROR/CRITICAL).  Runs are deterministic: no RNG without
 an explicit seed, artifacts are byte-stable.
 """
@@ -38,7 +35,7 @@ import time
 from pathlib import Path
 
 from .fields import make_backend, make_grid
-from .fourier import FourierBuildError, build_fourier, fourier_bytes, log_stage
+from .fourier import FourierBuildError, build_fourier, check_bytes, fourier_bytes, log_stage
 from .operators import TestFunction
 from .sandbox import SUITE_NAMES, run_sandbox
 from .cutoff_trace import (
@@ -86,9 +83,6 @@ DEFAULT_CONFIGS = {
 FIT_JUDGED_DEFAULTS = ("R", "C", "H-asymptotic")
 
 ROUTE_AGREEMENT_TOL = {"R": 1e-3, "C": 5e-3, "H": 5e-3}
-
-# refuse configs whose grid transform or route C block would need more memory than this
-BYTES_BUDGET = 2 * 2**30
 
 N_SIGNED_DEFAULT = 4096
 
@@ -193,7 +187,7 @@ def validate_config(config: dict) -> dict:
     n = config["grid"]["n"]
     if n % 2 != 0:
         raise ConfigError("grid n must be even")
-    _check_budget(fourier_bytes(n), f"config.grid.n {n}")
+    check_bytes(fourier_bytes(n), f"config.grid.n {n}", ConfigError)
     try:
         f = TestFunction(**config["test_function"])
     except ValueError as exc:
@@ -209,19 +203,10 @@ def validate_config(config: dict) -> dict:
         # lambda 0 (an empty block) still checks that n_signed is even
         lam = max(c_lams, default=0.0)
         try:
-            plan = route_c_plan(f, n_signed, lam, len(c_lams), min(c_lams, default=None))
+            route_c_plan(f, n_signed, lam, len(c_lams), min(c_lams, default=None))
         except ValueError as exc:
             raise ConfigError(f"route_c: {exc}") from exc
-        _check_budget(plan.peak_bytes, f"route_c: n_signed {n_signed} up to lambda {lam}")
     return config
-
-
-def _check_budget(need: int, what: str) -> None:
-    if need > BYTES_BUDGET:
-        # integer GiB: the need of a 300-digit n_signed is beyond the float range
-        raise ConfigError(
-            f"{what} needs at least {need // 2**30} GiB, above the {BYTES_BUDGET // 2**30} GiB budget"
-        )
 
 
 def _route_c_lambdas(config: dict) -> list[float] | None:

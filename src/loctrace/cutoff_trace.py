@@ -34,6 +34,7 @@ from .fourier import (
     PANEL_ROWS,
     FourierOperator,
     FullLineFourier,
+    check_bytes,
     check_signed_n,
     full_line_fourier,
     kernel_fft_length,
@@ -376,10 +377,11 @@ def route_c_plan(
     ``seconds`` sums the set-up's work (the transform's n points, the cosine table,
     Clenshaw's bad x |b| x (degree + 1) steps) and the pass's (its panels, the entries it
     reads, the check's multiply-adds), each at its measured cost; the pass evaluates the
-    bad rows' panels below the check's block and every good row's.  Raises ValueError when
-    n is odd or below 2, when max_lambda reaches half the grid's extent, or when ``seconds``
-    exceeds RUN_SECONDS_MAX, naming the largest term; the cosine table, Clenshaw's steps
-    and the panels' count are judged before the panels are walked, which bounds the walk.
+    bad rows' panels below the check's block and every good row's.  Raises ValueError, and
+    nothing else, when n is odd or below 2, when max_lambda reaches half the grid's extent,
+    when ``seconds`` exceeds RUN_SECONDS_MAX, naming the largest term, or when
+    ``peak_bytes`` exceeds the byte budget (``check_bytes``); the cosine table, Clenshaw's
+    steps and the panels' count are judged before the panels are walked, which bounds it.
     """
     check_signed_n(n)
     extent = signed_point(n, n // 2 - 1)  # the grid's largest point, x[-1]
@@ -439,6 +441,7 @@ def route_c_plan(
     passing = 2 * bad * b + 3 * min(PANEL_ROWS, b) * b
     temporaries = ROUTE_C_TEMPORARIES * chunk + vectors + max(quadrature, passing)
     peak = 8 * (bad * b + largest + tables + temporaries)
+    check_bytes(peak, f"n_signed {n} up to lambda {max_lambda}")
     return RouteCPlan(
         block=b, bad_rows=bad, lattice=lattice, degree=degree, cosine_table=nodes * (degree + 1),
         largest_panel=largest, panels=panels, band_entries=band, multiply_adds=multiply_adds,
@@ -621,22 +624,25 @@ class SignedTraceLab:
         """(traces, defect): Tr(P F^-1 P U_f F) at each lam, and ``cyclicity_defect``
         at ``cyclicity_at`` (None when it is None), from one pass over the panels of U_e.
 
-        The pass is planned first (``route_c_plan`` of its lams and check, which refuses it
-        beyond the run-time budget), then allocates one panel buffer, the plan's largest
-        panel, and evaluates each panel of U_e[b, :] once into it (``ue_panels``, the bad
-        rows' from row 0 and the good rows' from the first good row).  Each panel's terms go
-        to every lam and to the check before the next is filled: the good rows' kernel term
-        (``_kernel_term``) to each lam's trace, and below the check's block its three traces
-        (``_check_terms``).  A trace adds the bad rows' quadrature rows against C[b, bad]
-        last, taken before any panel is alive, so each sum runs over the panels in the order
-        one lam alone would sum it.  Each trace and the check log their own time, the check
-        also its multiply-adds; the pass's line has the panel buffer's bytes, its plan's peak
-        bytes and seconds, and the rest of the time, mostly the panels' (``panels_ms``).
+        The pass is planned first, at its own largest lam or check (``route_c_plan`` of its
+        lams and check, which refuses it as it refuses a lab), then allocates one panel
+        buffer, the plan's largest panel, and evaluates each of the plan's panels of U_e
+        once into it (``ue_panels``, the bad rows' from row 0 and the good rows' from the
+        first good row up to the plan's block, each band cut to the block's rows).  Each
+        panel's terms go to every lam and to the check before the next is filled: the good
+        rows' kernel term (``_kernel_term``) to each lam's trace, and below the check's block
+        its three traces (``_check_terms``).  A trace adds the bad rows' quadrature rows
+        against C[b, bad] last, taken before any panel is alive, so each sum runs over the
+        panels in the order one lam alone would sum it.  Each trace and the check log their
+        own time, the check also the plan's multiply-adds; the pass's line has the plan's
+        panels, band entries, peak bytes and seconds, the panel buffer's bytes, and the rest
+        of the time, mostly the panels' (``panels_ms``).
         """
         start = time.perf_counter()
         ks = [self._sub_block(lam) for lam in lams]
         kc = 0 if cyclicity_at is None else self._sub_block(cyclicity_at)
-        plan = route_c_plan(self.f, self.fourier.n, self.max_lambda, len(ks), cyclicity_at)  # refusals first
+        top = max([*lams, 0.0 if cyclicity_at is None else cyclicity_at])  # the pass's largest lam
+        plan = route_c_plan(self.f, self.fourier.n, top, len(ks), cyclicity_at)  # refusals first
         half, bad, cos = self.fourier.n // 2, plan.bad_rows, self.fourier.cosines
         spent = [0.0] * (len(ks) + 1)  # each trace's own seconds, then the check's
         tables, bad_terms = {}, []
@@ -650,14 +656,12 @@ class SignedTraceLab:
             spent[i] += time.perf_counter() - mark
         values = [0.0] * len(ks)
         t1 = t2 = t3 = 0.0
-        panels = band = check_work = 0
         buffer = np.empty(plan.largest_panel)
         for rows, lo, u in chain(
             ue_panels(self.f, self.fourier.n, 0, bad, kc, buffer),
-            ue_panels(self.f, self.fourier.n, bad, plan.block, max(ks + [kc]), buffer),
+            ue_panels(self.f, self.fourier.n, bad, plan.block, plan.block, buffer),
         ):
             v0 = rows.start
-            panels, band = panels + 1, band + u.size
             for i, k in enumerate(ks):
                 if bad <= v0 < k:
                     mark = time.perf_counter()
@@ -666,7 +670,6 @@ class SignedTraceLab:
             if v0 < kc:
                 mark = time.perf_counter()
                 t1, t2, t3 = self._check_terms(tables[kc], kc, v0, lo, u, t1, t2, t3)
-                check_work += 2 * min(kc - v0, len(u)) * u.shape[1] * kc  # its two GEMMs
                 spent[-1] += time.perf_counter() - mark
         for i, (lam, k) in enumerate(zip(lams, ks)):
             values[i] += bad_terms[i]
@@ -676,11 +679,11 @@ class SignedTraceLab:
         if cyclicity_at is not None:
             defect = (max(t1, t2, t3) - min(t1, t2, t3)) / max(abs(t1), 1e-300)
             message = "route C cyclicity: lam=%g block_rows=%d multiply_adds=%d defect=%.3e duration_s=%.6f"
-            log.info(message, cyclicity_at, 2 * kc, check_work, defect, spent[-1])
+            log.info(message, cyclicity_at, 2 * kc, plan.multiply_adds, defect, spent[-1])
         rest_ms = 1e3 * (time.perf_counter() - start - sum(spent))
         message = ("route C pass: lambdas=%d panels=%d band_entries=%d/%d panel_buffer_bytes=%d "
                    "peak_bytes_estimate=%d predicted_s=%.6g panels_ms=%.3f")
-        log_stage(start, message, len(ks), panels, band, half * max(ks + [kc]), buffer.nbytes,
+        log_stage(start, message, len(ks), plan.panels, plan.band_entries, half * plan.block, buffer.nbytes,
                   plan.peak_bytes, plan.seconds, rest_ms)
         return values, defect
 

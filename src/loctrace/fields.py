@@ -51,9 +51,9 @@ def make_backend(field_id: str) -> FieldBackend:
 class RadialGrid:
     """Uniform grid in log-module, symmetric about t = 1.
 
-    Inversion t -> 1/t is the exact index reversal i -> n-1-i.  w_mult are
-    trapezoid weights for d*t in log t; w_add = omega * t * w_mult quadratures
-    the additive measure on the module axis.
+    Inversion t -> 1/t is the exact index reversal i -> n-1-i.  w_add = omega
+    t w, w the trapezoid weights for d*t in log t, quadratures the additive
+    measure on the module axis.
     """
 
     backend: FieldBackend
@@ -62,11 +62,7 @@ class RadialGrid:
     log_t: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
     step: float = 0.0
-    w_mult: np.ndarray = field(repr=False, default=None)
     w_add: np.ndarray = field(repr=False, default=None)
-
-    def reversal(self) -> np.ndarray:
-        return np.arange(self.n)[::-1]
 
 
 def make_grid(backend: FieldBackend, log_t_half_range: float, n: int) -> RadialGrid:
@@ -78,10 +74,10 @@ def make_grid(backend: FieldBackend, log_t_half_range: float, n: int) -> RadialG
     h = 2.0 * L / (n - 1)
     log_t = -L + h * np.arange(n)
     t = np.exp(log_t)
-    w_mult = np.full(n, h)
-    w_mult[0] *= 0.5
-    w_mult[-1] *= 0.5
-    w_add = backend.omega * t * w_mult
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    w_add = backend.omega * t * w
     return RadialGrid(
         backend=backend,
         n=n,
@@ -89,6 +85,5 @@ def make_grid(backend: FieldBackend, log_t_half_range: float, n: int) -> RadialG
         log_t=log_t,
         t=t,
         step=h,
-        w_mult=w_mult,
         w_add=w_add,
     )

@@ -241,6 +241,17 @@ def fourier_bytes(n: int) -> int:
     return FOURIER_BYTES_PER_POINT * n
 
 
+# the most memory a grid transform (``fourier_bytes``) or a route C plan may need
+BYTES_BUDGET = 2 * 2**30
+
+
+def check_bytes(need: int, what: str, error: type = ValueError) -> None:
+    """``error`` naming ``what`` when ``need`` bytes exceed BYTES_BUDGET, in integer GiB:
+    the need of a 300-digit n is beyond the float range."""
+    if need > BYTES_BUDGET:
+        raise error(f"{what} needs at least {need // 2**30} GiB, above the {BYTES_BUDGET // 2**30} GiB budget")
+
+
 # ---------------------------------------------------------------------------
 # full-line transform on a signed grid (R backend only)
 # ---------------------------------------------------------------------------

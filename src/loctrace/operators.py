@@ -100,8 +100,13 @@ class TestFunction:
         return vals
 
     def support_band(self) -> tuple[float, float]:
-        """(exp(-R), exp(R)): f(t) is exactly 0 unless exp(-R) < t < exp(R) on the floats."""
-        return math.exp(-self.support_radius), math.exp(self.support_radius)
+        """(exp(-R), exp(R)): f(t) is exactly 0 unless exp(-R) < t < exp(R) on the floats;
+        an exp(R) beyond the float range is inf, above every float."""
+        low = math.exp(-self.support_radius)
+        try:
+            return low, math.exp(self.support_radius)
+        except OverflowError:
+            return low, math.inf
 
     @property
     def value_at_1(self) -> float:

@@ -5,8 +5,9 @@ never forms these objects; the tests use them to check the pipeline against
 independent dense constructions:
 
 - field arithmetic: left multiplication matrices, the module, annulus
-  measures, sampled radial profiles and their additive/multiplicative
-  pictures, multiplicative inversion;
+  measures, a grid's trapezoid weights in log t and its index reversal,
+  sampled radial profiles and their additive/multiplicative pictures,
+  multiplicative inversion;
 - the sphere-average Monte-Carlo kernel and the closed-form transforms of
   the scaled Gaussians;
 - dense integral operators on a radial grid (``KernelOperator``, its
@@ -103,6 +104,20 @@ def annulus_measure(t1: float, t2: float) -> float:
     return math.log(t2 / t1)
 
 
+def mult_weights(grid: RadialGrid) -> np.ndarray:
+    """The trapezoid weights for d*t in log t on ``grid``: its step, halved at both ends.
+    ``make_grid`` forms its w_add as omega t times these."""
+    w = np.full(grid.n, grid.step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def grid_reversal(grid: RadialGrid) -> np.ndarray:
+    """The index reversal i -> n-1-i, which is inversion t -> 1/t on a grid symmetric about 1."""
+    return np.arange(grid.n)[::-1]
+
+
 @dataclass
 class RadialFunction:
     """Samples of a radial profile on a RadialGrid (value at module t[i])."""
@@ -118,7 +133,7 @@ class RadialFunction:
             raise ValueError("samples must be finite")
 
     def norm_mult(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.w_mult * np.abs(self.samples) ** 2)))
+        return float(np.sqrt(np.sum(mult_weights(self.grid) * np.abs(self.samples) ** 2)))
 
     def norm_add(self) -> float:
         return float(np.sqrt(np.sum(self.grid.w_add * np.abs(self.samples) ** 2)))
@@ -209,7 +224,7 @@ class KernelOperator:
 
     @property
     def weights(self) -> np.ndarray:
-        return self.grid.w_add if self.picture == "additive" else self.grid.w_mult
+        return self.grid.w_add if self.picture == "additive" else mult_weights(self.grid)
 
     def kernel_values(self) -> np.ndarray:
         """Matrix with the column quadrature weight divided back out."""

@@ -15,7 +15,9 @@ import tempfile
 import time
 import unittest.mock
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,6 @@ from hypothesis import strategies as st
 import jsonschema
 
 from loctrace.cli import (
-    BYTES_BUDGET,
     CONFIG_KEYS,
     ConfigError,
     DEFAULT_CONFIGS,
@@ -36,11 +37,11 @@ from loctrace.cli import (
     validate_config,
 )
 import loctrace.cutoff_trace as cutoff_trace_mod
-from loctrace.cutoff_trace import RUN_SECONDS_MAX, chebyshev_degree, log_lattice, route_c_plan
-from loctrace.fourier import signed_point
+from loctrace.cutoff_trace import RUN_SECONDS_MAX, SignedTraceLab, chebyshev_degree, log_lattice, route_c_plan
+from loctrace.fourier import BYTES_BUDGET, signed_point
 from loctrace.operators import TestFunction
 from loctrace.sandbox import SUITE_NAMES, run_sandbox
-from oracles import CONFIG_SCHEMA
+from oracles import CONFIG_SCHEMA, exact_conductor_r
 
 
 def small_config(**overrides):
@@ -578,6 +579,39 @@ def test_cli_refuses_route_c_beyond_the_run_time_budget(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_lab_and_sweep_refuse_a_route_c_plan_beyond_the_byte_budget(monkeypatch):
+    # with the run-time budget lifted, the first n_signed whose plan up to lam 16 over four
+    # lams (the check at lam 2) needs more than 2 GiB, and the first whose one-lam plan
+    # does, as a lab's does.  validate_config and the sweep refuse the first,
+    # validate_config and the lab's constructor the second, each pair in the same words;
+    # nothing is built
+    import loctrace.cutoff_trace as cutoff_trace_mod
+
+    monkeypatch.setattr(cutoff_trace_mod, "RUN_SECONDS_MAX", math.inf)
+    monkeypatch.setattr(cutoff_trace_mod, "full_line_fourier", lambda n, cols: SimpleNamespace(n=n))
+    monkeypatch.setattr(SignedTraceLab, "_ue_cosine_rows", lambda self, vs, us: np.empty((0, 0)))
+    monkeypatch.setattr(cutoff_trace_mod, "ue_panels", _refuse_work)
+    lams = [2.0, 4.0, 8.0, 16.0]
+    passes, labs = route_c_budget_edge(16.0, 4, math.inf)[1], route_c_budget_edge(16.0, 1, math.inf)[1]
+    assert passes < labs
+
+    def refusal(n_signed):
+        return f"n_signed {n_signed} up to lambda 16.0 needs at least 2 GiB, above the 2 GiB budget"
+
+    for n_signed, lambdas in ((passes, lams), (labs, [16.0])):
+        config = small_config(lambdas=lambdas, route_c={"enabled": True, "n_signed": n_signed, "max_lambda": 16.0})
+        with pytest.raises(ConfigError) as refused:
+            validate_config(config)
+        assert str(refused.value) == f"route_c: {refusal(n_signed)}"
+    with pytest.raises(ValueError) as refused:
+        SignedTraceLab(TestFunction(), labs, 16.0)
+    assert str(refused.value) == refusal(labs)
+    lab = SignedTraceLab(TestFunction(), passes, 16.0)  # its one-lam plan fits
+    with pytest.raises(ValueError) as refused:
+        lab.sweep(lams, cyclicity_at=2.0)
+    assert str(refused.value) == refusal(passes)
+
+
 def test_route_c_pass_logs_the_plan_validate_config_budgeted(tmp_path, caplog, monkeypatch):
     # the default R sweep: its pass logs the peak bytes and the predicted seconds of the
     # plan of its three lams and its check at lam 2, the plan validate_config judged
@@ -633,6 +667,33 @@ def test_known_defects_pass_every_gate(tmp_path, capsys, change, gate):
     if set(failed) - {gate}:  # another defect: a failure, not the expected one
         pytest.fail(f"gates other than {gate} failed: {failed}")
     assert (rc, failed) == (0, []), capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 2, 5 and 9: conductor_at_one -0.94181 against H(f)(1) -0.8213, named by no key or gate",
+)
+def test_summary_names_the_conductor_gap_on_a_coarse_grid(tmp_path):
+    # n 1024 over L 13: the product lattice's G is coarse, and conductor_value is 0.12 off
+    # H(f)(1) while asymptote_sandwich passes at 0.074 and the fit gates fail for want of
+    # lambdas in the asymptotic regime.  The summary must report the gap, as a key or as
+    # a failed gate that names the conductor
+    profile = {"kind": "log_gauss_bump", "center": 0.4, "width": 0.2, "support_radius": 1.0}
+    config = {
+        **copy.deepcopy(DEFAULT_CONFIGS["R"]),
+        "grid": {"log_t_half_range": 13.0, "n": 1024},
+        "test_function": profile,
+        "route_c": {"enabled": False},
+    }
+    summary = run_trace_sweep(config, tmp_path)
+    exact = exact_conductor_r(TestFunction(**profile))
+    gap = abs(summary["conductor_at_one"] - exact)
+    if gap < 0.1:  # not the stated defect: the conductor itself moved
+        pytest.fail(f"conductor_at_one {summary['conductor_at_one']} is within 0.1 of H(f)(1) {exact}")
+    named = [key for key in summary if "conductor" in key and key != "conductor_at_one"]
+    named += [name for name, g in summary["gates"].items() if "conductor" in name and not g["passed"]]
+    assert named, f"conductor_at_one is {gap:.4f} off H(f)(1) {exact:.4f}, and no key or failed gate names it"
 
 
 def test_cli_refuses_support_beyond_the_grid(tmp_path, capsys, monkeypatch):
@@ -760,10 +821,22 @@ def _off_centre_r(center: float) -> dict:
     return {k: v for k, v in DEFAULT_CONFIGS["R"].items() if k != "route_c"} | {"test_function": profile}
 
 
+# a support whose e^R is beyond the floats, with route C's block empty (max_lambda below
+# the first point of n_signed 64): an OverflowError traceback from the plan's band
+_WIDE_SUPPORT = {
+    "field": "R",
+    "grid": {"log_t_half_range": 1000.0, "n": 64},
+    "test_function": {"kind": "log_gauss_bump", "center": 0.0, "width": 0.25, "support_radius": 800.0},
+    "lambdas": [0.01],
+    "route_c": {"enabled": True, "n_signed": 64, "max_lambda": 0.01},
+}
+
+
 @settings(max_examples=60)
 @given(config=sweep_configs())
 @example(config=_off_centre_r(1.0))  # f(1) = 0: the slope's relative error divided by it
 @example(config=_off_centre_r(0.9644))  # f(1) = 5e-324: the slope's relative error was inf
+@example(config=_WIDE_SUPPORT)
 def test_trace_sweep_exits_0_1_or_2(config):
     # computes and passes (0), fails a named gate with the summary written or
     # fails certification on one stderr line (1), or is refused (2)

@@ -14,10 +14,11 @@ import logging
 import math
 import sys
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import loctrace.cutoff_trace as cutoff_trace_mod
 import loctrace.fourier as fourier_mod
@@ -60,6 +61,32 @@ def whole_panels(f: TestFunction, n: int, first: int, stop: int):
 def band_sizes(f: TestFunction, n: int, first: int, stop: int) -> list[int]:
     """The entries of each panel ``whole_panels`` yields, from its ``panel_bands``."""
     return [(rows.stop - rows.start) * (hi - lo) for rows, lo, hi in panel_bands(f, n, first, stop)]
+
+
+def pass_walk(f: TestFunction, n: int, lams, check) -> tuple[int, int, int, int]:
+    """(panels, band entries, check multiply-adds, largest panel) of one pass over ``lams``
+    and the check at ``check`` (None: none), from a walk of ``ue_panels`` over the pass's
+    own rows: the bad rows' panels from row 0 cut at the check's block, the good rows' up
+    to the pass's largest block, each block counted on the float grid.  The check's two
+    GEMMs per panel take 2 x (its rows below the check's block) x band x block."""
+    xp = full_line_grid(n).positive
+    kc = 0 if check is None else int(np.count_nonzero(xp <= check * (1.0 + 1e-12)))
+    top = max([int(np.count_nonzero(xp <= lam * (1.0 + 1e-12))) for lam in lams] + [kc])
+    bad = int(np.count_nonzero(xp[:top] < SignedTraceLab.BAD_ROW_EXTENT))
+    buffer = np.empty(PANEL_ROWS * (n // 2))
+    panels = entries = multiply_adds = largest = 0
+    for rows, _, u in chain(ue_panels(f, n, 0, bad, kc, buffer), ue_panels(f, n, bad, top, top, buffer)):
+        panels, entries, largest = panels + 1, entries + u.size, max(largest, u.size)
+        multiply_adds += 2 * max(0, min(rows.stop, kc) - rows.start) * u.shape[1] * kc
+    return panels, entries, multiply_adds, largest
+
+
+def logged_fields(records) -> dict:
+    """The key=value fields of log records, later lines overriding earlier ones."""
+    fields = {}
+    for message in (r.getMessage() for r in records):
+        fields.update(item.split("=", 1) for item in message.split() if "=" in item)
+    return fields
 
 
 def ue_on_the_log_axis(f: TestFunction, grid, rows) -> np.ndarray:
@@ -310,6 +337,31 @@ def test_lab_refuses_a_lattice_beyond_the_cap(width, rho):
     f = TestFunction(width=width, support_radius=rho)
     with pytest.raises(ValueError, match=f"above the {RUN_SECONDS_MAX:g} s budget, .* of the bad rows' cosine table"):
         SignedTraceLab(f, 4096, 8.0)
+
+
+@settings(max_examples=200)
+@given(
+    geometry=signed_geometries(max_n=1024),
+    center=st.floats(-1e100, 1e100),
+    width=st.floats(1e-160, 1e160),
+    rho=st.floats(1e-300, 1e300),
+)
+@example(geometry=(64, 0.01), center=0.0, width=0.25, rho=800.0)  # an empty block: e^rho overflowed
+@example(geometry=(64, 1.0), center=0.0, width=0.25, rho=709.8)
+def test_plan_refuses_any_profile_with_a_value_error_property(geometry, center, width, rho):
+    # the plan of any profile TestFunction takes is made or refused with a ValueError:
+    # an e^rho, a lattice or a series beyond the float range is an infinite cost
+    n, lam = geometry
+    try:
+        f = TestFunction(center=center, width=width, support_radius=rho)
+    except ValueError:
+        assume(False)
+    try:
+        plan = route_c_plan(f, n, lam, 3, lam)
+    except ValueError as exc:
+        assert "budget" in str(exc), exc
+    else:
+        assert plan.seconds <= RUN_SECONDS_MAX
 
 
 _RISE_SCRIPT = """
@@ -949,20 +1001,74 @@ def test_route_c_logs_setup_and_traces(standard_bump, caplog, tmp_path):
     ],
 )
 def test_plan_predicts_the_work_the_run_logs(standard_bump, caplog, n, lams, check):
-    # the plan of a lab and one pass over its lams, the largest its max_lambda, against the
-    # counts the set-up, the pass and the check log as they run
-    plan = route_c_plan(standard_bump, n, max(lams), len(lams), check)
+    # a lab up to the pass's largest lam: the set-up's cosine table against the lattice
+    # and the series' degree of its bad rows, and the pass's panels, band entries and
+    # check multiply-adds against a walk of ue_panels over its rows
     with caplog.at_level(logging.INFO, logger="loctrace"):
-        SignedTraceLab(standard_bump, n, max(lams)).sweep(lams, cyclicity_at=check)
-    logged = {}
-    for message in (r.getMessage() for r in caplog.records):
-        logged.update(item.split("=", 1) for item in message.split() if "=" in item)
-    assert int(logged["cosine_table_entries"]) == plan.cosine_table > 0
-    assert int(logged["panels"]) == plan.panels
-    assert int(logged["band_entries"].split("/")[0]) == plan.band_entries
-    assert int(logged.get("multiply_adds", 0)) == plan.multiply_adds
-    assert (plan.multiply_adds > 0) == (check is not None)
+        lab = SignedTraceLab(standard_bump, n, max(lams))
+        lab.sweep(lams, cyclicity_at=check)
+    logged = logged_fields(caplog.records)
+    xb = full_line_grid(n).positive[: lab.plan.block]
+    w_max = xb[xb < SignedTraceLab.BAD_ROW_EXTENT].max() * xb.max()
+    table = log_lattice(standard_bump, w_max)[2] * (chebyshev_degree(standard_bump, w_max) + 1)
+    assert int(logged["cosine_table_entries"]) == table > 0
+    panels, entries, multiply_adds, _ = pass_walk(standard_bump, n, lams, check)
+    assert int(logged["panels"]) == panels
+    assert int(logged["band_entries"].split("/")[0]) == entries
+    assert int(logged.get("multiply_adds", 0)) == multiply_adds
+    assert (multiply_adds > 0) == (check is not None)
+    plan = route_c_plan(standard_bump, n, max(lams), len(lams), check)
     assert logged["predicted_s"] == f"{plan.seconds:.6g}" and 0.0 < plan.seconds < RUN_SECONDS_MAX
+
+
+@st.composite
+def route_c_passes(draw):
+    """(n, max_lambda, lams, check): a lab's geometry (``signed_geometries``, half of them
+    up to n_signed 1024, where the dense oracle runs) and one pass: its ascending lams in
+    (0, max_lambda], often stopping below max_lambda and falling inside the bad rows
+    (x < 0.5), and the check at one of them or anywhere up to lam 4, or none (a check over
+    a whole block of n_signed 8192 takes seconds)."""
+    n, max_lambda = draw(signed_geometries(max_n=draw(st.sampled_from([1024, 8192]))))
+    inside = st.floats(0.0, 1.0, exclude_min=True).map(lambda u: u * max_lambda)
+    bad = st.floats(0.0, min(0.5, max_lambda), exclude_min=True)
+    lams = sorted(draw(st.sets(inside | bad | st.just(max_lambda), min_size=1, max_size=3)))
+    low = min(4.0, max_lambda)
+    checks = st.floats(0.0, low, exclude_min=True) | st.sampled_from([x for x in lams if x <= low] or [None])
+    return n, max_lambda, lams, draw(st.none() | checks)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(route_c_pass=route_c_passes())
+# its own plan reads 3296 entries and does 84744 multiply-adds, the lab's 4448 and 103752
+@example(route_c_pass=(1024, 6.0, [0.7, 1.0], 0.7))
+@example(route_c_pass=(4096, 8.0, [2.0, 4.0, 8.0], 2.0))  # the default sweep's pass
+@example(route_c_pass=(64, 1.9, [0.1, 0.3], 0.3))  # inside the bad rows
+@example(route_c_pass=(1000, 5.0, [0.4, 1.3], None))
+@example(route_c_pass=(8192, 22.0, [0.2, 7.3], 4.0))
+def test_a_pass_walks_and_logs_its_own_panels_property(route_c_pass, caplog):
+    # a pass that stops below its lab's max_lambda walks only its own panels, each band
+    # cut to its rows, and its line logs their count and entries and the check's
+    # multiply-adds, as a walk of ue_panels over the same rows counts them; its traces
+    # stay within 1e-12 of the dense oracle's (n_signed up to 1024, where the oracle's
+    # n x n arrays are small)
+    n, max_lambda, lams, check = route_c_pass
+    f = TestFunction(center=0.2)
+    lab = SignedTraceLab(f, n, max_lambda)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="loctrace"):
+        values, defect = lab.sweep(lams, cyclicity_at=check)
+    logged = logged_fields(caplog.records)
+    panels, entries, multiply_adds, largest = pass_walk(f, n, lams, check)
+    assert int(logged["panels"]) == panels
+    assert int(logged["band_entries"].split("/")[0]) == entries
+    assert int(logged.get("multiply_adds", 0)) == multiply_adds
+    assert 8 * largest <= int(logged["panel_buffer_bytes"])
+    assert (defect is None) == (check is None) and (defect is None or defect < 1e-8)
+    if n <= 1024:
+        oracle = DenseSignedTraceLab(f, n)
+        for lam, got in zip(lams, values):
+            want = oracle.trace_route_c(lam)
+            assert abs(got - want) <= 1e-12 * abs(want), (n, lam, got, want)
 
 
 @settings(max_examples=30)
