@@ -12,13 +12,15 @@ summary) or the transform failed certification (one stderr line), 2 usage or
 configuration error, refused before any work.  A sweep config is checked
 against the key table CONFIG_KEYS in one walk, and a refusal names the path
 and what was expected (``config.lambdas[1] is not a finite number above 0
-(got -1.0)``); then across keys, the grid transform against the byte budget
-(``fourier.check_bytes``), and route C by ``cutoff_trace.route_c_plan``, the
-one admission of its set-up and pass, which SignedTraceLab and its sweep
-apply too: its seconds against the run-time budget, then its peak bytes
-against the byte budget.  Verbosity via the LOCTRACE_LOG environment variable
-(DEBUG/INFO/WARNING/ERROR/CRITICAL).  Runs are deterministic: no RNG without
-an explicit seed, artifacts are byte-stable.
+(got -1.0)``); then across keys, the grid's half-range against its field's
+float range (``fourier.log_t_limit``), the grid transform against the byte
+budget (``fourier.check_bytes``), and route C by
+``cutoff_trace.route_c_plan``, the one admission of its set-up and pass,
+which SignedTraceLab and its sweep apply too: its seconds against the
+run-time budget, then its peak bytes against the byte budget.  Verbosity via
+the LOCTRACE_LOG environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL).
+Runs are deterministic: no RNG without an explicit seed, artifacts are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import time
 from pathlib import Path
 
 from .fields import make_backend, make_grid
-from .fourier import FourierBuildError, build_fourier, check_bytes, fourier_bytes, log_stage
+from .fourier import FourierBuildError, build_fourier, check_bytes, fourier_bytes, log_stage, log_t_limit
 from .operators import TestFunction
 from .sandbox import SUITE_NAMES, run_sandbox
 from .cutoff_trace import (
@@ -182,6 +184,9 @@ def validate_config(config: dict) -> dict:
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("lambdas must be strictly ascending")
     L = config["grid"]["log_t_half_range"]
+    field, limit = config["field"], log_t_limit(make_backend(config["field"]))
+    if L >= limit:
+        raise ConfigError(f"config.grid.log_t_half_range {L} leaves the float range (field {field}: below {limit:.6g})")
     if 2.0 * math.log(max(lams)) >= L:
         raise ConfigError("largest lambda^2 exceeds the grid range")
     n = config["grid"]["n"]
@@ -195,8 +200,8 @@ def validate_config(config: dict) -> dict:
     radius = config["test_function"]["support_radius"]
     if radius >= L:
         raise ConfigError(f"test-function support radius {radius} reaches the grid half-range {L}")
-    if config["field"] != "R" and config.get("route_c", {}).get("enabled", False):
-        raise ConfigError(f"config.route_c.enabled: route C runs on field R only, not {config['field']}")
+    if field != "R" and config.get("route_c", {}).get("enabled", False):
+        raise ConfigError(f"config.route_c.enabled: route C runs on field R only, not {field}")
     c_lams = _route_c_lambdas(config)
     if c_lams is not None:
         n_signed = config["route_c"].get("n_signed", N_SIGNED_DEFAULT)
@@ -342,12 +347,6 @@ def _sandwich_gate(residual: float, slack: float) -> dict:
     return {"value": value, "tolerance": 1.0, "passed": bool(value <= 1.0)}
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
 def _row(r: TraceReport) -> dict:
     """One lambda's values under their JSON row keys, which are also CSV columns."""
     return {
@@ -366,7 +365,7 @@ def _write_sweep_csv(path: Path, reports: list[TraceReport]) -> None:
         writer = csv.writer(fh)
         writer.writerow([*_row(reports[0]), "defect"])
         for r in reports:
-            writer.writerow([_fmt(x) for x in (*_row(r).values(), r.unitarity_defect)])
+            writer.writerow(["" if x is None else repr(float(x)) for x in (*_row(r).values(), r.unitarity_defect)])
 
 
 def _stable_json(obj) -> str:

@@ -376,12 +376,13 @@ def route_c_plan(
     ``peak_bytes`` bounds the peak of the set-up and of the pass, term by term below.
     ``seconds`` sums the set-up's work (the transform's n points, the cosine table,
     Clenshaw's bad x |b| x (degree + 1) steps) and the pass's (its panels, the entries it
-    reads, the check's multiply-adds), each at its measured cost; the pass evaluates the
-    bad rows' panels below the check's block and every good row's.  Raises ValueError, and
-    nothing else, when n is odd or below 2, when max_lambda reaches half the grid's extent,
-    when ``seconds`` exceeds RUN_SECONDS_MAX, naming the largest term, or when
-    ``peak_bytes`` exceeds the byte budget (``check_bytes``); the cosine table, Clenshaw's
-    steps and the panels' count are judged before the panels are walked, which bounds it.
+    reads: bands, one bad x |b| product, Dirichlet tables; the check's multiply-adds), each
+    at its measured cost; the pass evaluates the bad rows' panels below the check's block
+    and every good row's.  Raises ValueError, and nothing else, when n is odd or below 2,
+    when max_lambda reaches half the grid's extent, when ``seconds`` exceeds
+    RUN_SECONDS_MAX, naming the largest term, or when ``peak_bytes`` exceeds the byte
+    budget (``check_bytes``); the cosine table, Clenshaw's steps and the panels' count are
+    judged before the panels are walked, which bounds it.
     """
     check_signed_n(n)
     extent = signed_point(n, n // 2 - 1)  # the grid's largest point, x[-1]
@@ -420,7 +421,7 @@ def route_c_plan(
     tables = (lambdas + 1) * (half + 2 * b)  # a pass's Dirichlet tables, one per lam and the check's
     work += [
         (n, "points of the signed transform", TRANSFORM_SECONDS),
-        (band + lambdas * bad * b + tables, "entries read by the pass", PASS_SECONDS),
+        (band + bad * b + tables, "entries read by the pass", PASS_SECONDS),
         (multiply_adds, "multiply-adds of the cyclicity check", CHECK_SECONDS),
     ]
     seconds = _within_budget(work, f)
@@ -435,7 +436,7 @@ def route_c_plan(
     # series' points or of one row chunk of the products, each at least three times the
     # points' length, which makes room for the series' own eight arrays of that length
     quadrature = bad * b + (ROUTE_C_TEMPORARIES * max(CHUNK_ENTRIES, b, 3 * (degree + 1)) if bad else 0)
-    # a pass's, once those are freed: each trace's C[b, bad] and its product with the
+    # a pass's, once those are freed: its C[b, bad] and their product with the
     # quadrature rows, and the check's c[:, rows] with U_e cb and their product (the
     # gather of c[:, rows] holds its one index array before U_e cb exists)
     passing = 2 * bad * b + 3 * min(PANEL_ROWS, b) * b
@@ -631,12 +632,12 @@ class SignedTraceLab:
         first good row up to the plan's block, each band cut to the block's rows).  Each
         panel's terms go to every lam and to the check before the next is filled: the good
         rows' kernel term (``_kernel_term``) to each lam's trace, and below the check's block
-        its three traces (``_check_terms``).  A trace adds the bad rows' quadrature rows
-        against C[b, bad] last, taken before any panel is alive, so each sum runs over the
-        panels in the order one lam alone would sum it.  Each trace and the check log their
-        own time, the check also the plan's multiply-adds; the pass's line has the plan's
-        panels, band entries, peak bytes and seconds, the panel buffer's bytes, and the rest
-        of the time, mostly the panels' (``panels_ms``).
+        its three traces (``_check_terms``).  The quadrature rows meet C[b, bad] in one
+        product at the largest lam, before any panel; a trace adds its leading block's row
+        sums last, so each sum runs in the order one lam alone would sum it.  Each trace and
+        the check log their own time, the check also the plan's multiply-adds; the pass's
+        line has the plan's panels, band entries, peak bytes and seconds, the panel buffer's
+        bytes, and the rest of the time, mostly the panels' (``panels_ms``).
         """
         start = time.perf_counter()
         ks = [self._sub_block(lam) for lam in lams]
@@ -645,15 +646,17 @@ class SignedTraceLab:
         plan = route_c_plan(self.f, self.fourier.n, top, len(ks), cyclicity_at)  # refusals first
         half, bad, cos = self.fourier.n // 2, plan.bad_rows, self.fourier.cosines
         spent = [0.0] * (len(ks) + 1)  # each trace's own seconds, then the check's
-        tables, bad_terms = {}, []
+        tables = {}
         for i, k in enumerate([*ks, kc]):
             mark = time.perf_counter()
             if k and k not in tables:
                 tables[k] = self.fourier.dirichlet(k, 1 - k, half + k)
-            if i < len(ks):  # the quadrature rows against C[b, bad], transposed
-                nb = min(k, bad)
-                bad_terms.append(float(np.sum(self.quadrature_rows[:nb, :k] * cos(slice(0, nb), slice(0, k)))))
             spent[i] += time.perf_counter() - mark
+        # the quadrature rows against C[b, bad], transposed, once; each lam sums its block by rows
+        k_top = max(ks, default=0)
+        products = self.quadrature_rows[: min(k_top, bad), :k_top] * cos(slice(0, min(k_top, bad)), slice(0, k_top))
+        bad_terms = [float(products[: min(k, bad), :k].sum(axis=1).sum()) for k in ks]
+        del products
         values = [0.0] * len(ks)
         t1 = t2 = t3 = 0.0
         buffer = np.empty(plan.largest_panel)

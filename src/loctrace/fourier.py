@@ -35,7 +35,7 @@ import numpy as np
 # Mersenne Twister instead (``random_signs``, ``standard_normals``)
 import numpy.fft  # noqa: F401
 
-from .fields import RadialGrid
+from .fields import FieldBackend, RadialGrid
 from .kernels import mellin_symbol, scaled_gaussian, selfdual_gaussian
 from .operators import TestFunction
 
@@ -250,6 +250,16 @@ def check_bytes(need: int, what: str, error: type = ValueError) -> None:
     the need of a 300-digit n is beyond the float range."""
     if need > BYTES_BUDGET:
         raise error(f"{what} needs at least {need // 2**30} GiB, above the {BYTES_BUDGET // 2**30} GiB budget")
+
+
+def log_t_limit(backend: FieldBackend) -> float:
+    """The log_t_half_range L below which the field's transform stays in the float range:
+    the product lattice's e^{2L}, and the pad's slope of a transform's tail residual, about
+    1e-15 e^{(kappa + 1/2) L} while certifying (``_padded_spectrum``), L < 297.73 on R.  R
+    overflowed from L 287.7-297.3 over n 64-262144 and certified up to 297.2; C and H from 354.84.
+    """
+    log_max = math.log(np.finfo(float).max)
+    return min(log_max / 2.0, (log_max + math.log(1e15)) / (2.0 / backend.euclidean_dim + 0.5))
 
 
 # ---------------------------------------------------------------------------

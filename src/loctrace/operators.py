@@ -3,8 +3,9 @@
 f lives on the multiplicative module axis; the pipeline samples it on the
 log-module grid (transform of the inverted profile, routes A and B) and, on
 the log axis (``TestFunction.of_log``), at differences of the signed grid's
-logs and of the bad rows' lattice (U_f of route C).  The dense operator algebra
-the tests check the pipeline against lives in the test suite.
+logs and of the bad rows' lattice (U_f of route C): a Gaussian over the mollifier's
+logistic step, exactly 0 from about R/1420 short of the support's edge R.  The
+dense operator algebra the tests check the pipeline against lives in the tests.
 """
 
 from __future__ import annotations
@@ -17,32 +18,13 @@ import numpy as np
 from .fields import RadialGrid
 
 
-def _smoothstep(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0 for u <= 0, 1 for u >= 1 and e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) between.
-
-    One formula on every entry of u clipped into [0, 1], into ``out`` (a new array by
-    default, so u is left as it is) and one more array of u's size: at 0 and 1 one of
-    the exps is exp(-inf), exactly 0, so the plateaus come out exactly 0 and 1.
-    """
-    out = np.clip(u, 0.0, 1.0, out=out)
-    # -1/u is -inf at u = 0 and below about 5.6e-309, -1/(1-u) at u = 1
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.divide(-1.0, out)
-        np.exp(a, out=a)
-        np.subtract(1.0, out, out=out)
-        np.divide(-1.0, out, out=out)
-    np.exp(out, out=out)
-    out += a
-    return np.divide(a, out, out=out)
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Smooth compactly supported profile on the log-module axis.
 
     f(t) = exp(-(log t - center)^2 / (2 width^2)) * plateau-mollifier, where
     the mollifier equals 1 for |log t| <= support_radius/2 and vanishes
-    (smoothly) for |log t| >= support_radius.
+    (smoothly) for |log t| >= support_radius (``of_log``).
     """
 
     __test__ = False  # not a pytest collection target
@@ -55,8 +37,8 @@ class TestFunction:
     def __post_init__(self) -> None:
         if self.kind != "log_gauss_bump":
             raise ValueError(f"unknown test-function kind {self.kind!r}")
-        if self.width <= 0 or self.support_radius <= 0:
-            raise ValueError("width and support_radius must be positive")
+        if self.width <= 0 or not self.support_radius / 2 > 0:  # of_log divides by R/2
+            raise ValueError("width and support_radius / 2 must be positive")
         for name, value in (("width", self.width), ("center", self.center)):
             try:  # the profile divides by width**2 and squares the centre
                 square = float(value) ** 2
@@ -70,8 +52,7 @@ class TestFunction:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         out = np.zeros_like(t)
-        # near either edge of the band the mollifier underflows to 0 too, so
-        # the band need not match |log t| < R to the last ulp
+        # of_log is 0 near either edge of the band too: it need not match |log t| < R to the ulp
         t_lo, t_hi = self.support_band()
         band = (t > t_lo) & (t < t_hi)
         out[band] = self.of_log(np.log(t[band]))
@@ -80,24 +61,30 @@ class TestFunction:
     def of_log(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """f(e^x) for an array x: the profile's one formula, also read on the log axis.
 
-        Exactly 0 wherever |x| >= support_radius (the mollifier's step clips to 0), and
-        wherever |x| falls short of it by less than about support_radius / 1500, where the
-        step's exp underflows.  The ufuncs of
-        exp(-(x - center)^2 / (2 width^2)) * smoothstep(2 (1 - |x| / R)) run in that order
-        into ``out`` (a new array by default), and the step's into its two arrays of x's
-        size.  |x| is taken before ``out`` is written, so ``out`` may be x itself.
+        exp(-(x - center)^2 / (2 width^2)) / (1 + e^s), s = 1/(1 - y) - 1/y, y = 2|x|/R - 1
+        clipped into [1/700, 1]: the mollifier's step e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}),
+        u = 1 - y, as the logistic of one exponent.  Up to |x| = R/2, s is about -699 and
+        the step exactly 1; from R on s is +inf, and within about R/1420 short of R e^s
+        overflows, so f is exactly 0 there.  The Gaussian runs into ``out`` (a new array by
+        default), the step into its two arrays of x's size; |x| is taken before ``out`` is
+        written, so ``out`` may be x itself.  NaN stays NaN.
         """
-        step = np.abs(x)
+        y = np.abs(x)
         vals = np.subtract(x, self.center, out=out)
         np.square(vals, out=vals)
-        np.negative(vals, out=vals)
-        vals /= 2.0 * self.width**2
+        vals /= -2.0 * self.width**2
         np.exp(vals, out=vals)
-        step /= self.support_radius
-        np.subtract(1.0, step, out=step)
-        step *= 2.0
-        vals *= _smoothstep(step, out=step)
-        return vals
+        y /= 0.5 * self.support_radius
+        y -= 1.0
+        np.clip(y, 1.0 / 700.0, 1.0, out=y)
+        s = np.subtract(1.0, y)
+        # 1/(1 - y) is inf at y = 1, and e^s overflows to inf near it: the step is 0 there
+        with np.errstate(divide="ignore", over="ignore"):
+            np.reciprocal(s, out=s)
+            s -= np.reciprocal(y, out=y)
+            np.exp(s, out=s)
+        s += 1.0
+        return np.divide(vals, s, out=vals)
 
     def support_band(self) -> tuple[float, float]:
         """(exp(-R), exp(R)): f(t) is exactly 0 unless exp(-R) < t < exp(R) on the floats;

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import time
 import unittest.mock
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,7 +39,8 @@ from loctrace.cli import (
 )
 import loctrace.cutoff_trace as cutoff_trace_mod
 from loctrace.cutoff_trace import RUN_SECONDS_MAX, SignedTraceLab, chebyshev_degree, log_lattice, route_c_plan
-from loctrace.fourier import BYTES_BUDGET, signed_point
+from loctrace.fields import make_backend, make_grid
+from loctrace.fourier import BYTES_BUDGET, DEFECT_THRESHOLDS, build_fourier, signed_point
 from loctrace.operators import TestFunction
 from loctrace.sandbox import SUITE_NAMES, run_sandbox
 from oracles import CONFIG_SCHEMA, exact_conductor_r
@@ -713,6 +715,41 @@ def test_cli_refuses_support_beyond_the_grid(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "field, half_range, limit",
+    [("R", 300.0, "297.729"), ("C", 360.0, "354.891"), ("H", 354.9, "354.891")],
+)
+def test_cli_refuses_a_grid_beyond_the_float_range(tmp_path, capsys, monkeypatch, field, half_range, limit):
+    # R's pad slope and every field's product lattice e^{2L} would leave the floats: numpy
+    # warned and certification failed with a NaN or inf defect; now refused before any work
+    import loctrace.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "make_grid", _refuse_work)
+    monkeypatch.setattr(cli_mod, "build_fourier", _refuse_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config(field=field, grid={"log_t_half_range": half_range, "n": 64})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["trace-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: config.grid.log_t_half_range {half_range} leaves the float range (field {field}: below {limit})\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, half_range", [("R", 291.0), ("C", 354.8), ("H", 354.8)])
+def test_the_float_range_admits_grids_that_certify(field, half_range):
+    # at n 4096 R certifies up to L 291.25, where its pad slope first overflows, and C and H
+    # up to their product lattice's edge: each is admitted and certifies with no warning
+    config = small_config(field=field, grid={"log_t_half_range": half_range, "n": 4096})
+    assert validate_config(config) is config
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fourier = build_fourier(make_grid(make_backend(field), half_range, 4096))
+    assert fourier.unitarity_defect <= DEFECT_THRESHOLDS[field]
+
+
+@pytest.mark.parametrize(
     "rho, entries",
     [
         (7.0, "840061200 entries (60874 nodes x 13800 points)"),
@@ -822,7 +859,8 @@ def _off_centre_r(center: float) -> dict:
 
 
 # a support whose e^R is beyond the floats, with route C's block empty (max_lambda below
-# the first point of n_signed 64): an OverflowError traceback from the plan's band
+# the first point of n_signed 64), which once ended in an OverflowError traceback from the
+# plan's band; its grid is beyond the float range too, so it is now refused before the plan
 _WIDE_SUPPORT = {
     "field": "R",
     "grid": {"log_t_half_range": 1000.0, "n": 64},
@@ -837,6 +875,8 @@ _WIDE_SUPPORT = {
 @example(config=_off_centre_r(1.0))  # f(1) = 0: the slope's relative error divided by it
 @example(config=_off_centre_r(0.9644))  # f(1) = 5e-324: the slope's relative error was inf
 @example(config=_WIDE_SUPPORT)
+@example(config=small_config(grid={"log_t_half_range": 300.0, "n": 64}))  # R's pad slope overflowed
+@example(config=small_config(field="C", grid={"log_t_half_range": 360.0, "n": 64}))  # so did e^{2L}
 def test_trace_sweep_exits_0_1_or_2(config):
     # computes and passes (0), fails a named gate with the summary written or
     # fails certification on one stderr line (1), or is refused (2)

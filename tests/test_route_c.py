@@ -1071,6 +1071,23 @@ def test_a_pass_walks_and_logs_its_own_panels_property(route_c_pass, caplog):
             assert abs(got - want) <= 1e-12 * abs(want), (n, lam, got, want)
 
 
+@pytest.mark.parametrize(
+    "n, max_lambda, lams",
+    [
+        (1024, 6.0, (0.3, 2.5, 6.0)),  # the first inside the bad rows
+        (4096, 8.0, (0.45, 3.1, 7.7)),  # the last below the lab's max_lambda
+    ],
+)
+def test_a_trace_does_not_depend_on_the_lams_sharing_its_pass(asymmetric_bump, n, max_lambda, lams):
+    # the pass forms one product of the quadrature rows with their cosines, at its largest
+    # lam; each lam sums its leading block row by row, so a trace, check or none, is bit
+    # for bit the trace of its lam alone
+    lab = SignedTraceLab(asymmetric_bump, n, max_lambda)
+    together, _ = lab.sweep(lams, cyclicity_at=lams[1])
+    alone = [lab.trace_route_c(lam) for lam in lams]
+    assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+
 @settings(max_examples=30)
 @given(geometry=signed_geometries(max_n=4096), f=profiles)
 @example(geometry=(4096, 8.0), f=TestFunction())
