@@ -12,9 +12,9 @@ summary) or the transform failed certification (one stderr line), 2 usage or
 configuration error, refused before any work.  A sweep config is checked
 against the key table CONFIG_KEYS in one walk, and a refusal names the path
 and what was expected (``config.lambdas[1] is not a finite number above 0
-(got -1.0)``); then across keys, the grid's half-range against its field's
-float range (``fourier.log_t_limit``), the grid transform against the byte
-budget (``fourier.check_bytes``), and route C by
+(got -1.0)``); then across keys, the grid's half-range against the float
+range (``fourier.LOG_T_LIMIT``, one bound for every field), the grid
+transform against the byte budget (``fourier.check_bytes``), and route C by
 ``cutoff_trace.route_c_plan``, the one admission of its set-up and pass,
 which SignedTraceLab and its sweep apply too: its seconds against the
 run-time budget, then its peak bytes against the byte budget.  Verbosity via
@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 
 from .fields import make_backend, make_grid
-from .fourier import FourierBuildError, build_fourier, check_bytes, fourier_bytes, log_stage, log_t_limit
+from .fourier import LOG_T_LIMIT, FourierBuildError, build_fourier, check_bytes, fourier_bytes, log_stage
 from .operators import TestFunction
 from .sandbox import SUITE_NAMES, run_sandbox
 from .cutoff_trace import (
@@ -184,9 +184,8 @@ def validate_config(config: dict) -> dict:
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("lambdas must be strictly ascending")
     L = config["grid"]["log_t_half_range"]
-    field, limit = config["field"], log_t_limit(make_backend(config["field"]))
-    if L >= limit:
-        raise ConfigError(f"config.grid.log_t_half_range {L} leaves the float range (field {field}: below {limit:.6g})")
+    if L >= LOG_T_LIMIT:
+        raise ConfigError(f"config.grid.log_t_half_range {L} leaves the float range (below {LOG_T_LIMIT:.6g})")
     if 2.0 * math.log(max(lams)) >= L:
         raise ConfigError("largest lambda^2 exceeds the grid range")
     n = config["grid"]["n"]
@@ -200,6 +199,7 @@ def validate_config(config: dict) -> dict:
     radius = config["test_function"]["support_radius"]
     if radius >= L:
         raise ConfigError(f"test-function support radius {radius} reaches the grid half-range {L}")
+    field = config["field"]
     if field != "R" and config.get("route_c", {}).get("enabled", False):
         raise ConfigError(f"config.route_c.enabled: route C runs on field R only, not {field}")
     c_lams = _route_c_lambdas(config)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -410,13 +410,13 @@ def route_c_plan(
     ]
     _within_budget(work, f)
     half = n // 2
-    # the largest panel and the widest band of the bad rows' and the good rows' panels, each
-    # from its first row; the band entries and the check's multiply-adds of the pass
+    # the largest panel and the widest band of the bad rows' panels below the check's block
+    # and the good rows' panels; the band entries and the check's multiply-adds of the pass
     largest = widest = band = multiply_adds = 0
-    for first, stop, cut in ((0, bad, kc), (bad, b, b)):
+    for first, stop in ((0, min(bad, kc)), (bad, b)):
         for rows, lo, hi in panel_bands(f, n, first, stop):
             largest, widest = max(largest, (rows.stop - rows.start) * (hi - lo)), max(widest, hi - lo)
-            band += max(0, min(rows.stop, cut) - rows.start) * (hi - lo)
+            band += (rows.stop - rows.start) * (hi - lo)
             multiply_adds += 2 * max(0, min(rows.stop, kc) - rows.start) * (hi - lo) * kc
     tables = (lambdas + 1) * (half + 2 * b)  # a pass's Dirichlet tables, one per lam and the check's
     work += [
@@ -450,9 +450,9 @@ def route_c_plan(
     )
 
 
-def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: np.ndarray):
+def ue_panels(f: TestFunction, n: int, first: int, stop: int, buffer: np.ndarray):
     """Yield (rows, lo, U_e[rows, lo:hi]) for the rows first..stop-1 over their ``panel_bands``,
-    each panel cut at row ``cut``, none from it on, on the n-point signed grid.
+    on the n-point signed grid.
 
     U_e[v, y] = f(v/y) / sqrt(vy) step is, on the log axis, a profile of log v - log y
     times two separable factors: x_j = (j + 1/2) step, so step / sqrt(vy) = r_v r_y with
@@ -465,8 +465,7 @@ def ue_panels(f: TestFunction, n: int, first: int, stop: int, cut: int, buffer: 
     half = n // 2
     logs = np.log(signed_point(n, np.arange(half)))
     r = 1.0 / np.sqrt(np.arange(half) + 0.5)
-    for rows, lo, hi in takewhile(lambda band: band[0].start < cut, panel_bands(f, n, first, stop)):
-        rows = slice(rows.start, min(rows.stop, cut))
+    for rows, lo, hi in panel_bands(f, n, first, stop):
         log_v, r_v, log_y, r_y = logs[rows, None], r[rows, None], logs[lo:hi], r[lo:hi]
         panel = buffer[: len(log_v) * (hi - lo)].reshape(len(log_v), hi - lo)
         for chunk in row_chunks(len(log_v), hi - lo):
@@ -628,8 +627,8 @@ class SignedTraceLab:
         The pass is planned first, at its own largest lam or check (``route_c_plan`` of its
         lams and check, which refuses it as it refuses a lab), then allocates one panel
         buffer, the plan's largest panel, and evaluates each of the plan's panels of U_e
-        once into it (``ue_panels``, the bad rows' from row 0 and the good rows' from the
-        first good row up to the plan's block, each band cut to the block's rows).  Each
+        once into it (``ue_panels``: the bad rows the check reads, from row 0 up to the
+        check's block, and the good rows, from the first up to the plan's block).  Each
         panel's terms go to every lam and to the check before the next is filled: the good
         rows' kernel term (``_kernel_term``) to each lam's trace, and below the check's block
         its three traces (``_check_terms``).  The quadrature rows meet C[b, bad] in one
@@ -661,8 +660,8 @@ class SignedTraceLab:
         t1 = t2 = t3 = 0.0
         buffer = np.empty(plan.largest_panel)
         for rows, lo, u in chain(
-            ue_panels(self.f, self.fourier.n, 0, bad, kc, buffer),
-            ue_panels(self.f, self.fourier.n, bad, plan.block, plan.block, buffer),
+            ue_panels(self.f, self.fourier.n, 0, min(bad, kc), buffer),
+            ue_panels(self.f, self.fourier.n, bad, plan.block, buffer),
         ):
             v0 = rows.start
             for i, k in enumerate(ks):

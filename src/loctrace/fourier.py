@@ -5,7 +5,11 @@ K(m(x) m(y)) to sampled profiles, on the grid and on the "product lattice"
 (log t = -2L + p h) where products of grid points live, through a padded
 log-lattice (4n points).  A two-term power-law continuation of the profile
 below the grid floor keeps profiles with phi(0) != 0 accurate to the grid's
-certified tolerance.  Only the test oracles form the dense matrix.
+certified tolerance; it is the line through the first two samples in
+t^kappa, phi0 + (phi1 - phi0) S with S a shape in (-1, 0] taken once per
+transform by ``expm1``, so it stays in the floats on every grid below
+LOG_T_LIMIT, the one bound ``validate_config`` holds every field to.  Only
+the test oracles form the dense matrix.
 
 The samples and the kernel are real, so every spectrum is Hermitian: the
 symbol is evaluated for nu >= 0 only, every FFT is an ``rfft``/``irfft``, and
@@ -35,7 +39,7 @@ import numpy as np
 # Mersenne Twister instead (``random_signs``, ``standard_normals``)
 import numpy.fft  # noqa: F401
 
-from .fields import FieldBackend, RadialGrid
+from .fields import RadialGrid
 from .kernels import mellin_symbol, scaled_gaussian, selfdual_gaussian
 from .operators import TestFunction
 
@@ -96,11 +100,16 @@ class FourierOperator:
         self._Xi0 = -L - self._Bl * h
         # subleading power of a smooth radial profile at module 0: it is a + b |x|^2
         # and t = |x|^d (d the euclidean dimension), so phi ~ a + b t^kappa, kappa = 2/d
-        self._kappa = 2.0 / grid.backend.euclidean_dim
-        # the left pad's sqrt(omega t) and t^kappa, for the power-law continuation
+        kappa = 2.0 / grid.backend.euclidean_dim
+        # the left pad's sqrt(omega t), and the shape S of the power-law continuation
+        # phi0 + (phi1 - phi0) S: S = ((t/t0)^kappa - 1) / ((t1/t0)^kappa - 1), in (-1, 0],
+        # from expm1 of the pad's log-distances to the floor, so no power leaves the floats
         tl = np.exp(self._Xi0 + h * np.arange(self._Bl))
         self._pad_root = np.sqrt(grid.backend.omega * tl)
-        self._pad_power = tl**self._kappa
+        self._pad_shape = np.arange(self._Bl, 0.0, -1.0)  # Bl - j, the pad's steps to the floor
+        self._pad_shape *= -kappa * h
+        np.expm1(self._pad_shape, out=self._pad_shape)
+        self._pad_shape /= math.expm1(kappa * h)
         nup = 2.0 * np.pi * np.fft.rfftfreq(self._Np, d=h)
         khp = mellin_symbol(fid, -nup)
         khp[-1] = 0.0
@@ -121,18 +130,10 @@ class FourierOperator:
     def _padded_spectrum(self, phi: np.ndarray) -> np.ndarray:
         """Conjugated half spectrum of the padded additive-picture samples."""
         g = self.grid
-        omega = g.backend.omega
-        kap = self._kappa
-        t0, t1 = g.t[0], g.t[1]
         ph0, ph1 = float(phi[0]), float(phi[1])
-        if ph0 == 0.0 and ph1 == 0.0:
-            alpha = beta = 0.0
-        else:
-            beta = (ph1 - ph0) / (t1**kap - t0**kap)
-            alpha = ph0 - beta * t0**kap
         up = np.zeros(self._Np)
-        up[: self._Bl] = self._pad_root * (alpha + beta * self._pad_power)
-        up[self._Bl : self._Bl + g.n] = np.sqrt(omega * g.t) * phi
+        up[: self._Bl] = self._pad_root * (ph0 + (ph1 - ph0) * self._pad_shape)
+        up[self._Bl : self._Bl + g.n] = np.sqrt(g.backend.omega * g.t) * phi
         return np.conj(np.fft.rfft(up))
 
     def _evaluate(self, spectrum: np.ndarray, kernel: np.ndarray, count: int) -> np.ndarray:
@@ -252,14 +253,10 @@ def check_bytes(need: int, what: str, error: type = ValueError) -> None:
         raise error(f"{what} needs at least {need // 2**30} GiB, above the {BYTES_BUDGET // 2**30} GiB budget")
 
 
-def log_t_limit(backend: FieldBackend) -> float:
-    """The log_t_half_range L below which the field's transform stays in the float range:
-    the product lattice's e^{2L}, and the pad's slope of a transform's tail residual, about
-    1e-15 e^{(kappa + 1/2) L} while certifying (``_padded_spectrum``), L < 297.73 on R.  R
-    overflowed from L 287.7-297.3 over n 64-262144 and certified up to 297.2; C and H from 354.84.
-    """
-    log_max = math.log(np.finfo(float).max)
-    return min(log_max / 2.0, (log_max + math.log(1e15)) / (2.0 / backend.euclidean_dim + 0.5))
+# the log_t_half_range L from which a sweep's largest number leaves the floats: the
+# product lattice reaches t = e^{2L}, where field C's kernel squares its Bessel argument
+# 4 pi sqrt(t) (``kernels.kernel_values``), 16 pi^2 e^{2L}; every other array stays below it
+LOG_T_LIMIT = (math.log(np.finfo(float).max) - math.log(16.0 * math.pi**2)) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,7 @@ from loctrace.cli import (
 )
 import loctrace.cutoff_trace as cutoff_trace_mod
 from loctrace.cutoff_trace import RUN_SECONDS_MAX, SignedTraceLab, chebyshev_degree, log_lattice, route_c_plan
-from loctrace.fields import make_backend, make_grid
-from loctrace.fourier import BYTES_BUDGET, DEFECT_THRESHOLDS, build_fourier, signed_point
+from loctrace.fourier import BYTES_BUDGET, DEFECT_THRESHOLDS, LOG_T_LIMIT, signed_point
 from loctrace.operators import TestFunction
 from loctrace.sandbox import SUITE_NAMES, run_sandbox
 from oracles import CONFIG_SCHEMA, exact_conductor_r
@@ -715,14 +714,16 @@ def test_cli_refuses_support_beyond_the_grid(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, half_range, limit",
-    [("R", 300.0, "297.729"), ("C", 360.0, "354.891"), ("H", 354.9, "354.891")],
+    "field, half_range",
+    [("R", 352.37), ("C", 360.0), ("H", 354.9), ("C", 354.8), ("H", 354.8)],
 )
-def test_cli_refuses_a_grid_beyond_the_float_range(tmp_path, capsys, monkeypatch, field, half_range, limit):
-    # R's pad slope and every field's product lattice e^{2L} would leave the floats: numpy
-    # warned and certification failed with a NaN or inf defect; now refused before any work
+def test_cli_refuses_a_grid_beyond_the_float_range(tmp_path, capsys, monkeypatch, field, half_range):
+    # the product lattice's e^{2L} leaves the floats in C's Bessel argument squared,
+    # 16 pi^2 e^{2L}, from L 352.36 on: one bound for every field, before any work.  C
+    # and H at 354.8 keep e^{2L} itself in the floats, but their sweeps overflow
     import loctrace.cli as cli_mod
 
+    monkeypatch.setattr(cli_mod, "make_backend", _refuse_work)
     monkeypatch.setattr(cli_mod, "make_grid", _refuse_work)
     monkeypatch.setattr(cli_mod, "build_fourier", _refuse_work)
     cfg = tmp_path / "cfg.json"
@@ -732,21 +733,48 @@ def test_cli_refuses_a_grid_beyond_the_float_range(tmp_path, capsys, monkeypatch
         rc = main(["trace-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"config error: config.grid.log_t_half_range {half_range} leaves the float range (field {field}: below {limit})\n"
+        f"config error: config.grid.log_t_half_range {half_range} leaves the float range (below 352.36)\n"
     )
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field, half_range", [("R", 291.0), ("C", 354.8), ("H", 354.8)])
-def test_the_float_range_admits_grids_that_certify(field, half_range):
-    # at n 4096 R certifies up to L 291.25, where its pad slope first overflows, and C and H
-    # up to their product lattice's edge: each is admitted and certifies with no warning
+@pytest.mark.parametrize("field, half_range", [("R", 291.0), ("R", 340.0), ("C", 352.35), ("H", 352.35)])
+def test_the_float_range_admits_grids_that_certify(tmp_path, field, half_range):
+    # R at n 4096 on both sides of L 291.25, from where a pad slope in powers of t
+    # overflows, and C and H just below the bound: each certifies and runs to its summary
+    # with no warning
     config = small_config(field=field, grid={"log_t_half_range": half_range, "n": 4096})
     assert validate_config(config) is config
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fourier = build_fourier(make_grid(make_backend(field), half_range, 4096))
-    assert fourier.unitarity_defect <= DEFECT_THRESHOLDS[field]
+        summary = run_trace_sweep(config, tmp_path)
+    assert summary["unitarity_defect"] <= DEFECT_THRESHOLDS[field]
+
+
+@st.composite
+def float_range_configs(draw):
+    """A sweep on any field and any even n in 64-16384, within 60 of the float range's edge."""
+    L = draw(st.floats(LOG_T_LIMIT - 60.0, LOG_T_LIMIT, exclude_max=True))
+    grid = {"log_t_half_range": L, "n": 2 * draw(st.integers(32, 8192))}
+    return small_config(field=draw(st.sampled_from(["R", "C", "H"])), grid=grid)
+
+
+@settings(max_examples=60)
+@given(config=float_range_configs())
+@example(config=small_config(grid={"log_t_half_range": 288.0, "n": 1024}))  # R's pad slope overflowed
+@example(config=small_config(grid={"log_t_half_range": 292.0, "n": 4096}))  # from 287.7 and 291.25
+def test_every_grid_inside_the_float_range_sweeps_without_a_warning_property(config):
+    # every grid validate_config admits computes: it passes (0) or fails a named gate or
+    # certification (1), with no numpy warning and no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = main(["trace-sweep", "--config", str(cfg), "--out", str(out)])
+    assert rc in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize(

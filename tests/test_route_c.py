@@ -54,8 +54,8 @@ def _fold(k, size: int):
 
 
 def whole_panels(f: TestFunction, n: int, first: int, stop: int):
-    """``ue_panels`` of the rows first..stop-1, uncut, in a buffer of PANEL_ROWS whole rows."""
-    return ue_panels(f, n, first, stop, stop, np.empty(PANEL_ROWS * (n // 2)))
+    """``ue_panels`` of the rows first..stop-1 in a buffer of PANEL_ROWS whole rows."""
+    return ue_panels(f, n, first, stop, np.empty(PANEL_ROWS * (n // 2)))
 
 
 def band_sizes(f: TestFunction, n: int, first: int, stop: int) -> list[int]:
@@ -66,7 +66,7 @@ def band_sizes(f: TestFunction, n: int, first: int, stop: int) -> list[int]:
 def pass_walk(f: TestFunction, n: int, lams, check) -> tuple[int, int, int, int]:
     """(panels, band entries, check multiply-adds, largest panel) of one pass over ``lams``
     and the check at ``check`` (None: none), from a walk of ``ue_panels`` over the pass's
-    own rows: the bad rows' panels from row 0 cut at the check's block, the good rows' up
+    own rows: the bad rows' panels from row 0 up to the check's block, the good rows' up
     to the pass's largest block, each block counted on the float grid.  The check's two
     GEMMs per panel take 2 x (its rows below the check's block) x band x block."""
     xp = full_line_grid(n).positive
@@ -75,7 +75,7 @@ def pass_walk(f: TestFunction, n: int, lams, check) -> tuple[int, int, int, int]
     bad = int(np.count_nonzero(xp[:top] < SignedTraceLab.BAD_ROW_EXTENT))
     buffer = np.empty(PANEL_ROWS * (n // 2))
     panels = entries = multiply_adds = largest = 0
-    for rows, _, u in chain(ue_panels(f, n, 0, bad, kc, buffer), ue_panels(f, n, bad, top, top, buffer)):
+    for rows, _, u in chain(ue_panels(f, n, 0, min(bad, kc), buffer), ue_panels(f, n, bad, top, buffer)):
         panels, entries, largest = panels + 1, entries + u.size, max(largest, u.size)
         multiply_adds += 2 * max(0, min(rows.stop, kc) - rows.start) * u.shape[1] * kc
     return panels, entries, multiply_adds, largest
@@ -254,8 +254,9 @@ def test_route_c_bytes_counts_the_lab_block(standard_bump, n, lam):
     xp = full_line_grid(n).positive
     half, b = n // 2, int(np.count_nonzero(xp <= lam * (1.0 + 1e-12)))
     bad = int((xp[:b] < SignedTraceLab.BAD_ROW_EXTENT).sum())
-    # the largest of the bad rows' panels and the good rows' panels, and the widest band
-    shapes = [u.shape for r in ((0, bad), (bad, b)) for _, _, u in whole_panels(standard_bump, n, *r)]
+    # the largest of the good rows' panels and the widest band: a plan without a check
+    # evaluates no bad row's panel
+    shapes = [u.shape for _, _, u in whole_panels(standard_bump, n, bad, b)]
     panel = max((rows * cols for rows, cols in shapes), default=0)
     widest = max((cols for _, cols in shapes), default=0)
     tables = 2 * (half + 2 * b)  # a pass of one lam: its table and the cyclicity check's
@@ -747,8 +748,9 @@ def test_route_c_sweep_evaluates_each_ue_entry_once(monkeypatch, tmp_path, n, ma
     # one sweep with route C evaluates the profile on the log axis (outside f(t) itself,
     # which routes A and B call) at exactly the panels' band entries and the bad rows'
     # lattice: each entry of U_e once, none twice.  The cyclicity check at the least lam
-    # reads the bad rows' panels up to its block; from lam 0.5 on that is all of them.  The
-    # bad rows' quadrature reads the profile once per node of Phi's lattice
+    # reads the bad rows' panels up to its block, each over its own rows' band; from lam
+    # 0.5 on that is all of them.  The bad rows' quadrature reads the profile once per node
+    # of Phi's lattice
     f = TestFunction(center=0.3)
     entries, inside = [], []
     of_log, call = TestFunction.of_log, TestFunction.__call__
@@ -778,13 +780,7 @@ def test_route_c_sweep_evaluates_each_ue_entry_once(monkeypatch, tmp_path, n, ma
     assert summary["gates"]["trace_cyclicity"]["value"] < 1e-8
     plan = route_c_plan(f, n, max_lambda)
     bad, b, check = plan.bad_rows, plan.block, block_size(n, lam)
-    bad_band = sum(
-        (min(rows.stop, check) - rows.start) * (hi - lo)
-        for rows, lo, hi in panel_bands(f, n, 0, bad)
-        if rows.start < check
-    )
-    if check >= bad:
-        assert bad_band == sum(band_sizes(f, n, 0, bad))
+    bad_band = sum(band_sizes(f, n, 0, min(bad, check)))
     assert sum(entries) == bad_band + sum(band_sizes(f, n, bad, b)) + plan.lattice[2]
 
 
